@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 from datetime import timedelta
 from pathlib import Path
@@ -444,19 +443,12 @@ def verify_chain(unit: str, home: str) -> None:
 @click.option("--rules", default=300, show_default=True)
 @click.option("--seed", default=7, show_default=True)
 @click.option("--repetitions", default=5, show_default=True)
-@click.option("--backend", type=click.Choice(("c", "py")),
-              help="Evaluator backend; re-executes under CONFIDEC_KERNEL if needed.")
 @click.option("--out", "out_path", default="bench.csv", show_default=True,
               type=click.Path(dir_okay=False))
 @_fail_cleanly
 def bench(experiment: str, records: int, columns: int, rules: int, seed: int,
-          repetitions: int, backend: str | None, out_path: str) -> None:
+          repetitions: int, out_path: str) -> None:
     """Run one experiment and write its rows as CSV."""
-
-    if backend and backend != kernel_backend():
-        env = dict(os.environ, CONFIDEC_KERNEL=backend)
-        os.execve(sys.executable,
-                  [sys.executable, "-m", "confidec.cli"] + sys.argv[1:], env)
     config = BenchConfig(
         experiment=experiment, records=records, columns=columns,
         rules=rules, seed=seed, repetitions=repetitions,

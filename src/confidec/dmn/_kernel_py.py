@@ -1,8 +1,10 @@
-"""Pure-Python evaluator backend.
+"""The evaluator of the opcode program built by `confidec.dmn.program`.
 
-Executes the same opcode program as the compiled backend; used when the
-extension module is unavailable or explicitly requested. The two backends
-must be observationally identical.
+`run_program` walks every record through the rules in order and records,
+per record, the index of the first rule whose ops all hold, or
+STATUS_NO_MATCH, or STATUS_ERROR with the slot of the NaN cell that
+stopped it. `confidec.dmn.engine.decide_record` states the same semantics
+one condition at a time; the tests hold the two to the same answers.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from confidec.dmn.program import (
     OP_SET,
     STATUS_ERROR,
     STATUS_NO_MATCH,
+    CompiledTable,
 )
 
 isnan = math.isnan
@@ -32,19 +35,20 @@ isnan = math.isnan
 
 def run_program(
     rows: Sequence[Sequence[float]],
-    n_rules: int,
-    rule_starts: Sequence[int],
-    op_code: Sequence[int],
-    op_col: Sequence[int],
-    op_a: Sequence[float],
-    op_b: Sequence[float],
-    op_flags: Sequence[int],
-    op_ref: Sequence[int],
-    op_len: Sequence[int],
-    set_codes: Sequence[float],
+    ct: CompiledTable,
     out_status: List[int],
     out_errcol: List[int],
 ) -> None:
+    n_rules = ct.n_rules
+    rule_starts = ct.rule_starts
+    op_code = ct.op_code
+    op_col = ct.op_col
+    op_a = ct.op_a
+    op_b = ct.op_b
+    op_flags = ct.op_flags
+    op_ref = ct.op_ref
+    op_len = ct.op_len
+    set_codes = ct.set_codes
     for i, row in enumerate(rows):
         out_status[i] = STATUS_NO_MATCH
         out_errcol[i] = -1

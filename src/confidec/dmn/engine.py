@@ -1,14 +1,13 @@
 """Condition evaluation and first-hit decisions over record batches.
 
-Two evaluator backends execute the compiled opcode program: an optional C
-extension and a pure-Python twin. The backend is chosen once at import.
-Set CONFIDEC_KERNEL=c or CONFIDEC_KERNEL=py to force one; forcing the
-compiled backend raises if the extension is not built.
+`decide_record` decides one record by evaluating its conditions one at a
+time with `eval_condition`; that is the reference semantics. `decide_records`
+decides a batch by compiling the table to an opcode program and running it
+with `_kernel_py.run_program`; the tests hold it to the same answers.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Mapping, Sequence
 
 from confidec.dmn import _kernel_py
@@ -38,27 +37,13 @@ from confidec.dmn.program import (
 )
 from confidec.errors import MissingFieldError, TypeMismatchError
 
-try:
-    from confidec.dmn import _speedups as _c_kernel
-except ImportError:
-    _c_kernel = None
-
-_forced = os.environ.get("CONFIDEC_KERNEL", "").strip().lower()
-if _forced == "py":
-    _BACKEND = "py"
-elif _forced == "c":
-    if _c_kernel is None:
-        raise ImportError("CONFIDEC_KERNEL=c but the compiled kernel is not built")
-    _BACKEND = "c"
-elif _forced:
-    raise ImportError(f"CONFIDEC_KERNEL must be 'c' or 'py', not {_forced!r}")
-else:
-    _BACKEND = "c" if _c_kernel is not None else "py"
+# Always None; only perfbench/tracer.py reads it.
+_c_kernel = None
 
 
 def kernel_backend() -> str:
-    """Name of the active evaluator backend: "c" or "py"."""
-    return _BACKEND
+    """Name of the evaluator the benchmarks report: always "py"."""
+    return "py"
 
 
 def eval_condition(
@@ -179,28 +164,9 @@ def decide_records(
     rows, bad = build_matrix(ct, records, aggregates)
     n = len(records)
 
-    if _BACKEND == "c" and n:
-        import numpy as np
-
-        mat = np.asarray(rows, dtype=np.float64)
-        if mat.ndim == 1:  # zero condition columns
-            mat = mat.reshape(n, 0)
-        status_arr = np.empty(n, dtype=np.intc)
-        errcol_arr = np.empty(n, dtype=np.intc)
-        _c_kernel.run_program(
-            mat, ct.n_rules, **ct.numpy_arrays(),
-            out_status=status_arr, out_errcol=errcol_arr,
-        )
-        status: Sequence[int] = status_arr.tolist()
-        errcol: Sequence[int] = errcol_arr.tolist()
-    else:
-        status = [0] * n
-        errcol = [0] * n
-        _kernel_py.run_program(
-            rows, ct.n_rules, ct.rule_starts, ct.op_code, ct.op_col, ct.op_a,
-            ct.op_b, ct.op_flags, ct.op_ref, ct.op_len, ct.set_codes,
-            status, errcol,
-        )
+    status = [0] * n
+    errcol = [0] * n
+    _kernel_py.run_program(rows, ct, status, errcol)
 
     results = []
     for i, record in enumerate(records):

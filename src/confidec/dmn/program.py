@@ -1,8 +1,8 @@
 """Compilation of decision tables into a flat opcode program.
 
-The evaluator backends (compiled and pure Python) both execute the same
-program: per rule, a run of condition ops over a float matrix with one
-column slot per non-output table column. Encoding:
+The evaluator (`confidec.dmn._kernel_py.run_program`) executes the program:
+per rule, a run of condition ops over a float matrix with one column slot
+per non-output table column. Encoding:
 
     number  -> the value itself (records never contain NaN/inf)
     string  -> per-slot vocabulary code (>= 0); strings absent from the
@@ -11,13 +11,33 @@ column slot per non-output table column. Encoding:
     missing or wrongly typed -> NaN, with the reason kept aside; an op that
                reads a NaN cell aborts that record with an error status
 
-Opcodes (op_a/op_b carry bounds or factors, op_ref/op_len index set_codes
-or name a referenced slot, op_flags carries interval openness bits):
+The ops of rule r are k in rule_starts[r] .. rule_starts[r + 1] - 1, and
+every op reads the cell v = row[op_col[k]]. Fields an opcode does not use
+keep their defaults (op_a = op_b = 0.0, op_flags = op_len = 0, op_ref = -1).
+Opcodes, with the test each one makes:
+
+     1 OP_LT        v < op_a
+     2 OP_LE        v <= op_a
+     3 OP_GT        v > op_a
+     4 OP_GE        v >= op_a
+     5 OP_EQ        v == op_a
+     6 OP_INTERVAL  op_a <= v <= op_b; op_flags & 1 makes the low end
+                    strict (op_a < v), op_flags & 2 the high end (v < op_b)
+     7 OP_SET       v is one of set_codes[op_ref : op_ref + op_len], the
+                    vocabulary codes of the cell's strings
+     8 OP_BOOL      v == op_a, with op_a 1.0 for true and 0.0 for false
+     9 OP_COL_LT    v < row[op_ref] * op_a
+    10 OP_COL_LE    v <= row[op_ref] * op_a
+    11 OP_COL_GT    v > row[op_ref] * op_a
+    12 OP_COL_GE    v >= row[op_ref] * op_a
+
+For the OP_COL_* ops, op_ref is the referenced slot and op_a the factor; a
+NaN in the referenced slot aborts the record with op_ref as its error slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -75,25 +95,6 @@ class CompiledTable:
     op_ref: List[int]
     op_len: List[int]
     set_codes: List[float]
-    _np: dict = field(default_factory=dict, repr=False)
-
-    def numpy_arrays(self) -> dict:
-        """Program arrays as numpy buffers for the compiled backend."""
-        if not self._np:
-            import numpy as np
-
-            self._np = {
-                "rule_starts": np.asarray(self.rule_starts, dtype=np.intc),
-                "op_code": np.asarray(self.op_code, dtype=np.int8),
-                "op_col": np.asarray(self.op_col, dtype=np.intc),
-                "op_a": np.asarray(self.op_a, dtype=np.float64),
-                "op_b": np.asarray(self.op_b, dtype=np.float64),
-                "op_flags": np.asarray(self.op_flags, dtype=np.int8),
-                "op_ref": np.asarray(self.op_ref, dtype=np.intc),
-                "op_len": np.asarray(self.op_len, dtype=np.intc),
-                "set_codes": np.asarray(self.set_codes, dtype=np.float64),
-            }
-        return self._np
 
 
 @lru_cache(maxsize=128)

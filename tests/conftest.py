@@ -1,10 +1,12 @@
 """Shared fixtures: an authority, certificate/unit/session factories."""
 
+import os
 import secrets
 from datetime import timedelta
 
 import pytest
 
+import confidec
 from confidec.crypto.certs import issue_certificate
 from confidec.crypto.keys import SigningKeyPair
 from confidec.enclave.ccu import Ccu, generate_seed
@@ -19,6 +21,16 @@ from confidec.storage.node import StorageNode
 from confidec.util import utcnow
 
 BUNDLED_FUNCS = ("PatientPrioritizationWithAggr", "Restock", "ChooseCarrier")
+
+
+def child_env(**overrides) -> dict:
+    """The environment for a child Python that must import the confidec under
+    test: the parent's, with the directory holding that package first on
+    PYTHONPATH, whether it came from PYTHONPATH, an editable or a site install."""
+    root = os.path.dirname(os.path.dirname(confidec.__file__))
+    inherited = os.environ.get("PYTHONPATH")
+    path = root + os.pathsep + inherited if inherited else root
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def standard_bundle() -> CodeBundle:

@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import secrets
+import subprocess
+import sys
 
 import pytest
 
-from conftest import BUNDLED_FUNCS, standard_bundle
+from conftest import BUNDLED_FUNCS, child_env, standard_bundle
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.keys import SigningKeyPair
 from confidec.crypto.certs import issue_certificate
@@ -497,3 +499,52 @@ def test_error_responses_carry_no_body(make_unit, make_session):
     assert response.body is None
     with pytest.raises(Exception):
         ClientSession.open_response(response, key)
+
+
+# --- runtime dependencies ------------------------------------------------------
+
+_ONE_DECISION = """
+import secrets, sys
+from datetime import timedelta
+from confidec.bench.vax import VaxSpec, generate_vax
+from confidec.crypto.certs import issue_certificate
+from confidec.crypto.keys import SigningKeyPair
+from confidec.dmn.tables import record_to_obj
+from confidec.enclave.ccu import Ccu, generate_seed
+from confidec.enclave.measurement import CodeBundle
+from confidec.fixtures import load_patient_aggregation_docs, load_policy_text, load_table_doc
+from confidec.gateway.client import ClientSession
+from confidec.storage.node import StorageNode
+from confidec.util import utcnow
+
+authority = SigningKeyPair.generate()
+unit = Ccu.boot("u", authority, platform_secret=secrets.token_bytes(32),
+                storage=StorageNode.in_memory())
+unit.deploy(CodeBundle.assemble(
+    load_policy_text(),
+    [load_table_doc(f) for f in ("PatientPrioritizationWithAggr", "Restock", "ChooseCarrier")],
+    load_patient_aggregation_docs()))
+unit.install_seed(generate_seed())
+key = SigningKeyPair.generate()
+now = utcnow()
+cert = issue_certificate(authority, "hub", {"Role": "MedicalHub", "Country": "Italy"},
+                         key.verify_key, now - timedelta(minutes=1), now + timedelta(days=1))
+session = ClientSession(cert, key, authority.verify_key)
+session.attest(unit.evidence(), unit.measurement)
+records = [record_to_obj(r) for r in generate_vax(VaxSpec("Patient", 20))]
+for kind, payload in [
+    ("provision", {"dataName": "p", "structure": "Patient", "records": records}),
+    ("decision", {"funcName": "PatientPrioritizationWithAggr", "dataName": "p"}),
+]:
+    envelope, channel_key = session.build_request(kind, payload)
+    answer = ClientSession.open_response(unit.handle(kind, envelope), channel_key)
+print(len(answer["results"]), "numpy" in sys.modules)
+"""
+
+
+def test_a_decision_does_not_import_numpy():
+    out = subprocess.run(
+        [sys.executable, "-c", _ONE_DECISION], capture_output=True, text=True, env=child_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["20", "False"]

@@ -1,26 +1,29 @@
-"""The compiled evaluator and its pure-Python twin must agree bit for bit."""
+"""The batch evaluator must agree with the per-record reference semantics.
 
-import os
+`decide_records` compiles a table to an opcode program and runs it over the
+whole batch; `decide_record` checks one record's conditions one at a time
+with `eval_condition`. On every table and record the two must give the same
+`DecisionResult`, or raise the same `ConfidecError` subclass; a batch must
+give the per-record results in order, or raise the class of its first
+failing record.
+"""
+
 import random
-import subprocess
-import sys
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-import confidec
-from confidec.dmn import _kernel_py
-from confidec.dmn.model import Record
-from confidec.dmn.program import build_matrix, compile_table
+from confidec.bench.vax import VaxSpec, generate_vax
+from confidec.dmn.aggregate import evaluate_aggregate
+from confidec.dmn.engine import decide_record, decide_records
+from confidec.dmn.model import ColumnRelation, DecisionResult, Record
 from confidec.dmn.tables import parse_decision_table
-
-try:
-    from confidec.dmn import _speedups
-except ImportError:
-    _speedups = None
-
-needs_extension = pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
+from confidec.errors import ConfidecError, MissingFieldError, TypeMismatchError
+from confidec.fixtures import load_patient_aggregations, load_table
 
 _WORDS = ("oak", "pine", "fir", "elm", "yew")
+
+# Values of the wrong type for a column of each value type.
+_WRONG = {"number": ("wrong type", True), "string": (3, False), "boolean": ("yes", 1)}
 
 
 def _random_table(rng, n_cols, n_rules):
@@ -71,11 +74,10 @@ def _random_records(rng, table, count):
         for col in table.input_columns:
             if rng.random() < 0.05:
                 continue  # sometimes omit a field entirely
-            if col.value_type == "number":
-                if rng.random() < 0.05:
-                    fields[col.name] = "wrong type"
-                else:
-                    fields[col.name] = rng.randint(0, 9)
+            if rng.random() < 0.05:
+                fields[col.name] = rng.choice(_WRONG[col.value_type])
+            elif col.value_type == "number":
+                fields[col.name] = rng.randint(0, 9)
             elif col.value_type == "string":
                 fields[col.name] = rng.choice(_WORDS + ("unseen",))
             else:
@@ -84,84 +86,88 @@ def _random_records(rng, table, count):
     return records
 
 
-def _run_py(ct, rows):
-    status = [0] * len(rows)
-    errcol = [0] * len(rows)
-    _kernel_py.run_program(
-        rows, ct.n_rules, ct.rule_starts, ct.op_code, ct.op_col, ct.op_a,
-        ct.op_b, ct.op_flags, ct.op_ref, ct.op_len, ct.set_codes,
-        status, errcol,
-    )
-    return status, errcol
+def _random_case(rng):
+    table = _random_table(rng, rng.randint(1, 5), rng.randint(1, 8))
+    return table, _random_records(rng, table, rng.randint(0, 30))
 
 
-def _run_c(ct, rows):
-    import numpy as np
-
-    n = len(rows)
-    mat = np.asarray(rows, dtype=np.float64)
-    if mat.ndim == 1:
-        mat = mat.reshape(n, 0)
-    status = np.empty(n, dtype=np.intc)
-    errcol = np.empty(n, dtype=np.intc)
-    _speedups.run_program(
-        mat, ct.n_rules, **ct.numpy_arrays(), out_status=status, out_errcol=errcol
-    )
-    return status.tolist(), errcol.tolist()
+def _outcome(decide):
+    """What a call returns, or the class of the ConfidecError it raises."""
+    try:
+        return decide()
+    except ConfidecError as exc:
+        return type(exc)
 
 
-@needs_extension
-def test_backends_agree_on_random_programs():
+def _assert_agrees(table, records, aggregates=None):
+    """Check decide_records against decide_record; returns the per-record
+    outcomes so callers can see what the case covered."""
+    want = [_outcome(lambda r=r: decide_record(table, r, aggregates)) for r in records]
+    for record, expected in zip(records, want):
+        got = _outcome(lambda: decide_records(table, [record], aggregates))
+        if isinstance(expected, DecisionResult):
+            assert got == [expected], record
+        else:
+            assert got is expected, record
+    first_error = next((w for w in want if not isinstance(w, DecisionResult)), None)
+    assert _outcome(lambda: decide_records(table, records, aggregates)) == (first_error or want)
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_batch_agrees_with_decide_record_on_random_tables(rng):
+    _assert_agrees(*_random_case(rng))
+
+
+def test_random_cases_reach_every_outcome():
+    """The generator behind the property test makes every kind of case."""
     rng = random.Random(20260814)
-    for trial in range(60):
-        table = _random_table(rng, rng.randint(1, 5), rng.randint(1, 8))
-        records = _random_records(rng, table, rng.randint(0, 30))
-        ct = compile_table(table)
-        rows, _ = build_matrix(ct, records, {})
-        assert _run_py(ct, rows) == _run_c(ct, rows), f"trial {trial}"
+    seen = set()
+    relations = 0
+    for _ in range(200):
+        table, records = _random_case(rng)
+        relations += any(
+            isinstance(cond, ColumnRelation) for rule in table.rules for cond in rule.conditions
+        )
+        for outcome in _assert_agrees(table, records):
+            seen.add(outcome.outcome if isinstance(outcome, DecisionResult) else outcome)
+    assert seen == {"decided", "noMatch", MissingFieldError, TypeMismatchError}
+    assert relations > 0
 
 
-@needs_extension
-def test_backends_agree_on_bundled_data():
-    from confidec.bench.vax import VaxSpec, generate_vax
-    from confidec.dmn.tables import record_to_obj  # noqa: F401  (documented shape)
-    from confidec.fixtures import load_table
+def _damage(rng, records):
+    """Drop or mistype one field in about one record in ten."""
+    damaged = []
+    for record in records:
+        fields = dict(record.fields)
+        if fields and rng.random() < 0.1:
+            name = rng.choice(sorted(fields))
+            if rng.random() < 0.5:
+                del fields[name]
+            else:
+                fields[name] = 3 if isinstance(fields[name], str) else "wrong type"
+        damaged.append(Record(id=record.id, fields=fields))
+    return damaged
 
-    for role, func in [("VaccinationCenter", "Restock"), ("Carrier", "ChooseCarrier")]:
+
+def test_batch_agrees_with_decide_record_on_bundled_data():
+    patient_specs = load_patient_aggregations()
+    rng = random.Random(7)
+    for role, func in [
+        ("VaccinationCenter", "Restock"),
+        ("Carrier", "ChooseCarrier"),
+        ("Patient", "PatientPrioritizationWithAggr"),
+    ]:
         table = load_table(func)
         records = generate_vax(VaxSpec(role, 220, seed=1))
-        ct = compile_table(table)
-        rows, _ = build_matrix(ct, records, {})
-        assert _run_py(ct, rows) == _run_c(ct, rows)
-
-
-def _child_env(kernel):
-    """The parent's environment with CONFIDEC_KERNEL set and the directory of
-    the confidec package under test first on PYTHONPATH, so the child imports
-    the same copy whether it came from PYTHONPATH, an editable or a site install."""
-    root = os.path.dirname(os.path.dirname(confidec.__file__))
-    inherited = os.environ.get("PYTHONPATH")
-    path = root + os.pathsep + inherited if inherited else root
-    return dict(os.environ, CONFIDEC_KERNEL=kernel, PYTHONPATH=path)
-
-
-def test_env_var_forces_backend():
-    code = (
-        "from confidec.dmn.engine import kernel_backend; print(kernel_backend())"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=_child_env("py"),
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "py"
-
-
-def test_bogus_backend_refused():
-    code = "import confidec.dmn.engine"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=_child_env("fortran"),
-    )
-    assert out.returncode != 0
-    assert "CONFIDEC_KERNEL" in out.stderr
+        aggregates = None
+        if role == "Patient":
+            aggregates = {s.name: evaluate_aggregate(s, records) for s in patient_specs}
+        outcomes = _assert_agrees(table, records, aggregates)
+        assert all(isinstance(o, DecisionResult) for o in outcomes), func
+        assert any(o.outcome == "decided" for o in outcomes), func
+        damaged = [
+            o for _ in range(5) for o in _assert_agrees(table, _damage(rng, records), aggregates)
+        ]
+        assert not all(isinstance(o, DecisionResult) for o in damaged), func

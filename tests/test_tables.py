@@ -1,10 +1,17 @@
 """Table and aggregation document parsing, validation and round-trips."""
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from datetime import date, datetime
 
 import pytest
 
+from conftest import child_env
 from confidec.dmn.model import ColumnRelation, TextSet
+from confidec.dmn.program import compile_table
 from confidec.dmn.tables import (
     aggregation_to_obj,
     parse_aggregation_spec,
@@ -195,3 +202,27 @@ def test_fixture_cells_survive_reprint():
     assert cond == ColumnRelation(op="<=", column="MaxStorageCapacity", factor=0.1)
     patient = load_table("PatientPrioritizationWithAggr")
     assert patient.rules[0].conditions[1] == TextSet(values=("Asthma", "Diabetes"))
+
+
+def test_equal_tables_hash_equal_and_share_one_compiled_program():
+    one, two = load_table("Restock"), load_table("Restock")
+    assert one is not two and one == two
+    assert hash(one) == hash(two) == hash(one)
+    assert compile_table(one) is compile_table(two)
+    reordered = dataclasses.replace(one, rules=one.rules[::-1])
+    assert reordered != one
+    assert compile_table(reordered) is not compile_table(one)
+
+
+def test_a_table_pickled_after_hashing_hashes_afresh_in_another_process():
+    table = load_table("Restock")
+    hash(table)
+    code = (
+        "import pickle, sys; from confidec.fixtures import load_table; "
+        "print(hash(pickle.loads(sys.stdin.buffer.read())) == hash(load_table('Restock')))"
+    )
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(table),
+                         capture_output=True, env=child_env(PYTHONHASHSEED=seed))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == b"True"
