@@ -13,12 +13,15 @@ Cell grammar (whitespace between tokens is ignored):
     columnrel  := op ident ("*" number)?           e.g. <= MaxStorageCapacity * 0.1
     op         := "<=" | ">=" | "<" | ">"
     number     := ["-"] digits ["." digits]        bare number means equality
+                  (an exponent is allowed; a number too large for a float
+                  is a syntax error, so every bound and factor is finite)
 
 String literals are double-quoted and contain no quote characters.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from confidec.dmn.model import (
@@ -73,6 +76,17 @@ class _Scanner:
     def fail(self, reason: str):
         raise CellSyntaxError(self.text, self.pos, reason)
 
+    def number(self) -> float | None:
+        """Scan a number, or return None if none starts here."""
+        m = self.match(_NUMBER_RE)
+        if not m:
+            return None
+        value = float(m.group())
+        if not math.isfinite(value):
+            self.pos = m.start()
+            self.fail("number out of range")
+        return value
+
 
 def parse_condition(text: str) -> Condition:
     """Parse one cell into a condition value.
@@ -99,9 +113,9 @@ def _parse_cell(sc: _Scanner) -> Condition:
         return _parse_interval(sc)
     if ch in ("<", ">"):
         return _parse_relational(sc)
-    m = sc.match(_NUMBER_RE)
-    if m:
-        return NumericEquals(float(m.group()))
+    value = sc.number()
+    if value is not None:
+        return NumericEquals(value)
     m = sc.match(_IDENT_RE)
     if m:
         word = m.group()
@@ -129,16 +143,14 @@ def _parse_interval(sc: _Scanner) -> Interval:
     opener = sc.peek()
     sc.pos += 1
     lo_open = opener == "]"
-    m = sc.match(_NUMBER_RE)
-    if not m:
+    lo = sc.number()
+    if lo is None:
         sc.fail("expected interval lower bound")
-    lo = float(m.group())
     if not sc.take(".."):
         sc.fail("expected '..' in interval")
-    m = sc.match(_NUMBER_RE)
-    if not m:
+    hi = sc.number()
+    if hi is None:
         sc.fail("expected interval upper bound")
-    hi = float(m.group())
     closer = sc.peek()
     if closer not in ("[", "]"):
         sc.fail("expected interval closing bracket")
@@ -155,19 +167,18 @@ def _parse_relational(sc: _Scanner) -> Condition:
             break
     else:
         sc.fail("expected comparison operator")
-    m = sc.match(_NUMBER_RE)
-    if m:
-        return Relational(op, float(m.group()))
+    bound = sc.number()
+    if bound is not None:
+        return Relational(op, bound)
     m = sc.match(_IDENT_RE)
     if not m:
         sc.fail("expected number or column name after operator")
     column = m.group()
     factor = 1.0
     if sc.take("*"):
-        m = sc.match(_NUMBER_RE)
-        if not m:
+        factor = sc.number()
+        if factor is None:
             sc.fail("expected numeric factor after '*'")
-        factor = float(m.group())
     return ColumnRelation(op, column, factor)
 
 

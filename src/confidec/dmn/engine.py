@@ -2,8 +2,8 @@
 
 `decide_record` decides one record by evaluating its conditions one at a
 time with `eval_condition`; that is the reference semantics. `decide_records`
-decides a batch by compiling the table to an opcode program and running it
-with `_kernel_py.run_program`; the tests hold it to the same answers.
+decides a batch by lowering the table to Python functions once and running
+them with `_kernel_py.run_program`; the tests hold it to the same answers.
 """
 
 from __future__ import annotations

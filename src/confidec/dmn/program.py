@@ -1,50 +1,56 @@
-"""Compilation of decision tables into a flat opcode program.
+"""Compilation of decision tables into Python functions.
 
-The evaluator (`confidec.dmn._kernel_py.run_program`) executes the program:
-per rule, a run of condition ops over a float matrix with one column slot
-per non-output table column. Encoding:
+`compile_table` lowers a table once per process into plain Python source
+and compiles it; `confidec.dmn._kernel_py.run_program` calls the result
+once per record. Records are first encoded by `build_matrix` into rows of
+floats, one slot per non-output table column:
 
     number  -> the value itself (records never contain NaN/inf)
     string  -> per-slot vocabulary code (>= 0); strings absent from the
                vocabulary encode as -1 and can never match a set
     boolean -> 1.0 / 0.0
-    missing or wrongly typed -> NaN, with the reason kept aside; an op that
-               reads a NaN cell aborts that record with an error status
+    missing or wrongly typed -> NaN, with the reason kept aside
 
-The ops of rule r are k in rule_starts[r] .. rule_starts[r + 1] - 1, and
-every op reads the cell v = row[op_col[k]]. Fields an opcode does not use
-keep their defaults (op_a = op_b = 0.0, op_flags = op_len = 0, op_ref = -1).
-Opcodes, with the test each one makes:
+Every non-wildcard condition is one op, a test on the local `vJ` that holds
+slot J of the row. The tests, with `a`, `b` and `f` the `repr` of the
+cell's finite numbers:
 
-     1 OP_LT        v < op_a
-     2 OP_LE        v <= op_a
-     3 OP_GT        v > op_a
-     4 OP_GE        v >= op_a
-     5 OP_EQ        v == op_a
-     6 OP_INTERVAL  op_a <= v <= op_b; op_flags & 1 makes the low end
-                    strict (op_a < v), op_flags & 2 the high end (v < op_b)
-     7 OP_SET       v is one of set_codes[op_ref : op_ref + op_len], the
-                    vocabulary codes of the cell's strings
-     8 OP_BOOL      v == op_a, with op_a 1.0 for true and 0.0 for false
-     9 OP_COL_LT    v < row[op_ref] * op_a
-    10 OP_COL_LE    v <= row[op_ref] * op_a
-    11 OP_COL_GT    v > row[op_ref] * op_a
-    12 OP_COL_GE    v >= row[op_ref] * op_a
+    Relational      vJ < a   (or <=, >, >=)
+    NumericEquals   vJ == a
+    Interval        a <= vJ <= b, with < for an open end
+    TextSet         vJ in {0.0, 2.0}, the vocabulary codes of its strings
+    BooleanIs       vJ == 1.0 for true, vJ == 0.0 for false
+    ColumnRelation  vJ < vR * f   (or <=, >, >=), R the referenced slot
 
-For the OP_COL_* ops, op_ref is the referenced slot and op_a the factor; a
-NaN in the referenced slot aborts the record with op_ref as its error slot.
+A test that fails goes on to `(vJ != vJ and _abort(J))`: every comparison
+with NaN is false, so a NaN cell reaches `_abort`, which stops the record
+with J as its error slot. A column relation checks its own slot first and
+then the referenced one, `(vR != vR and _abort(R))`. A rule is one `if` of
+its `and`-ed tests that returns the rule index, so the tests run in the
+order of `decide_record`, and a NaN cell aborts only when a test reads it.
+An all-wildcard rule is a bare `return`, after which nothing is emitted.
+
+Only numbers and slot indices enter the source: no table or record string
+does, and the functions see no builtins, only `_abort`. The rules are
+split, whole, into functions of at most MAX_OPS_PER_FUNCTION ops (a rule
+with more ops than that gets a function of its own); each function returns
+the index of its first rule that holds, or None. The cap bounds what one
+`compile()` holds at once: lowering `synth_table(7, 300)` into one function
+raises the peak RSS by 21.6 MB, into functions of 128 ops by 1.3 MB.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NoReturn, Optional, Sequence, Set, Tuple
 
 from confidec.dmn.model import (
     BooleanIs,
     ColumnRelation,
     ColumnSpec,
+    Condition,
     DecisionTable,
     Interval,
     NumericEquals,
@@ -56,123 +62,131 @@ from confidec.dmn.model import (
 )
 from confidec.errors import MissingAggregateError, TypeMismatchError
 
-OP_LT = 1
-OP_LE = 2
-OP_GT = 3
-OP_GE = 4
-OP_EQ = 5
-OP_INTERVAL = 6
-OP_SET = 7
-OP_BOOL = 8
-OP_COL_LT = 9
-OP_COL_LE = 10
-OP_COL_GT = 11
-OP_COL_GE = 12
-
-_REL_OPS = {"<": OP_LT, "<=": OP_LE, ">": OP_GT, ">=": OP_GE}
-_COL_OPS = {"<": OP_COL_LT, "<=": OP_COL_LE, ">": OP_COL_GT, ">=": OP_COL_GE}
+MAX_OPS_PER_FUNCTION = 128
 
 STATUS_NO_MATCH = -1
 STATUS_ERROR = -2
 
 
+class AbortRecord(Exception):
+    """Raised by the generated code when a test reads a NaN cell; args[0]
+    is the slot of that cell."""
+
+
+def _abort(slot: int) -> NoReturn:
+    raise AbortRecord(slot)
+
+
+# The generated functions see these globals and no builtins.
+_GLOBALS = {"__builtins__": {}, "_abort": _abort}
+
+RuleFunction = Callable[[Sequence[float]], Optional[int]]
+
+
 @dataclass
 class CompiledTable:
-    """A decision table lowered to flat arrays plus encoding metadata."""
+    """A decision table lowered to Python functions plus encoding metadata."""
 
     table: DecisionTable
     slots: Tuple[ColumnSpec, ...]
     slot_index: Dict[str, int]
     referenced: Tuple[bool, ...]
     vocab: Tuple[Dict[str, int] | None, ...]
-    n_rules: int
-    rule_starts: List[int]
-    op_code: List[int]
-    op_col: List[int]
-    op_a: List[float]
-    op_b: List[float]
-    op_flags: List[int]
-    op_ref: List[int]
-    op_len: List[int]
-    set_codes: List[float]
+    functions: Tuple[RuleFunction, ...]
+
+
+def _number(value: float) -> str:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {value!r} in a condition")
+    return repr(value)
+
+
+def _lower(
+    j: int,
+    cond: Condition,
+    slot_index: Dict[str, int],
+    vocab: Dict[str, int] | None,
+) -> Tuple[str, Tuple[int, ...]]:
+    """The test of one op and the slots it reads, its own first."""
+    v = f"v{j}"
+    if isinstance(cond, Relational):
+        return f"{v} {cond.op} {_number(cond.bound)}", (j,)
+    if isinstance(cond, NumericEquals):
+        return f"{v} == {_number(cond.value)}", (j,)
+    if isinstance(cond, Interval):
+        lo = "<" if cond.lo_open else "<="
+        hi = "<" if cond.hi_open else "<="
+        return f"{_number(cond.lo)} {lo} {v} {hi} {_number(cond.hi)}", (j,)
+    if isinstance(cond, TextSet):
+        assert vocab is not None
+        for value in cond.values:
+            vocab.setdefault(value, len(vocab))
+        codes = ", ".join(_number(vocab[value]) for value in cond.values)
+        return f"{v} in {{{codes}}}", (j,)
+    if isinstance(cond, BooleanIs):
+        return f"{v} == {'1.0' if cond.value else '0.0'}", (j,)
+    if isinstance(cond, ColumnRelation):
+        ref = slot_index[cond.column]
+        return f"{v} {cond.op} v{ref} * {_number(cond.factor)}", (j, ref)
+    raise TypeError(f"unknown condition {cond!r}")
+
+
+def _compile_function(lines: List[str], reads: Set[int], n_slots: int) -> RuleFunction:
+    source = ["def _f(row):"]
+    if reads:
+        targets = ", ".join(f"v{j}" if j in reads else "_" for j in range(n_slots))
+        source.append(f"    {targets}, = row")
+    code = compile("\n".join(source + lines) + "\n", "<decision table>", "exec")
+    namespace: Dict[str, RuleFunction] = {}
+    exec(code, _GLOBALS, namespace)
+    return namespace["_f"]
 
 
 @lru_cache(maxsize=128)
 def compile_table(table: DecisionTable) -> CompiledTable:
     slots = table.condition_columns
     slot_index = {c.name: j for j, c in enumerate(slots)}
-    referenced = [False] * len(slots)
     vocab: List[Dict[str, int] | None] = [
         {} if c.value_type == "string" else None for c in slots
     ]
 
-    op_code: List[int] = []
-    op_col: List[int] = []
-    op_a: List[float] = []
-    op_b: List[float] = []
-    op_flags: List[int] = []
-    op_ref: List[int] = []
-    op_len: List[int] = []
-    set_codes: List[float] = []
-    rule_starts = [0]
-
-    def emit(code: int, col: int, a: float = 0.0, b: float = 0.0, flags: int = 0,
-             ref: int = -1, length: int = 0) -> None:
-        op_code.append(code)
-        op_col.append(col)
-        op_a.append(a)
-        op_b.append(b)
-        op_flags.append(flags)
-        op_ref.append(ref)
-        op_len.append(length)
-
-    for rule in table.rules:
+    functions: List[RuleFunction] = []
+    referenced: Set[int] = set()
+    lines: List[str] = []  # body of the function being filled
+    reads: Set[int] = set()  # the slots it reads
+    n_ops = 0  # and its op count
+    for r, rule in enumerate(table.rules):
+        tests = []
+        rule_reads: Set[int] = set()
         for j, cond in enumerate(rule.conditions):
             if isinstance(cond, Wildcard):
                 continue
-            referenced[j] = True
-            if isinstance(cond, Relational):
-                emit(_REL_OPS[cond.op], j, a=cond.bound)
-            elif isinstance(cond, NumericEquals):
-                emit(OP_EQ, j, a=cond.value)
-            elif isinstance(cond, Interval):
-                flags = (1 if cond.lo_open else 0) | (2 if cond.hi_open else 0)
-                emit(OP_INTERVAL, j, a=cond.lo, b=cond.hi, flags=flags)
-            elif isinstance(cond, TextSet):
-                words = vocab[j]
-                assert words is not None
-                offset = len(set_codes)
-                for value in cond.values:
-                    if value not in words:
-                        words[value] = len(words)
-                    set_codes.append(float(words[value]))
-                emit(OP_SET, j, ref=offset, length=len(cond.values))
-            elif isinstance(cond, BooleanIs):
-                emit(OP_BOOL, j, a=1.0 if cond.value else 0.0)
-            elif isinstance(cond, ColumnRelation):
-                ref_slot = slot_index[cond.column]
-                referenced[ref_slot] = True
-                emit(_COL_OPS[cond.op], j, a=cond.factor, ref=ref_slot)
-            else:
-                raise TypeError(f"unknown condition {cond!r}")
-        rule_starts.append(len(op_code))
+            test, slots_read = _lower(j, cond, slot_index, vocab[j])
+            aborts = "".join(f" or (v{s} != v{s} and _abort({s}))" for s in slots_read)
+            tests.append(f"({test}{aborts})")
+            rule_reads.update(slots_read)
+        if lines and n_ops + len(tests) > MAX_OPS_PER_FUNCTION:
+            functions.append(_compile_function(lines, reads, len(slots)))
+            lines, reads, n_ops = [], set(), 0
+        n_ops += len(tests)
+        reads |= rule_reads
+        referenced |= rule_reads
+        if not tests:
+            lines.append(f"    return {r}")
+            break  # no later rule can be reached
+        lines.append(f"    if {' and '.join(tests)}:")
+        lines.append(f"        return {r}")
+    if lines:
+        functions.append(_compile_function(lines, reads, len(slots)))
 
     return CompiledTable(
         table=table,
         slots=slots,
         slot_index=slot_index,
-        referenced=tuple(referenced),
+        referenced=tuple(j in referenced for j in range(len(slots))),
         vocab=tuple(vocab),
-        n_rules=len(table.rules),
-        rule_starts=rule_starts,
-        op_code=op_code,
-        op_col=op_col,
-        op_a=op_a,
-        op_b=op_b,
-        op_flags=op_flags,
-        op_ref=op_ref,
-        op_len=op_len,
-        set_codes=set_codes,
+        functions=tuple(functions),
     )
 
 
@@ -198,11 +212,11 @@ def build_matrix(
     records: Sequence[Record],
     aggregates: Mapping[str, float],
 ) -> Tuple[List[List[float]], Dict[Tuple[int, int], str]]:
-    """Encode records into the float matrix consumed by the evaluators.
+    """Encode records into the float rows the generated functions read.
 
-    Only slots actually referenced by some op are encoded; the rest stay
-    NaN and are never read. Returns the matrix and a map from (row, slot)
-    to the reason a cell is NaN ("missing" or "type").
+    Only slots some op reads are encoded; the rest stay NaN and are never
+    read. Returns the matrix and a map from (row, slot) to the reason a cell
+    is NaN ("missing" or "type").
     """
     slots = ct.slots
     bad: Dict[Tuple[int, int], str] = {}

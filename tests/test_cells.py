@@ -120,6 +120,22 @@ def test_syntax_error_carries_position():
     assert "[18..60" in str(err) or err.text == "[18..60"
 
 
+@pytest.mark.parametrize("text,offset", [
+    ("< 1e400", 2),  # relational
+    (">= -1e400", 3),
+    ("1e400", 0),  # equality
+    ("-1e999", 0),
+    ("[0..1e400]", 4),  # interval
+    ("]-1e400..0]", 1),
+    ("<= Cap * 1e400", 9),  # column-relation factor
+])
+def test_numbers_beyond_float_range_are_syntax_errors(text, offset):
+    with pytest.raises(CellSyntaxError) as info:
+        parse_condition(text)
+    assert info.value.position == offset
+    assert info.value.reason == "number out of range"
+
+
 @pytest.mark.parametrize("text", [
     "-", "<18", "<=0.25", ">250", ">=60", "0", "1", "-3.5",
     "[18..60[", "]18..60]", '"Asthma"', '"Asthma","Diabetes"',

@@ -1,6 +1,6 @@
 """The batch evaluator must agree with the per-record reference semantics.
 
-`decide_records` compiles a table to an opcode program and runs it over the
+`decide_records` lowers a table to Python functions and runs them over the
 whole batch; `decide_record` checks one record's conditions one at a time
 with `eval_condition`. On every table and record the two must give the same
 `DecisionResult`, or raise the same `ConfidecError` subclass; a batch must
@@ -8,14 +8,18 @@ give the per-record results in order, or raise the class of its first
 failing record.
 """
 
+import dataclasses
+import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.dmn.aggregate import evaluate_aggregate
 from confidec.dmn.engine import decide_record, decide_records
-from confidec.dmn.model import ColumnRelation, DecisionResult, Record
+from confidec.dmn.model import ColumnRelation, DecisionResult, Record, Relational, Wildcard
+from confidec.dmn.program import MAX_OPS_PER_FUNCTION, compile_table
 from confidec.dmn.tables import parse_decision_table
 from confidec.errors import ConfidecError, MissingFieldError, TypeMismatchError
 from confidec.fixtures import load_patient_aggregations, load_table
@@ -171,3 +175,279 @@ def test_batch_agrees_with_decide_record_on_bundled_data():
             o for _ in range(5) for o in _assert_agrees(table, _damage(rng, records), aggregates)
         ]
         assert not all(isinstance(o, DecisionResult) for o in damaged), func
+
+
+# -- tables that span several generated functions ------------------------------
+
+
+def _table(kinds, rows):
+    """A table of input columns c0, c1, ... of the given value types, with one
+    rule per row of cells; rule j outputs "r<j>"."""
+    columns = [{"name": f"c{i}", "kind": "input", "type": kind} for i, kind in enumerate(kinds)]
+    columns.append({"name": "o", "kind": "output", "type": "string"})
+    rules = [{"conditions": cells, "outputs": [f"r{j}"]} for j, cells in enumerate(rows)]
+    return parse_decision_table({"name": "W", "columns": columns, "rules": rules})
+
+
+def _ops_before(table, rule_index):
+    """How many ops the rules before rule_index have; more than
+    MAX_OPS_PER_FUNCTION puts the rule past the first generated function."""
+    return sum(
+        not isinstance(cond, Wildcard)
+        for rule in table.rules[:rule_index]
+        for cond in rule.conditions
+    )
+
+
+def _records(*field_maps):
+    return [Record(id=f"w-{i}", fields=fields) for i, fields in enumerate(field_maps)]
+
+
+def _error_field(table, record):
+    """The field a failing batch names in its error."""
+    try:
+        decide_records(table, [record])
+    except ConfidecError as exc:
+        return str(exc).split("field ")[1].split(" ")[0]
+    raise AssertionError(f"{record} did not fail")
+
+
+def test_one_slot_table_hits_and_misses_in_every_function():
+    table = _table(["number"], [[str(i)] for i in range(300)])
+    assert len(compile_table(table).functions) == 3
+    records = _records(
+        *({"c0": v} for v in (0, 127, 128, 200, 255, 256, 299, 300, -1)),
+        {}, {"c0": "wrong type"},
+    )
+    want = _assert_agrees(table, records)
+    hits = [w.rule_index for w in want[:7]]
+    assert hits == [0, 127, 128, 200, 255, 256, 299]
+    assert _ops_before(table, 200) > MAX_OPS_PER_FUNCTION
+    assert _ops_before(table, 299) > 2 * MAX_OPS_PER_FUNCTION
+    assert [w.outcome for w in want[7:9]] == ["noMatch", "noMatch"]
+    assert want[9:] == [MissingFieldError, TypeMismatchError]
+
+
+def test_a_field_first_read_in_a_later_function_aborts_there():
+    # rules 0..199 read only c0; rules 200.. read c1, and c2 and c3 once c1 passes
+    rows = [[str(i), "-", "-", "-"] for i in range(200)]
+    rows += [["-", f"<={j}", '"oak","fir"', "true"] for j in range(60)]
+    table = _table(["number", "number", "string", "boolean"], rows)
+    assert len(compile_table(table).functions) == 3
+    assert _ops_before(table, 200) > MAX_OPS_PER_FUNCTION
+    assert _ops_before(table, 230) > 2 * MAX_OPS_PER_FUNCTION
+    full = {"c0": 999, "c1": 30, "c2": "fir", "c3": True}
+    records = _records(
+        full,
+        dict(full, c1=70),
+        dict(full, c2="unseen"),
+        {k: v for k, v in full.items() if k != "c1"},
+        dict(full, c1="wrong type"),
+        {k: v for k, v in full.items() if k != "c2"},
+        dict(full, c3=1),
+        {k: v for k, v in full.items() if k != "c3"},
+        dict(full, c0=150, c1="wrong type"),
+    )
+    want = _assert_agrees(table, records)
+    assert want[0].rule_index == 230
+    assert [w.outcome for w in want[1:3]] == ["noMatch", "noMatch"]
+    assert want[3:8] == [
+        MissingFieldError, TypeMismatchError, MissingFieldError,
+        TypeMismatchError, MissingFieldError,
+    ]
+    assert want[8].rule_index == 150
+    assert [_error_field(table, r) for r in records[3:8]] == [
+        "'c1'", "'c1'", "'c2'", "'c3'", "'c3'",
+    ]
+
+
+def test_a_column_relation_in_a_later_function_checks_its_own_slot_first():
+    # rules 0..199 read only c2; rules 200.. compare c0 with c1
+    rows = [["-", "-", str(i)] for i in range(200)]
+    rows += [[f"<= c1 * {j}", "-", "-"] for j in range(1, 4)]
+    table = _table(["number", "number", "number"], rows)
+    assert _ops_before(table, 200) > MAX_OPS_PER_FUNCTION
+    records = _records(
+        {"c0": 999, "c1": 1000, "c2": 999}, {"c0": 999, "c1": 400, "c2": 999},
+        {"c0": 999, "c1": 100, "c2": 999},
+        {"c1": 500, "c2": 999}, {"c0": 999, "c2": 999}, {"c2": 999},
+        {"c0": "wrong type", "c2": 999}, {"c0": 999, "c1": "wrong type", "c2": 999},
+        {"c0": "wrong type", "c2": 999, "c1": True},
+    )
+    want = _assert_agrees(table, records)
+    assert [w.rule_index for w in want[:2]] == [200, 202]
+    assert want[2].outcome == "noMatch"
+    assert want[3:] == [
+        MissingFieldError, MissingFieldError, MissingFieldError,
+        TypeMismatchError, TypeMismatchError, TypeMismatchError,
+    ]
+    assert [_error_field(table, r) for r in records[3:]] == [
+        "'c0'", "'c1'", "'c0'", "'c0'", "'c1'", "'c0'",
+    ]
+
+
+def test_rules_with_more_ops_than_the_cap():
+    n = MAX_OPS_PER_FUNCTION + 22
+    kinds = ["number"] * n
+    table = _table(kinds, [
+        [">5"] * n,
+        [">=0"] * (n - 1) + ["<3"],
+        ["1"] + ["-"] * (n - 1),
+    ])
+    # each rule is a function of its own
+    assert len(compile_table(table).functions) == 3
+
+    def fields(value, **overrides):
+        out = {f"c{i}": value for i in range(n)}
+        out.update(overrides)
+        return out
+
+    last = f"c{n - 1}"
+    records = _records(
+        fields(9), fields(4, **{last: 2}), fields(1, **{last: 5}), fields(4, **{last: 5}),
+        {k: v for k, v in fields(4).items() if k != last},
+        fields(9, c140="wrong type"),
+        fields(4, **{last: True}),
+    )
+    want = _assert_agrees(table, records)
+    assert [w.rule_index for w in want[:3]] == [0, 1, 2]
+    assert want[3].outcome == "noMatch"
+    assert want[4:] == [MissingFieldError, TypeMismatchError, TypeMismatchError]
+    assert [_error_field(table, r) for r in records[4:]] == [f"'{last}'", "'c140'", f"'{last}'"]
+
+
+def test_an_all_wildcard_rule_ends_the_table():
+    rows = [[str(i), '"oak"'] for i in range(200)]
+    rows += [["-", "-"]]
+    rows += [[str(i), "-"] for i in range(200, 250)]
+    table = _table(["number", "string"], rows)
+    assert _ops_before(table, 200) > 3 * MAX_OPS_PER_FUNCTION
+    # rules 0..199 fill four functions, the last of which ends with rule 200
+    assert len(compile_table(table).functions) == 4
+    records = _records(
+        {"c0": 5, "c1": "oak"}, {"c0": 5, "c1": "pine"}, {"c0": 230, "c1": "oak"},
+        {"c0": 999}, {"c0": 3}, {"c1": "oak"},
+    )
+    want = _assert_agrees(table, records)
+    assert [w.rule_index for w in want[:4]] == [5, 200, 200, 200]
+    assert want[4:] == [MissingFieldError, MissingFieldError]
+    assert [_error_field(table, r) for r in records[4:]] == ["'c1'", "'c0'"]
+
+
+def _long_random_case(rng):
+    table = _random_table(rng, rng.randint(1, 5), rng.randint(30, 300))
+    return table, _random_records(rng, table, rng.randint(0, 30))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_batch_agrees_with_decide_record_on_long_random_tables(rng):
+    _assert_agrees(*_long_random_case(rng))
+
+
+def test_long_random_cases_reach_later_functions():
+    """The long random tables span several functions, and their records are
+    decided, or abort, past the first one."""
+    rng = random.Random(20261018)
+    later = set()
+    for _ in range(40):
+        table, records = _long_random_case(rng)
+        for outcome in _assert_agrees(table, records):
+            if isinstance(outcome, DecisionResult) and outcome.rule_index is not None:
+                if _ops_before(table, outcome.rule_index) > MAX_OPS_PER_FUNCTION:
+                    later.add("decided")
+            elif isinstance(outcome, DecisionResult):
+                if _ops_before(table, len(table.rules)) > MAX_OPS_PER_FUNCTION:
+                    later.add("noMatch")
+    assert later == {"decided", "noMatch"}
+
+
+def test_non_finite_numbers_never_reach_the_generated_code():
+    table = _table(["number"], [["<1"]])
+    rule = table.rules[0]
+    bad = dataclasses.replace(
+        table, rules=(dataclasses.replace(rule, conditions=(Relational("<", math.inf),)),)
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        compile_table(bad)
+
+
+# -- nothing from a table reaches the generated code -------------------------------
+
+_HOSTILE = (
+    '"', "'", "\\", "\n", "\r\n", "#", "{", "}", "'''", '"""', "\x00",
+    "__import__('os')", "__import__('os').system('exit 1')", "); _abort(0) #",
+)
+
+_hostile_text = st.lists(
+    st.one_of(st.sampled_from(_HOSTILE), st.text(min_size=1, max_size=4)), min_size=1, max_size=4,
+).map("".join)
+
+# text-set members are written between double quotes in a cell
+_hostile_member = _hostile_text.map(lambda s: s.replace('"', "")).filter(bool)
+
+
+@st.composite
+def _hostile_cases(draw):
+    n_cols = draw(st.integers(min_value=1, max_value=4))
+    kinds = [draw(st.sampled_from(["number", "string", "boolean"])) for _ in range(n_cols)]
+    names = draw(st.lists(_hostile_text, min_size=n_cols, max_size=n_cols, unique=True))
+    # a number column with a plain name, so cells can refer to it
+    names = [n for n in names if n != "ref"]
+    kinds = kinds[:len(names)] + ["number"]
+    names.append("ref")
+    members = draw(st.lists(_hostile_member, min_size=1, max_size=5, unique=True))
+    columns = [{"name": n, "kind": "input", "type": k} for n, k in zip(names, kinds)]
+    columns.append({"name": draw(_hostile_text.filter(lambda s: s not in names)),
+                    "kind": "output", "type": "string"})
+
+    def cell(kind):
+        if kind == "number":
+            return draw(st.sampled_from(["-", "<5", "[2..7[", "3", "<= ref * 2", "> ref"]))
+        if kind == "string":
+            chosen = draw(st.lists(st.sampled_from(members), min_size=1, max_size=3))
+            return draw(st.sampled_from(["-", ",".join(f'"{m}"' for m in chosen)]))
+        return draw(st.sampled_from(["-", "true", "false"]))
+
+    rules = [
+        {"conditions": [cell(k) for k in kinds], "outputs": [draw(_hostile_text)]}
+        for _ in range(draw(st.integers(min_value=1, max_value=12)))
+    ]
+    table = parse_decision_table(
+        {"name": draw(_hostile_text), "columns": columns, "rules": rules}
+    )
+
+    def value(kind):
+        if kind == "number":
+            return draw(st.integers(min_value=0, max_value=9))
+        if kind == "string":
+            return draw(st.one_of(st.sampled_from(members), _hostile_text))
+        return draw(st.booleans())
+
+    records = [
+        Record(
+            id=draw(_hostile_text),
+            fields={n: value(k) for n, k in zip(names, kinds) if draw(st.integers(0, 19))},
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=6)))
+    ]
+    return table, records
+
+
+def _is_allowed_constant(const):
+    if const is None or type(const) in (int, float):
+        return True
+    return type(const) is frozenset and all(type(c) is float for c in const)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hostile_cases())
+def test_hostile_table_strings_never_enter_the_generated_code(case):
+    table, records = case
+    _assert_agrees(table, records)
+    for function in compile_table(table).functions:
+        code = function.__code__
+        assert set(code.co_names) <= {"_abort"}
+        assert all(_is_allowed_constant(c) for c in code.co_consts), code.co_consts
+        assert code.co_filename == "<decision table>"
+        assert set(function.__globals__) == {"__builtins__", "_abort"}
