@@ -2,8 +2,8 @@
 
 `decide_record` decides one record by evaluating its conditions one at a
 time with `eval_condition`; that is the reference semantics. `decide_records`
-decides a batch by lowering the table to Python functions once and running
-them with `_kernel_py.run_program`; the tests hold it to the same answers.
+runs a batch through a table's program from `compile_table` with
+`_kernel_py.run_program`; the tests hold it to the same answers.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from confidec.dmn.model import (
 from confidec.dmn.program import (
     STATUS_ERROR,
     STATUS_NO_MATCH,
+    CompiledTable,
     build_matrix,
     check_aggregates,
     compile_table,
@@ -153,26 +154,26 @@ def decide_record(
 
 
 def decide_records(
-    table: DecisionTable,
+    program: CompiledTable,
     records: Sequence[Record],
     aggregates: Mapping[str, float] | None = None,
 ) -> List[DecisionResult]:
-    """Decide a batch with precomputed aggregate values (kernel path)."""
+    """Decide a batch with a lowered table and precomputed aggregate values."""
+    table = program.table
     aggregates = aggregates or {}
     check_aggregates(table, aggregates)
-    ct = compile_table(table)
-    rows, bad = build_matrix(ct, records, aggregates)
+    rows, bad = build_matrix(program, records, aggregates)
     n = len(records)
 
     status = [0] * n
     errcol = [0] * n
-    _kernel_py.run_program(rows, ct, status, errcol)
+    _kernel_py.run_program(rows, program, status, errcol)
 
     results = []
     for i, record in enumerate(records):
         st = status[i]
         if st == STATUS_ERROR:
-            col = ct.slots[errcol[i]]
+            col = program.slots[errcol[i]]
             reason = bad.get((i, errcol[i]), "missing")
             if reason == "type":
                 raise TypeMismatchError(
@@ -202,4 +203,4 @@ def decide_all(
 ) -> List[DecisionResult]:
     """Evaluate aggregations over the batch, then decide every record."""
     aggregates = {spec.name: evaluate_aggregate(spec, records) for spec in agg_specs}
-    return decide_records(table, records, aggregates)
+    return decide_records(compile_table(table), records, aggregates)

@@ -167,21 +167,6 @@ class DecisionTable:
     columns: Tuple[ColumnSpec, ...]
     rules: Tuple[Rule, ...]
 
-    def __hash__(self) -> int:
-        # Hashing walks every rule and condition, and the compile_table
-        # cache hashes the table on each batch, so hash once per instance.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = hash((self.name, self.columns, self.rules))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __reduce__(self):
-        # Rebuild from the fields so a copy never carries a hash computed
-        # under another process's string-hash seed.
-        return (type(self), (self.name, self.columns, self.rules))
-
     @property
     def condition_columns(self) -> Tuple[ColumnSpec, ...]:
         return tuple(c for c in self.columns if c.kind != "output")

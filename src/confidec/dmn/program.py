@@ -1,9 +1,10 @@
 """Compilation of decision tables into Python functions.
 
-`compile_table` lowers a table once per process into plain Python source
-and compiles it; `confidec.dmn._kernel_py.run_program` calls the result
-once per record. Records are first encoded by `build_matrix` into rows of
-floats, one slot per non-output table column:
+`compile_table` lowers a table into plain Python source and compiles it; a
+decision service does this once, when it is deployed, and equal tables share
+one program through the cache. `confidec.dmn._kernel_py.run_program` calls
+the result once per record. Records are first encoded by `build_matrix` into
+rows of floats, one slot per non-output table column:
 
     number  -> the value itself (records never contain NaN/inf)
     string  -> per-slot vocabulary code (>= 0); strings absent from the
@@ -143,6 +144,7 @@ def _compile_function(lines: List[str], reads: Set[int], n_slots: int) -> RuleFu
     return namespace["_f"]
 
 
+# Units of one process deployed with equal tables share one lowering.
 @lru_cache(maxsize=128)
 def compile_table(table: DecisionTable) -> CompiledTable:
     slots = table.condition_columns

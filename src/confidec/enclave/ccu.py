@@ -292,6 +292,7 @@ class Ccu:
         if not self._busy.acquire(blocking=False):
             raise RuntimeError("unit asked to handle two requests at once")
         started = time.monotonic_ns()
+        self._current_envelope = envelope
         try:
             try:
                 if envelope.request_type == "provision":
@@ -309,6 +310,7 @@ class Ccu:
                     correlation_id=correlation_id, status="error", error=str(exc)
                 )
         finally:
+            self._current_envelope = None
             self.handled.append(
                 {"ticket": correlation_id, "start": started, "end": time.monotonic_ns()}
             )
@@ -318,8 +320,7 @@ class Ccu:
 
     def handle_provision(self, envelope: RequestEnvelope) -> ProvisionReceipt:
         """Store a dataset twice: full, and slimmed to decision fields."""
-        attrs = self._check_envelope_certificate(envelope)
-        if attrs is None:
+        if self.check_certificate(envelope.client_cert) is None:
             raise DecisionRejected(REJECT_CERTIFICATE)
         payload = self._open_payload(envelope)
 
@@ -412,10 +413,8 @@ class Ccu:
         if light:
             manifest["t"] = b64(shared_t)
         manifest_bytes = canonical_json(manifest)
-        address = self._storage.blobs.put(manifest_bytes)
+        address = self._storage.publish(name, manifest_bytes)
         total += len(manifest_bytes)
-        self._storage.names.publish(name, address)
-        self._storage.chain.notarize(name, address)
         return DatasetInfo(
             name=name, address=address, records=len(records), stored_bytes=total
         )
@@ -436,17 +435,16 @@ class Ccu:
             certificate=envelope.client_cert, func_name=func_name, data_name=data_name
         )
         self.last_trace = []
-        self._current_envelope = envelope
-        try:
-            return run_decision_handler(service, request, self)
-        finally:
-            self._current_envelope = None
+        return run_decision_handler(service, request, self)
 
     # HandlerEnv implementation ----------------------------------------------
 
     def check_certificate(self, certificate: Certificate) -> Mapping[str, str] | None:
+        """Attributes of a certificate the authority issued and whose key signed
+        the in-flight envelope's ephemeral key; None otherwise, and always None
+        outside a request."""
         envelope = self._current_envelope
-        if envelope is not None and not verify(
+        if envelope is None or not verify(
             certificate.subject_verify_key,
             envelope_signing_bytes(envelope.request_type, envelope.ephemeral_pub),
             envelope.ephemeral_sig,
@@ -484,21 +482,6 @@ class Ccu:
         self.last_trace.append(step)
 
     # --- envelope plumbing ------------------------------------------------------
-
-    def _check_envelope_certificate(self, envelope: RequestEnvelope) -> Mapping[str, str] | None:
-        """Authority check plus ephemeral-key binding, None when invalid."""
-        try:
-            attrs = verify_certificate(
-                self.authority_verify_key, envelope.client_cert, now=self._clock()
-            )
-        except CertificateError:
-            return None
-        ok = verify(
-            envelope.client_cert.subject_verify_key,
-            envelope_signing_bytes(envelope.request_type, envelope.ephemeral_pub),
-            envelope.ephemeral_sig,
-        )
-        return attrs if ok else None
 
     def _open_payload(self, envelope: RequestEnvelope) -> dict:
         plaintext = ae_decrypt(

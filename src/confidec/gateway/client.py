@@ -44,10 +44,6 @@ class ClientSession:
         self._unit_ka_public = evidence.channel_cert.ka_public
         return attributes
 
-    def trust_channel(self, ka_public: bytes) -> None:
-        """Pin a channel key without attestation (tests and local tools)."""
-        self._unit_ka_public = ka_public
-
     def build_request(self, request_type: str, payload_obj: Any) -> Tuple[RequestEnvelope, bytes]:
         """Encrypt a payload for the unit; returns the envelope and the
         channel key needed to open the response."""

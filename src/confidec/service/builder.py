@@ -1,20 +1,22 @@
 """Build decision services from a policy, a table and aggregation specs.
 
 A service couples one guarded function with everything needed to run it:
-the access condition, the decision table, and the aggregations it may
-evaluate, in policy declaration order. handle_decision executes the fixed
-handler skeleton; emit_audit_script prints that skeleton for review.
+the access condition, the decision table lowered once when the service is
+built, and the aggregations it may evaluate, in policy declaration order.
+handle_decision executes the fixed handler skeleton; emit_audit_script prints
+that skeleton for review.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Protocol, Sequence, Tuple
+from typing import Dict, List, Mapping, Protocol, Sequence, Tuple
 
 from confidec.crypto.certs import Certificate
 from confidec.dmn.aggregate import evaluate_aggregate
 from confidec.dmn.engine import decide_records
 from confidec.dmn.model import AggregationSpec, DecisionTable, Record
+from confidec.dmn.program import CompiledTable, compile_table
 from confidec.errors import DecisionRejected, ServiceBuildError, UnknownFunctionError
 from confidec.policy.alfa import format_expr
 from confidec.policy.model import PolicySpec, check_access
@@ -26,9 +28,12 @@ REJECT_POLICY = "Access policy not satisfied"
 @dataclass(frozen=True)
 class DecisionService:
     spec: PolicySpec
-    table: DecisionTable
+    program: CompiledTable
     aggregations: Tuple[AggregationSpec, ...]
-    include_aggregates: bool = False
+
+    @property
+    def table(self) -> DecisionTable:
+        return self.program.table
 
     @property
     def func_name(self) -> str:
@@ -63,9 +68,9 @@ def build_desobj(
     policy: PolicySpec,
     table: DecisionTable,
     agg_specs: Sequence[AggregationSpec],
-    include_aggregates: bool = False,
 ) -> DecisionService:
-    """Validate that policy, table and aggregations fit, and bind them."""
+    """Validate that policy, table and aggregations fit, lower the table, and
+    bind them."""
     if policy.func_name != table.name:
         raise ServiceBuildError(
             f"policy guards {policy.func_name!r} but the table is {table.name!r}"
@@ -96,10 +101,7 @@ def build_desobj(
         )
 
     return DecisionService(
-        spec=policy,
-        table=table,
-        aggregations=tuple(ordered),
-        include_aggregates=include_aggregates,
+        spec=policy, program=compile_table(table), aggregations=tuple(ordered)
     )
 
 
@@ -133,10 +135,10 @@ def handle_decision(service: DecisionService, request: DecisionRequest, env: Han
         aggregates[agg.name] = evaluate_aggregate(agg, records)
 
     env.trace("Decide")
-    results = decide_records(service.table, records, aggregates)
+    results = decide_records(service.program, records, aggregates)
 
     env.trace("Return")
-    payload: dict[str, Any] = {
+    return {
         "funcName": service.func_name,
         "results": [
             {
@@ -147,9 +149,6 @@ def handle_decision(service: DecisionService, request: DecisionRequest, env: Han
             for r in results
         ],
     }
-    if service.include_aggregates:
-        payload["aggregates"] = dict(aggregates)
-    return payload
 
 
 def emit_audit_script(policy: PolicySpec) -> str:

@@ -27,6 +27,7 @@ from confidec.crypto.certs import issue_certificate
 from confidec.crypto.keys import SigningKeyPair, derive_record_key
 from confidec.dmn.aggregate import evaluate_aggregate
 from confidec.dmn.engine import decide_records
+from confidec.dmn.program import compile_table
 from confidec.dmn.tables import record_to_obj
 from confidec.enclave.attestation import issue_channel_certificate, verify_ccu
 from confidec.enclave.ccu import exchange_seed
@@ -106,7 +107,7 @@ def test_criterion_01_golden_decisions():
     decided = {}
     for batch in decision_batches("Patient", generate_vax(VaxSpec("Patient", 20, seed=11))).values():
         aggregates = {spec.name: evaluate_aggregate(spec, batch) for spec in specs}
-        for record, result in zip(batch, decide_records(table, batch, aggregates)):
+        for record, result in zip(batch, decide_records(compile_table(table), batch, aggregates)):
             decided.setdefault(cohort_of_id(record.id), result)
     for tag, want in GOLDEN_OUTPUTS["Patient"].items():
         got = decided.get(tag)
@@ -117,7 +118,7 @@ def test_criterion_01_golden_decisions():
         table = load_table(FUNC_FOR_ROLE[role])
         records = generate_vax(VaxSpec(role, count, seed=11))
         decided = {}
-        for record, result in zip(records, decide_records(table, records)):
+        for record, result in zip(records, decide_records(compile_table(table), records)):
             decided.setdefault(cohort_of_id(record.id), result)
         for tag, want in GOLDEN_OUTPUTS[role].items():
             got = decided.get(tag)
@@ -167,7 +168,7 @@ def test_criterion_02_oracle_equivalence(make_unit, make_session):
         aggregates = None
         if role == "Patient":
             aggregates = {spec.name: evaluate_aggregate(spec, records) for spec in specs}
-        oracle = decide_records(table, records, aggregates)
+        oracle = decide_records(compile_table(table), records, aggregates)
 
         got = answer["results"]
         if len(got) != len(records):

@@ -12,6 +12,8 @@ from conftest import BUNDLED_FUNCS, child_env, standard_bundle
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.keys import SigningKeyPair
 from confidec.crypto.certs import issue_certificate
+from confidec.dmn import engine, program
+from confidec.dmn.engine import decide_all
 from confidec.dmn.tables import record_to_obj
 from confidec.enclave.attestation import (
     Evidence,
@@ -39,10 +41,13 @@ from confidec.errors import (
 )
 from confidec.fixtures import (
     load_patient_aggregation_docs,
+    load_patient_aggregations,
     load_policy_text,
+    load_table,
     load_table_doc,
 )
 from confidec.gateway.client import ClientSession
+from confidec.service import builder
 from confidec.storage.node import StorageNode
 from confidec.util import utcnow
 
@@ -490,6 +495,46 @@ def test_invalid_client_certificate_cannot_provision(make_unit, make_cert, autho
     response, _ = _provision(unit, session)
     assert response.status == "error"
     assert response.error == "Invalid certificate"
+
+
+def test_ephemeral_key_signed_by_another_key_cannot_provision(make_unit, make_cert, authority):
+    unit = make_unit()
+    cert, _ = make_cert()
+    session = ClientSession(cert, SigningKeyPair.generate(), authority.verify_key)
+    session.attest(unit.evidence(), unit.measurement)
+    response, _ = _provision(unit, session)
+    assert response.status == "error"
+    assert response.error == "Invalid certificate"
+
+
+def test_a_valid_certificate_is_refused_outside_a_request(make_unit, make_cert):
+    unit = make_unit()
+    cert, _ = make_cert()
+    assert unit.check_certificate(cert) is None
+
+
+def test_a_decision_runs_the_program_lowered_at_deploy(make_unit, make_session, monkeypatch):
+    unit = make_unit()
+    session = make_session(unit)
+    records = generate_vax(VaxSpec("Patient", 20))
+    want = [
+        {"recordId": r.record_id, "outcome": r.outcome, "values": list(r.values)}
+        for r in decide_all(load_table("PatientPrioritizationWithAggr"), records,
+                            load_patient_aggregations())
+    ]
+
+    def refuse(table):
+        raise AssertionError("a table was lowered after deploy")
+
+    for module in (program, engine, builder):
+        monkeypatch.setattr(module, "compile_table", refuse)
+    response, _ = _provision(unit, session, records=[record_to_obj(r) for r in records])
+    assert response.status == "ok", response.error
+    envelope, key = session.build_request(
+        "decision", {"funcName": "PatientPrioritizationWithAggr", "dataName": "vax/patients"}
+    )
+    answer = ClientSession.open_response(unit.handle("t-dec", envelope), key)
+    assert answer["results"] == want
 
 
 def test_error_responses_carry_no_body(make_unit, make_session):

@@ -11,6 +11,7 @@ from confidec.dmn.engine import (
     kernel_backend,
 )
 from confidec.dmn.model import Record
+from confidec.dmn.program import compile_table
 from confidec.dmn.tables import parse_decision_table
 from confidec.errors import (
     MissingAggregateError,
@@ -162,7 +163,7 @@ def test_missing_field_is_fine_under_wildcards():
     })
     # b is never conditioned on, so records may omit it entirely
     assert decide_record(table, _rec(0, a=5)).values == ("first",)
-    assert decide_records(table, [_rec(0, a=50)])[0].values == ("rest",)
+    assert decide_records(compile_table(table), [_rec(0, a=50)])[0].values == ("rest",)
 
 
 def test_missing_field_raises_when_read():
@@ -177,9 +178,9 @@ def test_missing_field_raises_when_read():
     with pytest.raises(MissingFieldError):
         decide_record(table, _rec(0, other=1))
     with pytest.raises(MissingFieldError):
-        decide_records(table, [_rec(0, other=1)])
+        decide_records(compile_table(table), [_rec(0, other=1)])
     with pytest.raises(TypeMismatchError):
-        decide_records(table, [_rec(0, a="ten")])
+        decide_records(compile_table(table), [_rec(0, a="ten")])
 
 
 def test_batch_and_single_record_agree_on_bundled_data():
@@ -191,7 +192,7 @@ def test_batch_and_single_record_agree_on_bundled_data():
         from confidec.dmn.aggregate import evaluate_aggregate
 
         aggs = {s.name: evaluate_aggregate(s, batch) for s in specs}
-        whole = decide_records(PATIENT, batch, aggs)
+        whole = decide_records(compile_table(PATIENT), batch, aggs)
         single = [decide_record(PATIENT, r, aggs) for r in batch]
         assert whole == single
 

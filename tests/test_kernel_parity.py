@@ -108,13 +108,13 @@ def _assert_agrees(table, records, aggregates=None):
     outcomes so callers can see what the case covered."""
     want = [_outcome(lambda r=r: decide_record(table, r, aggregates)) for r in records]
     for record, expected in zip(records, want):
-        got = _outcome(lambda: decide_records(table, [record], aggregates))
+        got = _outcome(lambda: decide_records(compile_table(table), [record], aggregates))
         if isinstance(expected, DecisionResult):
             assert got == [expected], record
         else:
             assert got is expected, record
     first_error = next((w for w in want if not isinstance(w, DecisionResult)), None)
-    assert _outcome(lambda: decide_records(table, records, aggregates)) == (first_error or want)
+    assert _outcome(lambda: decide_records(compile_table(table), records, aggregates)) == (first_error or want)
     return want
 
 
@@ -206,7 +206,7 @@ def _records(*field_maps):
 def _error_field(table, record):
     """The field a failing batch names in its error."""
     try:
-        decide_records(table, [record])
+        decide_records(compile_table(table), [record])
     except ConfidecError as exc:
         return str(exc).split("field ")[1].split(" ")[0]
     raise AssertionError(f"{record} did not fail")

@@ -26,12 +26,11 @@ def _policy_for(func_name):
     return next(s for s in specs if s.func_name == func_name)
 
 
-def _patient_service(include_aggregates=False):
+def _patient_service():
     return build_desobj(
         _policy_for("PatientPrioritizationWithAggr"),
         load_table("PatientPrioritizationWithAggr"),
         load_patient_aggregations(),
-        include_aggregates=include_aggregates,
     )
 
 
@@ -75,7 +74,6 @@ def test_build_binds_aggregations_in_policy_order():
     assert service.func_name == "PatientPrioritizationWithAggr"
     assert service.data_name == "Patient"
     assert [a.name for a in service.aggregations] == ["meanAge", "sumAge"]
-    assert service.include_aggregates is False
 
 
 def test_build_rejects_table_name_mismatch():
@@ -166,14 +164,6 @@ def test_handler_reports_aggregates_only_when_asked():
         _patient_service(), _request(_patient_service()), RecordingEnv(HUB_ATTRS, batch)
     )
     assert "aggregates" not in quiet
-
-    chatty_service = _patient_service(include_aggregates=True)
-    chatty = handle_decision(chatty_service, _request(chatty_service), RecordingEnv(HUB_ATTRS, batch))
-    ages = [r.fields["Age"] for r in batch]
-    assert chatty["aggregates"] == {
-        "meanAge": pytest.approx(sum(ages) / len(ages)),
-        "sumAge": pytest.approx(sum(ages)),
-    }
 
 
 def test_invalid_certificate_message_is_exact():

@@ -15,6 +15,7 @@ from confidec.bench.vax import (
 )
 from confidec.dmn.aggregate import evaluate_aggregate
 from confidec.dmn.engine import decide_records
+from confidec.dmn.program import compile_table
 from confidec.fixtures import load_patient_aggregations, load_table
 
 FIELD_COUNTS = {
@@ -91,7 +92,7 @@ def test_non_patient_roles_form_one_batch():
 def test_cohorts_land_on_their_designed_rules(role):
     table = load_table(TABLE_FOR_ROLE[role])
     records = generate_vax(VaxSpec(role, 10 * COHORT_COUNTS[role]))
-    for record, result in zip(records, decide_records(table, records)):
+    for record, result in zip(records, decide_records(compile_table(table), records)):
         expected = expected_outcome(role, record.id)
         if expected == "noMatch":
             assert result.outcome == "noMatch", record.id
@@ -105,7 +106,7 @@ def test_patient_cohorts_land_on_their_designed_rules_per_batch():
     records = generate_vax(VaxSpec("Patient", 120))
     for batch in decision_batches("Patient", records).values():
         aggregates = {spec.name: evaluate_aggregate(spec, batch) for spec in agg_specs}
-        for record, result in zip(batch, decide_records(table, batch, aggregates)):
+        for record, result in zip(batch, decide_records(compile_table(table), batch, aggregates)):
             expected = expected_outcome("Patient", record.id)
             if expected == "noMatch":
                 assert result.outcome == "noMatch", record.id
