@@ -6,6 +6,7 @@ import math
 from typing import List, Sequence
 
 from confidec.dmn.model import AggregationSpec, Record, Wildcard, is_number
+from confidec.dmn.program import Batch, LoweredAggregation
 from confidec.errors import AggregationError, TypeMismatchError
 
 
@@ -30,29 +31,68 @@ def _passes(spec: AggregationSpec, record: Record) -> bool:
     return True
 
 
-def evaluate_aggregate(spec: AggregationSpec, records: Sequence[Record]) -> float:
-    """Reduce the target field over the records passing the filter.
+def _lacks(spec: AggregationSpec, record_id: str) -> AggregationError:
+    return AggregationError(
+        f"aggregation {spec.name!r}: record {record_id!r} lacks "
+        f"target field {spec.target_field!r}"
+    )
 
-    sum of an empty selection is 0; mean, max and min of an empty selection
-    raise AggregationError. The result does not depend on record order
-    (sums use exact accumulation).
-    """
+
+def _not_numeric(spec: AggregationSpec, record_id: str) -> AggregationError:
+    return AggregationError(
+        f"aggregation {spec.name!r}: target field {spec.target_field!r} "
+        f"of record {record_id!r} is not numeric"
+    )
+
+
+def _select_records(spec: AggregationSpec, records: Sequence[Record]) -> List[float]:
     values: List[float] = []
     for record in records:
         if not _passes(spec, record):
             continue
         if spec.target_field not in record.fields:
-            raise AggregationError(
-                f"aggregation {spec.name!r}: record {record.id!r} lacks "
-                f"target field {spec.target_field!r}"
-            )
+            raise _lacks(spec, record.id)
         value = record.fields[spec.target_field]
         if not is_number(value):
-            raise AggregationError(
-                f"aggregation {spec.name!r}: target field {spec.target_field!r} "
-                f"of record {record.id!r} is not numeric"
-            )
+            raise _not_numeric(spec, record.id)
         values.append(float(value))
+    return values
+
+
+def _select_rows(agg: LoweredAggregation, batch: Batch) -> List[float]:
+    rows = batch.rows
+    target = agg.target
+    selected = agg.select(rows)
+    values = [rows[i][target] for i in selected]
+    total = math.fsum(values)
+    if total != total:  # a NaN target: the field is missing or not a number
+        i = next(i for i in selected if rows[i][target] != rows[i][target])
+        if batch.values[i][agg.position] is None:
+            raise _lacks(agg.spec, batch.ids[i])
+        raise _not_numeric(agg.spec, batch.ids[i])
+    return values
+
+
+def evaluate_aggregate(
+    spec: AggregationSpec | LoweredAggregation, records: Sequence[Record] | Batch
+) -> float:
+    """Reduce the target field over the records passing the filter.
+
+    An `AggregationSpec` reads `Record`s, one filter atom at a time through
+    `eval_condition`: that is the reference semantics. A `LoweredAggregation`
+    from `compile_table` runs its generated filter over the rows of an
+    encoded `Batch`, as a decision does; the tests hold the two to the same
+    value, or to the same AggregationError naming the same first record.
+
+    sum of an empty selection is 0; mean, max and min of an empty selection
+    raise AggregationError. The result does not depend on record order
+    (sums use exact accumulation).
+    """
+    if isinstance(spec, LoweredAggregation):
+        values = _select_rows(spec, records)  # type: ignore[arg-type]
+        spec = spec.spec
+    else:
+        values = _select_records(spec, records)  # type: ignore[arg-type]
 
     if spec.reducer == "sum":
         return math.fsum(values)
@@ -63,5 +103,5 @@ def evaluate_aggregate(spec: AggregationSpec, records: Sequence[Record]) -> floa
     if spec.reducer == "mean":
         return math.fsum(values) / len(values)
     if spec.reducer == "max":
-        return max(values)
-    return min(values)
+        return float(max(values))
+    return float(min(values))

@@ -3,12 +3,14 @@
 `decide_record` decides one record by evaluating its conditions one at a
 time with `eval_condition`; that is the reference semantics. `decide_records`
 runs a batch through a table's program from `compile_table` with
-`_kernel_py.run_program`; the tests hold it to the same answers.
+`_kernel_py.run_program`; the tests hold it to the same answers. A batch is
+either `Record`s, which it first projects onto the program's layout, or the
+value lists a unit decrypts, already in that layout (`encode_batch`).
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
+from typing import List, Mapping, Sequence, overload
 
 from confidec.dmn import _kernel_py
 from confidec.dmn.aggregate import evaluate_aggregate
@@ -31,6 +33,7 @@ from confidec.dmn.model import (
 from confidec.dmn.program import (
     STATUS_ERROR,
     STATUS_NO_MATCH,
+    Batch,
     CompiledTable,
     build_matrix,
     check_aggregates,
@@ -153,47 +156,80 @@ def decide_record(
     return DecisionResult(record_id=record.id, outcome="noMatch")
 
 
+def encode_batch(
+    program: CompiledTable, ids: Sequence[str], values: Sequence[Sequence[object]]
+) -> Batch:
+    """Records given as value lists in the program's layout, with their rows."""
+    return Batch(ids, values, build_matrix(program, values))
+
+
+def encode_records(program: CompiledTable, records: Sequence[Record]) -> Batch:
+    """Project records onto the program's layout and encode them."""
+    layout = program.layout
+    return encode_batch(
+        program,
+        [record.id for record in records],
+        [[record.fields.get(name) for name in layout] for record in records],
+    )
+
+
+@overload
+def decide_records(
+    program: CompiledTable, records: Batch, aggregates: Mapping[str, float] | None = None
+) -> List[int]: ...
+
+
+@overload
 def decide_records(
     program: CompiledTable,
     records: Sequence[Record],
     aggregates: Mapping[str, float] | None = None,
-) -> List[DecisionResult]:
-    """Decide a batch with a lowered table and precomputed aggregate values."""
+) -> List[DecisionResult]: ...
+
+
+def decide_records(program, records, aggregates=None):
+    """Decide a batch with a lowered table and precomputed aggregate values.
+
+    `Record`s are projected onto the program's layout and encoded, and the
+    result is one `DecisionResult` per record. An encoded `Batch`, as on the
+    decision path, gives per record only what a response carries: the index
+    of the rule that fired, or STATUS_NO_MATCH. Either way the first record
+    whose decision reads a missing or mistyped field raises.
+    """
     table = program.table
     aggregates = aggregates or {}
     check_aggregates(table, aggregates)
-    rows, bad = build_matrix(program, records, aggregates)
-    n = len(records)
+    batch = records if isinstance(records, Batch) else encode_records(program, records)
+    rows = batch.rows
+    for j, name in program.aggregate_slots:
+        value = float(aggregates[name])
+        for row in rows:
+            row[j] = value
 
+    n = len(rows)
     status = [0] * n
     errcol = [0] * n
     _kernel_py.run_program(rows, program, status, errcol)
 
-    results = []
-    for i, record in enumerate(records):
-        st = status[i]
-        if st == STATUS_ERROR:
-            col = program.slots[errcol[i]]
-            reason = bad.get((i, errcol[i]), "missing")
-            if reason == "type":
-                raise TypeMismatchError(
-                    f"record {record.id!r}: field {col.name!r} has the wrong type"
-                )
+    if STATUS_ERROR in status:
+        i = status.index(STATUS_ERROR)
+        j = errcol[i]
+        name = program.slots[j].name
+        if batch.values[i][program.positions[j]] is None:
             raise MissingFieldError(
-                f"record {record.id!r}: field {col.name!r} required by a condition"
+                f"record {batch.ids[i]!r}: field {name!r} required by a condition"
             )
-        if st == STATUS_NO_MATCH:
-            results.append(DecisionResult(record_id=record.id, outcome="noMatch"))
-        else:
-            results.append(
-                DecisionResult(
-                    record_id=record.id,
-                    outcome="decided",
-                    values=table.rules[st].outputs,
-                    rule_index=st,
-                )
-            )
-    return results
+        raise TypeMismatchError(f"record {batch.ids[i]!r}: field {name!r} has the wrong type")
+    if records is batch:
+        return status
+    rules = table.rules
+    return [
+        DecisionResult(record_id=record.id, outcome="noMatch") if st == STATUS_NO_MATCH
+        else DecisionResult(
+            record_id=record.id, outcome="decided", values=rules[st].outputs, rule_index=st
+        )
+        for record, st in zip(records, status)
+    ]
 
 
 def decide_all(

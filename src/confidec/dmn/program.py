@@ -1,16 +1,28 @@
-"""Compilation of decision tables into Python functions.
+"""Compilation of decision tables and aggregation filters into Python functions.
 
-`compile_table` lowers a table into plain Python source and compiles it; a
-decision service does this once, when it is deployed, and equal tables share
-one program through the cache. `confidec.dmn._kernel_py.run_program` calls
-the result once per record. Records are first encoded by `build_matrix` into
-rows of floats, one slot per non-output table column:
+`compile_table` lowers a table, and the aggregations a service evaluates
+before it, into plain Python source and compiles it; a decision service does
+this once, when it is deployed, and equal inputs share one program through
+the cache.
+
+Records reach a program in its *layout*: the sorted names of the fields the
+table and the aggregations read (`fields_read`). A record is its id plus one
+raw value per layout field, `None` where the field is absent (`None` is never
+a field value). A unit stores slim records in exactly this form, a JSON
+array per record, and binds the layout into each record's AAD, so a record
+written under one layout never decodes under another. `build_matrix` runs
+the program's generated encoder over such value lists and yields one row of
+floats per record, one slot per non-output table column and then one per
+field the aggregations read with another value type:
 
     number  -> the value itself (records never contain NaN/inf)
     string  -> per-slot vocabulary code (>= 0); strings absent from the
                vocabulary encode as -1 and can never match a set
     boolean -> 1.0 / 0.0
-    missing or wrongly typed -> NaN, with the reason kept aside
+    missing or wrongly typed -> NaN; the raw value tells which
+
+Aggregate-input slots stay NaN until the aggregates are known;
+`decide_records` fills them in before the table runs.
 
 Every non-wildcard condition is one op, a test on the local `vJ` that holds
 slot J of the row. The tests, with `a`, `b` and `f` the `repr` of the
@@ -23,21 +35,35 @@ cell's finite numbers:
     BooleanIs       vJ == 1.0 for true, vJ == 0.0 for false
     ColumnRelation  vJ < vR * f   (or <=, >, >=), R the referenced slot
 
-A test that fails goes on to `(vJ != vJ and _abort(J))`: every comparison
-with NaN is false, so a NaN cell reaches `_abort`, which stops the record
-with J as its error slot. A column relation checks its own slot first and
-then the referenced one, `(vR != vR and _abort(R))`. A rule is one `if` of
-its `and`-ed tests that returns the rule index, so the tests run in the
-order of `decide_record`, and a NaN cell aborts only when a test reads it.
-An all-wildcard rule is a bare `return`, after which nothing is emitted.
+In a table, a test that fails goes on to `(vJ != vJ and _abort(J))`: every
+comparison with NaN is false, so a NaN cell reaches `_abort`, which stops
+the record with J as its error slot. A column relation checks its own slot
+first and then the referenced one, `(vR != vR and _abort(R))`. A rule is one
+`if` of its `and`-ed tests that returns the rule index, so the tests run in
+the order of `decide_record`, and a NaN cell aborts only when a test reads
+it. An all-wildcard rule is a bare `return`, after which nothing is emitted.
 
-Only numbers and slot indices enter the source: no table or record string
-does, and the functions see no builtins, only `_abort`. The rules are
-split, whole, into functions of at most MAX_OPS_PER_FUNCTION ops (a rule
-with more ops than that gets a function of its own); each function returns
-the index of its first rule that holds, or None. The cap bounds what one
-`compile()` holds at once: lowering `synth_table(7, 300)` into one function
-raises the peak RSS by 21.6 MB, into functions of 128 ops by 1.3 MB.
+An aggregation filter is one function over all rows that returns the
+indices of the rows whose filter tests all hold. A NaN cell fails its test,
+so a filter never raises; `evaluate_aggregate` then reads the target slot of
+the selected rows, and a NaN there is the first selected record lacking a
+numeric target. Sums use `math.fsum`, so the result matches the reference
+over `Record`s bit for bit.
+
+Only numbers and slot indices enter the source of the table and filter
+functions: no table or record string does, and they see no builtins, only
+`_abort`. The encoder reads the vocabularies as dictionaries bound in its
+globals, so their strings stay out of its source too. The rules are split,
+whole, into functions of at most MAX_OPS_PER_FUNCTION ops (a rule with more
+ops than that gets a function of its own); each function returns the index
+of its first rule that holds, or None. The cap bounds what one `compile()`
+holds at once: lowering `synth_table(7, 300)` into one function raises the
+peak RSS by 21.6 MB, into functions of 128 ops by 1.3 MB.
+
+A decision response carries each distinct output tuple that fired once,
+and per record only `[recordId, k]`, k indexing those outputs in first-hit
+order or -1 for no match (`confidec.service.builder`);
+`ClientSession.open_response` expands the pairs back into result objects.
 """
 
 from __future__ import annotations
@@ -45,9 +71,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Mapping, NoReturn, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    NoReturn,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from confidec.dmn.model import (
+    AggregationSpec,
     BooleanIs,
     ColumnRelation,
     ColumnSpec,
@@ -55,7 +93,6 @@ from confidec.dmn.model import (
     DecisionTable,
     Interval,
     NumericEquals,
-    Record,
     Relational,
     TextSet,
     Wildcard,
@@ -68,6 +105,8 @@ MAX_OPS_PER_FUNCTION = 128
 STATUS_NO_MATCH = -1
 STATUS_ERROR = -2
 
+NAN = float("nan")
+
 
 class AbortRecord(Exception):
     """Raised by the generated code when a test reads a NaN cell; args[0]
@@ -78,22 +117,62 @@ def _abort(slot: int) -> NoReturn:
     raise AbortRecord(slot)
 
 
-# The generated functions see these globals and no builtins.
+# The generated table and filter functions see these globals and no builtins.
 _GLOBALS = {"__builtins__": {}, "_abort": _abort}
 
 RuleFunction = Callable[[Sequence[float]], Optional[int]]
+FilterFunction = Callable[[Sequence[Sequence[float]]], List[int]]
+Encoder = Callable[[Sequence[Sequence[object]]], List[List[float]]]
+
+
+class Batch(NamedTuple):
+    """Records in a program's layout.
+
+    `values` holds per record one raw value per layout field, None where the
+    field is absent; `rows` are the float rows `build_matrix` made of them.
+    """
+
+    ids: Sequence[str]
+    values: Sequence[Sequence[object]]
+    rows: List[List[float]]
+
+
+@dataclass
+class LoweredAggregation:
+    """An aggregation whose filter reads a program's rows."""
+
+    spec: AggregationSpec
+    select: FilterFunction
+    target: int  # the slot of the target field, encoded as a number
+    position: int  # the target field's index in the layout
+
+    @property
+    def name(self) -> str:
+        return self.spec.name
 
 
 @dataclass
 class CompiledTable:
-    """A decision table lowered to Python functions plus encoding metadata."""
+    """A decision table and its aggregations lowered to Python functions."""
 
     table: DecisionTable
-    slots: Tuple[ColumnSpec, ...]
-    slot_index: Dict[str, int]
-    referenced: Tuple[bool, ...]
-    vocab: Tuple[Dict[str, int] | None, ...]
+    layout: Tuple[str, ...]
+    slots: Tuple[ColumnSpec, ...]  # the table's condition columns
+    positions: Tuple[int, ...]  # layout index of each input slot, -1 otherwise
+    aggregate_slots: Tuple[Tuple[int, str], ...]  # read aggregate inputs
+    encode: Encoder
     functions: Tuple[RuleFunction, ...]
+    aggregations: Tuple[LoweredAggregation, ...]
+
+
+def fields_read(table: DecisionTable, aggregations: Sequence[AggregationSpec]) -> Set[str]:
+    """The record fields a decision over the table, after the aggregations,
+    can read."""
+    fields = {c.name for c in table.input_columns}
+    for agg in aggregations:
+        fields.add(agg.target_field)
+        fields.update(atom.field for atom in agg.filter)
+    return fields
 
 
 def _number(value: float) -> str:
@@ -133,28 +212,152 @@ def _lower(
     raise TypeError(f"unknown condition {cond!r}")
 
 
+def _unpack(reads: Set[int], n_slots: int, name: str = "v") -> str:
+    """Assignment targets that unpack a row into the slots read."""
+    if not reads:
+        return "_"
+    return ", ".join(f"{name}{j}" if j in reads else "_" for j in range(n_slots)) + ","
+
+
+def _define(source: List[str], name: str, globals_: dict, filename: str) -> Callable:
+    code = compile("\n".join(source) + "\n", filename, "exec")
+    namespace: Dict[str, Callable] = {}
+    exec(code, globals_, namespace)
+    return namespace[name]
+
+
 def _compile_function(lines: List[str], reads: Set[int], n_slots: int) -> RuleFunction:
     source = ["def _f(row):"]
     if reads:
-        targets = ", ".join(f"v{j}" if j in reads else "_" for j in range(n_slots))
-        source.append(f"    {targets}, = row")
-    code = compile("\n".join(source + lines) + "\n", "<decision table>", "exec")
-    namespace: Dict[str, RuleFunction] = {}
-    exec(code, _GLOBALS, namespace)
-    return namespace["_f"]
+        source.append(f"    {_unpack(reads, n_slots)} = row")
+    return _define(source + lines, "_f", _GLOBALS, "<decision table>")
 
 
-# Units of one process deployed with equal tables share one lowering.
+def _compile_filter(tests: List[str], reads: Set[int], n_slots: int) -> FilterFunction:
+    source = [
+        "def _f(rows):",
+        "    out = []",
+        "    i = -1",
+        f"    for {_unpack(reads, n_slots)} in rows:",
+        "        i += 1",
+    ]
+    if tests:
+        source.append(f"        if {' and '.join(tests)}:")
+        source.append("            out += (i,)")
+    else:
+        source.append("        out += (i,)")
+    source.append("    return out")
+    return _define(source, "_f", _GLOBALS, "<aggregation filter>")
+
+
+def _compile_encoder(
+    layout_size: int,
+    cells: Dict[int, Tuple[int, str, Dict[str, int] | None]],
+    n_slots: int,
+) -> Encoder:
+    """The function that maps value lists to rows; cells maps each encoded
+    slot to its layout position, value type and vocabulary."""
+    globals_: dict = {"__builtins__": {}, "_int": int, "_float": float, "_str": str, "_nan": NAN}
+    used: Set[int] = set()
+    exprs = []
+    for j in range(n_slots):
+        if j not in cells:
+            exprs.append("_nan")
+            continue
+        p, value_type, vocab = cells[j]
+        x = f"x{p}"
+        used.add(p)
+        if value_type == "number":
+            exprs.append(f"({x} if {x}.__class__ is _float or {x}.__class__ is _int else _nan)")
+        elif value_type == "string":
+            globals_[f"_d{j}"] = {s: float(code) for s, code in vocab.items()}  # type: ignore[union-attr]
+            exprs.append(f"(_d{j}.get({x}, -1.0) if {x}.__class__ is _str else _nan)")
+        else:
+            exprs.append(f"(1.0 if {x} is True else 0.0 if {x} is False else _nan)")
+    targets = _unpack(used, layout_size, "x")
+    source = ["def _e(values):", f"    return [[{', '.join(exprs)}] for {targets} in values]"]
+    return _define(source, "_e", globals_, "<row encoder>")
+
+
+# the value type a filter atom reads its field as; column relations, which
+# the aggregation parser refuses, are not lowered
+_FILTER_VALUE_TYPES = {
+    Relational: "number",
+    NumericEquals: "number",
+    Interval: "number",
+    TextSet: "string",
+    BooleanIs: "boolean",
+}
+
+
+def _filter_value_type(cond: Condition) -> str:
+    try:
+        return _FILTER_VALUE_TYPES[type(cond)]
+    except KeyError:
+        raise ValueError(f"condition {cond!r} cannot filter an aggregation") from None
+
+
+def compile_table(
+    table: DecisionTable,
+    aggregations: Tuple[AggregationSpec, ...] = (),
+    layout: Tuple[str, ...] | None = None,
+) -> CompiledTable:
+    """Lower a table and the aggregations evaluated before it.
+
+    layout defaults to the sorted fields the two read; a given one must hold
+    them all.
+    """
+    if layout is None:
+        layout = tuple(sorted(fields_read(table, aggregations)))
+    return _compile(table, tuple(aggregations), tuple(layout))
+
+
+# Units of one process deployed with equal tables, aggregations and layouts
+# share one lowering, whether or not the layout was given.
 @lru_cache(maxsize=128)
-def compile_table(table: DecisionTable) -> CompiledTable:
+def _compile(
+    table: DecisionTable,
+    aggregations: Tuple[AggregationSpec, ...],
+    layout: Tuple[str, ...],
+) -> CompiledTable:
+    position = {name: p for p, name in enumerate(layout)}
+    missing = fields_read(table, aggregations) - position.keys()
+    if missing:
+        raise ValueError(f"layout lacks fields {sorted(missing)}")
+
     slots = table.condition_columns
     slot_index = {c.name: j for j, c in enumerate(slots)}
+    # every slot after the table's is a field an aggregation reads with a
+    # value type no table column gives it
+    value_types: List[str] = [c.value_type for c in slots]
+    field_slot = {
+        (c.name, c.value_type): j for j, c in enumerate(slots) if c.kind == "input"
+    }
+    slot_position = [position[c.name] if c.kind == "input" else -1 for c in slots]
+
+    def slot_of(field: str, value_type: str) -> int:
+        j = field_slot.get((field, value_type))
+        if j is None:
+            j = field_slot[(field, value_type)] = len(value_types)
+            value_types.append(value_type)
+            slot_position.append(position[field])
+        return j
+
+    filters = []
+    for agg in aggregations:
+        atoms = [
+            (slot_of(atom.field, _filter_value_type(atom.condition)), atom.condition)
+            for atom in agg.filter
+            if not isinstance(atom.condition, Wildcard)
+        ]
+        filters.append((agg, atoms, slot_of(agg.target_field, "number")))
+    n_slots = len(value_types)
     vocab: List[Dict[str, int] | None] = [
-        {} if c.value_type == "string" else None for c in slots
+        {} if vt == "string" else None for vt in value_types
     ]
 
     functions: List[RuleFunction] = []
-    referenced: Set[int] = set()
+    read: Set[int] = set()  # every slot some op or filter reads
     lines: List[str] = []  # body of the function being filled
     reads: Set[int] = set()  # the slots it reads
     n_ops = 0  # and its op count
@@ -169,30 +372,49 @@ def compile_table(table: DecisionTable) -> CompiledTable:
             tests.append(f"({test}{aborts})")
             rule_reads.update(slots_read)
         if lines and n_ops + len(tests) > MAX_OPS_PER_FUNCTION:
-            functions.append(_compile_function(lines, reads, len(slots)))
+            functions.append(_compile_function(lines, reads, n_slots))
             lines, reads, n_ops = [], set(), 0
         n_ops += len(tests)
         reads |= rule_reads
-        referenced |= rule_reads
+        read |= rule_reads
         if not tests:
             lines.append(f"    return {r}")
             break  # no later rule can be reached
         lines.append(f"    if {' and '.join(tests)}:")
         lines.append(f"        return {r}")
     if lines:
-        functions.append(_compile_function(lines, reads, len(slots)))
+        functions.append(_compile_function(lines, reads, n_slots))
 
+    lowered = []
+    for agg, atoms, target in filters:
+        tests = [f"({_lower(j, cond, slot_index, vocab[j])[0]})" for j, cond in atoms]
+        filter_reads = {j for j, _ in atoms}
+        read |= filter_reads | {target}
+        lowered.append(LoweredAggregation(
+            spec=agg,
+            select=_compile_filter(tests, filter_reads, n_slots),
+            target=target,
+            position=slot_position[target],
+        ))
+
+    cells = {
+        j: (slot_position[j], value_types[j], vocab[j])
+        for j in sorted(read)
+        if slot_position[j] >= 0
+    }
     return CompiledTable(
         table=table,
+        layout=layout,
         slots=slots,
-        slot_index=slot_index,
-        referenced=tuple(j in referenced for j in range(len(slots))),
-        vocab=tuple(vocab),
+        positions=tuple(slot_position[: len(slots)]),
+        aggregate_slots=tuple(
+            (j, c.name) for j, c in enumerate(slots)
+            if c.kind == "aggregateInput" and j in read
+        ),
+        encode=_compile_encoder(len(layout), cells, n_slots),
         functions=tuple(functions),
+        aggregations=tuple(lowered),
     )
-
-
-NAN = float("nan")
 
 
 def check_aggregates(table: DecisionTable, aggregates: Mapping[str, float]) -> None:
@@ -209,57 +431,12 @@ def check_aggregates(table: DecisionTable, aggregates: Mapping[str, float]) -> N
             )
 
 
-def build_matrix(
-    ct: CompiledTable,
-    records: Sequence[Record],
-    aggregates: Mapping[str, float],
-) -> Tuple[List[List[float]], Dict[Tuple[int, int], str]]:
-    """Encode records into the float rows the generated functions read.
+def build_matrix(ct: CompiledTable, values: Sequence[Sequence[object]]) -> List[List[float]]:
+    """Encode value lists in the program's layout into the float rows the
+    generated functions read.
 
-    Only slots some op reads are encoded; the rest stay NaN and are never
-    read. Returns the matrix and a map from (row, slot) to the reason a cell
-    is NaN ("missing" or "type").
+    Only slots some op or filter reads are encoded; the rest, and the
+    aggregate inputs, stay NaN. A NaN cell's raw value tells why: None for a
+    missing field, anything else for a value of the wrong type.
     """
-    slots = ct.slots
-    bad: Dict[Tuple[int, int], str] = {}
-    rows: List[List[float]] = []
-
-    agg_codes: List[float | None] = []
-    for j, col in enumerate(slots):
-        if col.kind == "aggregateInput" and ct.referenced[j]:
-            agg_codes.append(float(aggregates[col.name]))
-        else:
-            agg_codes.append(None)
-
-    for i, record in enumerate(records):
-        fields = record.fields
-        row = [NAN] * len(slots)
-        for j, col in enumerate(slots):
-            if not ct.referenced[j]:
-                continue
-            if col.kind == "aggregateInput":
-                row[j] = agg_codes[j]  # type: ignore[assignment]
-                continue
-            if col.name not in fields:
-                bad[(i, j)] = "missing"
-                continue
-            value = fields[col.name]
-            vt = col.value_type
-            if vt == "number":
-                if is_number(value):
-                    row[j] = float(value)
-                else:
-                    bad[(i, j)] = "type"
-            elif vt == "string":
-                if isinstance(value, str):
-                    row[j] = float(ct.vocab[j].get(value, -1))  # type: ignore[union-attr]
-                else:
-                    bad[(i, j)] = "type"
-            elif vt == "boolean":
-                if isinstance(value, bool):
-                    row[j] = 1.0 if value else 0.0
-                else:
-                    bad[(i, j)] = "type"
-            # datetime slots admit only wildcards, so they are never referenced
-        rows.append(row)
-    return rows, bad
+    return ct.encode(values)

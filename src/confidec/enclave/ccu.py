@@ -17,7 +17,7 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple
 
 from confidec.crypto.aead import Ciphertext, ae_decrypt, ae_encrypt
 from confidec.crypto.certs import Certificate, issue_certificate, verify_certificate
@@ -30,6 +30,7 @@ from confidec.crypto.keys import (
     verify,
 )
 from confidec.dmn.model import Record
+from confidec.dmn.program import fields_read
 from confidec.dmn.tables import (
     parse_aggregation_spec,
     parse_decision_table,
@@ -86,10 +87,26 @@ def generate_seed() -> bytes:
     return secrets.token_bytes(SEED_LEN)
 
 
-def _record_aad(dataset: str, record_id: str) -> bytes:
-    return b"confidec/record/v1:" + length_prefixed(
-        dataset.encode("utf-8"), record_id.encode("utf-8")
+SLIM = "slim"  # a JSON array of the record's values in its structure's layout
+FULL = "full"  # the record's {"id", "fields"} document
+
+
+def _record_aad_prefix(dataset: str, form: str, layout: Sequence[str]) -> bytes:
+    """The AAD of a dataset's records, up to the record id that ends it.
+
+    It binds the record form and, for slim records, the layout, so that a
+    manifest lying about the form, or a unit deployed with another layout,
+    fails authentication instead of decoding values into the wrong fields.
+    """
+    return b"confidec/record/v2:" + length_prefixed(
+        dataset.encode("utf-8"),
+        form.encode("utf-8"),
+        length_prefixed(*(name.encode("utf-8") for name in layout)),
     )
+
+
+def _record_aad(prefix: bytes, record_id: str) -> bytes:
+    return prefix + length_prefixed(record_id.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -155,6 +172,8 @@ class Ccu:
         self._bundle: CodeBundle | None = None
         self._measurement: bytes | None = None
         self._services: Dict[str, DecisionService] = {}
+        # per structure, the fields of its slim records, in stored order
+        self._layouts: Dict[str, Tuple[str, ...]] = {}
 
         self._busy = threading.Lock()
         self.handled: List[dict] = []
@@ -205,12 +224,23 @@ class Ccu:
         if len(tables_by_name) != len(tables):
             raise ServiceBuildError("bundle holds two tables with one name")
 
-        services: Dict[str, DecisionService] = {}
+        guarded = []
+        read: Dict[str, Set[str]] = {}
         for policy in policies:
             table = tables_by_name.get(policy.func_name)
             if table is None:
                 raise ServiceBuildError(f"no table for policy {policy.func_name!r}")
-            services[policy.func_name] = build_desobj(policy, table, aggregations)
+            guarded.append((policy, table))
+            aggs = [a for a in aggregations if a.name in policy.agg_names]
+            read.setdefault(policy.data_name, set()).update(fields_read(table, aggs))
+        # one layout per structure: every function reading it reads its rows
+        layouts = {structure: tuple(sorted(fields)) for structure, fields in read.items()}
+        services = {
+            policy.func_name: build_desobj(
+                policy, table, aggregations, layouts[policy.data_name]
+            )
+            for policy, table in guarded
+        }
 
         measurement = compute_measurement(bundle)
         if self._measurement is not None and measurement != self._measurement and self._seed is not None:
@@ -223,6 +253,7 @@ class Ccu:
         self._bundle = bundle
         self._measurement = measurement
         self._services = services
+        self._layouts = layouts
         return self._measurement
 
     @property
@@ -230,6 +261,8 @@ class Ccu:
         return self._measurement
 
     def service(self, func_name: str) -> DecisionService:
+        if not isinstance(func_name, str):
+            raise MalformedRequestError("funcName must be a string")
         try:
             return self._services[func_name]
         except KeyError:
@@ -330,6 +363,10 @@ class Ccu:
             raw_records = payload["records"]
         except (KeyError, TypeError) as exc:
             raise MalformedRequestError(f"provision payload missing key: {exc}") from exc
+        if not isinstance(structure, str):
+            raise MalformedRequestError("structure must be a string")
+        if not isinstance(raw_records, list):
+            raise MalformedRequestError("records must be a list")
         light = bool(payload.get("lightEncryption", False))
         if light and not self.allow_light_encryption:
             raise MalformedRequestError(
@@ -340,8 +377,8 @@ class Ccu:
         if not isinstance(data_name, str) or not data_name or data_name.endswith(FULL_SUFFIX):
             raise MalformedRequestError(f"bad dataset name {data_name!r}")
 
-        slim_fields = self._slim_fields(structure)
-        if slim_fields is None:
+        layout = self._layouts.get(structure)
+        if layout is None:
             raise UnknownFunctionError(f"no deployed function reads structure {structure!r}")
 
         records = [parse_record(obj) for obj in raw_records]
@@ -352,50 +389,34 @@ class Ccu:
             seen.add(record.id)
 
         full = self._store_dataset(data_name + FULL_SUFFIX, structure, records, None, light)
-        slim = self._store_dataset(data_name, structure, records, slim_fields, light)
+        slim = self._store_dataset(data_name, structure, records, layout, light)
         return ProvisionReceipt(
             data_name=data_name, structure=structure, light=light, slim=slim, full=full
         )
-
-    def _slim_fields(self, structure: str) -> Optional[Set[str]]:
-        """Fields decisions can touch for a structure, or None if unknown."""
-        fields: Set[str] = set()
-        found = False
-        for service in self._services.values():
-            if service.data_name != structure:
-                continue
-            found = True
-            for col in service.table.input_columns:
-                fields.add(col.name)
-            for agg in service.aggregations:
-                fields.add(agg.target_field)
-                for atom in agg.filter:
-                    fields.add(atom.field)
-        return fields if found else None
 
     def _store_dataset(
         self,
         name: str,
         structure: str,
         records: Sequence[Record],
-        field_filter: Optional[Set[str]],
+        layout: Tuple[str, ...] | None,
         light: bool,
     ) -> DatasetInfo:
+        """Store records in full (layout None) or slim, as their layout's values."""
+        form = FULL if layout is None else SLIM
+        prefix = _record_aad_prefix(name, form, layout or ())
         entries = []
         total = 0
         shared_t = secrets.token_bytes(RANDOMIZER_LEN) if light else None
         for record in records:
-            if field_filter is None:
-                view = record
-            else:
-                view = Record(
-                    record.id,
-                    {k: v for k, v in record.fields.items() if k in field_filter},
-                )
+            doc = record_to_obj(record)
+            if layout is not None:
+                fields = doc["fields"]
+                doc = [fields.get(field) for field in layout]
             t = shared_t if light else secrets.token_bytes(RANDOMIZER_LEN)
             key = derive_record_key(self._seed, t)
             blob = ae_encrypt(
-                key, canonical_json(record_to_obj(view)), aad=_record_aad(name, record.id)
+                key, canonical_json(doc), aad=_record_aad(prefix, record.id)
             ).to_bytes()
             address = self._storage.blobs.put(blob)
             total += len(blob)
@@ -407,6 +428,7 @@ class Ccu:
         manifest: dict = {
             "dataset": name,
             "structure": structure,
+            "form": form,
             "light": light,
             "records": entries,
         }
@@ -431,6 +453,8 @@ class Ccu:
             raise MalformedRequestError(f"decision payload missing key: {exc}") from exc
 
         service = self.service(func_name)
+        if not isinstance(data_name, str):
+            raise MalformedRequestError("bad dataset name")
         request = DecisionRequest(
             certificate=envelope.client_cert, func_name=func_name, data_name=data_name
         )
@@ -455,7 +479,14 @@ class Ccu:
         except CertificateError:
             return None
 
-    def decrypt_data(self, data_name: str, structure: str) -> List[Record]:
+    def decrypt_data(
+        self, data_name: str, structure: str
+    ) -> Tuple[List[str], List[list]]:
+        """The ids of the records published under data_name and, per record,
+        its values in the structure's layout (None for an absent field).
+
+        Slim records are stored in that form; full ones are projected onto it.
+        """
         if self._seed is None:
             raise ConfidecError("unit has no data seed installed")
         manifest = json.loads(self._storage.fetch(data_name))
@@ -464,19 +495,33 @@ class Ccu:
                 f"dataset {data_name!r} holds {manifest.get('structure')!r} records, "
                 f"but the function reads {structure!r}"
             )
+        form = manifest.get("form")
+        if form not in (SLIM, FULL):
+            raise StorageError(f"dataset {data_name!r} names no known record form")
+        layout = self._layouts[structure]
+        prefix = _record_aad_prefix(manifest["dataset"], form, layout if form == SLIM else ())
         light = bool(manifest.get("light", False))
         shared_t = unb64(manifest["t"]) if light else None
-        records = []
+        seed = self._seed
+        blobs = self._storage.blobs
+        ids = []
+        plaintexts = []
         for entry in manifest["records"]:
-            blob = self._storage.blobs.get(entry["address"])
+            record_id = entry["id"]
+            blob = blobs.get(entry["address"])
             t = shared_t if light else unb64(entry["t"])
-            plaintext = ae_decrypt(
-                derive_record_key(self._seed, t),
+            plaintexts.append(ae_decrypt(
+                derive_record_key(seed, t),
                 Ciphertext.from_bytes(blob),
-                aad=_record_aad(manifest["dataset"], entry["id"]),
-            )
-            records.append(parse_record(json.loads(plaintext)))
-        return records
+                aad=_record_aad(prefix, record_id),
+            ))
+            ids.append(record_id)
+        # each plaintext is one authenticated JSON document the unit wrote,
+        # so the batch parses as one array
+        docs = json.loads(b"[" + b",".join(plaintexts) + b"]")
+        if form == SLIM:
+            return ids, docs
+        return ids, [[doc["fields"].get(field) for field in layout] for doc in docs]
 
     def trace(self, step: str) -> None:
         self.last_trace.append(step)

@@ -65,10 +65,30 @@ class ClientSession:
 
     @staticmethod
     def open_response(response: ResponseEnvelope, channel_key: bytes) -> Any:
-        """Decrypt an ok response body; raises GatewayError on error status."""
+        """Decrypt an ok response body; raises GatewayError on error status.
+
+        A decision's compact results come back expanded, one
+        {"recordId", "outcome", "values"} object per record.
+        """
         if response.status != "ok":
             raise GatewayError(response.error or "request failed")
         plaintext = ae_decrypt(
             channel_key, response.body, aad=response_aad(response.correlation_id)
         )
-        return json.loads(plaintext)
+        body = json.loads(plaintext)
+        if isinstance(body, dict) and "outputs" in body:
+            return expand_results(body)
+        return body
+
+
+def expand_results(body: dict) -> dict:
+    """Turn a decision body's `outputs` and `[recordId, k]` pairs into one
+    result object per record; k is -1 for a record no rule matched."""
+    outputs = body.pop("outputs")
+    body["results"] = [
+        {"recordId": record_id, "outcome": "decided", "values": list(outputs[k])}
+        if k >= 0
+        else {"recordId": record_id, "outcome": "noMatch", "values": []}
+        for record_id, k in body["results"]
+    ]
+    return body

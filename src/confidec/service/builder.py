@@ -14,12 +14,13 @@ from typing import Dict, List, Mapping, Protocol, Sequence, Tuple
 
 from confidec.crypto.certs import Certificate
 from confidec.dmn.aggregate import evaluate_aggregate
-from confidec.dmn.engine import decide_records
-from confidec.dmn.model import AggregationSpec, DecisionTable, Record
-from confidec.dmn.program import CompiledTable, compile_table
+from confidec.dmn.engine import decide_records, encode_batch
+from confidec.dmn.model import AggregationSpec, DecisionTable
+from confidec.dmn.program import STATUS_NO_MATCH, CompiledTable, compile_table
 from confidec.errors import DecisionRejected, ServiceBuildError, UnknownFunctionError
 from confidec.policy.alfa import format_expr
 from confidec.policy.model import PolicySpec, check_access
+from confidec.util import canonical_json
 
 REJECT_CERTIFICATE = "Invalid certificate"
 REJECT_POLICY = "Access policy not satisfied"
@@ -34,6 +35,10 @@ class DecisionService:
     @property
     def table(self) -> DecisionTable:
         return self.program.table
+
+    @property
+    def layout(self) -> Tuple[str, ...]:
+        return self.program.layout
 
     @property
     def func_name(self) -> str:
@@ -57,8 +62,11 @@ class HandlerEnv(Protocol):
     def check_certificate(self, certificate: Certificate) -> Mapping[str, str] | None:
         """Attributes of a valid certificate, or None."""
 
-    def decrypt_data(self, data_name: str, structure: str) -> Sequence[Record]:
-        """Fetch and decrypt the records published under data_name."""
+    def decrypt_data(
+        self, data_name: str, structure: str
+    ) -> Tuple[Sequence[str], Sequence[Sequence[object]]]:
+        """Fetch and decrypt the records published under data_name: their ids
+        and, per record, its values in the structure's layout."""
 
     def trace(self, step: str) -> None:
         """Record that a handler step ran."""
@@ -68,9 +76,14 @@ def build_desobj(
     policy: PolicySpec,
     table: DecisionTable,
     agg_specs: Sequence[AggregationSpec],
+    layout: Tuple[str, ...] | None = None,
 ) -> DecisionService:
-    """Validate that policy, table and aggregations fit, lower the table, and
-    bind them."""
+    """Validate that policy, table and aggregations fit, lower the table and
+    the aggregations over records in the given layout, and bind them.
+
+    layout defaults to the sorted fields the table and aggregations read; a
+    unit passes the one its structure's stored records use.
+    """
     if policy.func_name != table.name:
         raise ServiceBuildError(
             f"policy guards {policy.func_name!r} but the table is {table.name!r}"
@@ -100,9 +113,12 @@ def build_desobj(
             f"(missing {missing}, extra {extra})"
         )
 
-    return DecisionService(
-        spec=policy, program=compile_table(table), aggregations=tuple(ordered)
-    )
+    ordered_specs = tuple(ordered)
+    try:
+        program = compile_table(table, ordered_specs, layout)
+    except ValueError as exc:
+        raise ServiceBuildError(f"table {table.name!r}: {exc}") from exc
+    return DecisionService(spec=policy, program=program, aggregations=ordered_specs)
 
 
 def handle_decision(service: DecisionService, request: DecisionRequest, env: HandlerEnv) -> dict:
@@ -127,27 +143,47 @@ def handle_decision(service: DecisionService, request: DecisionRequest, env: Han
         raise DecisionRejected(REJECT_POLICY)
 
     env.trace("DecryptData")
-    records = env.decrypt_data(request.data_name, service.data_name)
+    program = service.program
+    batch = encode_batch(program, *env.decrypt_data(request.data_name, service.data_name))
 
     aggregates: Dict[str, float] = {}
-    for agg in service.aggregations:
+    for agg in program.aggregations:
         env.trace(f"Aggregate {agg.name}")
-        aggregates[agg.name] = evaluate_aggregate(agg, records)
+        aggregates[agg.name] = evaluate_aggregate(agg, batch)
 
     env.trace("Decide")
-    results = decide_records(service.program, records, aggregates)
+    hits = decide_records(program, batch, aggregates)
 
     env.trace("Return")
+    return compact_results(service.func_name, program, batch.ids, hits)
+
+
+def compact_results(
+    func_name: str, program: CompiledTable, ids: Sequence[str], hits: Sequence[int]
+) -> dict:
+    """The response body of a decision.
+
+    `outputs` holds each distinct output tuple that fired, once, in first-hit
+    order; `results` holds a `[recordId, k]` pair per record, k indexing
+    `outputs` or -1 for no match. Rules with equal outputs share an index, so
+    the body says nothing about the table beyond the answers.
+    """
+    rules = program.table.rules
+    outputs: List[list] = []
+    index_of: Dict[bytes, int] = {}
+    k_of_hit = {STATUS_NO_MATCH: -1}
+    for hit in dict.fromkeys(hits):
+        if hit not in k_of_hit:
+            values = list(rules[hit].outputs)
+            key = canonical_json(values)  # 1, 1.0 and true stay apart
+            if key not in index_of:
+                index_of[key] = len(outputs)
+                outputs.append(values)
+            k_of_hit[hit] = index_of[key]
     return {
-        "funcName": service.func_name,
-        "results": [
-            {
-                "recordId": r.record_id,
-                "outcome": r.outcome,
-                "values": list(r.values),
-            }
-            for r in results
-        ],
+        "funcName": func_name,
+        "outputs": outputs,
+        "results": [[rid, k_of_hit[hit]] for rid, hit in zip(ids, hits)],
     }
 
 

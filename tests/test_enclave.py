@@ -404,23 +404,30 @@ def test_stored_blobs_never_leak_field_plaintext(make_unit, make_session):
         assert b"ConsentFormSigned" not in blob
 
 
+def _in_layout(unit, records, structure="Patient"):
+    """What decrypt_data returns for these records: ids and layout values."""
+    layout = unit._layouts[structure]
+    return [r.id for r in records], [[r.fields.get(f) for f in layout] for r in records]
+
+
 def test_decrypt_data_round_trips_the_full_dataset(make_unit, make_session):
     unit = make_unit()
     session = make_session(unit)
     originals = generate_vax(VaxSpec("Patient", 12))
-    _provision(unit, session, records=[record_to_obj(r) for r in originals])
+    response, key = _provision(unit, session, records=[record_to_obj(r) for r in originals])
+    receipt = ClientSession.open_response(response, key)
 
-    full = unit.decrypt_data("vax/patients.full", "Patient")
-    assert full == originals
-
-    slim = unit.decrypt_data("vax/patients", "Patient")
-    assert [r.id for r in slim] == [r.id for r in originals]
+    layout = unit._layouts["Patient"]
     decision_fields = {"Age", "PreExistingConditions", "CurrentMedications",
                        "PreviousVaccinations", "FamilyMedicalHistory", "ConsentFormSigned"}
-    for got, src in zip(slim, originals):
-        assert decision_fields <= set(got.fields)
-        assert set(got.fields) < set(src.fields)  # filler stripped
-        assert all(got.fields[f] == src.fields[f] for f in got.fields)
+    assert decision_fields <= set(layout)
+    assert set(layout) < set(originals[0].fields)  # filler stripped
+    assert list(layout) == sorted(layout)
+
+    full = unit.decrypt_data("vax/patients.full", "Patient")
+    slim = unit.decrypt_data("vax/patients", "Patient")
+    assert full == slim == _in_layout(unit, originals)
+    assert receipt["slim"]["storedBytes"] < receipt["full"]["storedBytes"]
 
 
 def test_provision_rejects_duplicate_record_ids(make_unit, make_session):
@@ -471,7 +478,7 @@ def test_light_encryption_is_opt_in(make_unit, make_session):
     )
     receipt = ClientSession.open_response(response, key)
     assert receipt["light"] is True
-    assert relaxed.decrypt_data("vax/patients.full", "Patient") == originals
+    assert relaxed.decrypt_data("vax/patients.full", "Patient") == _in_layout(relaxed, originals)
 
     manifest = json.loads(relaxed._storage.fetch("vax/patients"))
     assert manifest["light"] is True
@@ -593,3 +600,139 @@ def test_a_decision_does_not_import_numpy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["20", "False"]
+
+
+# --- stored record forms ------------------------------------------------------
+
+
+def _decide(unit, session, data_name):
+    """The expanded results of a patient decision, or its error text."""
+    envelope, key = session.build_request(
+        "decision", {"funcName": "PatientPrioritizationWithAggr", "dataName": data_name}
+    )
+    response = unit.handle("t-dec", envelope)
+    if response.status != "ok":
+        return response.error
+    return ClientSession.open_response(response, key)["results"]
+
+
+def _oracle(records):
+    try:
+        results = decide_all(
+            load_table("PatientPrioritizationWithAggr"), records, load_patient_aggregations()
+        )
+    except ConfidecError as exc:
+        return str(exc)
+    return [
+        {"recordId": r.record_id, "outcome": r.outcome, "values": list(r.values)}
+        for r in results
+    ]
+
+
+def _with_fields(record, **changes):
+    fields = dict(record.fields)
+    for name, value in changes.items():
+        if value is None:
+            del fields[name]
+        else:
+            fields[name] = value
+    return dataclasses.replace(record, fields=fields)
+
+
+@pytest.mark.parametrize("damage", [
+    {},
+    {"Age": None},
+    {"Age": "sixty"},
+    {"PreExistingConditions": 3},
+    {"ConsentFormSigned": None},
+    {"ConsentFormSigned": "yes", "Age": None},
+])
+def test_slim_and_full_datasets_decide_like_decide_all(make_unit, make_session, damage):
+    unit = make_unit()
+    session = make_session(unit)
+    records = generate_vax(VaxSpec("Patient", 24))
+    records[5] = _with_fields(records[5], **damage)
+    response, _ = _provision(unit, session, records=[record_to_obj(r) for r in records])
+    assert response.status == "ok", response.error
+
+    want = _oracle(records)
+    assert isinstance(want, list) == (not damage)
+    assert _decide(unit, session, "vax/patients") == want
+    assert _decide(unit, session, "vax/patients.full") == want
+
+
+def _bundle_reading_another_patient_field():
+    """The standard bundle, but an aggregation filter also names BloodType,
+    so the Patient layout gains a field."""
+    docs = load_patient_aggregation_docs()
+    docs[1] = dict(docs[1], filter=docs[1]["filter"] + [{"field": "BloodType", "cell": "-"}])
+    return CodeBundle.assemble(
+        load_policy_text(), [load_table_doc(f) for f in BUNDLED_FUNCS], docs
+    )
+
+
+def test_records_stored_under_another_layout_never_decode(make_unit, make_session):
+    unit = make_unit(seed=False)
+    seed = generate_seed()
+    unit.install_seed(seed)
+    session = make_session(unit)
+    records = generate_vax(VaxSpec("Patient", 12))
+    _provision(unit, session, records=[record_to_obj(r) for r in records])
+    assert _decide(unit, session, "vax/patients") == _oracle(records)
+    old_layout = unit._layouts["Patient"]
+
+    unit.deploy(_bundle_reading_another_patient_field())
+    unit.install_seed(seed)
+    assert unit._layouts["Patient"] != old_layout
+    session = make_session(unit)
+    answer = _decide(unit, session, "vax/patients")
+    assert isinstance(answer, str) and "authentication" in answer
+    # full records carry their field names and still decode
+    assert _decide(unit, session, "vax/patients.full") == _oracle(records)
+
+
+@pytest.mark.parametrize("data_name, form", [("vax/patients", "full"),
+                                             ("vax/patients.full", "slim")])
+def test_a_manifest_lying_about_the_record_form_fails_authentication(
+    make_unit, make_session, data_name, form
+):
+    unit = make_unit()
+    session = make_session(unit)
+    _provision(unit, session)
+    manifest = json.loads(unit._storage.fetch(data_name))
+    manifest["form"] = form
+    unit._storage.publish(data_name, json.dumps(manifest).encode())
+    answer = _decide(unit, session, data_name)
+    assert isinstance(answer, str) and "authentication" in answer
+
+
+def test_a_manifest_without_a_known_record_form_is_refused(make_unit, make_session):
+    unit = make_unit()
+    session = make_session(unit)
+    _provision(unit, session)
+    manifest = json.loads(unit._storage.fetch("vax/patients"))
+    del manifest["form"]
+    unit._storage.publish("vax/patients", json.dumps(manifest).encode())
+    assert "names no known record form" in _decide(unit, session, "vax/patients")
+
+
+def test_slim_records_are_value_arrays_without_ids(make_unit, make_session):
+    unit = make_unit()
+    session = make_session(unit)
+    objs = _patient_objs(4)
+    response, key = _provision(unit, session, records=objs)
+    receipt = ClientSession.open_response(response, key)
+    manifest = json.loads(unit._storage.fetch("vax/patients"))
+    assert manifest["form"] == "slim"
+    assert json.loads(unit._storage.fetch("vax/patients.full"))["form"] == "full"
+    # each blob is its record's layout values as a JSON array plus a fixed
+    # AEAD overhead: no id, no field names
+    layout = unit._layouts["Patient"]
+    overheads = set()
+    for entry, obj in zip(manifest["records"], objs):
+        plaintext = json.dumps(
+            [obj["fields"].get(f) for f in layout], separators=(",", ":"), ensure_ascii=False,
+        ).encode()
+        overheads.add(len(unit._storage.blobs.get(entry["address"])) - len(plaintext))
+    assert len(overheads) == 1 and 0 < overheads.pop() <= 64
+    assert receipt["slim"]["storedBytes"] < receipt["full"]["storedBytes"]

@@ -318,3 +318,38 @@ def test_gateway_state_never_holds_plaintext(make_unit, make_session, make_gatew
     for marker in secret_markers:
         assert marker not in gateway.debug_snapshot()
     gateway.await_response(last, 30)
+
+
+# --- payload shapes ---------------------------------------------------------
+
+
+def _assert_typed_error(unit, session, make_gateway, request_type, payload, echoed):
+    """The unit answers the payload with a typed error envelope, both when
+    called directly and behind a gateway, and the text echoes no value."""
+    envelope, _ = session.build_request(request_type, payload)
+    response = unit.handle("t-direct", envelope)
+    assert response.status == "error" and response.body is None
+    assert echoed not in response.error
+
+    gateway = make_gateway(unit.handle)
+    envelope, _ = session.build_request(request_type, payload)
+    response = gateway.await_response(gateway.submit(envelope), 30)
+    assert response.status == "error"
+    assert "unit failure" not in response.error
+    assert echoed not in response.error
+
+
+def test_a_non_string_function_name_is_a_malformed_request(make_unit, make_session, make_gateway):
+    unit = make_unit()
+    _assert_typed_error(
+        unit, make_session(unit), make_gateway, "decision",
+        {"funcName": ["secret-name"], "dataName": "vax/patients"}, "secret-name",
+    )
+
+
+def test_records_that_are_not_a_list_are_a_malformed_request(make_unit, make_session, make_gateway):
+    unit = make_unit()
+    _assert_typed_error(
+        unit, make_session(unit), make_gateway, "provision",
+        {"dataName": "vax/patients", "structure": "Patient", "records": 54321}, "54321",
+    )

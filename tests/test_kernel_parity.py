@@ -6,6 +6,10 @@ with `eval_condition`. On every table and record the two must give the same
 `DecisionResult`, or raise the same `ConfidecError` subclass; a batch must
 give the per-record results in order, or raise the class of its first
 failing record.
+
+The aggregation filters `compile_table` lowers over the same rows must give
+what `evaluate_aggregate` gives over the `Record`s: the same value, or the
+same `AggregationError` naming the same first record.
 """
 
 import dataclasses
@@ -17,11 +21,16 @@ from hypothesis import given, settings, strategies as st
 
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.dmn.aggregate import evaluate_aggregate
-from confidec.dmn.engine import decide_record, decide_records
+from confidec.dmn.engine import decide_record, decide_records, encode_records
 from confidec.dmn.model import ColumnRelation, DecisionResult, Record, Relational, Wildcard
 from confidec.dmn.program import MAX_OPS_PER_FUNCTION, compile_table
-from confidec.dmn.tables import parse_decision_table
-from confidec.errors import ConfidecError, MissingFieldError, TypeMismatchError
+from confidec.dmn.tables import parse_aggregation_spec, parse_decision_table
+from confidec.errors import (
+    AggregationError,
+    ConfidecError,
+    MissingFieldError,
+    TypeMismatchError,
+)
 from confidec.fixtures import load_patient_aggregations, load_table
 
 _WORDS = ("oak", "pine", "fir", "elm", "yew")
@@ -175,6 +184,90 @@ def test_batch_agrees_with_decide_record_on_bundled_data():
             o for _ in range(5) for o in _assert_agrees(table, _damage(rng, records), aggregates)
         ]
         assert not all(isinstance(o, DecisionResult) for o in damaged), func
+
+
+# -- aggregation filters lowered over the rows --------------------------------------
+
+# cells of every value type, so atoms also read fields of another type
+_FILTER_CELLS = ("-", "<5", ">=3", "4", "[2..7[", "]1..6]", '"oak","fir"', '"unseen"',
+                 "true", "false")
+
+
+def _random_aggregations(rng, table):
+    """Up to three aggregations over the table's fields and one no record has."""
+    fields = [c.name for c in table.input_columns] + ["absent"]
+    return tuple(
+        parse_aggregation_spec({
+            "name": f"a{k}",
+            "filter": [
+                {"field": rng.choice(fields), "cell": rng.choice(_FILTER_CELLS)}
+                for _ in range(rng.randint(0, 3))
+            ],
+            "targetField": rng.choice(fields),
+            "reducer": rng.choice(["sum", "mean", "max", "min"]),
+        })
+        for k in range(rng.randint(1, 3))
+    )
+
+
+def _aggregate_outcome(evaluate):
+    """The value, or the AggregationError's text, which names the record."""
+    try:
+        return evaluate()
+    except AggregationError as exc:
+        return f"AggregationError: {exc}"
+
+
+def _assert_aggregates_agree(table, records, specs):
+    """Check each lowered aggregation against evaluate_aggregate over the
+    records; returns the outcomes."""
+    program = compile_table(table, specs)
+    batch = encode_records(program, records)
+    outcomes = []
+    for spec, lowered in zip(specs, program.aggregations):
+        want = _aggregate_outcome(lambda: evaluate_aggregate(spec, records))
+        got = _aggregate_outcome(lambda: evaluate_aggregate(lowered, batch))
+        assert got == want and type(got) is type(want), (spec, records)
+        outcomes.append(want)
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_lowered_aggregations_agree_with_evaluate_aggregate(rng):
+    table, records = _random_case(rng)
+    _assert_aggregates_agree(table, records, _random_aggregations(rng, table))
+
+
+def test_random_aggregations_reach_every_outcome():
+    """The generator behind the property test makes every kind of case."""
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(300):
+        table, records = _random_case(rng)
+        for outcome in _assert_aggregates_agree(table, records, _random_aggregations(rng, table)):
+            if isinstance(outcome, float):
+                seen.add("value")
+            else:
+                seen.add(next(kind for kind in ("lacks", "not numeric", "empty selection")
+                              if kind in outcome))
+    assert seen == {"value", "lacks", "not numeric", "empty selection"}
+
+
+def test_bundled_aggregations_agree_bit_for_bit():
+    table = load_table("PatientPrioritizationWithAggr")
+    specs = tuple(load_patient_aggregations())
+    rng = random.Random(11)
+    records = generate_vax(VaxSpec("Patient", 400, seed=3))
+    outcomes = _assert_aggregates_agree(table, records, specs)
+    assert all(isinstance(o, float) for o in outcomes)
+    damaged = [
+        o for _ in range(5) for o in _assert_aggregates_agree(table, _damage(rng, records), specs)
+    ]
+    # both filters test Age >= 18, so a record whose target is damaged is
+    # filtered out instead of failing
+    assert all(isinstance(o, float) for o in damaged)
+    assert damaged[:2] != outcomes
 
 
 # -- tables that span several generated functions ------------------------------
@@ -431,7 +524,24 @@ def _hostile_cases(draw):
         )
         for _ in range(draw(st.integers(min_value=0, max_value=6)))
     ]
-    return table, records
+
+    def atom():
+        cell = draw(st.sampled_from(["-", "<5", "3", "true", "strings"]))
+        if cell == "strings":
+            chosen = draw(st.lists(st.sampled_from(members), min_size=1, max_size=3))
+            cell = ",".join(f'"{m}"' for m in chosen)
+        return {"field": draw(st.one_of(st.sampled_from(names), _hostile_text)), "cell": cell}
+
+    aggregations = tuple(
+        parse_aggregation_spec({
+            "name": draw(_hostile_text),
+            "filter": [atom() for _ in range(draw(st.integers(min_value=0, max_value=3)))],
+            "targetField": draw(st.one_of(st.sampled_from(names), _hostile_text)),
+            "reducer": draw(st.sampled_from(["sum", "mean", "max", "min"])),
+        })
+        for _ in range(draw(st.integers(min_value=0, max_value=2)))
+    )
+    return table, records, aggregations
 
 
 def _is_allowed_constant(const):
@@ -443,11 +553,15 @@ def _is_allowed_constant(const):
 @settings(max_examples=200, deadline=None)
 @given(_hostile_cases())
 def test_hostile_table_strings_never_enter_the_generated_code(case):
-    table, records = case
+    table, records, aggregations = case
     _assert_agrees(table, records)
-    for function in compile_table(table).functions:
+    _assert_aggregates_agree(table, records, aggregations)
+    program = compile_table(table, aggregations)
+    generated = [(f, "<decision table>") for f in program.functions]
+    generated += [(a.select, "<aggregation filter>") for a in program.aggregations]
+    for function, filename in generated:
         code = function.__code__
         assert set(code.co_names) <= {"_abort"}
         assert all(_is_allowed_constant(c) for c in code.co_consts), code.co_consts
-        assert code.co_filename == "<decision table>"
+        assert code.co_filename == filename
         assert set(function.__globals__) == {"__builtins__", "_abort"}

@@ -5,15 +5,19 @@ import dataclasses
 import pytest
 
 from confidec.bench.vax import VaxSpec, decision_batches, expected_outcome, generate_vax
+from confidec.dmn.model import ColumnRelation, FilterAtom
+from confidec.dmn.program import compile_table
 from confidec.dmn.tables import parse_aggregation_spec, parse_decision_table
 from confidec.errors import DecisionRejected, ServiceBuildError, UnknownFunctionError
 from confidec.fixtures import load_patient_aggregations, load_policy_text, load_table
+from confidec.gateway.client import expand_results
 from confidec.policy.alfa import parse_policy_descriptor
 from confidec.service.builder import (
     REJECT_CERTIFICATE,
     REJECT_POLICY,
     DecisionRequest,
     build_desobj,
+    compact_results,
     emit_audit_script,
     handle_decision,
 )
@@ -54,7 +58,11 @@ class RecordingEnv:
 
     def decrypt_data(self, data_name, structure):
         self.decrypted = (data_name, structure)
-        return self.records
+        layout = _patient_service().layout
+        return (
+            [r.id for r in self.records],
+            [[r.fields.get(f) for f in layout] for r in self.records],
+        )
 
     def trace(self, step):
         self.steps.append(step)
@@ -128,6 +136,28 @@ def test_build_rejects_policy_aggregations_the_table_never_reads():
         build_desobj(policy, load_table("Restock"), [spec])
 
 
+def test_build_refuses_filters_it_cannot_lower():
+    specs = load_patient_aggregations()
+    atom = FilterAtom(field="Age", condition=ColumnRelation("<", "Weight", 1.0))
+    specs[0] = dataclasses.replace(specs[0], filter=(atom,))
+    with pytest.raises(ServiceBuildError, match="cannot filter an aggregation"):
+        build_desobj(
+            _policy_for("PatientPrioritizationWithAggr"),
+            load_table("PatientPrioritizationWithAggr"),
+            specs,
+        )
+
+
+def test_build_refuses_a_layout_without_the_fields_it_reads():
+    with pytest.raises(ServiceBuildError, match=r"layout lacks fields \['Age'"):
+        build_desobj(
+            _policy_for("PatientPrioritizationWithAggr"),
+            load_table("PatientPrioritizationWithAggr"),
+            load_patient_aggregations(),
+            layout=("ConsentFormSigned",),
+        )
+
+
 def test_handler_runs_steps_in_order():
     service = _patient_service()
     env = RecordingEnv(HUB_ATTRS, _patient_batch())
@@ -150,12 +180,32 @@ def test_handler_payload_shape():
     batch = _patient_batch()
     payload = handle_decision(service, _request(service), RecordingEnv(HUB_ATTRS, batch))
     assert payload["funcName"] == "PatientPrioritizationWithAggr"
-    assert set(payload) == {"funcName", "results"}
-    assert len(payload["results"]) == len(batch)
-    for entry in payload["results"]:
+    assert set(payload) == {"funcName", "outputs", "results"}
+    assert [rid for rid, _ in payload["results"]] == [r.id for r in batch]
+    # each distinct output once, in first-hit order
+    first_hits = list(dict.fromkeys(k for _, k in payload["results"]))
+    assert first_hits == list(range(len(payload["outputs"])))
+    expanded = expand_results(payload)
+    assert set(expanded) == {"funcName", "results"}
+    for entry in expanded["results"]:
         assert set(entry) == {"recordId", "outcome", "values"}
         assert entry["outcome"] == "decided"
         assert entry["values"] == [expected_outcome("Patient", entry["recordId"])]
+
+
+def test_compact_results_keep_outputs_that_only_equal_in_python_apart():
+    table = parse_decision_table({
+        "name": "T",
+        "columns": [{"name": "a", "kind": "input", "type": "number"},
+                    {"name": "o", "kind": "output", "type": "number"}],
+        "rules": [{"conditions": ["<1"], "outputs": [1]},
+                  {"conditions": ["<2"], "outputs": [1.0]},
+                  {"conditions": ["<3"], "outputs": [1]}],
+    })
+    body = compact_results("T", compile_table(table), ["x", "y", "z", "w", "v"], [1, 0, 2, -1, 1])
+    assert body["outputs"] == [[1.0], [1]] and type(body["outputs"][0][0]) is float
+    assert body["results"] == [["x", 0], ["y", 1], ["z", 1], ["w", -1], ["v", 0]]
+    assert [r["values"] for r in expand_results(body)["results"]] == [[1.0], [1], [1], [], [1.0]]
 
 
 def test_handler_reports_aggregates_only_when_asked():
