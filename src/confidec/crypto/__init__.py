@@ -1,6 +1,6 @@
 """Signatures, key agreement, key derivation, authenticated encryption."""
 
-from confidec.crypto.aead import Ciphertext, ae_decrypt, ae_encrypt
+from confidec.crypto.aead import Ciphertext, ae_decrypt, ae_encrypt, open_wire, seal_wire
 from confidec.crypto.certs import (
     Certificate,
     certificate_from_obj,
@@ -21,6 +21,8 @@ __all__ = [
     "Ciphertext",
     "ae_decrypt",
     "ae_encrypt",
+    "open_wire",
+    "seal_wire",
     "Certificate",
     "certificate_from_obj",
     "certificate_to_obj",

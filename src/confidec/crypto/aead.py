@@ -1,4 +1,9 @@
-"""Authenticated encryption: AES-256-GCM with random 96-bit nonces."""
+"""Authenticated encryption: AES-256-GCM with random 96-bit nonces.
+
+Messages travel either as a `Ciphertext` (envelopes, sealed seeds) or in the
+flat wire form nonce || tag || body that the record store keeps; both go
+through the same checked core.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ from confidec.errors import AuthenticationFailure
 NONCE_LEN = 12
 TAG_LEN = 16
 KEY_LEN = 32
+HEADER_LEN = NONCE_LEN + TAG_LEN  # the wire form's nonce || tag
 
 
 @dataclass(frozen=True)
@@ -35,12 +41,11 @@ class Ciphertext:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Ciphertext":
-        if len(blob) < NONCE_LEN + TAG_LEN:
-            raise ValueError("ciphertext blob too short")
+        _check_wire(blob)
         return cls(
             nonce=blob[:NONCE_LEN],
-            tag=blob[NONCE_LEN : NONCE_LEN + TAG_LEN],
-            body=blob[NONCE_LEN + TAG_LEN :],
+            tag=blob[NONCE_LEN:HEADER_LEN],
+            body=blob[HEADER_LEN:],
         )
 
 
@@ -49,18 +54,44 @@ def _check_key(key: bytes) -> None:
         raise ValueError(f"key must be {KEY_LEN} bytes, got {len(key)}")
 
 
-def ae_encrypt(key: bytes, plaintext: bytes, aad: bytes = b"") -> Ciphertext:
-    """Encrypt under a fresh random nonce, binding aad to the ciphertext."""
+def _check_wire(blob: bytes) -> None:
+    if len(blob) < HEADER_LEN:
+        raise ValueError("ciphertext blob too short")
+
+
+def _encrypt(key: bytes, plaintext: bytes, aad: bytes) -> tuple[bytes, bytes]:
+    """A fresh nonce and AES-GCM's body || tag under it."""
     _check_key(key)
     nonce = secrets.token_bytes(NONCE_LEN)
-    sealed = AESGCM(key).encrypt(nonce, plaintext, aad)
+    return nonce, AESGCM(key).encrypt(nonce, plaintext, aad)
+
+
+def _decrypt(key: bytes, nonce: bytes, body_and_tag: bytes, aad: bytes) -> bytes:
+    _check_key(key)
+    try:
+        return AESGCM(key).decrypt(nonce, body_and_tag, aad)
+    except InvalidTag as exc:
+        raise AuthenticationFailure("ciphertext failed authentication") from exc
+
+
+def ae_encrypt(key: bytes, plaintext: bytes, aad: bytes = b"") -> Ciphertext:
+    """Encrypt under a fresh random nonce, binding aad to the ciphertext."""
+    nonce, sealed = _encrypt(key, plaintext, aad)
     return Ciphertext(nonce=nonce, body=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
 
 
 def ae_decrypt(key: bytes, ct: Ciphertext, aad: bytes = b"") -> bytes:
     """Decrypt and authenticate; any mismatch raises AuthenticationFailure."""
-    _check_key(key)
-    try:
-        return AESGCM(key).decrypt(ct.nonce, ct.body + ct.tag, aad)
-    except InvalidTag as exc:
-        raise AuthenticationFailure("ciphertext failed authentication") from exc
+    return _decrypt(key, ct.nonce, ct.body + ct.tag, aad)
+
+
+def seal_wire(key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+    """`ae_encrypt(key, plaintext, aad).to_bytes()` without the Ciphertext."""
+    nonce, sealed = _encrypt(key, plaintext, aad)
+    return nonce + sealed[-TAG_LEN:] + sealed[:-TAG_LEN]
+
+
+def open_wire(key: bytes, blob: bytes, aad: bytes = b"") -> bytes:
+    """`ae_decrypt(key, Ciphertext.from_bytes(blob), aad)` without the Ciphertext."""
+    _check_wire(blob)
+    return _decrypt(key, blob[:NONCE_LEN], blob[HEADER_LEN:] + blob[NONCE_LEN:HEADER_LEN], aad)

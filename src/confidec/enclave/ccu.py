@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple
 
-from confidec.crypto.aead import Ciphertext, ae_decrypt, ae_encrypt
+from confidec.crypto.aead import ae_decrypt, ae_encrypt, open_wire, seal_wire
 from confidec.crypto.certs import Certificate, issue_certificate, verify_certificate
 from confidec.crypto.keys import (
     SEED_LEN,
@@ -105,8 +105,10 @@ def _record_aad_prefix(dataset: str, form: str, layout: Sequence[str]) -> bytes:
     )
 
 
-def _record_aad(prefix: bytes, record_id: str) -> bytes:
-    return prefix + length_prefixed(record_id.encode("utf-8"))
+def _id_part(record_id: str) -> bytes:
+    """What ends a record's AAD: `length_prefixed(record_id)`, written out."""
+    encoded = record_id.encode("utf-8")
+    return len(encoded).to_bytes(4, "big") + encoded
 
 
 @dataclass(frozen=True)
@@ -388,43 +390,92 @@ class Ccu:
                 raise TableValidationError(f"duplicate record id {record.id!r}")
             seen.add(record.id)
 
-        full = self._store_dataset(data_name + FULL_SUFFIX, structure, records, None, light)
-        slim = self._store_dataset(data_name, structure, records, layout, light)
+        full, slim = self._store_records(data_name, structure, records, layout, light)
         return ProvisionReceipt(
             data_name=data_name, structure=structure, light=light, slim=slim, full=full
         )
 
-    def _store_dataset(
+    def _store_records(
+        self,
+        data_name: str,
+        structure: str,
+        records: Sequence[Record],
+        layout: Tuple[str, ...],
+        light: bool,
+    ) -> Tuple[DatasetInfo, DatasetInfo]:
+        """Seal each record in full and slim in one pass, then publish the
+        full dataset's manifest and the slim one's."""
+        full_name = data_name + FULL_SUFFIX
+        full_prefix = _record_aad_prefix(full_name, FULL, ())
+        slim_prefix = _record_aad_prefix(data_name, SLIM, layout)
+        seed = self._seed
+        put = self._storage.blobs.put
+        if light:  # one randomizer, so one key, per dataset
+            full_t = secrets.token_bytes(RANDOMIZER_LEN)
+            slim_t = secrets.token_bytes(RANDOMIZER_LEN)
+            full_key = derive_record_key(seed, full_t)
+            slim_key = derive_record_key(seed, slim_t)
+        # per form, the addresses and (heavy) randomizers in record order; the
+        # entry dicts are built when publishing, so one form's exist at a time
+        full_addresses, slim_addresses = [], []
+        full_ts, slim_ts = [], []
+        full_bytes = slim_bytes = 0
+        for record in records:
+            doc = record_to_obj(record)
+            id_part = _id_part(record.id)
+            if not light:
+                full_t = secrets.token_bytes(RANDOMIZER_LEN)
+                slim_t = secrets.token_bytes(RANDOMIZER_LEN)
+                full_key = derive_record_key(seed, full_t)
+                slim_key = derive_record_key(seed, slim_t)
+            fields = doc["fields"]
+            full_blob = seal_wire(full_key, canonical_json(doc), full_prefix + id_part)
+            slim_blob = seal_wire(
+                slim_key,
+                canonical_json([fields.get(field) for field in layout]),
+                slim_prefix + id_part,
+            )
+            full_addresses.append(put(full_blob))
+            slim_addresses.append(put(slim_blob))
+            if not light:
+                full_ts.append(full_t)
+                slim_ts.append(slim_t)
+            full_bytes += len(full_blob)
+            slim_bytes += len(slim_blob)
+
+        ids = [record.id for record in records]
+        full = self._publish_manifest(
+            full_name, structure, FULL, ids, full_addresses, full_ts,
+            full_t if light else None, full_bytes,
+        )
+        slim = self._publish_manifest(
+            data_name, structure, SLIM, ids, slim_addresses, slim_ts,
+            slim_t if light else None, slim_bytes,
+        )
+        return full, slim
+
+    def _publish_manifest(
         self,
         name: str,
         structure: str,
-        records: Sequence[Record],
-        layout: Tuple[str, ...] | None,
-        light: bool,
+        form: str,
+        ids: List[str],
+        addresses: List[str],
+        randomizers: List[bytes],
+        shared_t: bytes | None,
+        blob_bytes: int,
     ) -> DatasetInfo:
-        """Store records in full (layout None) or slim, as their layout's values."""
-        form = FULL if layout is None else SLIM
-        prefix = _record_aad_prefix(name, form, layout or ())
-        entries = []
-        total = 0
-        shared_t = secrets.token_bytes(RANDOMIZER_LEN) if light else None
-        for record in records:
-            doc = record_to_obj(record)
-            if layout is not None:
-                fields = doc["fields"]
-                doc = [fields.get(field) for field in layout]
-            t = shared_t if light else secrets.token_bytes(RANDOMIZER_LEN)
-            key = derive_record_key(self._seed, t)
-            blob = ae_encrypt(
-                key, canonical_json(doc), aad=_record_aad(prefix, record.id)
-            ).to_bytes()
-            address = self._storage.blobs.put(blob)
-            total += len(blob)
-            entry = {"id": record.id, "address": address}
-            if not light:
-                entry["t"] = b64(t)
-            entries.append(entry)
-
+        """Publish a dataset's manifest over its stored record blobs: each
+        entry carries its record's randomizer, or a light dataset's manifest
+        carries its one shared randomizer shared_t."""
+        light = shared_t is not None
+        if light:
+            entries = [{"id": i, "address": a} for i, a in zip(ids, addresses)]
+        else:
+            entries = [
+                {"id": i, "address": a, "t": b64(t)}
+                for i, a, t in zip(ids, addresses, randomizers)
+            ]
         manifest: dict = {
             "dataset": name,
             "structure": structure,
@@ -436,9 +487,11 @@ class Ccu:
             manifest["t"] = b64(shared_t)
         manifest_bytes = canonical_json(manifest)
         address = self._storage.publish(name, manifest_bytes)
-        total += len(manifest_bytes)
         return DatasetInfo(
-            name=name, address=address, records=len(records), stored_bytes=total
+            name=name,
+            address=address,
+            records=len(entries),
+            stored_bytes=blob_bytes + len(manifest_bytes),
         )
 
     # --- decisions ---------------------------------------------------------------
@@ -486,36 +539,41 @@ class Ccu:
         its values in the structure's layout (None for an absent field).
 
         Slim records are stored in that form; full ones are projected onto it.
+        Every blob is hash-checked on get and authenticated against its
+        dataset, form, layout and id; a manifest the storage operator
+        malformed raises StorageError like any other tampering.
         """
-        if self._seed is None:
-            raise ConfidecError("unit has no data seed installed")
-        manifest = json.loads(self._storage.fetch(data_name))
-        if manifest.get("structure") != structure:
-            raise StorageError(
-                f"dataset {data_name!r} holds {manifest.get('structure')!r} records, "
-                f"but the function reads {structure!r}"
-            )
-        form = manifest.get("form")
-        if form not in (SLIM, FULL):
-            raise StorageError(f"dataset {data_name!r} names no known record form")
-        layout = self._layouts[structure]
-        prefix = _record_aad_prefix(manifest["dataset"], form, layout if form == SLIM else ())
-        light = bool(manifest.get("light", False))
-        shared_t = unb64(manifest["t"]) if light else None
         seed = self._seed
-        blobs = self._storage.blobs
+        if seed is None:
+            raise ConfidecError("unit has no data seed installed")
+        layout = self._layouts[structure]
+        get = self._storage.blobs.get
         ids = []
         plaintexts = []
-        for entry in manifest["records"]:
-            record_id = entry["id"]
-            blob = blobs.get(entry["address"])
-            t = shared_t if light else unb64(entry["t"])
-            plaintexts.append(ae_decrypt(
-                derive_record_key(seed, t),
-                Ciphertext.from_bytes(blob),
-                aad=_record_aad(prefix, record_id),
-            ))
-            ids.append(record_id)
+        try:
+            manifest = json.loads(self._storage.fetch(data_name))
+            if manifest.get("structure") != structure:
+                raise StorageError(
+                    f"dataset {data_name!r} holds {manifest.get('structure')!r} records, "
+                    f"but the function reads {structure!r}"
+                )
+            form = manifest.get("form")
+            if form not in (SLIM, FULL):
+                raise StorageError(f"dataset {data_name!r} names no known record form")
+            prefix = _record_aad_prefix(manifest["dataset"], form, layout if form == SLIM else ())
+            light = bool(manifest.get("light", False))
+            key = derive_record_key(seed, unb64(manifest["t"])) if light else None
+            for entry in manifest["records"]:
+                record_id = entry["id"]
+                if not light:
+                    key = derive_record_key(seed, unb64(entry["t"]))
+                plaintexts.append(
+                    open_wire(key, get(entry["address"]), prefix + _id_part(record_id))
+                )
+                ids.append(record_id)
+        except (AttributeError, KeyError, RecursionError, TypeError, ValueError):
+            # a field of the wrong shape or type, bad base64, a short blob
+            raise StorageError("stored dataset is malformed") from None
         # each plaintext is one authenticated JSON document the unit wrote,
         # so the batch parses as one array
         docs = json.loads(b"[" + b",".join(plaintexts) + b"]")

@@ -17,6 +17,7 @@ from confidec.fixtures import (
     load_table_doc,
 )
 from confidec.gateway.client import ClientSession
+from confidec.gateway.queue import Gateway
 from confidec.storage.node import StorageNode
 from confidec.util import utcnow
 
@@ -99,3 +100,18 @@ def make_session(authority, make_cert):
         return session
 
     return _make
+
+
+@pytest.fixture
+def make_gateway():
+    """Factory for gateways in front of a handler, closed after the test."""
+    made = []
+
+    def _make(handler, capacity=64):
+        gateway = Gateway(handler, capacity=capacity)
+        made.append(gateway)
+        return gateway
+
+    yield _make
+    for gateway in made:
+        gateway.close()

@@ -1,11 +1,23 @@
 """Authenticated encryption, key derivation and attribute certificates."""
 
+import base64
+import binascii
+import itertools
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confidec.crypto.aead import KEY_LEN, NONCE_LEN, TAG_LEN, Ciphertext, ae_decrypt, ae_encrypt
+from confidec.crypto.aead import (
+    KEY_LEN,
+    NONCE_LEN,
+    TAG_LEN,
+    Ciphertext,
+    ae_decrypt,
+    ae_encrypt,
+    open_wire,
+    seal_wire,
+)
 from confidec.crypto.certs import (
     certificate_from_obj,
     certificate_to_obj,
@@ -26,6 +38,7 @@ from confidec.errors import (
     CertificateValidityError,
     KeyDerivationError,
 )
+from confidec.util import unb64
 
 KEY = bytes(range(32))
 T0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
@@ -99,6 +112,71 @@ def test_ciphertext_shape_is_validated():
         Ciphertext(nonce=bytes(NONCE_LEN - 1), body=b"", tag=bytes(TAG_LEN))
     with pytest.raises(ValueError):
         Ciphertext(nonce=bytes(NONCE_LEN), body=b"", tag=bytes(TAG_LEN + 1))
+
+
+# --- the wire form the record store keeps ---------------------------------
+
+
+def test_sealed_wire_is_the_ciphertext_wire_form():
+    blob = seal_wire(KEY, b"stored record", aad=b"r")
+    assert len(blob) == NONCE_LEN + TAG_LEN + len(b"stored record")
+    assert ae_decrypt(KEY, Ciphertext.from_bytes(blob), aad=b"r") == b"stored record"
+    assert open_wire(KEY, ae_encrypt(KEY, b"older record", aad=b"r").to_bytes(), aad=b"r") == (
+        b"older record"
+    )
+    assert open_wire(KEY, seal_wire(KEY, b"")) == b""
+
+
+@pytest.mark.parametrize("index", [0, NONCE_LEN - 1, NONCE_LEN, NONCE_LEN + TAG_LEN - 1,
+                                   NONCE_LEN + TAG_LEN, -1],
+                         ids=["nonce", "nonce-end", "tag", "tag-end", "body", "body-end"])
+def test_tampering_any_part_of_the_wire_fails_authentication(index):
+    blob = seal_wire(KEY, b"immutable", aad=b"a")
+    with pytest.raises(AuthenticationFailure):
+        open_wire(KEY, _flip(blob, index % len(blob)), aad=b"a")
+
+
+def test_the_wire_binds_its_aad_and_key():
+    blob = seal_wire(KEY, b"bound", aad=b"table/v1")
+    with pytest.raises(AuthenticationFailure):
+        open_wire(KEY, blob, aad=b"table/v2")
+    with pytest.raises(AuthenticationFailure):
+        open_wire(KEY, blob)
+    with pytest.raises(AuthenticationFailure):
+        open_wire(_flip(KEY), blob, aad=b"table/v1")
+
+
+@pytest.mark.parametrize("bad", [b"", b"short", bytes(31), bytes(33)])
+def test_the_wire_checks_the_key_length(bad):
+    with pytest.raises(ValueError):
+        seal_wire(bad, b"x")
+    with pytest.raises(ValueError):
+        open_wire(bad, seal_wire(KEY, b"x"))
+
+
+def test_a_short_wire_blob_is_refused_before_decryption():
+    with pytest.raises(ValueError, match="too short"):
+        open_wire(KEY, bytes(NONCE_LEN + TAG_LEN - 1))
+    with pytest.raises(ValueError, match="too short"):
+        open_wire(KEY, b"")
+
+
+def test_unb64_rejects_whatever_strict_b64decode_rejects():
+    # every string up to five characters over an alphabet holding padding,
+    # URL-safe and non-ASCII characters and whitespace
+    alphabet = "QA+/=_- \né"
+    for length in range(6):
+        for chars in itertools.product(alphabet, repeat=length):
+            text = "".join(chars)
+            try:
+                want = base64.b64decode(text.encode("ascii"), validate=True)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    unb64(text)
+            else:
+                assert unb64(text) == want, text
+    with pytest.raises(binascii.Error):
+        unb64("QQ=")
 
 
 @settings(max_examples=50, deadline=None)

@@ -22,20 +22,6 @@ from confidec.gateway.wire import (
 )
 
 
-@pytest.fixture
-def make_gateway():
-    made = []
-
-    def _make(handler, capacity=64):
-        gateway = Gateway(handler, capacity=capacity)
-        made.append(gateway)
-        return gateway
-
-    yield _make
-    for gateway in made:
-        gateway.close()
-
-
 def _center_objs(count):
     return [record_to_obj(r) for r in generate_vax(VaxSpec("VaccinationCenter", count))]
 

@@ -1,0 +1,353 @@
+"""The record store: how provision seals records and a decision opens them.
+
+Every check `Ccu.decrypt_data` makes on what the storage operator hands back
+is pinned here: the blob content check, the AAD binding dataset, form, layout
+and id, the per-record key, and the manifest's shape. Each tampering yields a
+typed error envelope, never results and never `unit failure`.
+"""
+
+import json
+import secrets
+
+import pytest
+
+from confidec.bench.vax import VaxSpec, generate_vax
+from confidec.crypto.aead import Ciphertext, ae_decrypt, ae_encrypt
+from confidec.crypto.keys import derive_record_key
+from confidec.dmn.engine import decide_all
+from confidec.dmn.tables import record_to_obj
+from confidec.enclave import ccu
+from confidec.fixtures import load_patient_aggregations, load_table
+from confidec.gateway.client import ClientSession
+from confidec.storage.node import StorageNode
+from confidec.storage.store import MemoryBlobStore
+from confidec.util import b64, canonical_json, length_prefixed, unb64
+
+SLIM_NAME = "vax/patients"
+FULL_NAME = "vax/patients.full"
+
+
+def _unit(make_unit, store, tmp_path, light=False):
+    storage = StorageNode.in_memory() if store == "memory" else StorageNode.at_directory(tmp_path)
+    return make_unit(storage=storage, allow_light=light)
+
+
+def _records(count=6):
+    return generate_vax(VaxSpec("Patient", count, 7))
+
+
+def _provision(unit, session, records, light=False):
+    payload = {
+        "dataName": SLIM_NAME,
+        "structure": "Patient",
+        "records": [record_to_obj(r) for r in records],
+    }
+    if light:
+        payload["lightEncryption"] = True
+    envelope, key = session.build_request("provision", payload)
+    response = unit.handle("t-prov", envelope)
+    assert response.status == "ok", response.error
+    return ClientSession.open_response(response, key)
+
+
+def _decision(session, data_name):
+    return session.build_request(
+        "decision", {"funcName": "PatientPrioritizationWithAggr", "dataName": data_name}
+    )
+
+
+def _decide(unit, session, data_name):
+    """The expanded results of a patient decision, or its error text."""
+    envelope, key = _decision(session, data_name)
+    response = unit.handle("t-dec", envelope)
+    if response.status != "ok":
+        assert response.body is None
+        return response.error
+    return ClientSession.open_response(response, key)["results"]
+
+
+def _oracle(records):
+    results = decide_all(
+        load_table("PatientPrioritizationWithAggr"), records, load_patient_aggregations()
+    )
+    return [
+        {"recordId": r.record_id, "outcome": r.outcome, "values": list(r.values)}
+        for r in results
+    ]
+
+
+def _manifest(unit, name):
+    return json.loads(unit._storage.fetch(name))
+
+
+def _republish(unit, name, manifest):
+    """The operator re-points the name at a manifest it wrote."""
+    unit._storage.publish(name, json.dumps(manifest).encode())
+
+
+def _overwrite(storage, address, data):
+    """The operator rewrites a stored blob in place (None deletes it)."""
+    if isinstance(storage.blobs, MemoryBlobStore):
+        if data is None:
+            del storage.blobs._blobs[address]
+        else:
+            storage.blobs._blobs[address] = data
+    else:
+        path = storage.blobs.root / address
+        if data is None:
+            path.unlink()
+        else:
+            path.write_bytes(data)
+
+
+# --- tampering with what a decision reads ----------------------------------
+
+
+def _swap_addresses(unit, name, other):
+    manifest = _manifest(unit, name)
+    first, second = manifest["records"][:2]
+    first["address"], second["address"] = second["address"], first["address"]
+    _republish(unit, name, manifest)
+
+
+def _swap_randomizers(unit, name, other):
+    manifest = _manifest(unit, name)
+    if manifest["light"]:
+        # one randomizer per dataset: trade it with the other form's
+        theirs = _manifest(unit, other)
+        manifest["t"], theirs["t"] = theirs["t"], manifest["t"]
+        _republish(unit, other, theirs)
+    else:
+        first, second = manifest["records"][:2]
+        first["t"], second["t"] = second["t"], first["t"]
+    _republish(unit, name, manifest)
+
+
+def _flip_a_stored_byte(unit, name, other):
+    address = _manifest(unit, name)["records"][1]["address"]
+    blob = bytearray(unit._storage.blobs.get(address))
+    blob[-1] ^= 0x01
+    _overwrite(unit._storage, address, bytes(blob))
+
+
+def _drop_a_blob(unit, name, other):
+    _overwrite(unit._storage, _manifest(unit, name)["records"][2]["address"], None)
+
+
+def _point_at_the_other_form(unit, name, other):
+    manifest = _manifest(unit, name)
+    manifest["records"][0]["address"] = _manifest(unit, other)["records"][0]["address"]
+    _republish(unit, name, manifest)
+
+
+TAMPERING = {
+    "swapped-addresses": (_swap_addresses, "authentication"),
+    "swapped-randomizers": (_swap_randomizers, "authentication"),
+    "flipped-byte": (_flip_a_stored_byte, "content check"),
+    "missing-blob": (_drop_a_blob, "no blob at"),
+    "other-form-blob": (_point_at_the_other_form, "authentication"),
+}
+
+
+@pytest.mark.parametrize("tampering", sorted(TAMPERING))
+@pytest.mark.parametrize("store", ["memory", "directory"])
+@pytest.mark.parametrize("mode", ["heavy", "light"])
+@pytest.mark.parametrize("form", ["slim", "full"])
+def test_tampered_storage_yields_a_typed_error_never_results(
+    make_unit, make_session, tmp_path, tampering, store, mode, form
+):
+    unit = _unit(make_unit, store, tmp_path, light=(mode == "light"))
+    session = make_session(unit)
+    records = _records()
+    _provision(unit, session, records, light=(mode == "light"))
+    name, other = (SLIM_NAME, FULL_NAME) if form == "slim" else (FULL_NAME, SLIM_NAME)
+    assert _decide(unit, session, name) == _oracle(records)
+
+    tamper, phrase = TAMPERING[tampering]
+    tamper(unit, name, other)
+    answer = _decide(unit, session, name)
+    assert isinstance(answer, str), "a tampered dataset gave results"
+    assert phrase in answer
+
+
+# --- manifests of the wrong shape ----------------------------------------------
+
+
+def _entry_id_not_a_string(unit, manifest):
+    manifest["records"][0]["id"] = ["INJECTED-id"]
+
+
+def _no_records(unit, manifest):
+    manifest["INJECTED-records"] = manifest.pop("records")
+
+
+def _records_not_a_list(unit, manifest):
+    manifest["records"] = 987654321
+
+
+def _undecodable_randomizer(unit, manifest):
+    manifest["records"][0]["t"] = "INJECTED!"
+
+
+def _short_blob(unit, manifest):
+    manifest["records"][0]["address"] = unit._storage.blobs.put(b"INJECTED-blob")
+
+
+def _randomizer_not_a_string(unit, manifest):
+    manifest["records"][0]["t"] = {"INJECTED": 1}
+
+
+def _entry_not_an_object(unit, manifest):
+    manifest["records"][0] = "INJECTED-entry"
+
+
+def _dataset_not_a_string(unit, manifest):
+    manifest["dataset"] = ["INJECTED-dataset"]
+
+
+MALFORMED = {
+    "entry-id-not-a-string": _entry_id_not_a_string,
+    "no-records": _no_records,
+    "records-not-a-list": _records_not_a_list,
+    "undecodable-randomizer": _undecodable_randomizer,
+    "short-blob": _short_blob,
+    "randomizer-not-a-string": _randomizer_not_a_string,
+    "entry-not-an-object": _entry_not_an_object,
+    "dataset-not-a-string": _dataset_not_a_string,
+}
+
+
+def _assert_refused(response, markers):
+    assert response.status == "error" and response.body is None
+    assert "unit failure" not in response.error
+    assert "malformed" in response.error
+    for marker in markers:
+        assert marker not in response.error
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_a_malformed_manifest_is_a_typed_storage_error(make_unit, make_session, make_gateway, shape):
+    unit = make_unit()
+    session = make_session(unit)
+    _provision(unit, session, _records())
+    manifest = _manifest(unit, SLIM_NAME)
+    MALFORMED[shape](unit, manifest)
+    _republish(unit, SLIM_NAME, manifest)
+    markers = ("INJECTED", "987654321")
+
+    envelope, _ = _decision(session, SLIM_NAME)
+    _assert_refused(unit.handle("t-direct", envelope), markers)
+
+    gateway = make_gateway(unit.handle)
+    envelope, _ = _decision(session, SLIM_NAME)
+    _assert_refused(gateway.await_response(gateway.submit(envelope), 30), markers)
+
+
+@pytest.mark.parametrize("text", [b"INJECTED{", b'["INJECTED"]'])
+def test_a_manifest_that_is_not_an_object_is_a_typed_storage_error(make_unit, make_session, text):
+    unit = make_unit()
+    session = make_session(unit)
+    _provision(unit, session, _records())
+    unit._storage.publish(SLIM_NAME, text)
+    envelope, _ = _decision(session, SLIM_NAME)
+    _assert_refused(unit.handle("t-direct", envelope), ["INJECTED"])
+
+
+# --- keys ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("light", [False, True], ids=["heavy", "light"])
+def test_light_datasets_derive_one_key_each(make_unit, make_session, monkeypatch, light):
+    unit = make_unit(allow_light=True)
+    session = make_session(unit)
+    records = _records(9)
+    calls = []
+
+    def counting(seed, randomizer):
+        calls.append(randomizer)
+        return derive_record_key(seed, randomizer)
+
+    monkeypatch.setattr(ccu, "derive_record_key", counting)
+    _provision(unit, session, records, light=light)
+    # two datasets, slim and full, each with its own randomizers
+    assert len(calls) == (2 if light else 2 * len(records))
+    assert len(set(calls)) == len(calls)
+
+    for name in (SLIM_NAME, FULL_NAME):
+        calls.clear()
+        assert _decide(unit, session, name) == _oracle(records)
+        assert len(calls) == (1 if light else len(records))
+
+
+# --- the stored format -----------------------------------------------------------
+
+
+def _aad_prefix(dataset, form, layout):
+    """The record AAD up to the id, written from the stored format itself."""
+    return b"confidec/record/v2:" + length_prefixed(
+        dataset.encode(), form.encode(), length_prefixed(*(f.encode() for f in layout))
+    )
+
+
+def _store_the_old_way(unit, name, form, records, light):
+    """One dataset stored as a `Ciphertext` per record, with `ae_encrypt`,
+    `to_bytes` and `length_prefixed` building each blob and AAD."""
+    layout = unit._layouts["Patient"] if form == "slim" else ()
+    prefix = _aad_prefix(name, form, layout)
+    shared_t = secrets.token_bytes(16)
+    entries = []
+    for record in records:
+        doc = record_to_obj(record)
+        if form == "slim":
+            doc = [doc["fields"].get(field) for field in layout]
+        t = shared_t if light else secrets.token_bytes(16)
+        blob = ae_encrypt(
+            derive_record_key(unit._seed, t),
+            canonical_json(doc),
+            aad=prefix + length_prefixed(record.id.encode()),
+        ).to_bytes()
+        entry = {"id": record.id, "address": unit._storage.blobs.put(blob)}
+        if not light:
+            entry["t"] = b64(t)
+        entries.append(entry)
+    manifest = {
+        "dataset": name, "structure": "Patient", "form": form, "light": light,
+        "records": entries,
+    }
+    if light:
+        manifest["t"] = b64(shared_t)
+    unit._storage.publish(name, canonical_json(manifest))
+
+
+@pytest.mark.parametrize("light", [False, True], ids=["heavy", "light"])
+def test_records_sealed_as_ciphertexts_still_decide(make_unit, make_session, light):
+    unit = make_unit()
+    session = make_session(unit)
+    records = _records(10)
+    _store_the_old_way(unit, FULL_NAME, "full", records, light)
+    _store_the_old_way(unit, SLIM_NAME, "slim", records, light)
+    assert _decide(unit, session, SLIM_NAME) == _oracle(records)
+    assert _decide(unit, session, FULL_NAME) == _oracle(records)
+
+
+@pytest.mark.parametrize("light", [False, True], ids=["heavy", "light"])
+def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session, light):
+    unit = make_unit(allow_light=True)
+    session = make_session(unit)
+    records = _records(5)
+    _provision(unit, session, records, light=light)
+    layout = unit._layouts["Patient"]
+    for name, form in ((SLIM_NAME, "slim"), (FULL_NAME, "full")):
+        manifest = _manifest(unit, name)
+        prefix = _aad_prefix(name, form, layout if form == "slim" else ())
+        for record, entry in zip(records, manifest["records"]):
+            t = unb64(manifest["t"] if light else entry["t"])
+            plaintext = ae_decrypt(
+                derive_record_key(unit._seed, t),
+                Ciphertext.from_bytes(unit._storage.blobs.get(entry["address"])),
+                aad=prefix + length_prefixed(record.id.encode()),
+            )
+            doc = record_to_obj(record)
+            if form == "slim":
+                doc = [doc["fields"].get(field) for field in layout]
+            assert plaintext == canonical_json(doc)

@@ -59,6 +59,14 @@ def test_directory_store_rejects_non_addresses(tmp_path):
         store.get("abc")
 
 
+def test_memory_store_detects_corrupted_blob():
+    store = MemoryBlobStore()
+    address = store.put(b"pristine")
+    store._blobs[address] = b"tampered"
+    with pytest.raises(StorageError, match=f"blob {address} failed its content check"):
+        store.get(address)
+
+
 def test_directory_store_detects_corrupted_blob(tmp_path):
     store = DirectoryBlobStore(tmp_path)
     address = store.put(b"pristine")
