@@ -2,10 +2,14 @@
 
 `run_program` passes every row of the matrix to the table's functions in
 order and records, per record, the index of the first rule whose tests all
-hold, or STATUS_NO_MATCH, or STATUS_ERROR with the slot of the NaN cell
-that aborted it. `confidec.dmn.engine.decide_record` states the same
-semantics one condition at a time; the tests hold the two to the same
-answers.
+hold, or STATUS_NO_MATCH, or STATUS_ERROR with the slot of the missing or
+mistyped cell that aborted it. Such a cell is its slot's trapping NaN,
+whose comparisons raise `AbortRecord` from inside the test that reads it,
+or, for a column relation's referenced slot, a NaN the test passes to
+`_abort`; either way the loop catches one exception type and every test
+that reads a number runs as a float comparison.
+`confidec.dmn.engine.decide_record` states the same semantics one condition
+at a time; the tests hold the two to the same answers.
 """
 
 from __future__ import annotations

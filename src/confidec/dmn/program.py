@@ -15,13 +15,22 @@ the program's generated encoder over such value lists and yields one row of
 floats per record, one slot per non-output table column and then one per
 field the aggregations read with another value type:
 
-    number  -> the value itself (records never contain NaN/inf)
+    number  -> a float: a float as it is (records never contain NaN/inf),
+               an int with |x| <= 2**53 as the float of equal value; a
+               larger int stays an int, so its comparisons stay exact
     string  -> per-slot vocabulary code (>= 0); strings absent from the
                vocabulary encode as -1 and can never match a set
     boolean -> 1.0 / 0.0
-    missing or wrongly typed -> NaN; the raw value tells which
+    missing or wrongly typed (a bool in a number slot too) -> in a table
+               slot, that slot's trapping NaN; in a later slot, NaN; the
+               raw value tells which of the two it was
 
-Aggregate-input slots stay NaN until the aggregates are known;
+Float cells let every comparison with a float bound take CPython's
+float-float fast path, which an int or a float subclass misses. A trapping
+NaN is a `float` subclass, one instance per slot, whose `<`, `<=`, `>`, `>=`,
+`==` and hash raise `AbortRecord(J)`; its `!=` and its arithmetic are
+float's, so `vJ != vJ` is true for it without raising, and `vR * f` is a
+plain NaN. Aggregate-input slots stay NaN until the aggregates are known;
 `decide_records` fills them in before the table runs.
 
 Every non-wildcard condition is one op, a test on the local `vJ` that holds
@@ -29,26 +38,33 @@ slot J of the row. The tests, with `a`, `b` and `f` the `repr` of the
 cell's finite numbers:
 
     Relational      vJ < a   (or <=, >, >=)
-    NumericEquals   vJ == a
-    Interval        a <= vJ <= b, with < for an open end
+    NumericEquals   vJ == a; for |a| >= 2**53, vJ == a or vJ + 0.0 == a,
+                    so an int beyond 2**53 equals a as float(int) does
+    Interval        a <= vJ and vJ <= b, with < for an open end
     TextSet         vJ in {0.0, 2.0}, the vocabulary codes of its strings
     BooleanIs       vJ == 1.0 for true, vJ == 0.0 for false
     ColumnRelation  vJ < vR * f   (or <=, >, >=), R the referenced slot
 
-In a table, a test that fails goes on to `(vJ != vJ and _abort(J))`: every
-comparison with NaN is false, so a NaN cell reaches `_abort`, which stops
-the record with J as its error slot. A column relation checks its own slot
-first and then the referenced one, `(vR != vR and _abort(R))`. A rule is one
-`if` of its `and`-ed tests that returns the rule index, so the tests run in
-the order of `decide_record`, and a NaN cell aborts only when a test reads
-it. An all-wildcard rule is a bare `return`, after which nothing is emitted.
+In a table, a missing or mistyped cell J is a trapping NaN, so the first
+test that reads it raises `AbortRecord(J)`, which stops the record with J as
+its error slot; a test carries no abort clause of its own. A column
+relation adds one for the referenced slot, `or (vR != vR and _abort(R))`:
+`vR * f` is a plain NaN that only makes the comparison false. Its own slot
+traps in the comparison, so J still aborts before R. A rule is one `if` of
+its `and`-ed tests that returns the rule index, so the tests run in the
+order of `decide_record`, and a NaN cell aborts only when a test reads it.
+An all-wildcard rule is a bare `return`, after which nothing is emitted.
 
 An aggregation filter is one function over all rows that returns the
-indices of the rows whose filter tests all hold. A NaN cell fails its test,
-so a filter never raises; `evaluate_aggregate` then reads the target slot of
-the selected rows, and a NaN there is the first selected record lacking a
-numeric target. Sums use `math.fsum`, so the result matches the reference
-over `Record`s bit for bit.
+indices of the rows whose filter tests all hold. It reads the table's slots
+where a field has the same value type, and those cells may trap, so each
+atom on a table slot runs as `(not vJ != vJ and <test>)`: `!=` does not
+trap, and a NaN cell fails the atom instead. An atom on a later slot reads
+a plain NaN, which fails every test. So a filter never raises;
+`evaluate_aggregate` then reads the target slot of the selected rows, and a
+NaN there, found through `math.fsum` and `!=`, which do not trap, is the
+first selected record lacking a numeric target. Sums use `math.fsum`, so the
+result matches the reference over `Record`s bit for bit.
 
 Only numbers and slot indices enter the source of the table and filter
 functions: no table or record string does, and they see no builtins, only
@@ -107,14 +123,40 @@ STATUS_ERROR = -2
 
 NAN = float("nan")
 
+# ints up to this magnitude encode as the float of equal value
+EXACT_INT_LIMIT = 2 ** 53
+
 
 class AbortRecord(Exception):
-    """Raised by the generated code when a test reads a NaN cell; args[0]
+    """Raised when a table test reads a missing or mistyped cell; args[0]
     is the slot of that cell."""
 
 
 def _abort(slot: int) -> NoReturn:
     raise AbortRecord(slot)
+
+
+class _TrappingNaN(float):
+    """A NaN whose ordering, equality and hash raise AbortRecord(slot).
+
+    `!=` and arithmetic stay those of float, so `v != v` tells it apart
+    from a number without raising, and `v * f` is a plain NaN.
+    """
+
+    __slots__ = ("slot",)
+
+    def __new__(cls, slot: int) -> "_TrappingNaN":
+        self = float.__new__(cls, NAN)
+        self.slot = slot
+        return self
+
+    def _trap(self, other: object) -> NoReturn:
+        raise AbortRecord(self.slot)
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = _trap  # type: ignore[assignment]
+
+    def __hash__(self) -> NoReturn:  # type: ignore[override]
+        raise AbortRecord(self.slot)
 
 
 # The generated table and filter functions see these globals and no builtins.
@@ -193,11 +235,15 @@ def _lower(
     if isinstance(cond, Relational):
         return f"{v} {cond.op} {_number(cond.bound)}", (j,)
     if isinstance(cond, NumericEquals):
-        return f"{v} == {_number(cond.value)}", (j,)
+        a = _number(cond.value)
+        if abs(cond.value) < EXACT_INT_LIMIT:
+            return f"{v} == {a}", (j,)
+        # an int cell beyond EXACT_INT_LIMIT equals a as float(int) does
+        return f"{v} == {a} or {v} + 0.0 == {a}", (j,)
     if isinstance(cond, Interval):
         lo = "<" if cond.lo_open else "<="
         hi = "<" if cond.hi_open else "<="
-        return f"{_number(cond.lo)} {lo} {v} {hi} {_number(cond.hi)}", (j,)
+        return f"{_number(cond.lo)} {lo} {v} and {v} {hi} {_number(cond.hi)}", (j,)
     if isinstance(cond, TextSet):
         assert vocab is not None
         for value in cond.values:
@@ -254,9 +300,12 @@ def _compile_encoder(
     layout_size: int,
     cells: Dict[int, Tuple[int, str, Dict[str, int] | None]],
     n_slots: int,
+    n_trapping: int,
 ) -> Encoder:
     """The function that maps value lists to rows; cells maps each encoded
-    slot to its layout position, value type and vocabulary."""
+    slot to its layout position, value type and vocabulary. A missing or
+    mistyped cell in one of the first n_trapping slots, the table's, is
+    that slot's _TrappingNaN; in a later slot it is NaN."""
     globals_: dict = {"__builtins__": {}, "_int": int, "_float": float, "_str": str, "_nan": NAN}
     used: Set[int] = set()
     exprs = []
@@ -267,13 +316,21 @@ def _compile_encoder(
         p, value_type, vocab = cells[j]
         x = f"x{p}"
         used.add(p)
+        nan = "_nan"
+        if j < n_trapping:
+            nan = f"_t{j}"
+            globals_[nan] = _TrappingNaN(j)
         if value_type == "number":
-            exprs.append(f"({x} if {x}.__class__ is _float or {x}.__class__ is _int else _nan)")
+            exprs.append(
+                f"({x} + 0.0 if {x}.__class__ is _int and {-EXACT_INT_LIMIT} <= {x} <= "
+                f"{EXACT_INT_LIMIT} else {x} if {x}.__class__ is _float or {x}.__class__ is _int"
+                f" else {nan})"
+            )
         elif value_type == "string":
             globals_[f"_d{j}"] = {s: float(code) for s, code in vocab.items()}  # type: ignore[union-attr]
-            exprs.append(f"(_d{j}.get({x}, -1.0) if {x}.__class__ is _str else _nan)")
+            exprs.append(f"(_d{j}.get({x}, -1.0) if {x}.__class__ is _str else {nan})")
         else:
-            exprs.append(f"(1.0 if {x} is True else 0.0 if {x} is False else _nan)")
+            exprs.append(f"(1.0 if {x} is True else 0.0 if {x} is False else {nan})")
     targets = _unpack(used, layout_size, "x")
     source = ["def _e(values):", f"    return [[{', '.join(exprs)}] for {targets} in values]"]
     return _define(source, "_e", globals_, "<row encoder>")
@@ -368,7 +425,8 @@ def _compile(
             if isinstance(cond, Wildcard):
                 continue
             test, slots_read = _lower(j, cond, slot_index, vocab[j])
-            aborts = "".join(f" or (v{s} != v{s} and _abort({s}))" for s in slots_read)
+            # slot j traps in the test; a referenced slot's NaN only fails it
+            aborts = "".join(f" or (v{s} != v{s} and _abort({s}))" for s in slots_read[1:])
             tests.append(f"({test}{aborts})")
             rule_reads.update(slots_read)
         if lines and n_ops + len(tests) > MAX_OPS_PER_FUNCTION:
@@ -387,7 +445,11 @@ def _compile(
 
     lowered = []
     for agg, atoms, target in filters:
-        tests = [f"({_lower(j, cond, slot_index, vocab[j])[0]})" for j, cond in atoms]
+        tests = []
+        for j, cond in atoms:
+            test = f"({_lower(j, cond, slot_index, vocab[j])[0]})"
+            # a table slot's NaN traps and `!=` does not, so check that first
+            tests.append(f"(not v{j} != v{j} and {test})" if j < len(slots) else test)
         filter_reads = {j for j, _ in atoms}
         read |= filter_reads | {target}
         lowered.append(LoweredAggregation(
@@ -411,7 +473,7 @@ def _compile(
             (j, c.name) for j, c in enumerate(slots)
             if c.kind == "aggregateInput" and j in read
         ),
-        encode=_compile_encoder(len(layout), cells, n_slots),
+        encode=_compile_encoder(len(layout), cells, n_slots, len(slots)),
         functions=tuple(functions),
         aggregations=tuple(lowered),
     )
@@ -436,7 +498,8 @@ def build_matrix(ct: CompiledTable, values: Sequence[Sequence[object]]) -> List[
     generated functions read.
 
     Only slots some op or filter reads are encoded; the rest, and the
-    aggregate inputs, stay NaN. A NaN cell's raw value tells why: None for a
-    missing field, anything else for a value of the wrong type.
+    aggregate inputs, stay NaN. A NaN or trapping NaN cell's raw value tells
+    why: None for a missing field, anything else for a value of the wrong
+    type.
     """
     return ct.encode(values)

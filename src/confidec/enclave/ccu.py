@@ -268,7 +268,7 @@ class Ccu:
         try:
             return self._services[func_name]
         except KeyError:
-            raise UnknownFunctionError(f"no deployed function {func_name!r}") from None
+            raise UnknownFunctionError("no deployed function by that name") from None
 
     def service_names(self) -> List[str]:
         return sorted(self._services)
@@ -377,17 +377,17 @@ class Ccu:
         if self._seed is None:
             raise ConfidecError("unit has no data seed installed")
         if not isinstance(data_name, str) or not data_name or data_name.endswith(FULL_SUFFIX):
-            raise MalformedRequestError(f"bad dataset name {data_name!r}")
+            raise MalformedRequestError("bad dataset name")
 
         layout = self._layouts.get(structure)
         if layout is None:
-            raise UnknownFunctionError(f"no deployed function reads structure {structure!r}")
+            raise UnknownFunctionError("no deployed function reads structure of that name")
 
         records = [parse_record(obj) for obj in raw_records]
         seen: Set[str] = set()
         for record in records:
             if record.id in seen:
-                raise TableValidationError(f"duplicate record id {record.id!r}")
+                raise TableValidationError("duplicate record id in the dataset")
             seen.add(record.id)
 
         full, slim = self._store_records(data_name, structure, records, layout, light)
@@ -554,12 +554,12 @@ class Ccu:
             manifest = json.loads(self._storage.fetch(data_name))
             if manifest.get("structure") != structure:
                 raise StorageError(
-                    f"dataset {data_name!r} holds {manifest.get('structure')!r} records, "
+                    "dataset holds another structure's records, "
                     f"but the function reads {structure!r}"
                 )
             form = manifest.get("form")
             if form not in (SLIM, FULL):
-                raise StorageError(f"dataset {data_name!r} names no known record form")
+                raise StorageError("dataset names no known record form")
             prefix = _record_aad_prefix(manifest["dataset"], form, layout if form == SLIM else ())
             light = bool(manifest.get("light", False))
             key = derive_record_key(seed, unb64(manifest["t"])) if light else None

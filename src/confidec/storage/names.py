@@ -60,13 +60,13 @@ class NameRegistry:
         """Address currently bound to name."""
         record = self._latest.get(name)
         if record is None:
-            raise NameNotFoundError(f"name {name!r} was never published")
+            raise NameNotFoundError("name was never published")
         return record.address
 
     def latest(self, name: str) -> NameRecord:
         record = self._latest.get(name)
         if record is None:
-            raise NameNotFoundError(f"name {name!r} was never published")
+            raise NameNotFoundError("name was never published")
         return record
 
     def known_names(self) -> List[str]:

@@ -58,7 +58,7 @@ class MemoryBlobStore(BlobStore):
         try:
             data = self._blobs[address]
         except KeyError:
-            raise BlobNotFoundError(f"no blob at {address}") from None
+            raise BlobNotFoundError("no blob at the address") from None
         # _check inlined: this runs once per record on every decision
         if hashlib.sha256(data).hexdigest() != address:
             raise StorageError(f"blob {address} failed its content check")
@@ -80,7 +80,7 @@ class DirectoryBlobStore(BlobStore):
 
     def _path(self, address: str) -> Path:
         if len(address) != 64 or any(c not in "0123456789abcdef" for c in address):
-            raise StorageError(f"not a blob address: {address!r}")
+            raise StorageError("not a blob address")
         return self.root / address
 
     def put(self, data: bytes) -> str:
@@ -95,7 +95,7 @@ class DirectoryBlobStore(BlobStore):
     def get(self, address: str) -> bytes:
         path = self._path(address)
         if not path.exists():
-            raise BlobNotFoundError(f"no blob at {address}")
+            raise BlobNotFoundError("no blob at the address")
         return self._check(address, path.read_bytes())
 
     def has(self, address: str) -> bool:
@@ -104,7 +104,7 @@ class DirectoryBlobStore(BlobStore):
     def size(self, address: str) -> int:
         path = self._path(address)
         if not path.exists():
-            raise BlobNotFoundError(f"no blob at {address}")
+            raise BlobNotFoundError("no blob at the address")
         return path.stat().st_size
 
     def addresses(self) -> Iterator[str]:

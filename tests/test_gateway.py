@@ -1,5 +1,6 @@
 """Wire envelopes and the bounded FIFO gateway."""
 
+import json
 import threading
 import time
 
@@ -20,6 +21,7 @@ from confidec.gateway.wire import (
     response_from_obj,
     response_to_obj,
 )
+from confidec.storage.node import StorageNode
 
 
 def _center_objs(count):
@@ -309,19 +311,30 @@ def test_gateway_state_never_holds_plaintext(make_unit, make_session, make_gatew
 # --- payload shapes ---------------------------------------------------------
 
 
-def _assert_typed_error(unit, session, make_gateway, request_type, payload, echoed):
-    """The unit answers the payload with a typed error envelope, both when
-    called directly and behind a gateway, and the text echoes no value."""
+def _assert_typed_error(unit, session, make_gateway, request_type, payload, echoed, check=""):
+    """The unit answers the payload with a typed error envelope whose text
+    names the check, both when called directly and behind a gateway, and
+    neither the text nor the gateway's state echoes the value."""
     envelope, _ = session.build_request(request_type, payload)
     response = unit.handle("t-direct", envelope)
     assert response.status == "error" and response.body is None
+    assert check in response.error
     assert echoed not in response.error
 
     gateway = make_gateway(unit.handle)
     envelope, _ = session.build_request(request_type, payload)
-    response = gateway.await_response(gateway.submit(envelope), 30)
+    ticket = gateway.submit(envelope)
+    deadline = time.monotonic() + 30
+    while b'"results":{}' in gateway.debug_snapshot() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    # with the response parked, the state is the ticket and the error text
+    snapshot = gateway.debug_snapshot().replace(ticket.encode(), b"")
+    assert b'"results":{}' not in snapshot
+    assert echoed.encode() not in snapshot
+    response = gateway.await_response(ticket, 30)
     assert response.status == "error"
     assert "unit failure" not in response.error
+    assert check in response.error
     assert echoed not in response.error
 
 
@@ -339,3 +352,89 @@ def test_records_that_are_not_a_list_are_a_malformed_request(make_unit, make_ses
         unit, make_session(unit), make_gateway, "provision",
         {"dataName": "vax/patients", "structure": "Patient", "records": 54321}, "54321",
     )
+
+
+_PATIENTS = [record_to_obj(r) for r in generate_vax(VaxSpec("Patient", 4))]
+
+
+@pytest.mark.parametrize("request_type, payload, check", [
+    ("decision", {"funcName": "SECRET-function", "dataName": "vax/patients"},
+     "no deployed function"),
+    ("provision", {"dataName": "SECRET-name.full", "structure": "Patient", "records": []},
+     "bad dataset name"),
+    ("provision", {"dataName": "vax/patients", "structure": "SECRET-structure", "records": []},
+     "no deployed function reads structure"),
+    ("provision", {"dataName": "vax/patients", "structure": "Patient",
+                   "records": [dict(_PATIENTS[0], id="SECRET-id")] * 2},
+     "duplicate record id"),
+], ids=["function", "dataset", "structure", "record-id"])
+def test_caller_supplied_names_stay_out_of_error_texts(
+    make_unit, make_session, make_gateway, request_type, payload, check
+):
+    unit = make_unit()
+    _assert_typed_error(
+        unit, make_session(unit), make_gateway, request_type, payload, "SECRET", check
+    )
+
+
+# --- what the storage operator wrote ------------------------------------------
+
+_SECRET_NAME = "SECRET-patients"
+
+
+def _set_address(manifest):
+    manifest["records"][0]["address"] = "OPERATOR-MARKER"
+
+
+def _set_structure(manifest):
+    manifest["structure"] = "OPERATOR-STRUCT"
+
+
+def _set_form(manifest):
+    manifest["form"] = "OPERATOR-FORM"
+
+
+@pytest.mark.parametrize("rewrite, check", [
+    (_set_address, "no blob at"),
+    (_set_structure, "the function reads 'Patient'"),
+    (_set_form, "names no known record form"),
+    (None, "never published"),
+], ids=["address", "structure", "form", "unpublished"])
+def test_read_path_errors_echo_no_stored_or_caller_value(
+    make_unit, make_session, make_gateway, rewrite, check
+):
+    unit = make_unit()
+    session = make_session(unit)
+    envelope, _ = session.build_request(
+        "provision", {"dataName": _SECRET_NAME, "structure": "Patient", "records": _PATIENTS}
+    )
+    assert unit.handle("t-prov", envelope).status == "ok"
+    name = _SECRET_NAME
+    if rewrite is None:
+        name = "SECRET-never-provisioned"
+    else:
+        manifest = json.loads(unit._storage.fetch(name))
+        rewrite(manifest)
+        unit._storage.publish(name, json.dumps(manifest).encode())
+    payload = {"funcName": "PatientPrioritizationWithAggr", "dataName": name}
+    for marker in ("SECRET", "OPERATOR"):
+        _assert_typed_error(unit, session, make_gateway, "decision", payload, marker, check)
+
+
+def test_a_directory_store_refuses_an_operator_address_without_echoing_it(
+    make_unit, make_session, make_gateway, tmp_path
+):
+    unit = make_unit(storage=StorageNode.at_directory(tmp_path))
+    session = make_session(unit)
+    envelope, _ = session.build_request(
+        "provision", {"dataName": _SECRET_NAME, "structure": "Patient", "records": _PATIENTS}
+    )
+    assert unit.handle("t-prov", envelope).status == "ok"
+    manifest = json.loads(unit._storage.fetch(_SECRET_NAME))
+    _set_address(manifest)
+    unit._storage.publish(_SECRET_NAME, json.dumps(manifest).encode())
+    payload = {"funcName": "PatientPrioritizationWithAggr", "dataName": _SECRET_NAME}
+    for marker in ("SECRET", "OPERATOR"):
+        _assert_typed_error(
+            unit, session, make_gateway, "decision", payload, marker, "not a blob address"
+        )

@@ -23,7 +23,7 @@ from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.dmn.aggregate import evaluate_aggregate
 from confidec.dmn.engine import decide_record, decide_records, encode_records
 from confidec.dmn.model import ColumnRelation, DecisionResult, Record, Relational, Wildcard
-from confidec.dmn.program import MAX_OPS_PER_FUNCTION, compile_table
+from confidec.dmn.program import MAX_OPS_PER_FUNCTION, AbortRecord, compile_table
 from confidec.dmn.tables import parse_aggregation_spec, parse_decision_table
 from confidec.errors import (
     AggregationError,
@@ -565,3 +565,168 @@ def test_hostile_table_strings_never_enter_the_generated_code(case):
         assert all(_is_allowed_constant(c) for c in code.co_consts), code.co_consts
         assert code.co_filename == filename
         assert set(function.__globals__) == {"__builtins__", "_abort"}
+
+
+# -- the float rows: exact floats, trapping cells ----------------------------------
+
+_B = 2 ** 53
+# ints at and around the edge of exact floats, and far beyond it
+_BIG_INTS = (_B - 2, _B - 1, _B, _B + 1, _B + 2, _B + 3, -_B + 1, -_B, -_B - 1, -_B - 2,
+             2 ** 64 + 1, -(2 ** 64) - 1, 3 ** 40)
+# cells whose bounds lie near 2**53; each is a float once parsed
+_BIG_CELLS = (f"<{_B}", f"<={_B}", f">{_B}", f">={_B}", f"{_B}", f"{_B + 2}", f"-{_B}",
+              f"{-_B - 2}", f"<{-_B}", f">=-{_B}", f"[{_B - 2}..{_B}]", f"]{_B}..{_B + 4}]",
+              f"[-{_B}..-{_B - 2}[", "<= c1 * 1", "> c1 * 1", ">= c1 * 0.5", "< c1 * 2")
+
+
+def _one_cell_table(cell, kinds=("number", "number")):
+    """One rule testing c0 with the cell; c1 is there for column relations."""
+    return _table(list(kinds), [[cell] + ["-"] * (len(kinds) - 1)])
+
+
+def _spec(name, cell, target, reducer, field="c0"):
+    return parse_aggregation_spec({
+        "name": name, "filter": [{"field": field, "cell": cell}],
+        "targetField": target, "reducer": reducer,
+    })
+
+
+def _same_float(a, b):
+    """Equal, and of the same sign when zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_ints_near_two_to_the_53_decide_like_decide_record():
+    records = _records(*(
+        {"c0": x, "c1": y} for x in _BIG_INTS for y in (_B, _B + 1, -_B - 1, 7)
+    ))
+    seen = set()
+    for cell in _BIG_CELLS:
+        for want in _assert_agrees(_one_cell_table(cell), records):
+            seen.add(want.outcome)
+    assert seen == {"decided", "noMatch"}
+
+
+def test_ints_near_two_to_the_53_filter_and_aggregate_like_the_records():
+    records = _records(*({"c0": x, "c1": x} for x in _BIG_INTS))
+    table = _one_cell_table("-")
+    for cell in _BIG_CELLS[:13]:
+        specs = tuple(
+            _spec(f"a{k}", cell, target, reducer)
+            for k, (target, reducer) in enumerate(
+                (t, r) for t in ("c0", "c1") for r in ("sum", "mean", "max", "min")
+            )
+        )
+        _assert_aggregates_agree(table, records, specs)
+    # a target of exact ints sums as the reference's floats do
+    spec = _spec("s", "-", "c0", "sum")
+    program = compile_table(table, (spec,))
+    batch = encode_records(program, records)
+    assert evaluate_aggregate(program.aggregations[0], batch) == evaluate_aggregate(spec, records)
+
+
+def test_an_int_beyond_two_to_the_53_equals_a_bound_as_its_float_does():
+    table = _one_cell_table(f"{_B}")
+    want = _assert_agrees(table, _records({"c0": _B + 1}, {"c0": _B - 1}, {"c0": -_B - 1}))
+    assert [w.outcome for w in want] == ["decided", "noMatch", "noMatch"]
+
+
+def test_negative_zero_decides_and_aggregates_like_the_records():
+    records = _records(*(
+        {"c0": x, "c1": y} for x in (-0.0, 0.0, 0, -1, 1) for y in (-0.0, 0.0, 0)
+    ))
+    for cell in ("0", "-0", "<0", "<=0", ">0", ">=-0", "[0..1]", "]0..1]", "[-1..0[",
+                 "<= c1 * 1", "< c1 * -1", ">= c1 * 2"):
+        _assert_agrees(_one_cell_table(cell), records)
+    table = _one_cell_table("-")
+    for order in (records, records[::-1]):
+        specs = tuple(
+            _spec(f"a{k}", cell, "c0", reducer)
+            for k, (cell, reducer) in enumerate(
+                (c, r) for c in ("<=0", "[-0..0]") for r in ("sum", "mean", "max", "min")
+            )
+        )
+        program = compile_table(table, specs)
+        batch = encode_records(program, order)
+        for spec, lowered in zip(specs, program.aggregations):
+            assert _same_float(
+                evaluate_aggregate(lowered, batch), evaluate_aggregate(spec, order)
+            ), spec
+
+
+def test_booleans_in_number_columns_are_mistyped():
+    records = _records(
+        {"c0": True, "c1": 1}, {"c0": False, "c1": 1}, {"c0": 1, "c1": True},
+        {"c0": 0, "c1": False},
+    )
+    for cell in ("1", "0", "<5", ">=0", "[0..1]", "<= c1 * 1"):
+        want = _assert_agrees(_one_cell_table(cell), records)
+        assert want[:2] == [TypeMismatchError, TypeMismatchError]
+    assert _assert_agrees(_one_cell_table("<= c1 * 1"), records)[2:] == [
+        TypeMismatchError, TypeMismatchError,
+    ]
+    table = _one_cell_table("-")
+    for cell in ("1", "<5", "[0..1]"):
+        for target in ("c0", "c1"):
+            specs = (_spec("a", cell, target, "sum"), _spec("b", cell, target, "max"))
+            _assert_aggregates_agree(table, records, specs)
+
+
+@pytest.mark.parametrize("kind, cell, good, wrong", [
+    ("number", "<5", 3, "wrong type"),
+    ("string", '"oak","fir"', "oak", 3),
+    ("boolean", "true", True, 1),
+])
+def test_a_slot_a_filter_shares_with_the_table_skips_in_the_filter_and_aborts_the_table(
+    kind, cell, good, wrong
+):
+    table = _table([kind, "number"], [[cell, "-"]])
+    specs = (_spec("a", cell, "c1", "sum"), _spec("b", cell, "c1", "max"))
+    program = compile_table(table, specs)
+    # the filter reads the table's slot
+    assert len(program.encode([[good, 1]])[0]) == 2
+    records = _records({"c0": good, "c1": 2}, {"c1": 5}, {"c0": wrong, "c1": 7})
+    outcomes = _assert_aggregates_agree(table, records, specs)
+    assert outcomes == [2.0, 2.0]
+    want = _assert_agrees(table, records)
+    assert want[1:] == [MissingFieldError, TypeMismatchError]
+    assert [_error_field(table, r) for r in records[1:]] == ["'c0'", "'c0'"]
+
+
+def test_rows_hold_exact_floats_and_trapping_cells():
+    table = _table(["number", "string", "boolean"], [["<5", '"oak"', "true"]])
+    specs = (_spec("a", "true", "c0", "sum", field="c2"),
+             _spec("b", '"oak"', "c0", "sum", field="x"))
+    program = compile_table(table, specs)
+    layout = program.layout
+    assert layout == ("c0", "c1", "c2", "x")
+    rows = program.encode([
+        [7, "oak", True, "oak"], [_B, "elm", False, "x"], [-_B, None, None, None],
+        [_B + 1, 3, 1, 2], [2.5, "oak", True, None], [-0.0, "oak", True, "oak"],
+    ])
+    assert [type(c) for c in rows[0]] == [float, float, float, float]
+    assert rows[0] == [7.0, 0.0, 1.0, 0.0]
+    assert rows[1][0] == float(_B) and type(rows[1][0]) is float
+    assert rows[2][0] == float(-_B) and type(rows[2][0]) is float
+    assert rows[3][0] == _B + 1 and type(rows[3][0]) is int
+    assert rows[4][0] == 2.5 and _same_float(rows[5][0], -0.0)
+    # missing or mistyped cells: the table's trap, the filter-only slot's plain NaN
+    for row in (rows[2], rows[3]):
+        for j in (1, 2):
+            cell = row[j]
+            assert cell != cell and isinstance(cell, float)
+            with pytest.raises(AbortRecord) as raised:
+                cell < 1.0  # noqa: B015
+            assert raised.value.args == (j,)
+        assert type(row[3]) is float and row[3] != row[3]
+        assert not row[3] < 1.0
+
+
+def test_table_tests_carry_no_abort_clause_of_their_own():
+    table = _table(["number", "string", "boolean", "number"],
+                   [["<5", '"oak"', "true", "[1..2]"], ["3", "-", "false", "-"]])
+    for function in compile_table(table).functions:
+        assert "_abort" not in function.__code__.co_names
+    relation = _table(["number", "number"], [["<= c1 * 2", "-"]])
+    (function,) = compile_table(relation).functions
+    assert function.__code__.co_names == ("_abort",)
