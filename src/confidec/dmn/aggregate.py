@@ -31,17 +31,17 @@ def _passes(spec: AggregationSpec, record: Record) -> bool:
     return True
 
 
-def _lacks(spec: AggregationSpec, record_id: str) -> AggregationError:
+def _lacks(spec: AggregationSpec) -> AggregationError:
     return AggregationError(
-        f"aggregation {spec.name!r}: record {record_id!r} lacks "
+        f"aggregation {spec.name!r}: a selected record lacks "
         f"target field {spec.target_field!r}"
     )
 
 
-def _not_numeric(spec: AggregationSpec, record_id: str) -> AggregationError:
+def _not_numeric(spec: AggregationSpec) -> AggregationError:
     return AggregationError(
         f"aggregation {spec.name!r}: target field {spec.target_field!r} "
-        f"of record {record_id!r} is not numeric"
+        f"of a selected record is not numeric"
     )
 
 
@@ -51,10 +51,10 @@ def _select_records(spec: AggregationSpec, records: Sequence[Record]) -> List[fl
         if not _passes(spec, record):
             continue
         if spec.target_field not in record.fields:
-            raise _lacks(spec, record.id)
+            raise _lacks(spec)
         value = record.fields[spec.target_field]
         if not is_number(value):
-            raise _not_numeric(spec, record.id)
+            raise _not_numeric(spec)
         values.append(float(value))
     return values
 
@@ -68,8 +68,8 @@ def _select_rows(agg: LoweredAggregation, batch: Batch) -> List[float]:
     if total != total:  # a NaN target: the field is missing or not a number
         i = next(i for i in selected if rows[i][target] != rows[i][target])
         if batch.values[i][agg.position] is None:
-            raise _lacks(agg.spec, batch.ids[i])
-        raise _not_numeric(agg.spec, batch.ids[i])
+            raise _lacks(agg.spec)
+        raise _not_numeric(agg.spec)
     return values
 
 

@@ -144,7 +144,7 @@ def decide_record(
                 value = record.fields[col.name]
             else:
                 raise MissingFieldError(
-                    f"record {record.id!r}: field {col.name!r} required by rule {r + 1}"
+                    f"field {col.name!r} required by rule {r + 1} is missing from a record"
                 )
             if not eval_condition(cond, value, overlay):
                 matched = False
@@ -217,9 +217,9 @@ def decide_records(program, records, aggregates=None):
         name = program.slots[j].name
         if batch.values[i][program.positions[j]] is None:
             raise MissingFieldError(
-                f"record {batch.ids[i]!r}: field {name!r} required by a condition"
+                f"field {name!r} required by a condition is missing from a record"
             )
-        raise TypeMismatchError(f"record {batch.ids[i]!r}: field {name!r} has the wrong type")
+        raise TypeMismatchError(f"field {name!r} of a record has the wrong type")
     if records is batch:
         return status
     rules = table.rules

@@ -199,11 +199,11 @@ def parse_record(doc: Mapping[str, Any]) -> Record:
     if not isinstance(rid, str):
         raise TableValidationError("record id must be a string")
     if not isinstance(fields, Mapping):
-        raise TableValidationError(f"record {rid!r}: fields must be an object")
+        raise TableValidationError("record fields must be an object")
     try:
         return Record(id=rid, fields=dict(fields))
     except ValueError as exc:
-        raise TableValidationError(f"record {rid!r}: {exc}") from exc
+        raise TableValidationError(f"record {exc}") from exc
 
 
 def record_to_obj(record: Record) -> dict:

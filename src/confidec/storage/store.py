@@ -41,7 +41,7 @@ class BlobStore:
 
     def _check(self, address: str, data: bytes) -> bytes:
         if blob_address(data) != address:
-            raise StorageError(f"blob {address} failed its content check")
+            raise StorageError("blob failed its content check")
         return data
 
 
@@ -61,7 +61,7 @@ class MemoryBlobStore(BlobStore):
             raise BlobNotFoundError("no blob at the address") from None
         # _check inlined: this runs once per record on every decision
         if hashlib.sha256(data).hexdigest() != address:
-            raise StorageError(f"blob {address} failed its content check")
+            raise StorageError("blob failed its content check")
         return data
 
     def has(self, address: str) -> bool:

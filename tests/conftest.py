@@ -42,6 +42,16 @@ def standard_bundle() -> CodeBundle:
     )
 
 
+def bundle_reading_another_patient_field() -> CodeBundle:
+    """The standard bundle, but an aggregation filter also names BloodType,
+    so the Patient layout gains a field."""
+    docs = load_patient_aggregation_docs()
+    docs[1] = dict(docs[1], filter=docs[1]["filter"] + [{"field": "BloodType", "cell": "-"}])
+    return CodeBundle.assemble(
+        load_policy_text(), [load_table_doc(f) for f in BUNDLED_FUNCS], docs
+    )
+
+
 @pytest.fixture(scope="session")
 def authority():
     return SigningKeyPair.generate()

@@ -5,6 +5,7 @@ import gc
 
 import pytest
 
+from confidec.bench import harness
 from confidec.bench.harness import (
     CSV_HEADER,
     EXPERIMENTS,
@@ -16,6 +17,7 @@ from confidec.bench.harness import (
     write_csv,
 )
 from confidec.dmn.engine import kernel_backend
+from confidec.enclave import ccu
 
 
 def test_experiment_catalogue_is_fixed():
@@ -154,6 +156,33 @@ def test_plain_vs_enclave_compares_the_same_workload():
     assert [r.mode for r in rows] == ["plain", "enclave"]
     # the table shape columns describe the bundled patient table
     assert all(r.columns == 8 and r.rules == 4 for r in rows)
+
+
+@pytest.mark.parametrize("experiment, modes", [("encryptionMode", 2), ("plainVsEnclave", 1)])
+def test_each_timed_enclave_decision_opens_every_record(monkeypatch, experiment, modes):
+    """The unit remembers records it opened, so a timed decision that did
+    not open each record again would time the memo instead of decryption."""
+    opened = []
+    per_decision = []
+    real_open_wire = ccu.open_wire
+    real_roundtrip = harness._roundtrip
+
+    def counting_open_wire(*args):
+        opened.append(1)
+        return real_open_wire(*args)
+
+    def roundtrip(unit, session, request_type, payload):
+        before = len(opened)
+        answer = real_roundtrip(unit, session, request_type, payload)
+        if request_type == "decision":
+            per_decision.append(len(opened) - before)
+        return answer
+
+    monkeypatch.setattr(ccu, "open_wire", counting_open_wire)
+    monkeypatch.setattr(harness, "_roundtrip", roundtrip)
+    _tiny(experiment, records=30)
+    # per mode, three timed decisions and the one its peak memory comes from
+    assert per_decision == [30] * (4 * modes)
 
 
 def test_memory_saving_reports_stored_bytes_per_role():

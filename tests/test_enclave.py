@@ -8,7 +8,12 @@ import sys
 
 import pytest
 
-from conftest import BUNDLED_FUNCS, child_env, standard_bundle
+from conftest import (
+    BUNDLED_FUNCS,
+    bundle_reading_another_patient_field,
+    child_env,
+    standard_bundle,
+)
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.keys import SigningKeyPair
 from confidec.crypto.certs import issue_certificate
@@ -661,16 +666,6 @@ def test_slim_and_full_datasets_decide_like_decide_all(make_unit, make_session, 
     assert _decide(unit, session, "vax/patients.full") == want
 
 
-def _bundle_reading_another_patient_field():
-    """The standard bundle, but an aggregation filter also names BloodType,
-    so the Patient layout gains a field."""
-    docs = load_patient_aggregation_docs()
-    docs[1] = dict(docs[1], filter=docs[1]["filter"] + [{"field": "BloodType", "cell": "-"}])
-    return CodeBundle.assemble(
-        load_policy_text(), [load_table_doc(f) for f in BUNDLED_FUNCS], docs
-    )
-
-
 def test_records_stored_under_another_layout_never_decode(make_unit, make_session):
     unit = make_unit(seed=False)
     seed = generate_seed()
@@ -681,7 +676,7 @@ def test_records_stored_under_another_layout_never_decode(make_unit, make_sessio
     assert _decide(unit, session, "vax/patients") == _oracle(records)
     old_layout = unit._layouts["Patient"]
 
-    unit.deploy(_bundle_reading_another_patient_field())
+    unit.deploy(bundle_reading_another_patient_field())
     unit.install_seed(seed)
     assert unit._layouts["Patient"] != old_layout
     session = make_session(unit)

@@ -6,9 +6,12 @@ import time
 
 import pytest
 
+from conftest import BUNDLED_FUNCS
 from confidec.bench.vax import VaxSpec, expected_outcome, generate_vax
 from confidec.dmn.tables import record_to_obj
+from confidec.enclave.measurement import CodeBundle
 from confidec.errors import GatewayTimeoutError, QueueFullError, UnknownTicketError
+from confidec.fixtures import load_patient_aggregation_docs, load_policy_text, load_table_doc
 from confidec.gateway.client import ClientSession
 from confidec.gateway.queue import Gateway
 from confidec.gateway.wire import (
@@ -438,3 +441,80 @@ def test_a_directory_store_refuses_an_operator_address_without_echoing_it(
         _assert_typed_error(
             unit, session, make_gateway, "decision", payload, marker, "not a blob address"
         )
+
+
+def test_a_blob_failing_its_content_check_is_refused_without_echoing_its_address(
+    make_unit, make_session, make_gateway
+):
+    unit = make_unit()
+    session = make_session(unit)
+    envelope, _ = session.build_request(
+        "provision", {"dataName": _SECRET_NAME, "structure": "Patient", "records": _PATIENTS}
+    )
+    assert unit.handle("t-prov", envelope).status == "ok"
+    # the operator keeps bytes under a key of its own and points an entry there
+    unit._storage.blobs._blobs["OPERATOR-MARKER"] = b"OPERATOR-bytes"
+    manifest = json.loads(unit._storage.fetch(_SECRET_NAME))
+    _set_address(manifest)
+    unit._storage.publish(_SECRET_NAME, json.dumps(manifest).encode())
+    payload = {"funcName": "PatientPrioritizationWithAggr", "dataName": _SECRET_NAME}
+    for marker in ("SECRET", "OPERATOR"):
+        _assert_typed_error(
+            unit, session, make_gateway, "decision", payload, marker, "failed its content check"
+        )
+
+
+# --- errors about the records a caller provisioned ------------------------------
+
+_SECRET_ID = "SECRET-record-id"
+# a patient the table's second rule reads up to CurrentMedications, and whom
+# both aggregation filters select
+_SECRET_FIELDS = {
+    "Age": 30, "PreExistingConditions": "Asthma", "PreviousVaccinations": "Influenza",
+    "FamilyMedicalHistory": "Diabetes", "ConsentFormSigned": True,
+}
+
+
+def _bundle_whose_sum_filter_skips_the_target():
+    """sumAge selects on PreExistingConditions alone, so a selected record
+    may lack its target Age."""
+    docs = load_patient_aggregation_docs()
+    docs[1] = dict(docs[1], filter=[a for a in docs[1]["filter"] if a["field"] != "Age"])
+    return CodeBundle.assemble(
+        load_policy_text(), [load_table_doc(f) for f in BUNDLED_FUNCS], docs
+    )
+
+
+@pytest.mark.parametrize("fields, bundle, check", [
+    (dict(_SECRET_FIELDS), None,
+     "field 'CurrentMedications' required by a condition"),
+    (dict(_SECRET_FIELDS, CurrentMedications=5), None,
+     "field 'CurrentMedications' of a record has the wrong type"),
+    ({k: v for k, v in _SECRET_FIELDS.items() if k != "Age"},
+     _bundle_whose_sum_filter_skips_the_target, "lacks target field 'Age'"),
+], ids=["missing-field", "mistyped-field", "aggregation-target-lacking"])
+def test_decision_errors_name_the_field_but_not_the_record(
+    make_unit, make_session, make_gateway, fields, bundle, check
+):
+    unit = make_unit(bundle=bundle() if bundle else None)
+    session = make_session(unit)
+    records = [record_to_obj(r) for r in generate_vax(VaxSpec("Patient", 20))]
+    records.append({"id": _SECRET_ID, "fields": fields})
+    envelope, _ = session.build_request(
+        "provision", {"dataName": "vax/patients", "structure": "Patient", "records": records}
+    )
+    assert unit.handle("t-prov", envelope).status == "ok"
+    payload = {"funcName": "PatientPrioritizationWithAggr", "dataName": "vax/patients"}
+    _assert_typed_error(unit, session, make_gateway, "decision", payload, "SECRET", check)
+
+
+def test_a_provisioned_record_whose_fields_are_not_an_object_is_not_echoed(
+    make_unit, make_session, make_gateway
+):
+    unit = make_unit()
+    payload = {"dataName": "vax/patients", "structure": "Patient",
+               "records": [{"id": _SECRET_ID, "fields": ["SECRET-field"]}]}
+    _assert_typed_error(
+        unit, make_session(unit), make_gateway, "provision", payload, "SECRET",
+        "record fields must be an object",
+    )

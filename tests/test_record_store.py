@@ -6,10 +6,13 @@ and id, the per-record key, and the manifest's shape. Each tampering yields a
 typed error envelope, never results and never `unit failure`.
 """
 
+import dataclasses
 import json
 import secrets
 
 import pytest
+
+from conftest import bundle_reading_another_patient_field, standard_bundle
 
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.aead import Ciphertext, ae_decrypt, ae_encrypt
@@ -17,6 +20,7 @@ from confidec.crypto.keys import derive_record_key
 from confidec.dmn.engine import decide_all
 from confidec.dmn.tables import record_to_obj
 from confidec.enclave import ccu
+from confidec.enclave.ccu import exchange_seed, generate_seed
 from confidec.fixtures import load_patient_aggregations, load_table
 from confidec.gateway.client import ClientSession
 from confidec.storage.node import StorageNode
@@ -36,9 +40,9 @@ def _records(count=6):
     return generate_vax(VaxSpec("Patient", count, 7))
 
 
-def _provision(unit, session, records, light=False):
+def _provision(unit, session, records, light=False, name=SLIM_NAME):
     payload = {
-        "dataName": SLIM_NAME,
+        "dataName": name,
         "structure": "Patient",
         "records": [record_to_obj(r) for r in records],
     }
@@ -277,6 +281,191 @@ def test_light_datasets_derive_one_key_each(make_unit, make_session, monkeypatch
         calls.clear()
         assert _decide(unit, session, name) == _oracle(records)
         assert len(calls) == (1 if light else len(records))
+
+
+# --- records the unit remembers having opened -----------------------------------
+
+
+def _counting(monkeypatch, unit):
+    """Counts of the blob gets and AES-GCM opens decisions make from now on;
+    a decision's gets are its manifest's and one per record."""
+    counts = {"get": 0, "open": 0}
+    get = unit._storage.blobs.get
+    open_wire = ccu.open_wire
+
+    def counting_get(address):
+        counts["get"] += 1
+        return get(address)
+
+    def counting_open(*args):
+        counts["open"] += 1
+        return open_wire(*args)
+
+    monkeypatch.setattr(unit._storage.blobs, "get", counting_get)
+    monkeypatch.setattr(ccu, "open_wire", counting_open)
+    return counts
+
+
+def _memo_records(unit):
+    """How many opened records the unit remembers, checked against its count."""
+    held = sum(len(generation) for generation in unit._opened.values())
+    assert held == unit._opened_records
+    return held
+
+
+@pytest.mark.parametrize("mode", ["heavy", "light"])
+@pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME])
+def test_a_warm_decision_gets_every_blob_and_opens_none(
+    make_unit, make_session, monkeypatch, mode, name
+):
+    unit = make_unit(allow_light=True)
+    session = make_session(unit)
+    records = _records(8)
+    _provision(unit, session, records, light=(mode == "light"))
+    assert unit._opened == {}  # provision remembers nothing
+    counts = _counting(monkeypatch, unit)
+    assert _decide(unit, session, name) == _oracle(records)
+    assert counts == {"get": 1 + len(records), "open": len(records)}
+    for _ in range(2):
+        counts.update(get=0, open=0)
+        assert _decide(unit, session, name) == _oracle(records)
+        assert counts == {"get": 1 + len(records), "open": 0}
+
+
+@pytest.mark.parametrize("mode", ["heavy", "light"])
+def test_a_remembered_record_needs_its_id_as_well_as_its_address_and_randomizer(
+    make_unit, make_session, mode
+):
+    unit = make_unit(allow_light=True)
+    session = make_session(unit)
+    records = _records()
+    _provision(unit, session, records, light=(mode == "light"))
+    assert _decide(unit, session, SLIM_NAME) == _oracle(records)
+    manifest = _manifest(unit, SLIM_NAME)
+    first, second = manifest["records"][:2]
+    first["id"], second["id"] = second["id"], first["id"]
+    _republish(unit, SLIM_NAME, manifest)
+    answer = _decide(unit, session, SLIM_NAME)
+    assert isinstance(answer, str) and "authentication" in answer
+
+
+def test_reordered_entries_give_the_same_results_by_record_id(
+    make_unit, make_session, monkeypatch
+):
+    unit = make_unit()
+    session = make_session(unit)
+    records = _records(8)
+    _provision(unit, session, records)
+    assert _decide(unit, session, SLIM_NAME) == _oracle(records)
+    manifest = _manifest(unit, SLIM_NAME)
+    manifest["records"].reverse()
+    _republish(unit, SLIM_NAME, manifest)
+    counts = _counting(monkeypatch, unit)
+    answer = _decide(unit, session, SLIM_NAME)
+    assert [r["recordId"] for r in answer] == [r.id for r in reversed(records)]
+    assert answer == list(reversed(_oracle(records)))
+    assert counts == {"get": 1 + len(records), "open": 0}
+
+
+def _reseed(unit, make_session):
+    unit.install_seed(generate_seed())
+    return make_session(unit)
+
+
+def _redeploy_other_code_then_reseed(unit, make_session):
+    unit.deploy(dataclasses.replace(standard_bundle(), engine_tag="v2"))
+    assert not unit.has_seed
+    return _reseed(unit, make_session)
+
+
+def _redeploy_another_layout(unit, make_session):
+    """Another layout for Patient under the same seed: only the slim records,
+    whose AAD binds the layout, must stop opening."""
+    seed = unit._seed
+    before = unit._layouts["Patient"]
+    unit.deploy(bundle_reading_another_patient_field())
+    assert unit._layouts["Patient"] != before
+    unit.install_seed(seed)
+    return make_session(unit)
+
+
+@pytest.mark.parametrize("change", [
+    _reseed, _redeploy_other_code_then_reseed, _redeploy_another_layout,
+], ids=["new-seed", "other-code-new-seed", "other-layout"])
+@pytest.mark.parametrize("mode", ["heavy", "light"])
+def test_remembered_records_never_outlive_their_seed_or_layout(
+    make_unit, make_session, change, mode
+):
+    unit = make_unit(allow_light=True)
+    session = make_session(unit)
+    records = _records()
+    _provision(unit, session, records, light=(mode == "light"))
+    assert _decide(unit, session, SLIM_NAME) == _oracle(records)
+    assert _memo_records(unit) == len(records)
+
+    session = change(unit, make_session)
+    assert _memo_records(unit) == 0
+    answer = _decide(unit, session, SLIM_NAME)
+    assert isinstance(answer, str), "records remembered under the old seed or layout"
+    assert "authentication" in answer
+
+
+def test_a_unit_seeded_by_exchange_reads_the_other_units_dataset(make_unit, make_session):
+    storage = StorageNode.in_memory()
+    source = make_unit(name="unit-src", storage=storage)
+    target = make_unit(name="unit-dst", storage=storage)
+    records, own = _records(), _records(4)
+    _provision(source, make_session(source), records)
+    target_session = make_session(target)
+    _provision(target, target_session, own, name="vax/own")
+    assert _decide(target, target_session, "vax/own") == _oracle(own)
+    assert _memo_records(target) == len(own)
+
+    exchange_seed(source, target)
+    target_session = make_session(target)
+    assert _decide(target, target_session, SLIM_NAME) == _oracle(records)
+    answer = _decide(target, target_session, "vax/own")
+    assert isinstance(answer, str) and "authentication" in answer
+
+
+def test_the_unit_remembers_at_most_the_cap_of_records(make_unit, make_session, monkeypatch):
+    cap = 10
+    monkeypatch.setattr(ccu, "OPENED_RECORDS_CAP", cap)
+    unit = make_unit()
+    session = make_session(unit)
+    datasets = {f"vax/part{i}": _records(4) for i in range(4)}
+    for name, records in datasets.items():
+        _provision(unit, session, records, name=name)
+    counts = _counting(monkeypatch, unit)
+
+    # more datasets than the cap holds, read in turn: the least recently
+    # read is forgotten first
+    for _ in range(2):
+        for name, records in datasets.items():
+            counts["open"] = 0
+            assert _decide(unit, session, name) == _oracle(records)
+            assert counts["open"] == len(records)
+            assert _memo_records(unit) <= cap
+    # a read makes its dataset the most recently read: part2, read again,
+    # outlives part3, read after it the first time
+    for name, opens in (("vax/part3", 0), ("vax/part2", 0), ("vax/part0", 4),
+                        ("vax/part2", 0), ("vax/part3", 4)):
+        counts["open"] = 0
+        assert _decide(unit, session, name) == _oracle(datasets[name])
+        assert counts["open"] == opens
+
+    # a dataset larger than the cap is opened in full on every read
+    large = _records(cap + 2)
+    _provision(unit, session, large, name="vax/large")
+    for _ in range(2):
+        counts["open"] = 0
+        assert _decide(unit, session, "vax/large") == _oracle(large)
+        assert counts["open"] == len(large)
+        assert _memo_records(unit) <= cap
+    # and evicts no other dataset
+    counts["open"] = 0
+    assert _decide(unit, session, "vax/part3") == _oracle(datasets["vax/part3"])
+    assert counts["open"] == 0
 
 
 # --- the stored format -----------------------------------------------------------
