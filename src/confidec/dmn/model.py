@@ -20,20 +20,21 @@ def is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def validate_field_value(name: str, value: object) -> None:
+def validate_field_value(value: object) -> None:
     """Reject values outside the supported scalar types.
 
-    Numbers must be finite; NaN and infinities never enter a record.
+    Numbers must be finite; NaN and infinities never enter a record. The
+    texts name neither the field nor the value: both are the provider's data.
     """
     if isinstance(value, bool) or isinstance(value, str):
         return
     if isinstance(value, (int, float)):
         if not math.isfinite(value):
-            raise ValueError(f"field {name!r}: non-finite number {value!r}")
+            raise ValueError("field holds a non-finite number")
         return
     if isinstance(value, (date, datetime)):
         return
-    raise ValueError(f"field {name!r}: unsupported value type {type(value).__name__}")
+    raise ValueError(f"field holds an unsupported value type {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,11 @@ class Record:
 
     def __post_init__(self):
         if not self.id:
-            raise ValueError("record id must be non-empty")
+            raise ValueError("id must be non-empty")
         for name, value in self.fields.items():
             if not name:
-                raise ValueError("record field names must be non-empty")
-            validate_field_value(name, value)
+                raise ValueError("field names must be non-empty")
+            validate_field_value(value)
 
 
 # --- conditions ---------------------------------------------------------

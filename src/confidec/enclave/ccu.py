@@ -15,7 +15,6 @@ import json
 import secrets
 import threading
 import time
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple
 
@@ -68,7 +67,6 @@ from confidec.gateway.wire import (
 from confidec.policy.alfa import parse_policy_descriptor
 from confidec.service.builder import (
     REJECT_CERTIFICATE,
-    DecisionRequest,
     DecisionService,
     build_desobj,
     handle_decision as run_decision_handler,
@@ -115,40 +113,6 @@ def _id_part(record_id: str) -> bytes:
     """What ends a record's AAD: `length_prefixed(record_id)`, written out."""
     encoded = record_id.encode("utf-8")
     return len(encoded).to_bytes(4, "big") + encoded
-
-
-@dataclass(frozen=True)
-class DatasetInfo:
-    name: str
-    address: str
-    records: int
-    stored_bytes: int
-
-    def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "address": self.address,
-            "records": self.records,
-            "storedBytes": self.stored_bytes,
-        }
-
-
-@dataclass(frozen=True)
-class ProvisionReceipt:
-    data_name: str
-    structure: str
-    light: bool
-    slim: DatasetInfo
-    full: DatasetInfo
-
-    def to_obj(self) -> dict:
-        return {
-            "dataName": self.data_name,
-            "structure": self.structure,
-            "light": self.light,
-            "slim": self.slim.to_obj(),
-            "full": self.full.to_obj(),
-        }
 
 
 class Ccu:
@@ -343,7 +307,7 @@ class Ccu:
         try:
             try:
                 if envelope.request_type == "provision":
-                    obj = self.handle_provision(envelope).to_obj()
+                    obj = self.handle_provision(envelope)
                 else:
                     obj = self.handle_decision(envelope)
                 body = ae_encrypt(
@@ -365,8 +329,9 @@ class Ccu:
 
     # --- provisioning -----------------------------------------------------------
 
-    def handle_provision(self, envelope: RequestEnvelope) -> ProvisionReceipt:
-        """Store a dataset twice: full, and slimmed to decision fields."""
+    def handle_provision(self, envelope: RequestEnvelope) -> dict:
+        """Store a dataset twice, full and slimmed to decision fields, and
+        return the receipt."""
         if self.check_certificate(envelope.client_cert) is None:
             raise DecisionRejected(REJECT_CERTIFICATE)
         payload = self._open_payload(envelope)
@@ -402,92 +367,53 @@ class Ccu:
                 raise TableValidationError("duplicate record id in the dataset")
             seen.add(record.id)
 
-        full, slim = self._store_records(data_name, structure, records, layout, light)
-        return ProvisionReceipt(
-            data_name=data_name, structure=structure, light=light, slim=slim, full=full
+        receipt = {"dataName": data_name, "structure": structure, "light": light}
+        # the full form first: the chain notarizes `<name>.full`, then `<name>`
+        receipt["full"] = self._store_form(
+            data_name + FULL_SUFFIX, structure, FULL, (), records, light
         )
+        receipt["slim"] = self._store_form(data_name, structure, SLIM, layout, records, light)
+        return receipt
 
-    def _store_records(
-        self,
-        data_name: str,
-        structure: str,
-        records: Sequence[Record],
-        layout: Tuple[str, ...],
-        light: bool,
-    ) -> Tuple[DatasetInfo, DatasetInfo]:
-        """Seal each record in full and slim in one pass, then publish the
-        full dataset's manifest and the slim one's."""
-        full_name = data_name + FULL_SUFFIX
-        full_prefix = _record_aad_prefix(full_name, FULL, ())
-        slim_prefix = _record_aad_prefix(data_name, SLIM, layout)
-        seed = self._seed
-        put = self._storage.blobs.put
-        if light:  # one randomizer, so one key, per dataset
-            full_t = secrets.token_bytes(RANDOMIZER_LEN)
-            slim_t = secrets.token_bytes(RANDOMIZER_LEN)
-            full_key = derive_record_key(seed, full_t)
-            slim_key = derive_record_key(seed, slim_t)
-        # per form, the addresses and (heavy) randomizers in record order; the
-        # entry dicts are built when publishing, so one form's exist at a time
-        full_addresses, slim_addresses = [], []
-        full_ts, slim_ts = [], []
-        full_bytes = slim_bytes = 0
-        for record in records:
-            doc = record_to_obj(record)
-            id_part = _id_part(record.id)
-            if not light:
-                full_t = secrets.token_bytes(RANDOMIZER_LEN)
-                slim_t = secrets.token_bytes(RANDOMIZER_LEN)
-                full_key = derive_record_key(seed, full_t)
-                slim_key = derive_record_key(seed, slim_t)
-            fields = doc["fields"]
-            full_blob = seal_wire(full_key, canonical_json(doc), full_prefix + id_part)
-            slim_blob = seal_wire(
-                slim_key,
-                canonical_json([fields.get(field) for field in layout]),
-                slim_prefix + id_part,
-            )
-            full_addresses.append(put(full_blob))
-            slim_addresses.append(put(slim_blob))
-            if not light:
-                full_ts.append(full_t)
-                slim_ts.append(slim_t)
-            full_bytes += len(full_blob)
-            slim_bytes += len(slim_blob)
-
-        ids = [record.id for record in records]
-        full = self._publish_manifest(
-            full_name, structure, FULL, ids, full_addresses, full_ts,
-            full_t if light else None, full_bytes,
-        )
-        slim = self._publish_manifest(
-            data_name, structure, SLIM, ids, slim_addresses, slim_ts,
-            slim_t if light else None, slim_bytes,
-        )
-        return full, slim
-
-    def _publish_manifest(
+    def _store_form(
         self,
         name: str,
         structure: str,
         form: str,
-        ids: List[str],
-        addresses: List[str],
-        randomizers: List[bytes],
-        shared_t: bytes | None,
-        blob_bytes: int,
-    ) -> DatasetInfo:
-        """Publish a dataset's manifest over its stored record blobs: each
-        entry carries its record's randomizer, or a light dataset's manifest
-        carries its one shared randomizer shared_t."""
-        light = shared_t is not None
+        layout: Tuple[str, ...],
+        records: Sequence[Record],
+        light: bool,
+    ) -> dict:
+        """Seal each record in one form, put its blob and publish the manifest
+        over them under name; returns the form's part of the receipt.
+
+        Each record gets a fresh randomizer, so its own key, kept in its
+        manifest entry; a light dataset has one randomizer, kept in the
+        manifest, and its key is derived once.
+        """
+        seed = self._seed
+        put = self._storage.blobs.put
+        prefix = _record_aad_prefix(name, form, layout)
         if light:
-            entries = [{"id": i, "address": a} for i, a in zip(ids, addresses)]
-        else:
-            entries = [
-                {"id": i, "address": a, "t": b64(t)}
-                for i, a, t in zip(ids, addresses, randomizers)
-            ]
+            t = secrets.token_bytes(RANDOMIZER_LEN)
+            key = derive_record_key(seed, t)
+        entries = []
+        blob_bytes = 0
+        for record in records:
+            if form == SLIM:
+                plaintext = canonical_json([record.fields.get(field) for field in layout])
+            else:
+                plaintext = canonical_json(record_to_obj(record))
+            if not light:
+                t = secrets.token_bytes(RANDOMIZER_LEN)
+                key = derive_record_key(seed, t)
+            blob = seal_wire(key, plaintext, prefix + _id_part(record.id))
+            entry = {"id": record.id, "address": put(blob)}
+            if not light:
+                entry["t"] = b64(t)
+            entries.append(entry)
+            blob_bytes += len(blob)
+
         manifest: dict = {
             "dataset": name,
             "structure": structure,
@@ -496,15 +422,14 @@ class Ccu:
             "records": entries,
         }
         if light:
-            manifest["t"] = b64(shared_t)
+            manifest["t"] = b64(t)
         manifest_bytes = canonical_json(manifest)
-        address = self._storage.publish(name, manifest_bytes)
-        return DatasetInfo(
-            name=name,
-            address=address,
-            records=len(entries),
-            stored_bytes=blob_bytes + len(manifest_bytes),
-        )
+        return {
+            "name": name,
+            "address": self._storage.publish(name, manifest_bytes),
+            "records": len(entries),
+            "storedBytes": blob_bytes + len(manifest_bytes),
+        }
 
     # --- decisions ---------------------------------------------------------------
 
@@ -520,11 +445,8 @@ class Ccu:
         service = self.service(func_name)
         if not isinstance(data_name, str):
             raise MalformedRequestError("bad dataset name")
-        request = DecisionRequest(
-            certificate=envelope.client_cert, func_name=func_name, data_name=data_name
-        )
         self.last_trace = []
-        return run_decision_handler(service, request, self)
+        return run_decision_handler(service, envelope.client_cert, data_name, self)
 
     # HandlerEnv implementation ----------------------------------------------
 
@@ -638,7 +560,7 @@ class Ccu:
         )
         try:
             payload = json.loads(plaintext)
-        except ValueError as exc:
+        except (RecursionError, ValueError) as exc:  # RecursionError: nested too deep
             raise MalformedRequestError("request payload is not JSON") from exc
         if not isinstance(payload, dict):
             raise MalformedRequestError("request payload must be an object")

@@ -3,7 +3,6 @@
 from confidec.service.builder import (
     REJECT_CERTIFICATE,
     REJECT_POLICY,
-    DecisionRequest,
     DecisionService,
     build_desobj,
     emit_audit_script,
@@ -13,7 +12,6 @@ from confidec.service.builder import (
 __all__ = [
     "REJECT_CERTIFICATE",
     "REJECT_POLICY",
-    "DecisionRequest",
     "DecisionService",
     "build_desobj",
     "emit_audit_script",

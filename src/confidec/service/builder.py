@@ -17,7 +17,7 @@ from confidec.dmn.aggregate import evaluate_aggregate
 from confidec.dmn.engine import decide_records, encode_batch
 from confidec.dmn.model import AggregationSpec, DecisionTable
 from confidec.dmn.program import STATUS_NO_MATCH, CompiledTable, compile_table
-from confidec.errors import DecisionRejected, ServiceBuildError, UnknownFunctionError
+from confidec.errors import DecisionRejected, ServiceBuildError
 from confidec.policy.alfa import format_expr
 from confidec.policy.model import PolicySpec, check_access
 from confidec.util import canonical_json
@@ -47,13 +47,6 @@ class DecisionService:
     @property
     def data_name(self) -> str:
         return self.spec.data_name
-
-
-@dataclass(frozen=True)
-class DecisionRequest:
-    certificate: Certificate
-    func_name: str
-    data_name: str
 
 
 class HandlerEnv(Protocol):
@@ -121,20 +114,19 @@ def build_desobj(
     return DecisionService(spec=policy, program=program, aggregations=ordered_specs)
 
 
-def handle_decision(service: DecisionService, request: DecisionRequest, env: HandlerEnv) -> dict:
-    """Run the guarded handler for one decision request.
+def handle_decision(
+    service: DecisionService, certificate: Certificate, data_name: str, env: HandlerEnv
+) -> dict:
+    """Run a service's guarded handler for a caller holding certificate,
+    over the records published under data_name.
 
     Steps run in a fixed order; certificate and policy failures raise
     DecisionRejected with the canonical message before any data is read.
     """
     env.trace("ParseDecisionReq")
-    if request.func_name != service.func_name:
-        raise UnknownFunctionError(
-            f"handler for {service.func_name!r} got a request for {request.func_name!r}"
-        )
 
     env.trace("CheckCertificate")
-    attributes = env.check_certificate(request.certificate)
+    attributes = env.check_certificate(certificate)
     if attributes is None:
         raise DecisionRejected(REJECT_CERTIFICATE)
 
@@ -144,7 +136,7 @@ def handle_decision(service: DecisionService, request: DecisionRequest, env: Han
 
     env.trace("DecryptData")
     program = service.program
-    batch = encode_batch(program, *env.decrypt_data(request.data_name, service.data_name))
+    batch = encode_batch(program, *env.decrypt_data(data_name, service.data_name))
 
     aggregates: Dict[str, float] = {}
     for agg in program.aggregations:

@@ -1,5 +1,6 @@
 """Wire envelopes and the bounded FIFO gateway."""
 
+import dataclasses
 import json
 import threading
 import time
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import BUNDLED_FUNCS
 from confidec.bench.vax import VaxSpec, expected_outcome, generate_vax
+from confidec.crypto.aead import ae_encrypt
 from confidec.dmn.tables import record_to_obj
 from confidec.enclave.measurement import CodeBundle
 from confidec.errors import GatewayTimeoutError, QueueFullError, UnknownTicketError
@@ -314,19 +316,27 @@ def test_gateway_state_never_holds_plaintext(make_unit, make_session, make_gatew
 # --- payload shapes ---------------------------------------------------------
 
 
+def _envelope(session, request_type, payload):
+    """A request carrying the payload; bytes are sent as the plaintext itself."""
+    if not isinstance(payload, bytes):
+        return session.build_request(request_type, payload)[0]
+    envelope, key = session.build_request(request_type, None)
+    return dataclasses.replace(
+        envelope, payload=ae_encrypt(key, payload, aad=request_type.encode())
+    )
+
+
 def _assert_typed_error(unit, session, make_gateway, request_type, payload, echoed, check=""):
     """The unit answers the payload with a typed error envelope whose text
     names the check, both when called directly and behind a gateway, and
     neither the text nor the gateway's state echoes the value."""
-    envelope, _ = session.build_request(request_type, payload)
-    response = unit.handle("t-direct", envelope)
+    response = unit.handle("t-direct", _envelope(session, request_type, payload))
     assert response.status == "error" and response.body is None
     assert check in response.error
     assert echoed not in response.error
 
     gateway = make_gateway(unit.handle)
-    envelope, _ = session.build_request(request_type, payload)
-    ticket = gateway.submit(envelope)
+    ticket = gateway.submit(_envelope(session, request_type, payload))
     deadline = time.monotonic() + 30
     while b'"results":{}' in gateway.debug_snapshot() and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -357,6 +367,17 @@ def test_records_that_are_not_a_list_are_a_malformed_request(make_unit, make_ses
     )
 
 
+@pytest.mark.parametrize("request_type", ["decision", "provision"])
+def test_a_payload_nested_too_deep_is_a_malformed_request(
+    make_unit, make_session, make_gateway, request_type
+):
+    unit = make_unit()
+    _assert_typed_error(
+        unit, make_session(unit), make_gateway, request_type, b"[" * 100_000,
+        "recursion", "request payload is not JSON",
+    )
+
+
 _PATIENTS = [record_to_obj(r) for r in generate_vax(VaxSpec("Patient", 4))]
 
 
@@ -370,7 +391,13 @@ _PATIENTS = [record_to_obj(r) for r in generate_vax(VaxSpec("Patient", 4))]
     ("provision", {"dataName": "vax/patients", "structure": "Patient",
                    "records": [dict(_PATIENTS[0], id="SECRET-id")] * 2},
      "duplicate record id"),
-], ids=["function", "dataset", "structure", "record-id"])
+    ("provision", {"dataName": "vax/patients", "structure": "Patient",
+                   "records": [{"id": "r1", "fields": {"SECRET-field": ["SECRET-value"]}}]},
+     "record field holds an unsupported value type"),
+    ("provision", {"dataName": "vax/patients", "structure": "Patient",
+                   "records": [{"id": "r1", "fields": {"SECRET-field": float("nan")}}]},
+     "record field holds a non-finite number"),
+], ids=["function", "dataset", "structure", "record-id", "field-type", "field-nan"])
 def test_caller_supplied_names_stay_out_of_error_texts(
     make_unit, make_session, make_gateway, request_type, payload, check
 ):

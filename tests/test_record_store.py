@@ -540,3 +540,35 @@ def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session, light):
             if form == "slim":
                 doc = [doc["fields"].get(field) for field in layout]
             assert plaintext == canonical_json(doc)
+
+
+@pytest.mark.parametrize("light", [False, True], ids=["heavy", "light"])
+def test_provision_writes_the_receipt_manifests_and_chain_entries_it_always_has(
+    make_unit, make_session, light
+):
+    unit = make_unit(allow_light=True)
+    chain = unit._storage.chain
+    notarized = len(chain)
+    receipt = _provision(unit, make_session(unit), _records(5), light=light)
+    assert set(receipt) == {"dataName", "structure", "light", "slim", "full"}
+    assert (receipt["dataName"], receipt["structure"], receipt["light"]) == (
+        SLIM_NAME, "Patient", light
+    )
+    blobs = unit._storage.blobs
+    for form, name in (("full", FULL_NAME), ("slim", SLIM_NAME)):
+        stored = receipt[form]
+        assert set(stored) == {"name", "address", "records", "storedBytes"}
+        assert (stored["name"], stored["records"]) == (name, 5)
+        manifest_bytes = blobs.get(stored["address"])
+        assert manifest_bytes == unit._storage.fetch(name)
+        manifest = json.loads(manifest_bytes)
+        keys = {"dataset", "structure", "form", "light", "records"}
+        assert set(manifest) == (keys | {"t"} if light else keys)
+        assert (manifest["dataset"], manifest["form"], manifest["light"]) == (name, form, light)
+        assert stored["storedBytes"] == len(manifest_bytes) + sum(
+            len(blobs.get(entry["address"])) for entry in manifest["records"]
+        )
+    assert [(entry.name, entry.address) for entry in chain.entries()[notarized:]] == [
+        (FULL_NAME, receipt["full"]["address"]),
+        (SLIM_NAME, receipt["slim"]["address"]),
+    ]

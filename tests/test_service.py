@@ -1,21 +1,23 @@
 """Decision services: binding validation, the handler skeleton, audit output."""
 
 import dataclasses
+import re
 
 import pytest
 
 from confidec.bench.vax import VaxSpec, decision_batches, expected_outcome, generate_vax
+from confidec.crypto.keys import SigningKeyPair
+from confidec.dmn.tables import record_to_obj
 from confidec.dmn.model import ColumnRelation, FilterAtom
 from confidec.dmn.program import compile_table
 from confidec.dmn.tables import parse_aggregation_spec, parse_decision_table
-from confidec.errors import DecisionRejected, ServiceBuildError, UnknownFunctionError
+from confidec.errors import DecisionRejected, ServiceBuildError
 from confidec.fixtures import load_patient_aggregations, load_policy_text, load_table
-from confidec.gateway.client import expand_results
+from confidec.gateway.client import ClientSession, expand_results
 from confidec.policy.alfa import parse_policy_descriptor
 from confidec.service.builder import (
     REJECT_CERTIFICATE,
     REJECT_POLICY,
-    DecisionRequest,
     build_desobj,
     compact_results,
     emit_audit_script,
@@ -71,10 +73,6 @@ class RecordingEnv:
 class NoCertificateEnv(RecordingEnv):
     def check_certificate(self, certificate):
         return None
-
-
-def _request(service, data_name="vax/patients"):
-    return DecisionRequest(certificate=None, func_name=service.func_name, data_name=data_name)
 
 
 def test_build_binds_aggregations_in_policy_order():
@@ -161,7 +159,7 @@ def test_build_refuses_a_layout_without_the_fields_it_reads():
 def test_handler_runs_steps_in_order():
     service = _patient_service()
     env = RecordingEnv(HUB_ATTRS, _patient_batch())
-    handle_decision(service, _request(service), env)
+    handle_decision(service, None, "vax/patients", env)
     assert env.steps == [
         "ParseDecisionReq",
         "CheckCertificate",
@@ -178,7 +176,7 @@ def test_handler_runs_steps_in_order():
 def test_handler_payload_shape():
     service = _patient_service()
     batch = _patient_batch()
-    payload = handle_decision(service, _request(service), RecordingEnv(HUB_ATTRS, batch))
+    payload = handle_decision(service, None, "vax/patients", RecordingEnv(HUB_ATTRS, batch))
     assert payload["funcName"] == "PatientPrioritizationWithAggr"
     assert set(payload) == {"funcName", "outputs", "results"}
     assert [rid for rid, _ in payload["results"]] == [r.id for r in batch]
@@ -211,7 +209,7 @@ def test_compact_results_keep_outputs_that_only_equal_in_python_apart():
 def test_handler_reports_aggregates_only_when_asked():
     batch = _patient_batch()
     quiet = handle_decision(
-        _patient_service(), _request(_patient_service()), RecordingEnv(HUB_ATTRS, batch)
+        _patient_service(), None, "vax/patients", RecordingEnv(HUB_ATTRS, batch)
     )
     assert "aggregates" not in quiet
 
@@ -220,7 +218,7 @@ def test_invalid_certificate_message_is_exact():
     service = _patient_service()
     env = NoCertificateEnv(HUB_ATTRS, _patient_batch())
     with pytest.raises(DecisionRejected) as exc:
-        handle_decision(service, _request(service), env)
+        handle_decision(service, None, "vax/patients", env)
     assert str(exc.value) == "Invalid certificate"
     assert env.steps == ["ParseDecisionReq", "CheckCertificate"]
     assert env.decrypted is None
@@ -230,19 +228,10 @@ def test_policy_denial_message_is_exact():
     service = _patient_service()
     env = RecordingEnv({"Role": "Patient", "Country": "Italy"}, _patient_batch())
     with pytest.raises(DecisionRejected) as exc:
-        handle_decision(service, _request(service), env)
+        handle_decision(service, None, "vax/patients", env)
     assert str(exc.value) == "Access policy not satisfied"
     assert env.steps == ["ParseDecisionReq", "CheckCertificate", "CheckCallability"]
     assert env.decrypted is None
-
-
-def test_wrong_function_name_is_not_a_policy_rejection():
-    service = _patient_service()
-    env = RecordingEnv(HUB_ATTRS, _patient_batch())
-    request = DecisionRequest(certificate=None, func_name="Restock", data_name="vax/patients")
-    with pytest.raises(UnknownFunctionError):
-        handle_decision(service, request, env)
-    assert env.steps == ["ParseDecisionReq"]
 
 
 def test_reject_messages_are_fixed_strings():
@@ -291,3 +280,69 @@ def test_audit_script_is_deterministic():
     first = emit_audit_script(_policy_for("ChooseCarrier"))
     second = emit_audit_script(_policy_for("ChooseCarrier"))
     assert first == second
+
+
+# --- the audit script against what runs ---------------------------------------
+
+
+def _audit_steps(script):
+    """The steps an audit script says an accepted decision runs, and per
+    refusal text, the steps run before it refuses.
+
+    `DecisionLib.X(...)` is step X, `DecisionLib.Aggregate(name, ...)` is
+    `Aggregate name`, calling the function on the data is `Decide` and
+    `return decision` is `Return`. An `except` refuses after the steps that
+    ran before the `if` it is the else branch of.
+    """
+    steps, refusals, branches = [], {}, []
+    for line in script.splitlines()[1:]:
+        line = line.strip()
+        if match := re.search(r"DecisionLib\.Aggregate\((\w+),", line):
+            steps.append(f"Aggregate {match[1]}")
+        elif match := re.search(r"DecisionLib\.(\w+)\(", line):
+            steps.append(match[1])
+        elif re.fullmatch(r"decision <- \w+\(data, aggrInputs\)", line):
+            steps.append("Decide")
+        elif line == "return decision":
+            steps.append("Return")
+        elif line.startswith("if "):
+            branches.append(len(steps))
+        elif match := re.fullmatch(r'except "(.*)"', line):
+            refusals[match[1]] = steps[:branches[-1]]
+        elif line == "}" and branches:
+            branches.pop()
+    return steps, refusals
+
+
+@pytest.mark.parametrize("policy", parse_policy_descriptor(load_policy_text()),
+                         ids=lambda policy: policy.func_name)
+def test_the_audit_script_names_the_steps_a_unit_runs(
+    make_unit, make_session, make_cert, authority, policy
+):
+    steps, refusals = _audit_steps(emit_audit_script(policy))
+    unit = make_unit()
+    records = [record_to_obj(r) for r in generate_vax(VaxSpec(policy.data_name, 6))]
+    envelope, _ = make_session(unit).build_request(
+        "provision", {"dataName": "audited", "structure": policy.data_name, "records": records}
+    )
+    assert unit.handle("t-prov", envelope).status == "ok"
+
+    rogue_cert, rogue_key = make_cert(issuer=SigningKeyPair.generate())
+    rogue = ClientSession(rogue_cert, rogue_key, authority.verify_key)
+    rogue.attest(unit.evidence(), unit.measurement)
+    sessions = {
+        "accepted": make_session(unit),
+        "CheckCertificate": rogue,
+        "CheckCallability": make_session(unit, attrs={"Role": "Patient", "Country": "Italy"}),
+    }
+    payload = {"funcName": policy.func_name, "dataName": "audited"}
+    for outcome, session in sessions.items():
+        envelope, _ = session.build_request("decision", payload)
+        response = unit.handle(f"t-{outcome}", envelope)
+        if outcome == "accepted":
+            assert response.status == "ok", response.error
+            assert unit.last_trace == steps
+        else:
+            assert unit.last_trace[-1] == outcome
+            assert refusals[response.error] == unit.last_trace
+    assert set(refusals) == {REJECT_CERTIFICATE, REJECT_POLICY}
