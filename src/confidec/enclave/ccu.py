@@ -77,12 +77,6 @@ from confidec.util import b64, canonical_json, length_prefixed, unb64, utcnow
 RANDOMIZER_LEN = 16
 FULL_SUFFIX = ".full"
 
-# The most records, summed over datasets, whose opened plaintexts a unit
-# remembers between decisions (see `Ccu.decrypt_data`): about 3.5 MB of slim
-# patient records at 0.4 KB each, or 13 MB of full ones at 1.6 KB. A dataset
-# with more records is opened in full on every read.
-OPENED_RECORDS_CAP = 8_192
-
 Clock = Callable[[], datetime]
 
 
@@ -91,12 +85,13 @@ def generate_seed() -> bytes:
     return secrets.token_bytes(SEED_LEN)
 
 
-SLIM = "slim"  # a JSON array of the record's values in its structure's layout
-FULL = "full"  # the record's {"id", "fields"} document
+SLIM = "slim"  # one blob per dataset: [ids, rows], each row in the structure's layout
+FULL = "full"  # one blob per record: the record's {"id", "fields"} document
 
 
 def _record_aad_prefix(dataset: str, form: str, layout: Sequence[str]) -> bytes:
-    """The AAD of a dataset's records, up to the record id that ends it.
+    """The AAD of a slim dataset's blob, and of a full dataset's records up to
+    the record id that ends it.
 
     It binds the record form and, for slim records, the layout, so that a
     manifest lying about the form, or a unit deployed with another layout,
@@ -146,10 +141,6 @@ class Ccu:
         self._services: Dict[str, DecisionService] = {}
         # per structure, the fields of its slim records, in stored order
         self._layouts: Dict[str, Tuple[str, ...]] = {}
-        # per record AAD prefix, least recently read first, the generation
-        # last read: address -> (randomizer text, record id, plaintext)
-        self._opened: Dict[bytes, Dict[str, Tuple[str, str, bytes]]] = {}
-        self._opened_records = 0
 
         self._busy = threading.Lock()
         self.handled: List[dict] = []
@@ -230,7 +221,6 @@ class Ccu:
         self._measurement = measurement
         self._services = services
         self._layouts = layouts
-        self._forget_opened()
         return self._measurement
 
     @property
@@ -259,7 +249,6 @@ class Ccu:
         if len(seed) != SEED_LEN:
             raise ConfidecError(f"seed must be {SEED_LEN} bytes")
         self._seed = seed
-        self._forget_opened()
         self._ka = KeyAgreementKeyPair.from_seed(seed)
         self._channel_cert = issue_channel_certificate(
             self._signing_key, self.name, self._ka.public_bytes
@@ -294,7 +283,10 @@ class Ccu:
         )
 
     def _channel_key(self, ephemeral_pub: bytes) -> bytes:
-        return derive_channel_key(self._ka, ephemeral_pub)
+        try:
+            return derive_channel_key(self._ka, ephemeral_pub)
+        except ValueError:  # X25519 refuses a low-order point
+            raise MalformedRequestError("ephemeral key is unusable") from None
 
     # --- gateway entry point -------------------------------------------------
 
@@ -306,15 +298,12 @@ class Ccu:
         self._current_envelope = envelope
         try:
             try:
+                key = self._channel_key(envelope.ephemeral_pub)
                 if envelope.request_type == "provision":
-                    obj = self.handle_provision(envelope)
+                    obj = self.handle_provision(envelope, key)
                 else:
-                    obj = self.handle_decision(envelope)
-                body = ae_encrypt(
-                    self._channel_key(envelope.ephemeral_pub),
-                    canonical_json(obj),
-                    aad=response_aad(correlation_id),
-                )
+                    obj = self.handle_decision(envelope, key)
+                body = ae_encrypt(key, canonical_json(obj), aad=response_aad(correlation_id))
                 return ResponseEnvelope(correlation_id=correlation_id, status="ok", body=body)
             except ConfidecError as exc:
                 return ResponseEnvelope(
@@ -329,12 +318,12 @@ class Ccu:
 
     # --- provisioning -----------------------------------------------------------
 
-    def handle_provision(self, envelope: RequestEnvelope) -> dict:
+    def handle_provision(self, envelope: RequestEnvelope, key: bytes) -> dict:
         """Store a dataset twice, full and slimmed to decision fields, and
-        return the receipt."""
+        return the receipt; key is the request's channel key."""
         if self.check_certificate(envelope.client_cert) is None:
             raise DecisionRejected(REJECT_CERTIFICATE)
-        payload = self._open_payload(envelope)
+        payload = _open_payload(envelope, key)
 
         try:
             data_name = payload["dataName"]
@@ -369,73 +358,86 @@ class Ccu:
 
         receipt = {"dataName": data_name, "structure": structure, "light": light}
         # the full form first: the chain notarizes `<name>.full`, then `<name>`
-        receipt["full"] = self._store_form(
-            data_name + FULL_SUFFIX, structure, FULL, (), records, light
-        )
-        receipt["slim"] = self._store_form(data_name, structure, SLIM, layout, records, light)
+        receipt["full"] = self._store_full(data_name + FULL_SUFFIX, structure, records, light)
+        receipt["slim"] = self._store_slim(data_name, structure, layout, records, light)
         return receipt
 
-    def _store_form(
-        self,
-        name: str,
-        structure: str,
-        form: str,
-        layout: Tuple[str, ...],
-        records: Sequence[Record],
-        light: bool,
+    def _store_full(
+        self, name: str, structure: str, records: Sequence[Record], light: bool
     ) -> dict:
-        """Seal each record in one form, put its blob and publish the manifest
-        over them under name; returns the form's part of the receipt.
-
-        Each record gets a fresh randomizer, so its own key, kept in its
-        manifest entry; a light dataset has one randomizer, kept in the
-        manifest, and its key is derived once.
-        """
+        """Seal each record under its own randomizer, kept in its manifest
+        entry, or in light mode under one randomizer kept in the manifest;
+        returns the form's part of the receipt."""
         seed = self._seed
         put = self._storage.blobs.put
-        prefix = _record_aad_prefix(name, form, layout)
+        prefix = _record_aad_prefix(name, FULL, ())
+        manifest: dict = {"dataset": name, "structure": structure, "form": FULL, "light": light}
         if light:
             t = secrets.token_bytes(RANDOMIZER_LEN)
             key = derive_record_key(seed, t)
+            manifest["t"] = b64(t)
         entries = []
         blob_bytes = 0
         for record in records:
-            if form == SLIM:
-                plaintext = canonical_json([record.fields.get(field) for field in layout])
-            else:
-                plaintext = canonical_json(record_to_obj(record))
             if not light:
                 t = secrets.token_bytes(RANDOMIZER_LEN)
                 key = derive_record_key(seed, t)
+            plaintext = canonical_json(record_to_obj(record))
             blob = seal_wire(key, plaintext, prefix + _id_part(record.id))
             entry = {"id": record.id, "address": put(blob)}
             if not light:
                 entry["t"] = b64(t)
             entries.append(entry)
             blob_bytes += len(blob)
+        manifest["records"] = entries
+        return self._publish(name, manifest, blob_bytes, len(records))
 
-        manifest: dict = {
+    def _store_slim(
+        self,
+        name: str,
+        structure: str,
+        layout: Tuple[str, ...],
+        records: Sequence[Record],
+        light: bool,
+    ) -> dict:
+        """Seal the ids and the layout rows of all records as one blob under
+        one fresh randomizer, kept in the manifest; returns the form's part of
+        the receipt."""
+        t = secrets.token_bytes(RANDOMIZER_LEN)
+        plaintext = canonical_json([
+            [record.id for record in records],
+            [[record.fields.get(field) for field in layout] for record in records],
+        ])
+        blob = seal_wire(
+            derive_record_key(self._seed, t), plaintext, _record_aad_prefix(name, SLIM, layout)
+        )
+        manifest = {
             "dataset": name,
             "structure": structure,
-            "form": form,
+            "form": SLIM,
             "light": light,
-            "records": entries,
+            "address": self._storage.blobs.put(blob),
+            "t": b64(t),
         }
-        if light:
-            manifest["t"] = b64(t)
+        return self._publish(name, manifest, len(blob), len(records))
+
+    def _publish(self, name: str, manifest: dict, blob_bytes: int, count: int) -> dict:
+        """Publish a form's manifest under name; returns the form's part of the
+        receipt."""
         manifest_bytes = canonical_json(manifest)
         return {
             "name": name,
             "address": self._storage.publish(name, manifest_bytes),
-            "records": len(entries),
+            "records": count,
             "storedBytes": blob_bytes + len(manifest_bytes),
         }
 
     # --- decisions ---------------------------------------------------------------
 
-    def handle_decision(self, envelope: RequestEnvelope) -> dict:
-        """Run the guarded handler named in the envelope payload."""
-        payload = self._open_payload(envelope)
+    def handle_decision(self, envelope: RequestEnvelope, key: bytes) -> dict:
+        """Run the guarded handler named in the envelope payload; key is the
+        request's channel key."""
+        payload = _open_payload(envelope, key)
         try:
             func_name = payload["funcName"]
             data_name = payload["dataName"]
@@ -474,23 +476,14 @@ class Ccu:
 
         Slim records are stored in that form; full ones are projected onto it.
         Every blob is hash-checked on get and authenticated against its
-        dataset, form, layout and id; a manifest the storage operator
-        malformed raises StorageError like any other tampering.
-
-        A record read before under the same AAD prefix, from the same address
-        with the same randomizer text and id, is not opened again: AES-GCM
-        opening is a function of key, bytes and AAD, the key of the seed and
-        the randomizer, and the get just re-checked that the bytes hash to
-        the address, so the remembered plaintext is what opening would give.
+        dataset, form and layout, and a full record also against its id; a
+        manifest the storage operator malformed raises StorageError like any
+        other tampering.
         """
         seed = self._seed
         if seed is None:
             raise ConfidecError("unit has no data seed installed")
         layout = self._layouts[structure]
-        get = self._storage.blobs.get
-        ids = []
-        plaintexts = []
-        opened = {}
         try:
             manifest = json.loads(self._storage.fetch(data_name))
             if manifest.get("structure") != structure:
@@ -499,72 +492,61 @@ class Ccu:
                     f"but the function reads {structure!r}"
                 )
             form = manifest.get("form")
-            if form not in (SLIM, FULL):
-                raise StorageError("dataset names no known record form")
-            prefix = _record_aad_prefix(manifest["dataset"], form, layout if form == SLIM else ())
-            light = bool(manifest.get("light", False))
-            if light:
-                t = manifest["t"]
-                key = derive_record_key(seed, unb64(t))
-            last_read = self._opened.get(prefix, {})
-            for entry in manifest["records"]:
-                record_id = entry["id"]
-                address = entry["address"]
-                blob = get(address)
-                if not light:
-                    t = entry["t"]
-                kept = last_read.get(address)
-                if kept is None or kept[0] != t or kept[1] != record_id:
-                    if not light:
-                        key = derive_record_key(seed, unb64(t))
-                    kept = (t, record_id, open_wire(key, blob, prefix + _id_part(record_id)))
-                opened[address] = kept
-                ids.append(kept[1])
-                plaintexts.append(kept[2])
+            if form == SLIM:
+                return self._open_slim(seed, manifest, layout)
+            if form == FULL:
+                return self._open_full(seed, manifest, layout)
         except (AttributeError, KeyError, RecursionError, TypeError, ValueError):
             # a field of the wrong shape or type, bad base64, a short blob
             raise StorageError("stored dataset is malformed") from None
-        self._remember_opened(prefix, opened)
+        raise StorageError("dataset names no known record form")
+
+    def _open_slim(
+        self, seed: bytes, manifest: dict, layout: Tuple[str, ...]
+    ) -> Tuple[List[str], List[list]]:
+        blob = self._storage.blobs.get(manifest["address"])
+        key = derive_record_key(seed, unb64(manifest["t"]))
+        aad = _record_aad_prefix(manifest["dataset"], SLIM, layout)
+        # one authenticated [ids, rows] document the unit wrote
+        ids, rows = json.loads(open_wire(key, blob, aad))
+        return ids, rows
+
+    def _open_full(
+        self, seed: bytes, manifest: dict, layout: Tuple[str, ...]
+    ) -> Tuple[List[str], List[list]]:
+        get = self._storage.blobs.get
+        prefix = _record_aad_prefix(manifest["dataset"], FULL, ())
+        light = bool(manifest.get("light", False))
+        if light:
+            key = derive_record_key(seed, unb64(manifest["t"]))
+        ids = []
+        plaintexts = []
+        for entry in manifest["records"]:
+            record_id = entry["id"]
+            blob = get(entry["address"])
+            if not light:
+                key = derive_record_key(seed, unb64(entry["t"]))
+            plaintexts.append(open_wire(key, blob, prefix + _id_part(record_id)))
+            ids.append(record_id)
         # each plaintext is one authenticated JSON document the unit wrote,
         # so the batch parses as one array
         docs = json.loads(b"[" + b",".join(plaintexts) + b"]")
-        if form == SLIM:
-            return ids, docs
         return ids, [[doc["fields"].get(field) for field in layout] for doc in docs]
-
-    def _remember_opened(self, prefix: bytes, opened: Dict[str, Tuple[str, str, bytes]]) -> None:
-        """Keep a prefix's generation just read as its most recent, evicting
-        the least recently read prefixes down to OPENED_RECORDS_CAP records."""
-        self._opened_records -= len(self._opened.pop(prefix, ()))
-        if len(opened) > OPENED_RECORDS_CAP:
-            return
-        self._opened[prefix] = opened
-        self._opened_records += len(opened)
-        while self._opened_records > OPENED_RECORDS_CAP:
-            self._opened_records -= len(self._opened.pop(next(iter(self._opened))))
-
-    def _forget_opened(self) -> None:
-        self._opened = {}
-        self._opened_records = 0
 
     def trace(self, step: str) -> None:
         self.last_trace.append(step)
 
-    # --- envelope plumbing ------------------------------------------------------
 
-    def _open_payload(self, envelope: RequestEnvelope) -> dict:
-        plaintext = ae_decrypt(
-            self._channel_key(envelope.ephemeral_pub),
-            envelope.payload,
-            aad=envelope.request_type.encode(),
-        )
-        try:
-            payload = json.loads(plaintext)
-        except (RecursionError, ValueError) as exc:  # RecursionError: nested too deep
-            raise MalformedRequestError("request payload is not JSON") from exc
-        if not isinstance(payload, dict):
-            raise MalformedRequestError("request payload must be an object")
-        return payload
+def _open_payload(envelope: RequestEnvelope, key: bytes) -> dict:
+    """The request's JSON object, opened with its channel key."""
+    plaintext = ae_decrypt(key, envelope.payload, aad=envelope.request_type.encode())
+    try:
+        payload = json.loads(plaintext)
+    except (RecursionError, ValueError) as exc:  # RecursionError: nested too deep
+        raise MalformedRequestError("request payload is not JSON") from exc
+    if not isinstance(payload, dict):
+        raise MalformedRequestError("request payload must be an object")
+    return payload
 
 
 def exchange_seed(source: Ccu, target: Ccu, now: datetime | None = None) -> None:

@@ -88,7 +88,7 @@ class Gateway:
             except Exception as exc:  # the unit must not kill the gateway
                 logger.warning("handler failed for ticket %s: %s", ticket, type(exc).__name__)
                 response = ResponseEnvelope(
-                    correlation_id=ticket, status="error", error=f"unit failure: {exc}"
+                    correlation_id=ticket, status="error", error="unit failure"
                 )
             with self._lock:
                 event = self._events.get(ticket)

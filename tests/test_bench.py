@@ -160,8 +160,8 @@ def test_plain_vs_enclave_compares_the_same_workload():
 
 @pytest.mark.parametrize("experiment, modes", [("encryptionMode", 2), ("plainVsEnclave", 1)])
 def test_each_timed_enclave_decision_opens_every_record(monkeypatch, experiment, modes):
-    """The unit remembers records it opened, so a timed decision that did
-    not open each record again would time the memo instead of decryption."""
+    """A slim dataset is one sealed blob: each timed decision opens it once,
+    so every record it decides on was decrypted within the timed call."""
     opened = []
     per_decision = []
     real_open_wire = ccu.open_wire
@@ -182,7 +182,7 @@ def test_each_timed_enclave_decision_opens_every_record(monkeypatch, experiment,
     monkeypatch.setattr(harness, "_roundtrip", roundtrip)
     _tiny(experiment, records=30)
     # per mode, three timed decisions and the one its peak memory comes from
-    assert per_decision == [30] * (4 * modes)
+    assert per_decision == [1] * (4 * modes)
 
 
 def test_memory_saving_reports_stored_bytes_per_role():

@@ -20,6 +20,7 @@ from confidec.crypto.certs import issue_certificate
 from confidec.dmn import engine, program
 from confidec.dmn.engine import decide_all
 from confidec.dmn.tables import record_to_obj
+from confidec.enclave import ccu
 from confidec.enclave.attestation import (
     Evidence,
     issue_channel_certificate,
@@ -397,6 +398,32 @@ def test_provision_stores_slim_and_full_datasets(make_unit, make_session):
     assert len(unit._storage.chain) == 2
 
 
+@pytest.mark.parametrize("request_type", ["provision", "decision"])
+def test_an_accepted_request_derives_its_channel_key_once(
+    make_unit, make_session, monkeypatch, request_type
+):
+    unit = make_unit()
+    session = make_session(unit)
+    _provision(unit, session)
+    derived = []
+    derive = ccu.derive_channel_key
+
+    def counting(pair, peer_public):
+        derived.append(peer_public)
+        return derive(pair, peer_public)
+
+    monkeypatch.setattr(ccu, "derive_channel_key", counting)
+    if request_type == "provision":
+        response, key = _provision(unit, session)
+    else:
+        envelope, key = session.build_request(
+            "decision", {"funcName": "PatientPrioritizationWithAggr", "dataName": "vax/patients"}
+        )
+        response = unit.handle("t-dec", envelope)
+    assert ClientSession.open_response(response, key)
+    assert len(derived) == 1
+
+
 def test_stored_blobs_never_leak_field_plaintext(make_unit, make_session):
     unit = make_unit()
     session = make_session(unit)
@@ -485,10 +512,13 @@ def test_light_encryption_is_opt_in(make_unit, make_session):
     assert receipt["light"] is True
     assert relaxed.decrypt_data("vax/patients.full", "Patient") == _in_layout(relaxed, originals)
 
-    manifest = json.loads(relaxed._storage.fetch("vax/patients"))
+    manifest = json.loads(relaxed._storage.fetch("vax/patients.full"))
     assert manifest["light"] is True
     assert "t" in manifest  # one shared randomizer
     assert all("t" not in entry for entry in manifest["records"])
+    # the slim form is one blob under one randomizer in either mode
+    slim = json.loads(relaxed._storage.fetch("vax/patients"))
+    assert slim["light"] is True and "t" in slim and "records" not in slim
 
 
 def test_decrypt_data_checks_the_declared_structure(make_unit, make_session):
@@ -686,16 +716,29 @@ def test_records_stored_under_another_layout_never_decode(make_unit, make_sessio
     assert _decide(unit, session, "vax/patients.full") == _oracle(records)
 
 
-@pytest.mark.parametrize("data_name, form", [("vax/patients", "full"),
-                                             ("vax/patients.full", "slim")])
+def _as_full(manifest):
+    """A slim manifest rewritten as a full one listing its blob as a record."""
+    entry = {"id": "p-0", "address": manifest.pop("address"), "t": manifest.pop("t")}
+    manifest.update(form="full", records=[entry])
+
+
+def _as_slim(manifest):
+    """A full manifest rewritten as a slim one naming its first record's blob."""
+    first = manifest.pop("records")[0]
+    manifest.update(form="slim", address=first["address"], t=first["t"])
+
+
+@pytest.mark.parametrize("data_name, lie", [("vax/patients", _as_full),
+                                            ("vax/patients.full", _as_slim)],
+                         ids=["slim-as-full", "full-as-slim"])
 def test_a_manifest_lying_about_the_record_form_fails_authentication(
-    make_unit, make_session, data_name, form
+    make_unit, make_session, data_name, lie
 ):
     unit = make_unit()
     session = make_session(unit)
     _provision(unit, session)
     manifest = json.loads(unit._storage.fetch(data_name))
-    manifest["form"] = form
+    lie(manifest)
     unit._storage.publish(data_name, json.dumps(manifest).encode())
     answer = _decide(unit, session, data_name)
     assert isinstance(answer, str) and "authentication" in answer
@@ -720,14 +763,12 @@ def test_slim_records_are_value_arrays_without_ids(make_unit, make_session):
     manifest = json.loads(unit._storage.fetch("vax/patients"))
     assert manifest["form"] == "slim"
     assert json.loads(unit._storage.fetch("vax/patients.full"))["form"] == "full"
-    # each blob is its record's layout values as a JSON array plus a fixed
-    # AEAD overhead: no id, no field names
+    # one blob: the ids, then each record's layout values as a JSON array,
+    # plus a fixed AEAD overhead; no field names
     layout = unit._layouts["Patient"]
-    overheads = set()
-    for entry, obj in zip(manifest["records"], objs):
-        plaintext = json.dumps(
-            [obj["fields"].get(f) for f in layout], separators=(",", ":"), ensure_ascii=False,
-        ).encode()
-        overheads.add(len(unit._storage.blobs.get(entry["address"])) - len(plaintext))
-    assert len(overheads) == 1 and 0 < overheads.pop() <= 64
+    plaintext = json.dumps(
+        [[obj["id"] for obj in objs], [[obj["fields"].get(f) for f in layout] for obj in objs]],
+        separators=(",", ":"), ensure_ascii=False,
+    ).encode()
+    assert 0 < len(unit._storage.blobs.get(manifest["address"])) - len(plaintext) <= 64
     assert receipt["slim"]["storedBytes"] < receipt["full"]["storedBytes"]

@@ -261,13 +261,19 @@ def test_closed_gateway_rejects_submissions(make_gateway):
 
 def test_crashing_handler_becomes_an_error_response(make_gateway):
     def broken_handler(ticket, envelope):
-        raise RuntimeError("kernel panic")
+        raise RuntimeError("SECRET-MARKER")
 
     gateway = make_gateway(broken_handler)
     ticket = gateway.submit(_dummy_envelope())
+    deadline = time.monotonic() + 10
+    while b'"results":{}' in gateway.debug_snapshot() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    # the parked response carries no text of the exception
+    assert b'"results":{}' not in gateway.debug_snapshot()
+    assert b"SECRET-MARKER" not in gateway.debug_snapshot()
     response = gateway.await_response(ticket, 10)
     assert response.status == "error"
-    assert "unit failure" in response.error
+    assert response.error == "unit failure"
 
 
 def test_gateway_state_never_holds_plaintext(make_unit, make_session, make_gateway):
@@ -381,6 +387,36 @@ def test_a_payload_nested_too_deep_is_a_malformed_request(
 _PATIENTS = [record_to_obj(r) for r in generate_vax(VaxSpec("Patient", 4))]
 
 
+@pytest.mark.parametrize("request_type, payload", [
+    ("decision", {"funcName": "PatientPrioritizationWithAggr", "dataName": "vax/patients"}),
+    ("provision", {"dataName": "vax/patients", "structure": "Patient", "records": _PATIENTS}),
+], ids=["decision", "provision"])
+def test_a_low_order_ephemeral_key_is_a_malformed_request(
+    authority, make_unit, make_cert, make_gateway, request_type, payload
+):
+    unit = make_unit()
+    cert, signing_key = make_cert()
+    session = ClientSession(cert, signing_key, authority.verify_key)
+    session.attest(unit.evidence(), unit.measurement)
+    envelope, _ = session.build_request(request_type, payload)
+    # the all-zero point, signed by the caller: X25519 has no shared key for it
+    zero = bytes(32)
+    envelope = dataclasses.replace(
+        envelope,
+        ephemeral_pub=zero,
+        ephemeral_sig=signing_key.sign(envelope_signing_bytes(request_type, zero)),
+    )
+
+    response = unit.handle("t-direct", envelope)
+    assert response.status == "error" and response.body is None
+    assert response.error == "ephemeral key is unusable"
+
+    gateway = make_gateway(unit.handle)
+    response = gateway.await_response(gateway.submit(envelope), 30)
+    assert response.status == "error"
+    assert response.error == "ephemeral key is unusable"
+
+
 @pytest.mark.parametrize("request_type, payload, check", [
     ("decision", {"funcName": "SECRET-function", "dataName": "vax/patients"},
      "no deployed function"),
@@ -413,7 +449,7 @@ _SECRET_NAME = "SECRET-patients"
 
 
 def _set_address(manifest):
-    manifest["records"][0]["address"] = "OPERATOR-MARKER"
+    manifest["address"] = "OPERATOR-MARKER"
 
 
 def _set_structure(manifest):

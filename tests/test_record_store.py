@@ -2,8 +2,12 @@
 
 Every check `Ccu.decrypt_data` makes on what the storage operator hands back
 is pinned here: the blob content check, the AAD binding dataset, form, layout
-and id, the per-record key, and the manifest's shape. Each tampering yields a
-typed error envelope, never results and never `unit failure`.
+and (for a full record) id, the per-blob key, and the manifest's shape. Each
+tampering yields a typed error envelope, never results and never
+`unit failure`.
+
+A slim dataset is one blob of all its ids and layout rows; a full dataset is
+one blob per record.
 """
 
 import dataclasses
@@ -29,6 +33,9 @@ from confidec.util import b64, canonical_json, length_prefixed, unb64
 
 SLIM_NAME = "vax/patients"
 FULL_NAME = "vax/patients.full"
+# another dataset of the same structure, so of the same layout
+OTHER_SLIM = "vax/others"
+OTHER_FULL = "vax/others.full"
 
 
 def _unit(make_unit, store, tmp_path, light=False):
@@ -107,40 +114,62 @@ def _overwrite(storage, address, data):
 # --- tampering with what a decision reads ----------------------------------
 
 
-def _swap_addresses(unit, name, other):
+def _slot(manifest, index=0):
+    """Where a manifest names a blob: a slim manifest itself, or the entry of
+    a full manifest's record at index."""
+    return manifest if manifest["form"] == "slim" else manifest["records"][index]
+
+
+def _swap_addresses(unit, name, other_form, other_dataset):
     manifest = _manifest(unit, name)
-    first, second = manifest["records"][:2]
-    first["address"], second["address"] = second["address"], first["address"]
+    if manifest["form"] == "full":
+        first, second = manifest["records"][:2]
+        first["address"], second["address"] = second["address"], first["address"]
+    else:
+        # the slim blob traded with a record of the full form
+        theirs = _manifest(unit, other_form)
+        entry = theirs["records"][0]
+        manifest["address"], entry["address"] = entry["address"], manifest["address"]
+        _republish(unit, other_form, theirs)
     _republish(unit, name, manifest)
 
 
-def _swap_randomizers(unit, name, other):
+def _swap_randomizers(unit, name, other_form, other_dataset):
     manifest = _manifest(unit, name)
-    if manifest["light"]:
-        # one randomizer per dataset: trade it with the other form's
-        theirs = _manifest(unit, other)
+    if "t" in manifest:
+        # one randomizer per dataset: trade it with another dataset's
+        theirs = _manifest(unit, other_dataset)
         manifest["t"], theirs["t"] = theirs["t"], manifest["t"]
-        _republish(unit, other, theirs)
+        _republish(unit, other_dataset, theirs)
     else:
         first, second = manifest["records"][:2]
         first["t"], second["t"] = second["t"], first["t"]
     _republish(unit, name, manifest)
 
 
-def _flip_a_stored_byte(unit, name, other):
-    address = _manifest(unit, name)["records"][1]["address"]
+def _flip_a_stored_byte(unit, name, other_form, other_dataset):
+    address = _slot(_manifest(unit, name), 1)["address"]
     blob = bytearray(unit._storage.blobs.get(address))
     blob[-1] ^= 0x01
     _overwrite(unit._storage, address, bytes(blob))
 
 
-def _drop_a_blob(unit, name, other):
-    _overwrite(unit._storage, _manifest(unit, name)["records"][2]["address"], None)
+def _drop_a_blob(unit, name, other_form, other_dataset):
+    _overwrite(unit._storage, _slot(_manifest(unit, name), 2)["address"], None)
 
 
-def _point_at_the_other_form(unit, name, other):
+def _point_at_the_other_form(unit, name, other_form, other_dataset):
     manifest = _manifest(unit, name)
-    manifest["records"][0]["address"] = _manifest(unit, other)["records"][0]["address"]
+    _slot(manifest)["address"] = _slot(_manifest(unit, other_form))["address"]
+    _republish(unit, name, manifest)
+
+
+def _point_at_another_dataset(unit, name, other_form, other_dataset):
+    """The blob, and its randomizer where it has its own, of another dataset
+    in the same form, structure and layout."""
+    manifest = _manifest(unit, name)
+    slot, theirs = _slot(manifest), _slot(_manifest(unit, other_dataset))
+    slot.update({key: theirs[key] for key in ("address", "t") if key in theirs})
     _republish(unit, name, manifest)
 
 
@@ -150,6 +179,7 @@ TAMPERING = {
     "flipped-byte": (_flip_a_stored_byte, "content check"),
     "missing-blob": (_drop_a_blob, "no blob at"),
     "other-form-blob": (_point_at_the_other_form, "authentication"),
+    "other-dataset-blob": (_point_at_another_dataset, "authentication"),
 }
 
 
@@ -164,11 +194,17 @@ def test_tampered_storage_yields_a_typed_error_never_results(
     session = make_session(unit)
     records = _records()
     _provision(unit, session, records, light=(mode == "light"))
-    name, other = (SLIM_NAME, FULL_NAME) if form == "slim" else (FULL_NAME, SLIM_NAME)
+    others = generate_vax(VaxSpec("Patient", 4, 8))
+    _provision(unit, session, others, light=(mode == "light"), name=OTHER_SLIM)
+    if form == "slim":
+        name, other_form, other_dataset = SLIM_NAME, FULL_NAME, OTHER_SLIM
+    else:
+        name, other_form, other_dataset = FULL_NAME, SLIM_NAME, OTHER_FULL
     assert _decide(unit, session, name) == _oracle(records)
+    assert _decide(unit, session, other_dataset) == _oracle(others)
 
     tamper, phrase = TAMPERING[tampering]
-    tamper(unit, name, other)
+    tamper(unit, name, other_form, other_dataset)
     answer = _decide(unit, session, name)
     assert isinstance(answer, str), "a tampered dataset gave results"
     assert phrase in answer
@@ -190,11 +226,11 @@ def _records_not_a_list(unit, manifest):
 
 
 def _undecodable_randomizer(unit, manifest):
-    manifest["records"][0]["t"] = "INJECTED!"
+    _slot(manifest)["t"] = "INJECTED!"
 
 
 def _short_blob(unit, manifest):
-    manifest["records"][0]["address"] = unit._storage.blobs.put(b"INJECTED-blob")
+    _slot(manifest)["address"] = unit._storage.blobs.put(b"INJECTED-blob")
 
 
 def _randomizer_not_a_string(unit, manifest):
@@ -209,15 +245,30 @@ def _dataset_not_a_string(unit, manifest):
     manifest["dataset"] = ["INJECTED-dataset"]
 
 
+def _address_not_a_string(unit, manifest):
+    manifest["address"] = ["INJECTED-address"]
+
+
+def _per_record_entries(unit, manifest):
+    """A slim manifest in the per-record shape of the full form: there is no
+    second way to read the slim form."""
+    manifest["records"] = [{"id": "INJECTED-id", "address": manifest.pop("address"),
+                            "t": manifest.pop("t")}]
+
+
 MALFORMED = {
-    "entry-id-not-a-string": _entry_id_not_a_string,
-    "no-records": _no_records,
-    "records-not-a-list": _records_not_a_list,
-    "undecodable-randomizer": _undecodable_randomizer,
-    "short-blob": _short_blob,
-    "randomizer-not-a-string": _randomizer_not_a_string,
-    "entry-not-an-object": _entry_not_an_object,
-    "dataset-not-a-string": _dataset_not_a_string,
+    "entry-id-not-a-string": (FULL_NAME, _entry_id_not_a_string),
+    "no-records": (FULL_NAME, _no_records),
+    "records-not-a-list": (FULL_NAME, _records_not_a_list),
+    "undecodable-randomizer": (FULL_NAME, _undecodable_randomizer),
+    "short-blob": (FULL_NAME, _short_blob),
+    "randomizer-not-a-string": (FULL_NAME, _randomizer_not_a_string),
+    "entry-not-an-object": (FULL_NAME, _entry_not_an_object),
+    "dataset-not-a-string": (SLIM_NAME, _dataset_not_a_string),
+    "slim-address-not-a-string": (SLIM_NAME, _address_not_a_string),
+    "slim-undecodable-randomizer": (SLIM_NAME, _undecodable_randomizer),
+    "slim-short-blob": (SLIM_NAME, _short_blob),
+    "slim-per-record-entries": (SLIM_NAME, _per_record_entries),
 }
 
 
@@ -234,16 +285,17 @@ def test_a_malformed_manifest_is_a_typed_storage_error(make_unit, make_session, 
     unit = make_unit()
     session = make_session(unit)
     _provision(unit, session, _records())
-    manifest = _manifest(unit, SLIM_NAME)
-    MALFORMED[shape](unit, manifest)
-    _republish(unit, SLIM_NAME, manifest)
+    name, malform = MALFORMED[shape]
+    manifest = _manifest(unit, name)
+    malform(unit, manifest)
+    _republish(unit, name, manifest)
     markers = ("INJECTED", "987654321")
 
-    envelope, _ = _decision(session, SLIM_NAME)
+    envelope, _ = _decision(session, name)
     _assert_refused(unit.handle("t-direct", envelope), markers)
 
     gateway = make_gateway(unit.handle)
-    envelope, _ = _decision(session, SLIM_NAME)
+    envelope, _ = _decision(session, name)
     _assert_refused(gateway.await_response(gateway.submit(envelope), 30), markers)
 
 
@@ -273,22 +325,24 @@ def test_light_datasets_derive_one_key_each(make_unit, make_session, monkeypatch
 
     monkeypatch.setattr(ccu, "derive_record_key", counting)
     _provision(unit, session, records, light=light)
-    # two datasets, slim and full, each with its own randomizers
-    assert len(calls) == (2 if light else 2 * len(records))
+    # one key for the slim blob in either mode; the full form has one per
+    # dataset when light, one per record when heavy; every randomizer fresh
+    full_keys = 1 if light else len(records)
+    assert len(calls) == 1 + full_keys
     assert len(set(calls)) == len(calls)
 
-    for name in (SLIM_NAME, FULL_NAME):
+    for name, keys in ((SLIM_NAME, 1), (FULL_NAME, full_keys)):
         calls.clear()
         assert _decide(unit, session, name) == _oracle(records)
-        assert len(calls) == (1 if light else len(records))
+        assert len(calls) == keys
 
 
-# --- records the unit remembers having opened -----------------------------------
+# --- what a read depends on -------------------------------------------------------
 
 
 def _counting(monkeypatch, unit):
     """Counts of the blob gets and AES-GCM opens decisions make from now on;
-    a decision's gets are its manifest's and one per record."""
+    a decision's gets are its manifest's and one per blob it names."""
     counts = {"get": 0, "open": 0}
     get = unit._storage.blobs.get
     open_wire = ccu.open_wire
@@ -306,47 +360,17 @@ def _counting(monkeypatch, unit):
     return counts
 
 
-def _memo_records(unit):
-    """How many opened records the unit remembers, checked against its count."""
-    held = sum(len(generation) for generation in unit._opened.values())
-    assert held == unit._opened_records
-    return held
-
-
 @pytest.mark.parametrize("mode", ["heavy", "light"])
-@pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME])
-def test_a_warm_decision_gets_every_blob_and_opens_none(
-    make_unit, make_session, monkeypatch, mode, name
-):
+def test_a_slim_decision_gets_and_opens_one_blob(make_unit, make_session, monkeypatch, mode):
     unit = make_unit(allow_light=True)
     session = make_session(unit)
     records = _records(8)
     _provision(unit, session, records, light=(mode == "light"))
-    assert unit._opened == {}  # provision remembers nothing
     counts = _counting(monkeypatch, unit)
-    assert _decide(unit, session, name) == _oracle(records)
-    assert counts == {"get": 1 + len(records), "open": len(records)}
     for _ in range(2):
         counts.update(get=0, open=0)
-        assert _decide(unit, session, name) == _oracle(records)
-        assert counts == {"get": 1 + len(records), "open": 0}
-
-
-@pytest.mark.parametrize("mode", ["heavy", "light"])
-def test_a_remembered_record_needs_its_id_as_well_as_its_address_and_randomizer(
-    make_unit, make_session, mode
-):
-    unit = make_unit(allow_light=True)
-    session = make_session(unit)
-    records = _records()
-    _provision(unit, session, records, light=(mode == "light"))
-    assert _decide(unit, session, SLIM_NAME) == _oracle(records)
-    manifest = _manifest(unit, SLIM_NAME)
-    first, second = manifest["records"][:2]
-    first["id"], second["id"] = second["id"], first["id"]
-    _republish(unit, SLIM_NAME, manifest)
-    answer = _decide(unit, session, SLIM_NAME)
-    assert isinstance(answer, str) and "authentication" in answer
+        assert _decide(unit, session, SLIM_NAME) == _oracle(records)
+        assert counts == {"get": 2, "open": 1}
 
 
 def test_reordered_entries_give_the_same_results_by_record_id(
@@ -356,15 +380,15 @@ def test_reordered_entries_give_the_same_results_by_record_id(
     session = make_session(unit)
     records = _records(8)
     _provision(unit, session, records)
-    assert _decide(unit, session, SLIM_NAME) == _oracle(records)
-    manifest = _manifest(unit, SLIM_NAME)
+    assert _decide(unit, session, FULL_NAME) == _oracle(records)
+    manifest = _manifest(unit, FULL_NAME)
     manifest["records"].reverse()
-    _republish(unit, SLIM_NAME, manifest)
+    _republish(unit, FULL_NAME, manifest)
     counts = _counting(monkeypatch, unit)
-    answer = _decide(unit, session, SLIM_NAME)
+    answer = _decide(unit, session, FULL_NAME)
     assert [r["recordId"] for r in answer] == [r.id for r in reversed(records)]
     assert answer == list(reversed(_oracle(records)))
-    assert counts == {"get": 1 + len(records), "open": 0}
+    assert counts == {"get": 1 + len(records), "open": len(records)}
 
 
 def _reseed(unit, make_session):
@@ -393,20 +417,16 @@ def _redeploy_another_layout(unit, make_session):
     _reseed, _redeploy_other_code_then_reseed, _redeploy_another_layout,
 ], ids=["new-seed", "other-code-new-seed", "other-layout"])
 @pytest.mark.parametrize("mode", ["heavy", "light"])
-def test_remembered_records_never_outlive_their_seed_or_layout(
-    make_unit, make_session, change, mode
-):
+def test_records_never_outlive_their_seed_or_layout(make_unit, make_session, change, mode):
     unit = make_unit(allow_light=True)
     session = make_session(unit)
     records = _records()
     _provision(unit, session, records, light=(mode == "light"))
     assert _decide(unit, session, SLIM_NAME) == _oracle(records)
-    assert _memo_records(unit) == len(records)
 
     session = change(unit, make_session)
-    assert _memo_records(unit) == 0
     answer = _decide(unit, session, SLIM_NAME)
-    assert isinstance(answer, str), "records remembered under the old seed or layout"
+    assert isinstance(answer, str), "records read under the old seed or layout"
     assert "authentication" in answer
 
 
@@ -419,7 +439,6 @@ def test_a_unit_seeded_by_exchange_reads_the_other_units_dataset(make_unit, make
     target_session = make_session(target)
     _provision(target, target_session, own, name="vax/own")
     assert _decide(target, target_session, "vax/own") == _oracle(own)
-    assert _memo_records(target) == len(own)
 
     exchange_seed(source, target)
     target_session = make_session(target)
@@ -428,71 +447,36 @@ def test_a_unit_seeded_by_exchange_reads_the_other_units_dataset(make_unit, make
     assert isinstance(answer, str) and "authentication" in answer
 
 
-def test_the_unit_remembers_at_most_the_cap_of_records(make_unit, make_session, monkeypatch):
-    cap = 10
-    monkeypatch.setattr(ccu, "OPENED_RECORDS_CAP", cap)
-    unit = make_unit()
-    session = make_session(unit)
-    datasets = {f"vax/part{i}": _records(4) for i in range(4)}
-    for name, records in datasets.items():
-        _provision(unit, session, records, name=name)
-    counts = _counting(monkeypatch, unit)
-
-    # more datasets than the cap holds, read in turn: the least recently
-    # read is forgotten first
-    for _ in range(2):
-        for name, records in datasets.items():
-            counts["open"] = 0
-            assert _decide(unit, session, name) == _oracle(records)
-            assert counts["open"] == len(records)
-            assert _memo_records(unit) <= cap
-    # a read makes its dataset the most recently read: part2, read again,
-    # outlives part3, read after it the first time
-    for name, opens in (("vax/part3", 0), ("vax/part2", 0), ("vax/part0", 4),
-                        ("vax/part2", 0), ("vax/part3", 4)):
-        counts["open"] = 0
-        assert _decide(unit, session, name) == _oracle(datasets[name])
-        assert counts["open"] == opens
-
-    # a dataset larger than the cap is opened in full on every read
-    large = _records(cap + 2)
-    _provision(unit, session, large, name="vax/large")
-    for _ in range(2):
-        counts["open"] = 0
-        assert _decide(unit, session, "vax/large") == _oracle(large)
-        assert counts["open"] == len(large)
-        assert _memo_records(unit) <= cap
-    # and evicts no other dataset
-    counts["open"] = 0
-    assert _decide(unit, session, "vax/part3") == _oracle(datasets["vax/part3"])
-    assert counts["open"] == 0
-
-
 # --- the stored format -----------------------------------------------------------
 
 
 def _aad_prefix(dataset, form, layout):
-    """The record AAD up to the id, written from the stored format itself."""
+    """The slim blob's AAD, or a full record's up to the id, written from the
+    stored format itself."""
     return b"confidec/record/v2:" + length_prefixed(
         dataset.encode(), form.encode(), length_prefixed(*(f.encode() for f in layout))
     )
 
 
-def _store_the_old_way(unit, name, form, records, light):
-    """One dataset stored as a `Ciphertext` per record, with `ae_encrypt`,
+def _slim_plaintext(records, layout):
+    """A slim blob's plaintext: the ids, then each record's layout values."""
+    return canonical_json([
+        [record.id for record in records],
+        [[record_to_obj(record)["fields"].get(field) for field in layout] for record in records],
+    ])
+
+
+def _store_full_the_old_way(unit, records, light):
+    """The full form stored as a `Ciphertext` per record, with `ae_encrypt`,
     `to_bytes` and `length_prefixed` building each blob and AAD."""
-    layout = unit._layouts["Patient"] if form == "slim" else ()
-    prefix = _aad_prefix(name, form, layout)
+    prefix = _aad_prefix(FULL_NAME, "full", ())
     shared_t = secrets.token_bytes(16)
     entries = []
     for record in records:
-        doc = record_to_obj(record)
-        if form == "slim":
-            doc = [doc["fields"].get(field) for field in layout]
         t = shared_t if light else secrets.token_bytes(16)
         blob = ae_encrypt(
             derive_record_key(unit._seed, t),
-            canonical_json(doc),
+            canonical_json(record_to_obj(record)),
             aad=prefix + length_prefixed(record.id.encode()),
         ).to_bytes()
         entry = {"id": record.id, "address": unit._storage.blobs.put(blob)}
@@ -500,12 +484,28 @@ def _store_the_old_way(unit, name, form, records, light):
             entry["t"] = b64(t)
         entries.append(entry)
     manifest = {
-        "dataset": name, "structure": "Patient", "form": form, "light": light,
+        "dataset": FULL_NAME, "structure": "Patient", "form": "full", "light": light,
         "records": entries,
     }
     if light:
         manifest["t"] = b64(shared_t)
-    unit._storage.publish(name, canonical_json(manifest))
+    unit._storage.publish(FULL_NAME, canonical_json(manifest))
+
+
+def _store_slim_the_old_way(unit, records, light):
+    """The slim form stored as one `Ciphertext` built with `ae_encrypt`."""
+    layout = unit._layouts["Patient"]
+    t = secrets.token_bytes(16)
+    blob = ae_encrypt(
+        derive_record_key(unit._seed, t),
+        _slim_plaintext(records, layout),
+        aad=_aad_prefix(SLIM_NAME, "slim", layout),
+    ).to_bytes()
+    manifest = {
+        "dataset": SLIM_NAME, "structure": "Patient", "form": "slim", "light": light,
+        "address": unit._storage.blobs.put(blob), "t": b64(t),
+    }
+    unit._storage.publish(SLIM_NAME, canonical_json(manifest))
 
 
 @pytest.mark.parametrize("light", [False, True], ids=["heavy", "light"])
@@ -513,8 +513,8 @@ def test_records_sealed_as_ciphertexts_still_decide(make_unit, make_session, lig
     unit = make_unit()
     session = make_session(unit)
     records = _records(10)
-    _store_the_old_way(unit, FULL_NAME, "full", records, light)
-    _store_the_old_way(unit, SLIM_NAME, "slim", records, light)
+    _store_full_the_old_way(unit, records, light)
+    _store_slim_the_old_way(unit, records, light)
     assert _decide(unit, session, SLIM_NAME) == _oracle(records)
     assert _decide(unit, session, FULL_NAME) == _oracle(records)
 
@@ -525,21 +525,27 @@ def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session, light):
     session = make_session(unit)
     records = _records(5)
     _provision(unit, session, records, light=light)
+    blobs = unit._storage.blobs
     layout = unit._layouts["Patient"]
-    for name, form in ((SLIM_NAME, "slim"), (FULL_NAME, "full")):
-        manifest = _manifest(unit, name)
-        prefix = _aad_prefix(name, form, layout if form == "slim" else ())
-        for record, entry in zip(records, manifest["records"]):
-            t = unb64(manifest["t"] if light else entry["t"])
-            plaintext = ae_decrypt(
-                derive_record_key(unit._seed, t),
-                Ciphertext.from_bytes(unit._storage.blobs.get(entry["address"])),
-                aad=prefix + length_prefixed(record.id.encode()),
-            )
-            doc = record_to_obj(record)
-            if form == "slim":
-                doc = [doc["fields"].get(field) for field in layout]
-            assert plaintext == canonical_json(doc)
+
+    slim = _manifest(unit, SLIM_NAME)
+    plaintext = ae_decrypt(
+        derive_record_key(unit._seed, unb64(slim["t"])),
+        Ciphertext.from_bytes(blobs.get(slim["address"])),
+        aad=_aad_prefix(SLIM_NAME, "slim", layout),
+    )
+    assert plaintext == _slim_plaintext(records, layout)
+
+    full = _manifest(unit, FULL_NAME)
+    prefix = _aad_prefix(FULL_NAME, "full", ())
+    for record, entry in zip(records, full["records"]):
+        t = unb64(full["t"] if light else entry["t"])
+        plaintext = ae_decrypt(
+            derive_record_key(unit._seed, t),
+            Ciphertext.from_bytes(blobs.get(entry["address"])),
+            aad=prefix + length_prefixed(record.id.encode()),
+        )
+        assert plaintext == canonical_json(record_to_obj(record))
 
 
 @pytest.mark.parametrize("light", [False, True], ids=["heavy", "light"])
@@ -562,11 +568,17 @@ def test_provision_writes_the_receipt_manifests_and_chain_entries_it_always_has(
         manifest_bytes = blobs.get(stored["address"])
         assert manifest_bytes == unit._storage.fetch(name)
         manifest = json.loads(manifest_bytes)
-        keys = {"dataset", "structure", "form", "light", "records"}
-        assert set(manifest) == (keys | {"t"} if light else keys)
         assert (manifest["dataset"], manifest["form"], manifest["light"]) == (name, form, light)
+        keys = {"dataset", "structure", "form", "light"}
+        if form == "slim":
+            # one blob and its own randomizer in either mode
+            assert set(manifest) == keys | {"address", "t"}
+            addresses = [manifest["address"]]
+        else:
+            assert set(manifest) == keys | ({"records", "t"} if light else {"records"})
+            addresses = [entry["address"] for entry in manifest["records"]]
         assert stored["storedBytes"] == len(manifest_bytes) + sum(
-            len(blobs.get(entry["address"])) for entry in manifest["records"]
+            len(blobs.get(address)) for address in addresses
         )
     assert [(entry.name, entry.address) for entry in chain.entries()[notarized:]] == [
         (FULL_NAME, receipt["full"]["address"]),
