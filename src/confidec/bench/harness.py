@@ -378,6 +378,16 @@ def _provision(unit, session, role: str, records, light: bool = False) -> tuple[
     return _roundtrip(unit, session, "provision", payload)
 
 
+def _patient_decision(unit: Ccu, session: ClientSession) -> Callable[[], object]:
+    """One enclave decision over the provisioned patients, round trip
+    through `Ccu.handle`."""
+    payload = {
+        "funcName": "PatientPrioritizationWithAggr",
+        "dataName": _DATASET_FOR_ROLE["Patient"],
+    }
+    return lambda: _roundtrip(unit, session, "decision", payload)
+
+
 def _bench_encryption_mode(config: BenchConfig) -> list[BenchRow]:
     patients = generate_vax(VaxSpec("Patient", config.records, config.seed))
     table = load_table("PatientPrioritizationWithAggr")
@@ -385,14 +395,7 @@ def _bench_encryption_mode(config: BenchConfig) -> list[BenchRow]:
     for mode in ("heavy", "light"):
         unit, session = _make_stack(allow_light=True)
         _provision(unit, session, "Patient", patients, light=(mode == "light"))
-
-        def decide_once():
-            _roundtrip(unit, session, "decision", {
-                "funcName": "PatientPrioritizationWithAggr",
-                "dataName": _DATASET_FOR_ROLE["Patient"],
-            })
-
-        median_ms, peak = _measure(decide_once, config.repetitions)
+        median_ms, peak = _measure(_patient_decision(unit, session), config.repetitions)
         rows.append(BenchRow(
             config.experiment, config.records, len(table.condition_columns),
             len(table.rules), mode, config.repetitions, median_ms, peak,
@@ -414,14 +417,7 @@ def _bench_plain_vs_enclave(config: BenchConfig) -> list[BenchRow]:
 
     unit, session = _make_stack()
     _provision(unit, session, "Patient", patients)
-
-    def decide_once():
-        _roundtrip(unit, session, "decision", {
-            "funcName": "PatientPrioritizationWithAggr",
-            "dataName": _DATASET_FOR_ROLE["Patient"],
-        })
-
-    median_ms, peak = _measure(decide_once, config.repetitions)
+    median_ms, peak = _measure(_patient_decision(unit, session), config.repetitions)
     rows.append(BenchRow(
         config.experiment, config.records, len(table.condition_columns),
         len(table.rules), "enclave", config.repetitions, median_ms, peak,

@@ -4,7 +4,8 @@ State lives under a home directory (--home or CONFIDEC_HOME):
 
     authority/            CA signing key and its public verify key
     clients/<name>/       per-client signing key and certificate
-    units/<name>/         unit identity, deployed bundle, sealed seed, store/
+    units/<name>/         unit identity, deployed bundle, store/, and
+                          sealed_seed.bin (the seed sealed as raw wire bytes)
     platform_secret.bin   sealing secret shared by units in this home
 
 Every data-path command goes through the gateway queue and encrypted
@@ -31,11 +32,7 @@ from confidec.crypto.keys import SigningKeyPair
 from confidec.dmn.engine import kernel_backend
 from confidec.enclave.ccu import Ccu, exchange_seed, generate_seed
 from confidec.enclave.measurement import CodeBundle
-from confidec.enclave.sealing import (
-    load_or_create_platform_secret,
-    sealed_from_obj,
-    sealed_to_obj,
-)
+from confidec.enclave.sealing import load_or_create_platform_secret
 from confidec.errors import (
     AttestationError,
     CertificateError,
@@ -146,15 +143,14 @@ def _load_unit(home: Path, name: str) -> Ccu:
             aggregations_json=doc["aggregationsJson"],
             engine_tag=doc["engineTag"],
         ))
-    sealed_path = d / "sealed_seed.json"
+    sealed_path = d / "sealed_seed.bin"
     if sealed_path.exists():
-        unit.load_sealed_seed(sealed_from_obj(_read_json(sealed_path)))
+        unit.load_sealed_seed(sealed_path.read_bytes())
     return unit
 
 
 def _save_seed(home: Path, unit: Ccu) -> None:
-    _write_json(home / "units" / unit.name / "sealed_seed.json",
-                sealed_to_obj(unit.seal_seed()))
+    (home / "units" / unit.name / "sealed_seed.bin").write_bytes(unit.seal_seed())
 
 
 def _attested_session(home: Path, client: str, unit: Ccu) -> ClientSession:
@@ -315,7 +311,7 @@ def ccu_deploy(name: str, policies_path: str, table_paths: tuple[str, ...],
         _read_json(Path(agg_path)) if agg_path else (),
     )
     unit = _load_unit(root, name)
-    old_sealed = d / "sealed_seed.json"
+    old_sealed = d / "sealed_seed.bin"
     measurement = unit.deploy(bundle)
     _write_json(d / "bundle.json", {
         "policyText": bundle.policy_text,

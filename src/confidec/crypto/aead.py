@@ -1,8 +1,10 @@
 """Authenticated encryption: AES-256-GCM with random 96-bit nonces.
 
-Messages travel either as a `Ciphertext` (envelopes, sealed seeds) or in the
-flat wire form nonce || tag || body that the record store keeps; both go
-through the same checked core.
+The two encrypted fields of the gateway envelopes travel as a `Ciphertext`
+(`ae_encrypt`/`ae_decrypt`). Everything a unit stores or seals (records, the
+sealed seed, the seed sent to another unit) is the flat wire form
+nonce || tag || body (`seal_wire`/`open_wire`). Both go through the same
+checked core.
 """
 
 from __future__ import annotations
@@ -35,28 +37,10 @@ class Ciphertext:
         if len(self.tag) != TAG_LEN:
             raise ValueError(f"tag must be {TAG_LEN} bytes")
 
-    def to_bytes(self) -> bytes:
-        """Flat wire form: nonce || tag || body."""
-        return self.nonce + self.tag + self.body
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Ciphertext":
-        _check_wire(blob)
-        return cls(
-            nonce=blob[:NONCE_LEN],
-            tag=blob[NONCE_LEN:HEADER_LEN],
-            body=blob[HEADER_LEN:],
-        )
-
 
 def _check_key(key: bytes) -> None:
     if len(key) != KEY_LEN:
         raise ValueError(f"key must be {KEY_LEN} bytes, got {len(key)}")
-
-
-def _check_wire(blob: bytes) -> None:
-    if len(blob) < HEADER_LEN:
-        raise ValueError("ciphertext blob too short")
 
 
 def _encrypt(key: bytes, plaintext: bytes, aad: bytes) -> tuple[bytes, bytes]:
@@ -86,12 +70,14 @@ def ae_decrypt(key: bytes, ct: Ciphertext, aad: bytes = b"") -> bytes:
 
 
 def seal_wire(key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-    """`ae_encrypt(key, plaintext, aad).to_bytes()` without the Ciphertext."""
+    """Encrypt under a fresh random nonce to the wire form nonce || tag || body."""
     nonce, sealed = _encrypt(key, plaintext, aad)
     return nonce + sealed[-TAG_LEN:] + sealed[:-TAG_LEN]
 
 
 def open_wire(key: bytes, blob: bytes, aad: bytes = b"") -> bytes:
-    """`ae_decrypt(key, Ciphertext.from_bytes(blob), aad)` without the Ciphertext."""
-    _check_wire(blob)
+    """Decrypt and authenticate a wire-form blob; a blob shorter than its
+    header raises ValueError, any mismatch AuthenticationFailure."""
+    if len(blob) < HEADER_LEN:
+        raise ValueError("ciphertext blob too short")
     return _decrypt(key, blob[:NONCE_LEN], blob[HEADER_LEN:] + blob[NONCE_LEN:HEADER_LEN], aad)

@@ -1,14 +1,7 @@
 """Simulated trusted compute unit: measurement, sealing, attestation."""
 
 from confidec.enclave.measurement import CodeBundle, compute_measurement
-from confidec.enclave.sealing import (
-    SealedBlob,
-    load_or_create_platform_secret,
-    seal,
-    sealed_from_obj,
-    sealed_to_obj,
-    unseal,
-)
+from confidec.enclave.sealing import load_or_create_platform_secret, seal, unseal
 from confidec.enclave.attestation import (
     AttestationReport,
     ChannelCertificate,
@@ -22,11 +15,8 @@ from confidec.enclave.ccu import Ccu, exchange_seed, generate_seed
 __all__ = [
     "CodeBundle",
     "compute_measurement",
-    "SealedBlob",
     "load_or_create_platform_secret",
     "seal",
-    "sealed_from_obj",
-    "sealed_to_obj",
     "unseal",
     "AttestationReport",
     "ChannelCertificate",

@@ -45,7 +45,7 @@ from confidec.enclave.attestation import (
     verify_ccu,
 )
 from confidec.enclave.measurement import CodeBundle, compute_measurement
-from confidec.enclave.sealing import SealedBlob, seal, unseal
+from confidec.enclave.sealing import seal, unseal
 from confidec.errors import (
     AttestationError,
     CertificateError,
@@ -254,15 +254,15 @@ class Ccu:
             self._signing_key, self.name, self._ka.public_bytes
         )
 
-    def seal_seed(self) -> SealedBlob:
+    def seal_seed(self) -> bytes:
         """Seal the seed to this platform and the deployed measurement."""
         if self._seed is None:
             raise ConfidecError("unit has no seed to seal")
         if self._measurement is None:
             raise ConfidecError("unit has no deployed bundle to seal against")
-        return seal(self._platform_secret, "measurement", self._measurement, self._seed)
+        return seal(self._platform_secret, self._measurement, self._seed)
 
-    def load_sealed_seed(self, blob: SealedBlob) -> None:
+    def load_sealed_seed(self, blob: bytes) -> None:
         if self._measurement is None:
             raise ConfidecError("deploy a bundle before unsealing the seed")
         self.install_seed(unseal(self._platform_secret, self._measurement, blob))
@@ -475,7 +475,8 @@ class Ccu:
         its values in the structure's layout (None for an absent field).
 
         Slim records are stored in that form; full ones are projected onto it.
-        Every blob is hash-checked on get and authenticated against its
+        A manifest that names another dataset is refused before any blob is
+        read. Every blob is hash-checked on get and authenticated against its
         dataset, form and layout, and a full record also against its id; a
         manifest the storage operator malformed raises StorageError like any
         other tampering.
@@ -491,31 +492,35 @@ class Ccu:
                     "dataset holds another structure's records, "
                     f"but the function reads {structure!r}"
                 )
+            if not isinstance(manifest["dataset"], str):
+                raise TypeError  # malformed, as below
+            if manifest["dataset"] != data_name:
+                raise StorageError("stored manifest names another dataset")
             form = manifest.get("form")
             if form == SLIM:
-                return self._open_slim(seed, manifest, layout)
+                return self._open_slim(seed, data_name, manifest, layout)
             if form == FULL:
-                return self._open_full(seed, manifest, layout)
+                return self._open_full(seed, data_name, manifest, layout)
         except (AttributeError, KeyError, RecursionError, TypeError, ValueError):
             # a field of the wrong shape or type, bad base64, a short blob
             raise StorageError("stored dataset is malformed") from None
         raise StorageError("dataset names no known record form")
 
     def _open_slim(
-        self, seed: bytes, manifest: dict, layout: Tuple[str, ...]
+        self, seed: bytes, name: str, manifest: dict, layout: Tuple[str, ...]
     ) -> Tuple[List[str], List[list]]:
         blob = self._storage.blobs.get(manifest["address"])
         key = derive_record_key(seed, unb64(manifest["t"]))
-        aad = _record_aad_prefix(manifest["dataset"], SLIM, layout)
+        aad = _record_aad_prefix(name, SLIM, layout)
         # one authenticated [ids, rows] document the unit wrote
         ids, rows = json.loads(open_wire(key, blob, aad))
         return ids, rows
 
     def _open_full(
-        self, seed: bytes, manifest: dict, layout: Tuple[str, ...]
+        self, seed: bytes, name: str, manifest: dict, layout: Tuple[str, ...]
     ) -> Tuple[List[str], List[list]]:
         get = self._storage.blobs.get
-        prefix = _record_aad_prefix(manifest["dataset"], FULL, ())
+        prefix = _record_aad_prefix(name, FULL, ())
         light = bool(manifest.get("light", False))
         if light:
             key = derive_record_key(seed, unb64(manifest["t"]))
@@ -575,6 +580,6 @@ def exchange_seed(source: Ccu, target: Ccu, now: datetime | None = None) -> None
 
     ephemeral = KeyAgreementKeyPair.generate()
     key = derive_channel_key(ephemeral, target.channel_certificate.ka_public)
-    sealed = ae_encrypt(key, source._seed, aad=b"confidec/seed-transfer/v1")
+    sealed = seal_wire(key, source._seed, b"confidec/seed-transfer/v1")
     target_key = derive_channel_key(target._ka, ephemeral.public_bytes)
-    target.install_seed(ae_decrypt(target_key, sealed, aad=b"confidec/seed-transfer/v1"))
+    target.install_seed(open_wire(target_key, sealed, b"confidec/seed-transfer/v1"))

@@ -1,28 +1,24 @@
 """Sealing: encrypt unit secrets to a platform plus code identity.
 
 The platform secret stands in for fused hardware keys. A sealing key is
-SHA3-256(platformSecret || identity), where the identity is either the
-exact code measurement or a signer id, selected by the sealing policy.
-Data sealed on one platform or under one identity cannot be opened under
-another.
+SHA3-256(platformSecret || measurement), the exact code measurement of the
+deployed bundle. Data sealed on one platform or under one measurement cannot
+be opened under another. A sealed blob is the wire form nonce || tag || body
+that the record store also keeps.
 """
 
 from __future__ import annotations
 
 import os
 import secrets
-from dataclasses import dataclass
 from hashlib import sha3_256
 from pathlib import Path
-from typing import Mapping
 
-from confidec.crypto.aead import Ciphertext, ae_decrypt, ae_encrypt
+from confidec.crypto.aead import open_wire, seal_wire
 from confidec.errors import AuthenticationFailure, SealingError
-from confidec.util import b64, unb64
-
-POLICIES = ("measurement", "signer")
 
 PLATFORM_SECRET_LEN = 32
+SEALED_AAD = b"confidec/sealed/measurement"
 
 
 def load_or_create_platform_secret(path: str | Path) -> bytes:
@@ -41,57 +37,24 @@ def load_or_create_platform_secret(path: str | Path) -> bytes:
     return secret
 
 
-@dataclass(frozen=True)
-class SealedBlob:
-    policy: str
-    ciphertext: Ciphertext
-
-    def __post_init__(self):
-        if self.policy not in POLICIES:
-            raise ValueError(f"bad sealing policy {self.policy!r}")
-
-
-def _sealing_key(platform_secret: bytes, identity: bytes) -> bytes:
+def _sealing_key(platform_secret: bytes, measurement: bytes) -> bytes:
     if len(platform_secret) != PLATFORM_SECRET_LEN:
         raise SealingError("platform secret must be 32 bytes")
-    if not identity:
-        raise SealingError("sealing identity must be non-empty")
-    return sha3_256(platform_secret + identity).digest()
+    if not measurement:
+        raise SealingError("sealing measurement must be non-empty")
+    return sha3_256(platform_secret + measurement).digest()
 
 
-def seal(platform_secret: bytes, policy: str, identity: bytes, plaintext: bytes) -> SealedBlob:
-    """Seal plaintext to (platform, identity) under the given policy."""
-    if policy not in POLICIES:
-        raise SealingError(f"bad sealing policy {policy!r}")
-    key = _sealing_key(platform_secret, identity)
-    return SealedBlob(
-        policy=policy,
-        ciphertext=ae_encrypt(key, plaintext, aad=b"confidec/sealed/" + policy.encode()),
-    )
+def seal(platform_secret: bytes, measurement: bytes, plaintext: bytes) -> bytes:
+    """Seal plaintext to (platform, measurement) as wire bytes nonce || tag || body."""
+    return seal_wire(_sealing_key(platform_secret, measurement), plaintext, SEALED_AAD)
 
 
-def unseal(platform_secret: bytes, identity: bytes, blob: SealedBlob) -> bytes:
-    """Open a sealed blob; wrong platform or identity raises SealingError."""
-    key = _sealing_key(platform_secret, identity)
+def unseal(platform_secret: bytes, measurement: bytes, blob: bytes) -> bytes:
+    """Open a sealed blob; a wrong platform or measurement, or a damaged
+    blob, raises SealingError."""
+    key = _sealing_key(platform_secret, measurement)
     try:
-        return ae_decrypt(key, blob.ciphertext, aad=b"confidec/sealed/" + blob.policy.encode())
-    except AuthenticationFailure as exc:
+        return open_wire(key, blob, SEALED_AAD)
+    except (AuthenticationFailure, ValueError) as exc:  # ValueError: a short blob
         raise SealingError("sealed blob does not open under this identity") from exc
-
-
-def sealed_to_obj(blob: SealedBlob) -> dict:
-    return {
-        "policy": blob.policy,
-        "nonce": b64(blob.ciphertext.nonce),
-        "body": b64(blob.ciphertext.body),
-        "tag": b64(blob.ciphertext.tag),
-    }
-
-
-def sealed_from_obj(obj: Mapping) -> SealedBlob:
-    return SealedBlob(
-        policy=obj["policy"],
-        ciphertext=Ciphertext(
-            nonce=unb64(obj["nonce"]), body=unb64(obj["body"]), tag=unb64(obj["tag"])
-        ),
-    )

@@ -4,9 +4,7 @@ from confidec.gateway.wire import (
     RequestEnvelope,
     ResponseEnvelope,
     envelope_signing_bytes,
-    request_from_obj,
     request_to_obj,
-    response_from_obj,
     response_to_obj,
 )
 from confidec.gateway.client import ClientSession
@@ -16,9 +14,7 @@ __all__ = [
     "RequestEnvelope",
     "ResponseEnvelope",
     "envelope_signing_bytes",
-    "request_from_obj",
     "request_to_obj",
-    "response_from_obj",
     "response_to_obj",
     "ClientSession",
     "Gateway",

@@ -8,11 +8,10 @@ gateway forwards envelopes without being able to open them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from confidec.crypto.aead import Ciphertext
-from confidec.crypto.certs import Certificate, certificate_from_obj, certificate_to_obj
-from confidec.util import b64, unb64
+from confidec.crypto.certs import Certificate, certificate_to_obj
+from confidec.util import b64
 
 REQUEST_TYPES = ("provision", "decision")
 
@@ -67,21 +66,6 @@ def request_to_obj(env: RequestEnvelope) -> dict:
     }
 
 
-def request_from_obj(obj: Mapping) -> RequestEnvelope:
-    payload = obj["payload"]
-    return RequestEnvelope(
-        request_type=obj["requestType"],
-        client_cert=certificate_from_obj(obj["clientCert"]),
-        ephemeral_pub=unb64(obj["ephemeralPub"]),
-        ephemeral_sig=unb64(obj["ephemeralSig"]),
-        payload=Ciphertext(
-            nonce=unb64(payload["nonce"]),
-            body=unb64(payload["body"]),
-            tag=unb64(payload["tag"]),
-        ),
-    )
-
-
 def response_to_obj(env: ResponseEnvelope) -> dict:
     obj: dict = {"correlationId": env.correlation_id, "status": env.status}
     if env.body is not None:
@@ -93,19 +77,6 @@ def response_to_obj(env: ResponseEnvelope) -> dict:
     if env.error is not None:
         obj["error"] = env.error
     return obj
-
-
-def response_from_obj(obj: Mapping) -> ResponseEnvelope:
-    body = None
-    if "body" in obj:
-        raw = obj["body"]
-        body = Ciphertext(nonce=unb64(raw["nonce"]), body=unb64(raw["body"]), tag=unb64(raw["tag"]))
-    return ResponseEnvelope(
-        correlation_id=obj["correlationId"],
-        status=obj["status"],
-        body=body,
-        error=obj.get("error"),
-    )
 
 
 def response_aad(correlation_id: str) -> bytes:

@@ -2,9 +2,14 @@
 
 import csv
 import gc
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from confidec.bench import harness
 from confidec.bench.harness import (
     CSV_HEADER,
@@ -198,3 +203,16 @@ def test_memory_saving_reports_stored_bytes_per_role():
         slim = by_mode[f"{role}/slim"].peak_mem_bytes
         assert 0 < slim < full
     assert all(r.repetition == 1 for r in rows)
+
+
+def test_the_benchmark_runs_one_short_mixed_workload_correctly():
+    """perfbench drives the unit through its public API, so a change there
+    that every test under tests/ misses would fail each of its requests."""
+    run = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    out = subprocess.run(
+        [sys.executable, str(run), "--workload", "mixed", "--seed", "1", "--seconds", "1"],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    last = json.loads(out.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0)

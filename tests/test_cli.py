@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.cli import cli
 from confidec.dmn.tables import record_to_obj
-from confidec.enclave.sealing import sealed_from_obj, unseal
+from confidec.enclave.sealing import unseal
 from confidec.fixtures import (
     load_patient_aggregation_docs,
     load_policy_text,
@@ -132,6 +132,17 @@ def test_emit_audit_prints_the_exact_script(runner, home, tmp_path):
     assert result.output == emit_audit_script(patient)
 
 
+@pytest.mark.parametrize("damage", ["truncated", "flipped"])
+def test_a_damaged_sealed_seed_exits_with_the_sealing_code(runner, home, tmp_path, damage):
+    _bootstrap(runner, home, tmp_path)
+    path = home / "units" / "unit1" / "sealed_seed.bin"
+    blob = path.read_bytes()
+    path.write_bytes(blob[:20] if damage == "truncated" else blob[:-1] + bytes([blob[-1] ^ 1]))
+    result = _run(runner, home, "emit-audit", "PatientPrioritizationWithAggr",
+                  "--unit", "unit1", expect=17)
+    assert result.stderr == "error: sealed blob does not open under this identity\n"
+
+
 def test_verify_chain_reports_the_broken_entry(runner, home, tmp_path):
     _bootstrap(runner, home, tmp_path)
     records = _records_file(tmp_path, 4)
@@ -165,8 +176,7 @@ def test_seed_exchange_between_units(runner, home, tmp_path):
     for unit in ("unit1", "unit2"):
         d = home / "units" / unit
         identity = bytes.fromhex((d / "measurement.hex").read_text().strip())
-        blob = sealed_from_obj(json.loads((d / "sealed_seed.json").read_text()))
-        seeds.append(unseal(secret, identity, blob))
+        seeds.append(unseal(secret, identity, (d / "sealed_seed.bin").read_bytes()))
     assert seeds[0] == seeds[1]
 
 
@@ -177,8 +187,7 @@ def test_redeploying_changed_code_rotates_the_seed(runner, home, tmp_path):
 
     def current_seed():
         identity = bytes.fromhex((d / "measurement.hex").read_text().strip())
-        blob = sealed_from_obj(json.loads((d / "sealed_seed.json").read_text()))
-        return unseal(secret, identity, blob)
+        return unseal(secret, identity, (d / "sealed_seed.bin").read_bytes())
 
     seed_before = current_seed()
     policies, tables, aggs = _bundle_files(tmp_path)

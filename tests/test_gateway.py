@@ -21,10 +21,6 @@ from confidec.gateway.wire import (
     RequestEnvelope,
     ResponseEnvelope,
     envelope_signing_bytes,
-    request_from_obj,
-    request_to_obj,
-    response_from_obj,
-    response_to_obj,
 )
 from confidec.storage.node import StorageNode
 
@@ -40,28 +36,6 @@ def _submit(gateway, session, request_type, payload):
 
 
 # --- wire ------------------------------------------------------------------
-
-
-def test_request_envelope_obj_round_trip(make_unit, make_session):
-    session = make_session(make_unit())
-    envelope, _ = session.build_request("provision", {"dataName": "d"})
-    assert request_from_obj(request_to_obj(envelope)) == envelope
-
-
-def test_response_envelope_obj_round_trip(make_unit, make_session):
-    unit = make_unit()
-    session = make_session(unit)
-    envelope, key = session.build_request(
-        "provision",
-        {"dataName": "d", "structure": "Patient", "records": []},
-    )
-    ok = unit.handle("tick-1", envelope)
-    assert ok.status == "ok"
-    assert response_from_obj(response_to_obj(ok)) == ok
-    assert ClientSession.open_response(response_from_obj(response_to_obj(ok)), key)
-
-    err = ResponseEnvelope(correlation_id="tick-2", status="error", error="nope")
-    assert response_from_obj(response_to_obj(err)) == err
 
 
 def test_request_envelope_shape_is_validated(make_unit, make_session):

@@ -19,7 +19,7 @@ import pytest
 from conftest import bundle_reading_another_patient_field, standard_bundle
 
 from confidec.bench.vax import VaxSpec, generate_vax
-from confidec.crypto.aead import Ciphertext, ae_decrypt, ae_encrypt
+from confidec.crypto.aead import HEADER_LEN, NONCE_LEN, Ciphertext, ae_decrypt, ae_encrypt
 from confidec.crypto.keys import derive_record_key
 from confidec.dmn.engine import decide_all
 from confidec.dmn.tables import record_to_obj
@@ -391,6 +391,29 @@ def test_reordered_entries_give_the_same_results_by_record_id(
     assert counts == {"get": 1 + len(records), "open": len(records)}
 
 
+@pytest.mark.parametrize("mode", ["heavy", "light"])
+@pytest.mark.parametrize("form", ["slim", "full"])
+def test_a_manifest_republished_under_another_name_is_refused_before_any_blob_get(
+    make_unit, make_session, monkeypatch, form, mode
+):
+    unit = make_unit(allow_light=True)
+    session = make_session(unit)
+    records, others = _records(), generate_vax(VaxSpec("Patient", 4, 8))
+    _provision(unit, session, records, light=(mode == "light"))
+    _provision(unit, session, others, light=(mode == "light"), name=OTHER_SLIM)
+    name, theirs = (SLIM_NAME, OTHER_SLIM) if form == "slim" else (FULL_NAME, OTHER_FULL)
+    # the operator binds the name to the other dataset's manifest bytes,
+    # which the notarization chain records as an ordinary publication
+    unit._storage.publish(name, unit._storage.fetch(theirs))
+    assert unit._storage.chain.verify_chain() is None
+
+    counts = _counting(monkeypatch, unit)
+    answer = _decide(unit, session, name)
+    assert isinstance(answer, str), "a decision answered from another dataset"
+    assert "names another dataset" in answer
+    assert counts == {"get": 1, "open": 0}  # the manifest's own get only
+
+
 def _reseed(unit, make_session):
     unit.install_seed(generate_seed())
     return make_session(unit)
@@ -466,19 +489,29 @@ def _slim_plaintext(records, layout):
     ])
 
 
+def _wire(ct):
+    """A `Ciphertext` laid out as the stored form: nonce || tag || body."""
+    return ct.nonce + ct.tag + ct.body
+
+
+def _ciphertext(blob):
+    """A stored blob cut into the parts of a `Ciphertext`."""
+    return Ciphertext(nonce=blob[:NONCE_LEN], tag=blob[NONCE_LEN:HEADER_LEN], body=blob[HEADER_LEN:])
+
+
 def _store_full_the_old_way(unit, records, light):
     """The full form stored as a `Ciphertext` per record, with `ae_encrypt`,
-    `to_bytes` and `length_prefixed` building each blob and AAD."""
+    `_wire` and `length_prefixed` building each blob and AAD."""
     prefix = _aad_prefix(FULL_NAME, "full", ())
     shared_t = secrets.token_bytes(16)
     entries = []
     for record in records:
         t = shared_t if light else secrets.token_bytes(16)
-        blob = ae_encrypt(
+        blob = _wire(ae_encrypt(
             derive_record_key(unit._seed, t),
             canonical_json(record_to_obj(record)),
             aad=prefix + length_prefixed(record.id.encode()),
-        ).to_bytes()
+        ))
         entry = {"id": record.id, "address": unit._storage.blobs.put(blob)}
         if not light:
             entry["t"] = b64(t)
@@ -496,11 +529,11 @@ def _store_slim_the_old_way(unit, records, light):
     """The slim form stored as one `Ciphertext` built with `ae_encrypt`."""
     layout = unit._layouts["Patient"]
     t = secrets.token_bytes(16)
-    blob = ae_encrypt(
+    blob = _wire(ae_encrypt(
         derive_record_key(unit._seed, t),
         _slim_plaintext(records, layout),
         aad=_aad_prefix(SLIM_NAME, "slim", layout),
-    ).to_bytes()
+    ))
     manifest = {
         "dataset": SLIM_NAME, "structure": "Patient", "form": "slim", "light": light,
         "address": unit._storage.blobs.put(blob), "t": b64(t),
@@ -531,7 +564,7 @@ def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session, light):
     slim = _manifest(unit, SLIM_NAME)
     plaintext = ae_decrypt(
         derive_record_key(unit._seed, unb64(slim["t"])),
-        Ciphertext.from_bytes(blobs.get(slim["address"])),
+        _ciphertext(blobs.get(slim["address"])),
         aad=_aad_prefix(SLIM_NAME, "slim", layout),
     )
     assert plaintext == _slim_plaintext(records, layout)
@@ -542,7 +575,7 @@ def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session, light):
         t = unb64(full["t"] if light else entry["t"])
         plaintext = ae_decrypt(
             derive_record_key(unit._seed, t),
-            Ciphertext.from_bytes(blobs.get(entry["address"])),
+            _ciphertext(blobs.get(entry["address"])),
             aad=prefix + length_prefixed(record.id.encode()),
         )
         assert plaintext == canonical_json(record_to_obj(record))
