@@ -20,6 +20,15 @@ def is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_finite(number: int | float) -> bool:
+    """True when the number is finite as a float; an int too large for a
+    float is not."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def validate_field_value(value: object) -> None:
     """Reject values outside the supported scalar types.
 
@@ -29,7 +38,7 @@ def validate_field_value(value: object) -> None:
     if isinstance(value, bool) or isinstance(value, str):
         return
     if isinstance(value, (int, float)):
-        if not math.isfinite(value):
+        if not is_finite(value):
             raise ValueError("field holds a non-finite number")
         return
     if isinstance(value, (date, datetime)):

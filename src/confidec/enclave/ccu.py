@@ -28,13 +28,12 @@ from confidec.crypto.keys import (
     derive_record_key,
     verify,
 )
-from confidec.dmn.model import Record
+from confidec.dmn.model import is_finite
 from confidec.dmn.program import fields_read
 from confidec.dmn.tables import (
     parse_aggregation_spec,
     parse_decision_table,
-    parse_record,
-    record_to_obj,
+    parse_record,  # noqa: F401 - perfbench/tracer.py times `ccu.parse_record`
 )
 from confidec.enclave.attestation import (
     AttestationReport,
@@ -86,22 +85,31 @@ def generate_seed() -> bytes:
 
 
 SLIM = "slim"  # one blob per dataset: [ids, rows], each row in the structure's layout
-FULL = "full"  # one blob per record: the record's {"id", "fields"} document
+FULL = "full"  # one blob per record: its values over the dataset's sorted field union
+
+# JSON arrays of validated values: no keys to sort, no cycles to look for
+_ARRAYS = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
 
 
 def _record_aad_prefix(dataset: str, form: str, layout: Sequence[str]) -> bytes:
     """The AAD of a slim dataset's blob, and of a full dataset's records up to
     the record id that ends it.
 
-    It binds the record form and, for slim records, the layout, so that a
-    manifest lying about the form, or a unit deployed with another layout,
-    fails authentication instead of decoding values into the wrong fields.
+    It binds the record form and the layout (a full dataset's field union),
+    so that a manifest lying about the form, a unit deployed with another
+    layout, or another union fails authentication instead of decoding values
+    into the wrong fields.
     """
     return b"confidec/record/v2:" + length_prefixed(
         dataset.encode("utf-8"),
         form.encode("utf-8"),
         length_prefixed(*(name.encode("utf-8") for name in layout)),
     )
+
+
+def _union_aad(dataset: str) -> bytes:
+    """The AAD of a full dataset's sealed field union."""
+    return b"confidec/fields/v1:" + length_prefixed(dataset.encode("utf-8"))
 
 
 def _id_part(record_id: str) -> bytes:
@@ -335,7 +343,9 @@ class Ccu:
             raise MalformedRequestError("structure must be a string")
         if not isinstance(raw_records, list):
             raise MalformedRequestError("records must be a list")
-        light = bool(payload.get("lightEncryption", False))
+        light = payload.get("lightEncryption", False)
+        if type(light) is not bool:
+            raise MalformedRequestError("lightEncryption must be true or false")
         if light and not self.allow_light_encryption:
             raise MalformedRequestError(
                 "light encryption is a benchmark mode and is not accepted here"
@@ -349,42 +359,52 @@ class Ccu:
         if layout is None:
             raise UnknownFunctionError("no deployed function reads structure of that name")
 
-        records = [parse_record(obj) for obj in raw_records]
-        seen: Set[str] = set()
-        for record in records:
-            if record.id in seen:
-                raise TableValidationError("duplicate record id in the dataset")
-            seen.add(record.id)
-
+        union = _checked_field_union(raw_records)
         receipt = {"dataName": data_name, "structure": structure, "light": light}
         # the full form first: the chain notarizes `<name>.full`, then `<name>`
-        receipt["full"] = self._store_full(data_name + FULL_SUFFIX, structure, records, light)
-        receipt["slim"] = self._store_slim(data_name, structure, layout, records, light)
+        receipt["full"] = self._store_full(
+            data_name + FULL_SUFFIX, structure, union, raw_records, light
+        )
+        receipt["slim"] = self._store_slim(data_name, structure, layout, raw_records, light)
         return receipt
 
     def _store_full(
-        self, name: str, structure: str, records: Sequence[Record], light: bool
+        self,
+        name: str,
+        structure: str,
+        union: Tuple[str, ...],
+        records: Sequence[dict],
+        light: bool,
     ) -> dict:
-        """Seal each record under its own randomizer, kept in its manifest
-        entry, or in light mode under one randomizer kept in the manifest;
-        returns the form's part of the receipt."""
+        """Seal the field union into the manifest under the manifest's
+        randomizer, then each record's values over the union under its own
+        randomizer, kept in its manifest entry, or in light mode under the
+        manifest's; returns the form's part of the receipt."""
         seed = self._seed
         put = self._storage.blobs.put
-        prefix = _record_aad_prefix(name, FULL, ())
-        manifest: dict = {"dataset": name, "structure": structure, "form": FULL, "light": light}
-        if light:
-            t = secrets.token_bytes(RANDOMIZER_LEN)
-            key = derive_record_key(seed, t)
-            manifest["t"] = b64(t)
+        encode = _ARRAYS.encode
+        prefix = _record_aad_prefix(name, FULL, union)
+        t = secrets.token_bytes(RANDOMIZER_LEN)
+        key = derive_record_key(seed, t)
+        manifest = {
+            "dataset": name,
+            "structure": structure,
+            "form": FULL,
+            "light": light,
+            "t": b64(t),
+            "fields": b64(seal_wire(key, encode(union).encode("utf-8"), _union_aad(name))),
+        }
         entries = []
         blob_bytes = 0
         for record in records:
+            record_id = record["id"]
             if not light:
                 t = secrets.token_bytes(RANDOMIZER_LEN)
                 key = derive_record_key(seed, t)
-            plaintext = canonical_json(record_to_obj(record))
-            blob = seal_wire(key, plaintext, prefix + _id_part(record.id))
-            entry = {"id": record.id, "address": put(blob)}
+            # None for an absent field: never a valid value, so unambiguous
+            plaintext = encode(list(map(record["fields"].get, union))).encode("utf-8")
+            blob = seal_wire(key, plaintext, prefix + _id_part(record_id))
+            entry = {"id": record_id, "address": put(blob)}
             if not light:
                 entry["t"] = b64(t)
             entries.append(entry)
@@ -397,7 +417,7 @@ class Ccu:
         name: str,
         structure: str,
         layout: Tuple[str, ...],
-        records: Sequence[Record],
+        records: Sequence[dict],
         light: bool,
     ) -> dict:
         """Seal the ids and the layout rows of all records as one blob under
@@ -405,8 +425,8 @@ class Ccu:
         the receipt."""
         t = secrets.token_bytes(RANDOMIZER_LEN)
         plaintext = canonical_json([
-            [record.id for record in records],
-            [[record.fields.get(field) for field in layout] for record in records],
+            [record["id"] for record in records],
+            [list(map(record["fields"].get, layout)) for record in records],
         ])
         blob = seal_wire(
             derive_record_key(self._seed, t), plaintext, _record_aad_prefix(name, SLIM, layout)
@@ -520,10 +540,10 @@ class Ccu:
         self, seed: bytes, name: str, manifest: dict, layout: Tuple[str, ...]
     ) -> Tuple[List[str], List[list]]:
         get = self._storage.blobs.get
-        prefix = _record_aad_prefix(name, FULL, ())
         light = bool(manifest.get("light", False))
-        if light:
-            key = derive_record_key(seed, unb64(manifest["t"]))
+        key = derive_record_key(seed, unb64(manifest["t"]))
+        union = json.loads(open_wire(key, unb64(manifest["fields"]), _union_aad(name)))
+        prefix = _record_aad_prefix(name, FULL, union)
         ids = []
         plaintexts = []
         for entry in manifest["records"]:
@@ -533,13 +553,56 @@ class Ccu:
                 key = derive_record_key(seed, unb64(entry["t"]))
             plaintexts.append(open_wire(key, blob, prefix + _id_part(record_id)))
             ids.append(record_id)
-        # each plaintext is one authenticated JSON document the unit wrote,
-        # so the batch parses as one array
-        docs = json.loads(b"[" + b",".join(plaintexts) + b"]")
-        return ids, [[doc["fields"].get(field) for field in layout] for doc in docs]
+        # each plaintext is one authenticated JSON array the unit wrote over
+        # this union, so the batch parses as one array and indexes safely
+        rows = json.loads(b"[" + b",".join(plaintexts) + b"]")
+        position = {field: i for i, field in enumerate(union)}
+        picks = [position.get(field) for field in layout]
+        return ids, [[None if i is None else row[i] for i in picks] for row in rows]
 
     def trace(self, step: str) -> None:
         self.last_trace.append(step)
+
+
+def _checked_field_union(records: list) -> Tuple[str, ...]:
+    """Check a provision's record documents in one pass, with the texts of
+    `parse_record` and none of the caller's names or values, and refuse a
+    repeated id; returns the sorted union of the records' field names.
+
+    The documents come from `json.loads`, so exact type checks suffice: a
+    value is a str, a bool, or an int or float that is finite as a float.
+    """
+    seen: Set[str] = set()
+    union: Set[str] = set()
+    for doc in records:
+        try:
+            record_id = doc["id"]
+            fields = doc["fields"]
+        except (KeyError, TypeError) as exc:
+            raise TableValidationError(f"record document missing key: {exc}") from exc
+        if type(record_id) is not str:
+            raise TableValidationError("record id must be a string")
+        if type(fields) is not dict:
+            raise TableValidationError("record fields must be an object")
+        if not record_id:
+            raise TableValidationError("record id must be non-empty")
+        for name, value in fields.items():
+            if not name:
+                raise TableValidationError("record field names must be non-empty")
+            kind = type(value)
+            if kind is str or kind is bool:
+                continue
+            if kind is not int and kind is not float:
+                raise TableValidationError(
+                    f"record field holds an unsupported value type {kind.__name__}"
+                )
+            if not is_finite(value):
+                raise TableValidationError("record field holds a non-finite number")
+        if record_id in seen:
+            raise TableValidationError("duplicate record id in the dataset")
+        seen.add(record_id)
+        union.update(fields)
+    return tuple(sorted(union))
 
 
 def _open_payload(envelope: RequestEnvelope, key: bytes) -> dict:

@@ -205,12 +205,14 @@ def test_memory_saving_reports_stored_bytes_per_role():
     assert all(r.repetition == 1 for r in rows)
 
 
-def test_the_benchmark_runs_one_short_mixed_workload_correctly():
+@pytest.mark.parametrize("workload", ["mixed", "refresh"])
+def test_the_benchmark_runs_one_short_workload_correctly(workload):
     """perfbench drives the unit through its public API, so a change there
-    that every test under tests/ misses would fail each of its requests."""
+    that every test under tests/ misses would fail each of its requests;
+    `refresh` provisions again and again, so it runs the write path too."""
     run = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
     out = subprocess.run(
-        [sys.executable, str(run), "--workload", "mixed", "--seed", "1", "--seconds", "1"],
+        [sys.executable, str(run), "--workload", workload, "--seed", "1", "--seconds", "1"],
         capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert out.returncode == 0, out.stderr[-2000:]

@@ -115,6 +115,15 @@ def test_deciding_over_unprovisioned_data_fails_cleanly(runner, home, tmp_path):
     assert "never published" in result.stderr
 
 
+def test_provide_refuses_an_int_too_large_for_a_float(runner, home, tmp_path):
+    _bootstrap(runner, home, tmp_path)
+    records = tmp_path / "records.json"
+    records.write_text('[{"id": "r1", "fields": {"Age": 1%s}}]' % ("0" * 400))
+    result = _run(runner, home, "provide", "vax/patients", "Patient", str(records),
+                  "--unit", "unit1", "--client", "hub1", expect=16)
+    assert result.stderr.strip() == "error: record field holds a non-finite number"
+
+
 def test_light_provisioning_needs_an_opted_in_unit(runner, home, tmp_path):
     _bootstrap(runner, home, tmp_path)
     records = _records_file(tmp_path, 6)

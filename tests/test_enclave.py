@@ -517,6 +517,22 @@ def test_light_encryption_is_opt_in(make_unit, make_session):
     assert slim["light"] is True and "t" in slim and "records" not in slim
 
 
+@pytest.mark.parametrize("flag", ["false", 1, None], ids=repr)
+def test_light_encryption_must_be_a_json_boolean(make_unit, make_session, flag):
+    """Read as a truth value, "false" and 1 gave light mode, one key for
+    the whole full form, and null gave heavy mode."""
+    unit = make_unit(allow_light=True)
+    envelope, _ = make_session(unit).build_request("provision", {
+        "dataName": "vax/patients", "structure": "Patient", "records": _patient_objs(2),
+        "lightEncryption": flag,
+    })
+    response = unit.handle("t-prov", envelope)
+    assert (response.status, response.error) == (
+        "error", "lightEncryption must be true or false"
+    )
+    assert len(unit._storage.chain) == 0
+
+
 def test_decrypt_data_checks_the_declared_structure(make_unit, make_session):
     unit = make_unit()
     _provision(unit, make_session(unit))
@@ -708,17 +724,19 @@ def test_records_stored_under_another_layout_never_decode(make_unit, make_sessio
     session = make_session(unit)
     answer = _decide(unit, session, "vax/patients")
     assert isinstance(answer, str) and "authentication" in answer
-    # full records carry their field names and still decode
+    # full records are stored over their own field union and still decode
     assert _decide(unit, session, "vax/patients.full") == _oracle(records)
 
 
-def _as_full(manifest):
-    """A slim manifest rewritten as a full one listing its blob as a record."""
+def _as_full(unit, manifest):
+    """A slim manifest rewritten as a full one listing its blob as a record,
+    with the field union, and its randomizer, of the dataset's full form."""
+    full = json.loads(unit._storage.fetch("vax/patients.full"))
     entry = {"id": "p-0", "address": manifest.pop("address"), "t": manifest.pop("t")}
-    manifest.update(form="full", records=[entry])
+    manifest.update(form="full", records=[entry], t=full["t"], fields=full["fields"])
 
 
-def _as_slim(manifest):
+def _as_slim(unit, manifest):
     """A full manifest rewritten as a slim one naming its first record's blob."""
     first = manifest.pop("records")[0]
     manifest.update(form="slim", address=first["address"], t=first["t"])
@@ -734,7 +752,7 @@ def test_a_manifest_lying_about_the_record_form_fails_authentication(
     session = make_session(unit)
     _provision(unit, session)
     manifest = json.loads(unit._storage.fetch(data_name))
-    lie(manifest)
+    lie(unit, manifest)
     unit._storage.publish(data_name, json.dumps(manifest).encode())
     answer = _decide(unit, session, data_name)
     assert isinstance(answer, str) and "authentication" in answer

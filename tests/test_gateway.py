@@ -417,6 +417,21 @@ def test_caller_supplied_names_stay_out_of_error_texts(
     )
 
 
+def test_an_int_too_large_for_a_float_is_refused_without_echoing_it(
+    make_unit, make_session, make_gateway
+):
+    """`math.isfinite` raises OverflowError for such an int: the unit answers
+    the typed error, and no run of the value's digits reaches the text or
+    the gateway's state."""
+    unit = make_unit()
+    payload = {"dataName": "vax/patients", "structure": "Patient",
+               "records": [*_PATIENTS, {"id": "r-huge", "fields": {"Age": 10**400}}]}
+    _assert_typed_error(
+        unit, make_session(unit), make_gateway, "provision", payload, "0" * 12,
+        "record field holds a non-finite number",
+    )
+
+
 # --- what the storage operator wrote ------------------------------------------
 
 _SECRET_NAME = "SECRET-patients"

@@ -7,7 +7,8 @@ tampering yields a typed error envelope, never results and never
 `unit failure`.
 
 A slim dataset is one blob of all its ids and layout rows; a full dataset is
-one blob per record.
+one blob per record, each holding the record's values over the dataset's
+field union, which its manifest keeps sealed.
 """
 
 import dataclasses
@@ -22,9 +23,10 @@ from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.aead import HEADER_LEN, NONCE_LEN, Ciphertext, ae_decrypt, ae_encrypt
 from confidec.crypto.keys import derive_record_key
 from confidec.dmn.engine import decide_all
-from confidec.dmn.tables import record_to_obj
+from confidec.dmn.tables import parse_record, record_to_obj
 from confidec.enclave import ccu
 from confidec.enclave.ccu import exchange_seed, generate_seed
+from confidec.errors import TableValidationError
 from confidec.fixtures import load_patient_aggregations, load_table
 from confidec.gateway.client import ClientSession
 from confidec.storage.node import StorageNode
@@ -136,7 +138,7 @@ def _swap_addresses(unit, name, other_form, other_dataset):
 
 def _swap_randomizers(unit, name, other_form, other_dataset):
     manifest = _manifest(unit, name)
-    if "t" in manifest:
+    if manifest["form"] == "slim" or manifest["light"]:
         # one randomizer per dataset: trade it with another dataset's
         theirs = _manifest(unit, other_dataset)
         manifest["t"], theirs["t"] = theirs["t"], manifest["t"]
@@ -249,6 +251,18 @@ def _address_not_a_string(unit, manifest):
     manifest["address"] = ["INJECTED-address"]
 
 
+def _no_union(unit, manifest):
+    manifest["INJECTED-fields"] = manifest.pop("fields")
+
+
+def _union_not_a_string(unit, manifest):
+    manifest["fields"] = ["INJECTED-field"]
+
+
+def _undecodable_union(unit, manifest):
+    manifest["fields"] = "INJECTED!"
+
+
 def _per_record_entries(unit, manifest):
     """A slim manifest in the per-record shape of the full form: there is no
     second way to read the slim form."""
@@ -264,6 +278,9 @@ MALFORMED = {
     "short-blob": (FULL_NAME, _short_blob),
     "randomizer-not-a-string": (FULL_NAME, _randomizer_not_a_string),
     "entry-not-an-object": (FULL_NAME, _entry_not_an_object),
+    "no-union": (FULL_NAME, _no_union),
+    "union-not-a-string": (FULL_NAME, _union_not_a_string),
+    "undecodable-union": (FULL_NAME, _undecodable_union),
     "dataset-not-a-string": (SLIM_NAME, _dataset_not_a_string),
     "slim-address-not-a-string": (SLIM_NAME, _address_not_a_string),
     "slim-undecodable-randomizer": (SLIM_NAME, _undecodable_randomizer),
@@ -309,6 +326,140 @@ def test_a_manifest_that_is_not_an_object_is_a_typed_storage_error(make_unit, ma
     _assert_refused(unit.handle("t-direct", envelope), ["INJECTED"])
 
 
+# --- the sealed field union of a full dataset ------------------------------------
+
+
+def _union_from_another_dataset(unit, manifest):
+    theirs = _manifest(unit, OTHER_FULL)
+    manifest.update(fields=theirs["fields"], t=theirs["t"])
+
+
+def _union_of_an_earlier_version(unit, manifest):
+    """The union, and its randomizer, the dataset had before it was
+    provisioned again with one more field: it opens, being the same
+    dataset's, but the records bind the new union."""
+    earlier = _manifest(unit, FULL_NAME + ".earlier")
+    manifest.update(fields=earlier["fields"], t=earlier["t"])
+
+
+def _union_byte_flipped(unit, manifest):
+    sealed = bytearray(unb64(manifest["fields"]))
+    sealed[-1] ^= 0x01
+    manifest["fields"] = b64(bytes(sealed))
+
+
+def _union_dropped(unit, manifest):
+    del manifest["fields"]
+
+
+UNION_TAMPERING = {
+    "from-another-dataset": (_union_from_another_dataset, "authentication"),
+    "swapped-for-an-earlier-version": (_union_of_an_earlier_version, "authentication"),
+    "flipped-byte": (_union_byte_flipped, "authentication"),
+    "dropped": (_union_dropped, "malformed"),
+}
+
+
+@pytest.mark.parametrize("tampering", sorted(UNION_TAMPERING))
+@pytest.mark.parametrize("mode", ["heavy", "light"])
+def test_a_tampered_field_union_yields_a_typed_error_never_results(
+    make_unit, make_session, tampering, mode
+):
+    light = mode == "light"
+    unit = make_unit(allow_light=True)
+    session = make_session(unit)
+    records = _records()
+    _provision(unit, session, records, light=light)
+    # keep this version's manifest, then provision again with one more field
+    unit._storage.publish(FULL_NAME + ".earlier", unit._storage.fetch(FULL_NAME))
+    _provision(unit, session, [
+        dataclasses.replace(r, fields=dict(r.fields, Extra=1)) for r in records
+    ], light=light)
+    _provision(unit, session, generate_vax(VaxSpec("Patient", 4, 8)), light=light,
+               name=OTHER_SLIM)
+    assert _decide(unit, session, FULL_NAME) == _oracle(records)
+
+    tamper, phrase = UNION_TAMPERING[tampering]
+    manifest = _manifest(unit, FULL_NAME)
+    tamper(unit, manifest)
+    _republish(unit, FULL_NAME, manifest)
+    answer = _decide(unit, session, FULL_NAME)
+    assert isinstance(answer, str), "a tampered field union gave results"
+    assert phrase in answer
+
+
+@pytest.mark.parametrize("mode", ["heavy", "light"])
+def test_no_field_name_or_value_the_client_sent_is_stored_in_clear(
+    make_unit, make_session, tmp_path, mode
+):
+    """Every byte a directory store keeps: manifests, blobs, the names and
+    the chain. Record ids stay out of the check: a full manifest still lists
+    them in clear, so these ids carry no marker."""
+    unit = make_unit(storage=StorageNode.at_directory(tmp_path), allow_light=True)
+    records = [
+        dataclasses.replace(record, fields=dict(
+            record.fields, **{f"SECRET-name-{i}": f"SECRET-value-{i}", "Notes": f"SECRET-note-{i}"}
+        ))
+        for i, record in enumerate(_records())
+    ]
+    _provision(unit, make_session(unit), records, light=(mode == "light"))
+    stored = [path for path in tmp_path.rglob("*") if path.is_file()]
+    assert len(stored) > len(records)
+    for path in stored:
+        assert b"SECRET-" not in path.read_bytes(), path.relative_to(tmp_path)
+
+
+# --- record checks on provision ------------------------------------------------
+
+
+def _valid_doc(record_id="r-good"):
+    return {"id": record_id, "fields": {"Age": 40, "Name": "text", "Flag": True, "Rate": 0.5}}
+
+
+MALFORMED_RECORDS = {
+    "missing-id": {"fields": {"Age": 1}},
+    "missing-fields": {"id": "r1"},
+    "a-string": "r1",
+    "a-list": ["r1"],
+    "a-number": 7,
+    "a-null": None,
+    "id-not-a-string": {"id": 7, "fields": {}},
+    "empty-id": {"id": "", "fields": {}},
+    "fields-not-an-object": {"id": "r1", "fields": ["Age"]},
+    "empty-field-name": {"id": "r1", "fields": {"Age": 1, "": 2}},
+    "nan": {"id": "r1", "fields": {"Age": float("nan")}},
+    "infinity": {"id": "r1", "fields": {"Age": float("inf")}},
+    "minus-infinity": {"id": "r1", "fields": {"Age": float("-inf")}},
+    "huge-int": {"id": "r1", "fields": {"Age": 10**400}},
+    "null-value": {"id": "r1", "fields": {"Age": None}},
+    "list-value": {"id": "r1", "fields": {"Age": [1]}},
+    "object-value": {"id": "r1", "fields": {"Age": {"years": 1}}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS) + ["duplicate-id"])
+def test_provision_refuses_a_malformed_record_with_the_text_parse_record_gives(
+    make_unit, make_session, case
+):
+    """One bad record after a good one: the unit's one-pass check answers
+    what `parse_record` and the duplicate check say of the same document."""
+    if case == "duplicate-id":
+        doc, want = _valid_doc(), "duplicate record id in the dataset"
+    else:
+        doc = MALFORMED_RECORDS[case]
+        with pytest.raises(TableValidationError) as refused:
+            parse_record(doc)
+        want = str(refused.value)
+    unit = make_unit()
+    session = make_session(unit)
+    envelope, _ = session.build_request("provision", {
+        "dataName": SLIM_NAME, "structure": "Patient", "records": [_valid_doc(), doc],
+    })
+    response = unit.handle("t-prov", envelope)
+    assert (response.status, response.error) == ("error", want)
+    assert len(unit._storage.chain) == 0
+
+
 # --- keys ---------------------------------------------------------------------
 
 
@@ -327,7 +478,8 @@ def test_light_datasets_derive_one_key_each(make_unit, make_session, monkeypatch
     _provision(unit, session, records, light=light)
     # one key for the slim blob in either mode; the full form has one per
     # dataset when light, one per record when heavy; every randomizer fresh
-    full_keys = 1 if light else len(records)
+    # (a heavy dataset's union has its own key, the light one shares it)
+    full_keys = 1 if light else 1 + len(records)
     assert len(calls) == 1 + full_keys
     assert len(set(calls)) == len(calls)
 
@@ -388,7 +540,8 @@ def test_reordered_entries_give_the_same_results_by_record_id(
     answer = _decide(unit, session, FULL_NAME)
     assert [r["recordId"] for r in answer] == [r.id for r in reversed(records)]
     assert answer == list(reversed(_oracle(records)))
-    assert counts == {"get": 1 + len(records), "open": len(records)}
+    # the field union is sealed in the manifest: one more open, no more gets
+    assert counts == {"get": 1 + len(records), "open": 1 + len(records)}
 
 
 @pytest.mark.parametrize("mode", ["heavy", "light"])
@@ -489,6 +642,25 @@ def _slim_plaintext(records, layout):
     ])
 
 
+def _union_aad(dataset):
+    """The AAD of a full dataset's sealed field union."""
+    return b"confidec/fields/v1:" + length_prefixed(dataset.encode())
+
+
+def _field_union(records):
+    return sorted({field for record in records for field in record.fields})
+
+
+def _array(values):
+    return json.dumps(values, separators=(",", ":"), ensure_ascii=False).encode()
+
+
+def _full_plaintext(record, union):
+    """A full blob's plaintext: the record's values over the dataset's field
+    union, null where the record lacks the field."""
+    return _array([record_to_obj(record)["fields"].get(field) for field in union])
+
+
 def _wire(ct):
     """A `Ciphertext` laid out as the stored form: nonce || tag || body."""
     return ct.nonce + ct.tag + ct.body
@@ -500,16 +672,21 @@ def _ciphertext(blob):
 
 
 def _store_full_the_old_way(unit, records, light):
-    """The full form stored as a `Ciphertext` per record, with `ae_encrypt`,
-    `_wire` and `length_prefixed` building each blob and AAD."""
-    prefix = _aad_prefix(FULL_NAME, "full", ())
-    shared_t = secrets.token_bytes(16)
+    """The full form stored as a `Ciphertext` per record and one for the
+    field union, with `ae_encrypt`, `_wire` and `length_prefixed` building
+    each blob and AAD."""
+    union = _field_union(records)
+    prefix = _aad_prefix(FULL_NAME, "full", union)
+    manifest_t = secrets.token_bytes(16)
+    sealed_union = _wire(ae_encrypt(
+        derive_record_key(unit._seed, manifest_t), _array(union), aad=_union_aad(FULL_NAME)
+    ))
     entries = []
     for record in records:
-        t = shared_t if light else secrets.token_bytes(16)
+        t = manifest_t if light else secrets.token_bytes(16)
         blob = _wire(ae_encrypt(
             derive_record_key(unit._seed, t),
-            canonical_json(record_to_obj(record)),
+            _full_plaintext(record, union),
             aad=prefix + length_prefixed(record.id.encode()),
         ))
         entry = {"id": record.id, "address": unit._storage.blobs.put(blob)}
@@ -518,10 +695,8 @@ def _store_full_the_old_way(unit, records, light):
         entries.append(entry)
     manifest = {
         "dataset": FULL_NAME, "structure": "Patient", "form": "full", "light": light,
-        "records": entries,
+        "t": b64(manifest_t), "fields": b64(sealed_union), "records": entries,
     }
-    if light:
-        manifest["t"] = b64(shared_t)
     unit._storage.publish(FULL_NAME, canonical_json(manifest))
 
 
@@ -570,7 +745,13 @@ def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session, light):
     assert plaintext == _slim_plaintext(records, layout)
 
     full = _manifest(unit, FULL_NAME)
-    prefix = _aad_prefix(FULL_NAME, "full", ())
+    union = ae_decrypt(
+        derive_record_key(unit._seed, unb64(full["t"])),
+        _ciphertext(unb64(full["fields"])),
+        aad=_union_aad(FULL_NAME),
+    )
+    assert union == _array(_field_union(records))
+    prefix = _aad_prefix(FULL_NAME, "full", _field_union(records))
     for record, entry in zip(records, full["records"]):
         t = unb64(full["t"] if light else entry["t"])
         plaintext = ae_decrypt(
@@ -578,7 +759,7 @@ def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session, light):
             _ciphertext(blobs.get(entry["address"])),
             aad=prefix + length_prefixed(record.id.encode()),
         )
-        assert plaintext == canonical_json(record_to_obj(record))
+        assert plaintext == _full_plaintext(record, _field_union(records))
 
 
 @pytest.mark.parametrize("light", [False, True], ids=["heavy", "light"])
@@ -608,7 +789,11 @@ def test_provision_writes_the_receipt_manifests_and_chain_entries_it_always_has(
             assert set(manifest) == keys | {"address", "t"}
             addresses = [manifest["address"]]
         else:
-            assert set(manifest) == keys | ({"records", "t"} if light else {"records"})
+            # the sealed field union and the randomizer of its key (in light
+            # mode, every record's), then one entry per record
+            assert set(manifest) == keys | {"t", "fields", "records"}
+            assert all(set(entry) == ({"id", "address"} if light else {"id", "address", "t"})
+                       for entry in manifest["records"])
             addresses = [entry["address"] for entry in manifest["records"]]
         assert stored["storedBytes"] == len(manifest_bytes) + sum(
             len(blobs.get(address)) for address in addresses

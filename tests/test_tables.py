@@ -189,6 +189,17 @@ def test_date_objects_serialize_to_iso_strings():
     assert obj["fields"]["ts"] == "2026-01-15T10:30:00"
 
 
+def test_an_int_too_large_for_a_float_is_a_non_finite_number():
+    from confidec.dmn.model import Record
+
+    with pytest.raises(TableValidationError, match="^record field holds a non-finite number$"):
+        parse_record({"id": "r1", "fields": {"n": 10**400}})
+    with pytest.raises(ValueError, match="^field holds a non-finite number$"):
+        Record(id="r1", fields={"n": -(10**400)})
+    # the largest int that still rounds to a finite float is accepted
+    assert parse_record({"id": "r1", "fields": {"n": int(1.7976931348623157e308)}})
+
+
 def test_record_requires_id():
     with pytest.raises(TableValidationError):
         parse_record({"fields": {"a": 1}})
