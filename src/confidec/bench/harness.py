@@ -1,9 +1,9 @@
-"""Benchmark harness: seven experiments over the decision engine.
+"""Benchmark harness: six experiments over the decision engine.
 
 Four experiments scale the bare evaluator (records, columns, rules and
-aggregation count), three exercise the full confidential pipeline
-(per-record versus shared randomizers, plaintext versus enclave decisions,
-and the slim/full storage footprint).  Every experiment emits rows in one
+aggregation count), two exercise the full confidential pipeline
+(plaintext versus enclave decisions, and the slim/full storage
+footprint).  Every experiment emits rows in one
 fixed CSV schema; timing rows report the median over the configured
 repetitions, and peak memory is sampled in one extra instrumented run so
 tracing never skews the timings. The ladder experiments time their rungs
@@ -50,7 +50,6 @@ EXPERIMENTS = (
     "scaleColumns",
     "scaleRules",
     "aggregationOverhead",
-    "encryptionMode",
     "plainVsEnclave",
     "memorySaving",
 )
@@ -158,7 +157,6 @@ def run_benchmark(config: BenchConfig) -> list[BenchRow]:
         "scaleColumns": _bench_scale_columns,
         "scaleRules": _bench_scale_rules,
         "aggregationOverhead": _bench_aggregation_overhead,
-        "encryptionMode": _bench_encryption_mode,
         "plainVsEnclave": _bench_plain_vs_enclave,
         "memorySaving": _bench_memory_saving,
     }[config.experiment]
@@ -324,7 +322,7 @@ def _bench_aggregation_overhead(config: BenchConfig) -> list[BenchRow]:
 
 # -- pipeline experiments ------------------------------------------------------
 
-def _make_stack(allow_light: bool = False) -> tuple[Ccu, ClientSession]:
+def _make_stack() -> tuple[Ccu, ClientSession]:
     """A booted, deployed, seeded unit plus an attested client session."""
 
     authority = SigningKeyPair.generate()
@@ -333,7 +331,6 @@ def _make_stack(allow_light: bool = False) -> tuple[Ccu, ClientSession]:
         authority,
         platform_secret=secrets.token_bytes(32),
         storage=StorageNode.in_memory(),
-        allow_light_encryption=allow_light,
     )
     bundle = CodeBundle.assemble(
         load_policy_text(),
@@ -367,14 +364,12 @@ def _roundtrip(unit: Ccu, session: ClientSession, request_type: str, payload: di
     return session.open_response(response, key), elapsed_ms
 
 
-def _provision(unit, session, role: str, records, light: bool = False) -> tuple[dict, float]:
+def _provision(unit, session, role: str, records) -> tuple[dict, float]:
     payload = {
         "dataName": _DATASET_FOR_ROLE[role],
         "structure": role,
         "records": [record_to_obj(r) for r in records],
     }
-    if light:
-        payload["lightEncryption"] = True
     return _roundtrip(unit, session, "provision", payload)
 
 
@@ -386,21 +381,6 @@ def _patient_decision(unit: Ccu, session: ClientSession) -> Callable[[], object]
         "dataName": _DATASET_FOR_ROLE["Patient"],
     }
     return lambda: _roundtrip(unit, session, "decision", payload)
-
-
-def _bench_encryption_mode(config: BenchConfig) -> list[BenchRow]:
-    patients = generate_vax(VaxSpec("Patient", config.records, config.seed))
-    table = load_table("PatientPrioritizationWithAggr")
-    rows = []
-    for mode in ("heavy", "light"):
-        unit, session = _make_stack(allow_light=True)
-        _provision(unit, session, "Patient", patients, light=(mode == "light"))
-        median_ms, peak = _measure(_patient_decision(unit, session), config.repetitions)
-        rows.append(BenchRow(
-            config.experiment, config.records, len(table.condition_columns),
-            len(table.rules), mode, config.repetitions, median_ms, peak,
-        ))
-    return rows
 
 
 def _bench_plain_vs_enclave(config: BenchConfig) -> list[BenchRow]:

@@ -124,7 +124,6 @@ def _load_unit(home: Path, name: str) -> Ccu:
     """Rebuild a unit from disk: identity, bundle and sealed seed if present."""
 
     d = _unit_dir(home, name)
-    meta = _read_json(d / "unit.json")
     unit = Ccu(
         name=name,
         authority_verify_key=_authority_verify_key(home),
@@ -132,7 +131,6 @@ def _load_unit(home: Path, name: str) -> Ccu:
         signing_key=SigningKeyPair.from_pem((d / "key.pem").read_bytes()),
         platform_secret=load_or_create_platform_secret(home / "platform_secret.bin"),
         storage=StorageNode.at_directory(d / "store"),
-        allow_light_encryption=bool(meta.get("allowLight", False)),
     )
     bundle_path = d / "bundle.json"
     if bundle_path.exists():
@@ -154,6 +152,11 @@ def _save_seed(home: Path, unit: Ccu) -> None:
 
 
 def _attested_session(home: Path, client: str, unit: Ccu) -> ClientSession:
+    published = home / "units" / unit.name / "measurement.hex"
+    if not published.exists():
+        raise ConfidecError(
+            f"unit {unit.name!r} has no deployed bundle; run 'confidec ccu deploy'"
+        )
     d = home / "clients" / client
     if not d.exists():
         raise ConfidecError(f"no client {client!r} under {home}; run 'confidec ca issue'")
@@ -162,8 +165,7 @@ def _attested_session(home: Path, client: str, unit: Ccu) -> ClientSession:
         signing_key=SigningKeyPair.from_pem((d / "key.pem").read_bytes()),
         authority_verify_key=_authority_verify_key(home),
     )
-    published = (home / "units" / unit.name / "measurement.hex").read_text().strip()
-    session.attest(unit.evidence(), bytes.fromhex(published))
+    session.attest(unit.evidence(), bytes.fromhex(published.read_text().strip()))
     return session
 
 
@@ -253,11 +255,9 @@ def ccu() -> None:
 
 @ccu.command("init")
 @click.argument("name")
-@click.option("--allow-light", is_flag=True,
-              help="Accept shared-randomizer provisioning (benchmarks only).")
 @_home_option
 @_fail_cleanly
-def ccu_init(name: str, allow_light: bool, home: str) -> None:
+def ccu_init(name: str, home: str) -> None:
     """Create a unit identity certified by the authority."""
 
     root = _home_path(home)
@@ -281,7 +281,6 @@ def ccu_init(name: str, allow_light: bool, home: str) -> None:
     pem.touch(mode=0o600)
     pem.write_bytes(signing_key.private_pem())
     _write_json(d / "cert.json", certificate_to_obj(cert))
-    _write_json(d / "unit.json", {"name": name, "allowLight": allow_light})
     (d / "store").mkdir()
     click.echo(f"unit {name!r} initialized")
 
@@ -354,11 +353,10 @@ def ccu_exchange_seed(source: str, target: str, home: str) -> None:
 @click.argument("records_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--unit", required=True, help="Receiving unit name.")
 @click.option("--client", required=True, help="Client credentials to use.")
-@click.option("--light", is_flag=True, help="Shared randomizer (benchmarks only).")
 @_home_option
 @_fail_cleanly
 def provide(data_name: str, structure: str, records_file: str, unit: str,
-            client: str, light: bool, home: str) -> None:
+            client: str, home: str) -> None:
     """Provision a dataset; prints the storage receipt."""
 
     root = _home_path(home)
@@ -369,8 +367,6 @@ def provide(data_name: str, structure: str, records_file: str, unit: str,
         "structure": structure,
         "records": _read_json(Path(records_file)),
     }
-    if light:
-        payload["lightEncryption"] = True
     envelope, key = session.build_request("provision", payload)
     receipt = session.open_response(_submit(ccu_obj, envelope), key)
     click.echo(json.dumps(receipt, indent=2, sort_keys=True))

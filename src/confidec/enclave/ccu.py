@@ -128,7 +128,6 @@ class Ccu:
         platform_secret: bytes,
         storage: StorageNode,
         clock: Clock | None = None,
-        allow_light_encryption: bool = False,
     ):
         self.name = name
         self.authority_verify_key = authority_verify_key
@@ -137,7 +136,6 @@ class Ccu:
         self._platform_secret = platform_secret
         self._storage = storage
         self._clock = clock or utcnow
-        self.allow_light_encryption = allow_light_encryption
 
         self._seed: bytes | None = None
         self._ka = KeyAgreementKeyPair.generate()
@@ -164,7 +162,6 @@ class Ccu:
         storage: StorageNode,
         clock: Clock | None = None,
         validity: timedelta = timedelta(days=365),
-        allow_light_encryption: bool = False,
     ) -> "Ccu":
         """Create a unit with a fresh identity certified by the authority."""
         signing_key = SigningKeyPair.generate()
@@ -185,7 +182,6 @@ class Ccu:
             platform_secret=platform_secret,
             storage=storage,
             clock=clock,
-            allow_light_encryption=allow_light_encryption,
         )
 
     # --- deployment -------------------------------------------------------
@@ -343,13 +339,6 @@ class Ccu:
             raise MalformedRequestError("structure must be a string")
         if not isinstance(raw_records, list):
             raise MalformedRequestError("records must be a list")
-        light = payload.get("lightEncryption", False)
-        if type(light) is not bool:
-            raise MalformedRequestError("lightEncryption must be true or false")
-        if light and not self.allow_light_encryption:
-            raise MalformedRequestError(
-                "light encryption is a benchmark mode and is not accepted here"
-            )
         if self._seed is None:
             raise ConfidecError("unit has no data seed installed")
         if not isinstance(data_name, str) or not data_name or data_name.endswith(FULL_SUFFIX):
@@ -360,12 +349,10 @@ class Ccu:
             raise UnknownFunctionError("no deployed function reads structure of that name")
 
         union = _checked_field_union(raw_records)
-        receipt = {"dataName": data_name, "structure": structure, "light": light}
+        receipt = {"dataName": data_name, "structure": structure}
         # the full form first: the chain notarizes `<name>.full`, then `<name>`
-        receipt["full"] = self._store_full(
-            data_name + FULL_SUFFIX, structure, union, raw_records, light
-        )
-        receipt["slim"] = self._store_slim(data_name, structure, layout, raw_records, light)
+        receipt["full"] = self._store_full(data_name + FULL_SUFFIX, structure, union, raw_records)
+        receipt["slim"] = self._store_slim(data_name, structure, layout, raw_records)
         return receipt
 
     def _store_full(
@@ -374,12 +361,11 @@ class Ccu:
         structure: str,
         union: Tuple[str, ...],
         records: Sequence[dict],
-        light: bool,
     ) -> dict:
         """Seal the field union into the manifest under the manifest's
         randomizer, then each record's values over the union under its own
-        randomizer, kept in its manifest entry, or in light mode under the
-        manifest's; returns the form's part of the receipt."""
+        randomizer, kept in its manifest entry; returns the form's part of the
+        receipt."""
         seed = self._seed
         put = self._storage.blobs.put
         encode = _ARRAYS.encode
@@ -390,7 +376,6 @@ class Ccu:
             "dataset": name,
             "structure": structure,
             "form": FULL,
-            "light": light,
             "t": b64(t),
             "fields": b64(seal_wire(key, encode(union).encode("utf-8"), _union_aad(name))),
         }
@@ -398,16 +383,11 @@ class Ccu:
         blob_bytes = 0
         for record in records:
             record_id = record["id"]
-            if not light:
-                t = secrets.token_bytes(RANDOMIZER_LEN)
-                key = derive_record_key(seed, t)
+            t = secrets.token_bytes(RANDOMIZER_LEN)
             # None for an absent field: never a valid value, so unambiguous
             plaintext = encode(list(map(record["fields"].get, union))).encode("utf-8")
-            blob = seal_wire(key, plaintext, prefix + _id_part(record_id))
-            entry = {"id": record_id, "address": put(blob)}
-            if not light:
-                entry["t"] = b64(t)
-            entries.append(entry)
+            blob = seal_wire(derive_record_key(seed, t), plaintext, prefix + _id_part(record_id))
+            entries.append({"id": record_id, "address": put(blob), "t": b64(t)})
             blob_bytes += len(blob)
         manifest["records"] = entries
         return self._publish(name, manifest, blob_bytes, len(records))
@@ -418,7 +398,6 @@ class Ccu:
         structure: str,
         layout: Tuple[str, ...],
         records: Sequence[dict],
-        light: bool,
     ) -> dict:
         """Seal the ids and the layout rows of all records as one blob under
         one fresh randomizer, kept in the manifest; returns the form's part of
@@ -435,7 +414,6 @@ class Ccu:
             "dataset": name,
             "structure": structure,
             "form": SLIM,
-            "light": light,
             "address": self._storage.blobs.put(blob),
             "t": b64(t),
         }
@@ -540,7 +518,6 @@ class Ccu:
         self, seed: bytes, name: str, manifest: dict, layout: Tuple[str, ...]
     ) -> Tuple[List[str], List[list]]:
         get = self._storage.blobs.get
-        light = bool(manifest.get("light", False))
         key = derive_record_key(seed, unb64(manifest["t"]))
         union = json.loads(open_wire(key, unb64(manifest["fields"]), _union_aad(name)))
         prefix = _record_aad_prefix(name, FULL, union)
@@ -549,8 +526,7 @@ class Ccu:
         for entry in manifest["records"]:
             record_id = entry["id"]
             blob = get(entry["address"])
-            if not light:
-                key = derive_record_key(seed, unb64(entry["t"]))
+            key = derive_record_key(seed, unb64(entry["t"]))
             plaintexts.append(open_wire(key, blob, prefix + _id_part(record_id)))
             ids.append(record_id)
         # each plaintext is one authenticated JSON array the unit wrote over

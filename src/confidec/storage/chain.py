@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence
 
+from confidec.storage.store import load_jsonl
 from confidec.util import length_prefixed
 
 GENESIS_PREV = b"\x00" * 32
@@ -31,6 +32,20 @@ def entry_digest(seq: int, name: str, address: str, prev_hash: bytes) -> bytes:
         name.encode("utf-8"), address.encode("utf-8")
     ) + prev_hash
     return hashlib.sha256(payload).digest()
+
+
+def _entry_from_obj(obj) -> NotarizationEntry:
+    """A log line's entry; KeyError, TypeError or ValueError when malformed."""
+    entry = NotarizationEntry(
+        seq=obj["seq"],
+        name=obj["name"],
+        address=obj["address"],
+        prev_hash=bytes.fromhex(obj["prevHash"]),
+        entry_hash=bytes.fromhex(obj["entryHash"]),
+    )
+    if (type(entry.seq), type(entry.name), type(entry.address)) != (int, str, str):
+        raise TypeError("entry field of the wrong type")
+    return entry
 
 
 def verify_entries(entries: Sequence[NotarizationEntry]) -> int | None:
@@ -54,19 +69,7 @@ class NotarizationLog:
         self._path = Path(path) if path is not None else None
         self._entries: List[NotarizationEntry] = []
         if self._path is not None and self._path.exists():
-            for line in self._path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                self._entries.append(
-                    NotarizationEntry(
-                        seq=obj["seq"],
-                        name=obj["name"],
-                        address=obj["address"],
-                        prev_hash=bytes.fromhex(obj["prevHash"]),
-                        entry_hash=bytes.fromhex(obj["entryHash"]),
-                    )
-                )
+            self._entries = load_jsonl(self._path, "notarization log", _entry_from_obj)
 
     def notarize(self, name: str, address: str) -> NotarizationEntry:
         seq = len(self._entries)
@@ -95,7 +98,8 @@ class NotarizationLog:
         return list(self._entries)
 
     def verify_chain(self) -> int | None:
-        """Re-read the backing file when present, then verify."""
+        """Re-read the backing file when present, then verify; a malformed
+        line raises StorageError."""
         if self._path is not None:
             return verify_entries(NotarizationLog(self._path).entries())
         return verify_entries(self._entries)

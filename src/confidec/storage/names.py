@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from confidec.errors import NameNotFoundError, StorageError
+from confidec.storage.store import load_jsonl
 
 
 @dataclass(frozen=True)
@@ -15,6 +16,14 @@ class NameRecord:
     name: str
     address: str
     version: int
+
+
+def _record_from_obj(obj) -> NameRecord:
+    """A registry line's record; KeyError or TypeError when malformed."""
+    record = NameRecord(obj["name"], obj["address"], obj["version"])
+    if (type(record.name), type(record.address), type(record.version)) != (str, str, int):
+        raise TypeError("record field of the wrong type")
+    return record
 
 
 class NameRegistry:
@@ -29,11 +38,8 @@ class NameRegistry:
         self._latest: Dict[str, NameRecord] = {}
         self._records: List[NameRecord] = []
         if self._path is not None and self._path.exists():
-            for line in self._path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                self._append(NameRecord(obj["name"], obj["address"], obj["version"]))
+            for record in load_jsonl(self._path, "name registry", _record_from_obj):
+                self._append(record)
 
     def _append(self, record: NameRecord) -> None:
         self._records.append(record)

@@ -1,4 +1,5 @@
-"""Content-addressed blob stores.
+"""Content-addressed blob stores, and the reader of the JSONL files a node
+keeps beside them.
 
 An address is the lowercase hex SHA-256 of the content, so equal payloads
 share one blob and any corruption is detectable on read.
@@ -7,15 +8,35 @@ share one blob and any corruption is detectable on read.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator
+from typing import Callable, Dict, Iterator, List, TypeVar
 
 from confidec.errors import BlobNotFoundError, StorageError
+
+T = TypeVar("T")
 
 
 def blob_address(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def load_jsonl(path: Path, what: str, parse: Callable[[object], T]) -> List[T]:
+    """Each non-blank line of path, decoded as JSON and given to parse.
+
+    A line that is not JSON, or that parse refuses with KeyError, TypeError
+    or ValueError, raises StorageError naming the line's position in what,
+    and nothing the line holds.
+    """
+    parsed = []
+    for number, line in enumerate(path.read_bytes().splitlines(), start=1):
+        if line.strip():
+            try:
+                parsed.append(parse(json.loads(line)))
+            except (KeyError, RecursionError, TypeError, ValueError):
+                raise StorageError(f"{what} line {number} is malformed") from None
+    return parsed
 
 
 class BlobStore:

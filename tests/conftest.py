@@ -81,14 +81,12 @@ def make_cert(authority):
 def make_unit(authority):
     """Factory for booted units, deployed and seeded unless told otherwise."""
 
-    def _make(name="unit-a", deploy=True, seed=True, allow_light=False,
-              storage=None, bundle=None):
+    def _make(name="unit-a", deploy=True, seed=True, storage=None, bundle=None):
         unit = Ccu.boot(
             name,
             authority,
             platform_secret=secrets.token_bytes(32),
             storage=storage or StorageNode.in_memory(),
-            allow_light_encryption=allow_light,
         )
         if deploy:
             unit.deploy(bundle or standard_bundle())

@@ -218,26 +218,6 @@ def test_criterion_03_scaling_shape():
     _verdict(3, "scaling shape", problems, time.perf_counter() - start)
 
 
-# --- 4: encryption overhead ----------------------------------------------------
-
-
-def test_criterion_04_encryption_overhead():
-    start = time.perf_counter()
-    problems = []
-    rows = run_benchmark(BenchConfig("encryptionMode", records=16000, repetitions=5))
-    times = {r.mode: r.wall_time_ms for r in rows}
-    if set(times) != {"heavy", "light"}:
-        problems.append(f"modes came out as {sorted(times)}")
-    else:
-        ratio = max(times.values()) / min(times.values())
-        if ratio > 2.0:
-            problems.append(
-                f"heavy {times['heavy']:.1f}ms vs light {times['light']:.1f}ms "
-                f"is a {ratio:.2f}x gap"
-            )
-    _verdict(4, "encryption overhead", problems, time.perf_counter() - start)
-
-
 # --- 5: memory saving -----------------------------------------------------------
 
 

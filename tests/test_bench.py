@@ -28,7 +28,7 @@ from confidec.enclave import ccu
 def test_experiment_catalogue_is_fixed():
     assert EXPERIMENTS == (
         "scaleRecords", "scaleColumns", "scaleRules", "aggregationOverhead",
-        "encryptionMode", "plainVsEnclave", "memorySaving",
+        "plainVsEnclave", "memorySaving",
     )
 
 
@@ -150,12 +150,6 @@ def test_aggregation_overhead_widens_the_table():
     assert all(r.rules == 10 for r in rows)
 
 
-def test_encryption_mode_compares_heavy_and_light():
-    rows = _tiny("encryptionMode", records=30)
-    assert [r.mode for r in rows] == ["heavy", "light"]
-    assert all(r.records == 30 and r.wall_time_ms > 0 for r in rows)
-
-
 def test_plain_vs_enclave_compares_the_same_workload():
     rows = _tiny("plainVsEnclave", records=30)
     assert [r.mode for r in rows] == ["plain", "enclave"]
@@ -163,7 +157,7 @@ def test_plain_vs_enclave_compares_the_same_workload():
     assert all(r.columns == 8 and r.rules == 4 for r in rows)
 
 
-@pytest.mark.parametrize("experiment, modes", [("encryptionMode", 2), ("plainVsEnclave", 1)])
+@pytest.mark.parametrize("experiment, modes", [("plainVsEnclave", 1)])
 def test_each_timed_enclave_decision_opens_every_record(monkeypatch, experiment, modes):
     """A slim dataset is one sealed blob: each timed decision opens it once,
     so every record it decides on was decrypted within the timed call."""

@@ -124,12 +124,17 @@ def test_provide_refuses_an_int_too_large_for_a_float(runner, home, tmp_path):
     assert result.stderr.strip() == "error: record field holds a non-finite number"
 
 
-def test_light_provisioning_needs_an_opted_in_unit(runner, home, tmp_path):
+def test_the_retired_light_mode_options_are_usage_errors(runner, home, tmp_path):
     _bootstrap(runner, home, tmp_path)
+    result = _run(runner, home, "ccu", "init", "unit2", "--allow-light", expect=2)
+    assert "No such option" in result.stderr and "--allow-light" in result.stderr
+    assert not (home / "units" / "unit2").exists()
+
     records = _records_file(tmp_path, 6)
     result = _run(runner, home, "provide", "vax/patients", "Patient", str(records),
-                  "--unit", "unit1", "--client", "hub1", "--light", expect=16)
-    assert "light encryption" in result.stderr
+                  "--unit", "unit1", "--client", "hub1", "--light", expect=2)
+    assert "No such option" in result.stderr and "--light" in result.stderr
+    assert not (home / "units" / "unit1" / "store" / "chain.jsonl").exists()
 
 
 def test_emit_audit_prints_the_exact_script(runner, home, tmp_path):
@@ -152,18 +157,41 @@ def test_a_damaged_sealed_seed_exits_with_the_sealing_code(runner, home, tmp_pat
     assert result.stderr == "error: sealed blob does not open under this identity\n"
 
 
-def test_verify_chain_reports_the_broken_entry(runner, home, tmp_path):
+CHAIN_MALFORMED = "notarization log line 1 is malformed"
+
+# per kind of damage: the chain line it edits, the edit, and the error
+CHAIN_DAMAGE = {
+    # a well-formed line that breaks the chain
+    "edited-address": (1, lambda obj: json.dumps(dict(obj, address="e" * 64)),
+                       "chain breaks at sequence 1"),
+    # lines that do not load; the error names the position, not the content
+    "missing-key": (0, lambda obj: json.dumps({k: v for k, v in obj.items() if k != "prevHash"}),
+                    CHAIN_MALFORMED),
+    "not-an-object": (0, lambda obj: json.dumps(list(obj.values())), CHAIN_MALFORMED),
+    "bad-hex": (0, lambda obj: json.dumps(dict(obj, prevHash="zz" * 32)), CHAIN_MALFORMED),
+    "truncated": (0, lambda obj: json.dumps(obj)[:40], CHAIN_MALFORMED),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CHAIN_DAMAGE))
+def test_verify_chain_reports_the_broken_entry(runner, home, tmp_path, damage):
     _bootstrap(runner, home, tmp_path)
     records = _records_file(tmp_path, 4)
     _run(runner, home, "provide", "vax/patients", "Patient", str(records),
          "--unit", "unit1", "--client", "hub1")
     chain_path = home / "units" / "unit1" / "store" / "chain.jsonl"
-    lines = [json.loads(line) for line in chain_path.read_text().splitlines()]
-    lines[1]["address"] = "e" * 64
-    chain_path.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
+    lines = chain_path.read_text().splitlines()
+    index, edit, message = CHAIN_DAMAGE[damage]
+    lines[index] = edit(json.loads(lines[index]))
+    chain_path.write_text("\n".join(lines) + "\n")
 
     result = _run(runner, home, "verify-chain", "--unit", "unit1", expect=15)
-    assert "chain breaks at sequence 1" in result.stderr
+    assert result.stderr == f"error: {message}\n"
+    if message == CHAIN_MALFORMED:
+        # every command loads the log, so none runs on a malformed one
+        result = _run(runner, home, "provide", "vax/patients", "Patient", str(records),
+                      "--unit", "unit1", "--client", "hub1", expect=15)
+        assert result.stderr == f"error: {message}\n"
 
 
 def test_seed_exchange_between_units(runner, home, tmp_path):
@@ -236,6 +264,17 @@ def test_commands_refuse_to_run_without_their_prerequisites(runner, home, tmp_pa
     result = _run(runner, home, "ca", "issue", "x", "--attr", "RoleOnly", expect=11)
     assert "expected KEY=VALUE" in result.stderr
 
+    _run(runner, home, "ca", "issue", "hub1", "--attr", "Role=MedicalHub")
+    _run(runner, home, "ccu", "init", "unit1")
+    undeployed = "error: unit 'unit1' has no deployed bundle; run 'confidec ccu deploy'\n"
+    records = _records_file(tmp_path, 2)
+    result = _run(runner, home, "provide", "vax/patients", "Patient", str(records),
+                  "--unit", "unit1", "--client", "hub1", expect=11)
+    assert result.stderr == undeployed
+    result = _run(runner, home, "decide", "Restock", "vax/patients",
+                  "--unit", "unit1", "--client", "hub1", expect=11)
+    assert result.stderr == undeployed
+
 
 def test_missing_client_is_reported(runner, home, tmp_path):
     _bootstrap(runner, home, tmp_path)
@@ -261,6 +300,7 @@ def test_bench_command_writes_csv(runner, tmp_path):
     assert rows[0]["rules"] == "20"
 
 
-def test_bench_rejects_unknown_experiments(runner):
-    result = runner.invoke(cli, ["bench", "--experiment", "scaleMoons"])
+@pytest.mark.parametrize("experiment", ["scaleMoons", "encryptionMode"])
+def test_bench_rejects_unknown_experiments(runner, experiment):
+    result = runner.invoke(cli, ["bench", "--experiment", experiment])
     assert result.exit_code == 2  # click argument validation

@@ -60,14 +60,12 @@ def _patient_objs(count=12):
 
 
 def _provision(unit, session, name="vax/patients", structure="Patient",
-               records=None, light=False, correlation="t-prov"):
+               records=None, correlation="t-prov"):
     payload = {
         "dataName": name,
         "structure": structure,
         "records": records if records is not None else _patient_objs(),
     }
-    if light:
-        payload["lightEncryption"] = True
     envelope, key = session.build_request("provision", payload)
     response = unit.handle(correlation, envelope)
     return response, key
@@ -381,7 +379,7 @@ def test_provision_stores_slim_and_full_datasets(make_unit, make_session):
     assert response.status == "ok"
     assert receipt["dataName"] == "vax/patients"
     assert receipt["structure"] == "Patient"
-    assert receipt["light"] is False
+    assert set(receipt) == {"dataName", "structure", "slim", "full"}
     assert receipt["slim"]["name"] == "vax/patients"
     assert receipt["full"]["name"] == "vax/patients.full"
     assert receipt["slim"]["records"] == receipt["full"]["records"] == 12
@@ -490,47 +488,6 @@ def test_provision_requires_a_seed(make_unit, make_session):
     response, _ = _provision(unit, session)
     assert response.status == "error"
     assert "no data seed" in response.error
-
-
-def test_light_encryption_is_opt_in(make_unit, make_session):
-    strict = make_unit()
-    response, _ = _provision(strict, make_session(strict), light=True)
-    assert response.status == "error"
-    assert "light encryption" in response.error
-
-    relaxed = make_unit(allow_light=True)
-    session = make_session(relaxed)
-    originals = generate_vax(VaxSpec("Patient", 6))
-    response, key = _provision(
-        relaxed, session, records=[record_to_obj(r) for r in originals], light=True
-    )
-    receipt = ClientSession.open_response(response, key)
-    assert receipt["light"] is True
-    assert relaxed.decrypt_data("vax/patients.full", "Patient") == _in_layout(relaxed, originals)
-
-    manifest = json.loads(relaxed._storage.fetch("vax/patients.full"))
-    assert manifest["light"] is True
-    assert "t" in manifest  # one shared randomizer
-    assert all("t" not in entry for entry in manifest["records"])
-    # the slim form is one blob under one randomizer in either mode
-    slim = json.loads(relaxed._storage.fetch("vax/patients"))
-    assert slim["light"] is True and "t" in slim and "records" not in slim
-
-
-@pytest.mark.parametrize("flag", ["false", 1, None], ids=repr)
-def test_light_encryption_must_be_a_json_boolean(make_unit, make_session, flag):
-    """Read as a truth value, "false" and 1 gave light mode, one key for
-    the whole full form, and null gave heavy mode."""
-    unit = make_unit(allow_light=True)
-    envelope, _ = make_session(unit).build_request("provision", {
-        "dataName": "vax/patients", "structure": "Patient", "records": _patient_objs(2),
-        "lightEncryption": flag,
-    })
-    response = unit.handle("t-prov", envelope)
-    assert (response.status, response.error) == (
-        "error", "lightEncryption must be true or false"
-    )
-    assert len(unit._storage.chain) == 0
 
 
 def test_decrypt_data_checks_the_declared_structure(make_unit, make_session):

@@ -40,23 +40,22 @@ OTHER_SLIM = "vax/others"
 OTHER_FULL = "vax/others.full"
 
 
-def _unit(make_unit, store, tmp_path, light=False):
+def _unit(make_unit, store, tmp_path):
     storage = StorageNode.in_memory() if store == "memory" else StorageNode.at_directory(tmp_path)
-    return make_unit(storage=storage, allow_light=light)
+    return make_unit(storage=storage)
 
 
 def _records(count=6):
     return generate_vax(VaxSpec("Patient", count, 7))
 
 
-def _provision(unit, session, records, light=False, name=SLIM_NAME):
+def _provision(unit, session, records, name=SLIM_NAME, **extra):
     payload = {
         "dataName": name,
         "structure": "Patient",
         "records": [record_to_obj(r) for r in records],
+        **extra,
     }
-    if light:
-        payload["lightEncryption"] = True
     envelope, key = session.build_request("provision", payload)
     response = unit.handle("t-prov", envelope)
     assert response.status == "ok", response.error
@@ -138,7 +137,7 @@ def _swap_addresses(unit, name, other_form, other_dataset):
 
 def _swap_randomizers(unit, name, other_form, other_dataset):
     manifest = _manifest(unit, name)
-    if manifest["form"] == "slim" or manifest["light"]:
+    if manifest["form"] == "slim":
         # one randomizer per dataset: trade it with another dataset's
         theirs = _manifest(unit, other_dataset)
         manifest["t"], theirs["t"] = theirs["t"], manifest["t"]
@@ -160,6 +159,14 @@ def _drop_a_blob(unit, name, other_form, other_dataset):
     _overwrite(unit._storage, _slot(_manifest(unit, name), 2)["address"], None)
 
 
+def _drop_a_randomizer(unit, name, other_form, other_dataset):
+    """The slim blob's randomizer, or one full record's: a full manifest that
+    light mode wrote had no entry randomizers."""
+    manifest = _manifest(unit, name)
+    del _slot(manifest, 1)["t"]
+    _republish(unit, name, manifest)
+
+
 def _point_at_the_other_form(unit, name, other_form, other_dataset):
     manifest = _manifest(unit, name)
     _slot(manifest)["address"] = _slot(_manifest(unit, other_form))["address"]
@@ -178,6 +185,7 @@ def _point_at_another_dataset(unit, name, other_form, other_dataset):
 TAMPERING = {
     "swapped-addresses": (_swap_addresses, "authentication"),
     "swapped-randomizers": (_swap_randomizers, "authentication"),
+    "dropped-randomizer": (_drop_a_randomizer, "malformed"),
     "flipped-byte": (_flip_a_stored_byte, "content check"),
     "missing-blob": (_drop_a_blob, "no blob at"),
     "other-form-blob": (_point_at_the_other_form, "authentication"),
@@ -187,17 +195,16 @@ TAMPERING = {
 
 @pytest.mark.parametrize("tampering", sorted(TAMPERING))
 @pytest.mark.parametrize("store", ["memory", "directory"])
-@pytest.mark.parametrize("mode", ["heavy", "light"])
 @pytest.mark.parametrize("form", ["slim", "full"])
 def test_tampered_storage_yields_a_typed_error_never_results(
-    make_unit, make_session, tmp_path, tampering, store, mode, form
+    make_unit, make_session, tmp_path, tampering, store, form
 ):
-    unit = _unit(make_unit, store, tmp_path, light=(mode == "light"))
+    unit = _unit(make_unit, store, tmp_path)
     session = make_session(unit)
     records = _records()
-    _provision(unit, session, records, light=(mode == "light"))
+    _provision(unit, session, records)
     others = generate_vax(VaxSpec("Patient", 4, 8))
-    _provision(unit, session, others, light=(mode == "light"), name=OTHER_SLIM)
+    _provision(unit, session, others, name=OTHER_SLIM)
     if form == "slim":
         name, other_form, other_dataset = SLIM_NAME, FULL_NAME, OTHER_SLIM
     else:
@@ -361,22 +368,19 @@ UNION_TAMPERING = {
 
 
 @pytest.mark.parametrize("tampering", sorted(UNION_TAMPERING))
-@pytest.mark.parametrize("mode", ["heavy", "light"])
 def test_a_tampered_field_union_yields_a_typed_error_never_results(
-    make_unit, make_session, tampering, mode
+    make_unit, make_session, tampering
 ):
-    light = mode == "light"
-    unit = make_unit(allow_light=True)
+    unit = make_unit()
     session = make_session(unit)
     records = _records()
-    _provision(unit, session, records, light=light)
+    _provision(unit, session, records)
     # keep this version's manifest, then provision again with one more field
     unit._storage.publish(FULL_NAME + ".earlier", unit._storage.fetch(FULL_NAME))
     _provision(unit, session, [
         dataclasses.replace(r, fields=dict(r.fields, Extra=1)) for r in records
-    ], light=light)
-    _provision(unit, session, generate_vax(VaxSpec("Patient", 4, 8)), light=light,
-               name=OTHER_SLIM)
+    ])
+    _provision(unit, session, generate_vax(VaxSpec("Patient", 4, 8)), name=OTHER_SLIM)
     assert _decide(unit, session, FULL_NAME) == _oracle(records)
 
     tamper, phrase = UNION_TAMPERING[tampering]
@@ -388,21 +392,20 @@ def test_a_tampered_field_union_yields_a_typed_error_never_results(
     assert phrase in answer
 
 
-@pytest.mark.parametrize("mode", ["heavy", "light"])
 def test_no_field_name_or_value_the_client_sent_is_stored_in_clear(
-    make_unit, make_session, tmp_path, mode
+    make_unit, make_session, tmp_path
 ):
     """Every byte a directory store keeps: manifests, blobs, the names and
     the chain. Record ids stay out of the check: a full manifest still lists
     them in clear, so these ids carry no marker."""
-    unit = make_unit(storage=StorageNode.at_directory(tmp_path), allow_light=True)
+    unit = make_unit(storage=StorageNode.at_directory(tmp_path))
     records = [
         dataclasses.replace(record, fields=dict(
             record.fields, **{f"SECRET-name-{i}": f"SECRET-value-{i}", "Notes": f"SECRET-note-{i}"}
         ))
         for i, record in enumerate(_records())
     ]
-    _provision(unit, make_session(unit), records, light=(mode == "light"))
+    _provision(unit, make_session(unit), records)
     stored = [path for path in tmp_path.rglob("*") if path.is_file()]
     assert len(stored) > len(records)
     for path in stored:
@@ -463,9 +466,13 @@ def test_provision_refuses_a_malformed_record_with_the_text_parse_record_gives(
 # --- keys ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("light", [False, True], ids=["heavy", "light"])
-def test_light_datasets_derive_one_key_each(make_unit, make_session, monkeypatch, light):
-    unit = make_unit(allow_light=True)
+@pytest.mark.parametrize("extra", [{}, {"lightEncryption": True}], ids=["plain", "light-key"])
+def test_every_full_record_and_slim_blob_derives_its_own_key(
+    make_unit, make_session, monkeypatch, extra
+):
+    """A payload still naming the retired `lightEncryption` gets no special
+    handling: the key goes unread, and the data gets per-record keys."""
+    unit = make_unit()
     session = make_session(unit)
     records = _records(9)
     calls = []
@@ -475,13 +482,15 @@ def test_light_datasets_derive_one_key_each(make_unit, make_session, monkeypatch
         return derive_record_key(seed, randomizer)
 
     monkeypatch.setattr(ccu, "derive_record_key", counting)
-    _provision(unit, session, records, light=light)
-    # one key for the slim blob in either mode; the full form has one per
-    # dataset when light, one per record when heavy; every randomizer fresh
-    # (a heavy dataset's union has its own key, the light one shares it)
-    full_keys = 1 if light else 1 + len(records)
+    receipt = _provision(unit, session, records, **extra)
+    # one key for the slim blob; the full form has one for its union and
+    # one per record; every randomizer fresh
+    full_keys = 1 + len(records)
     assert len(calls) == 1 + full_keys
     assert len(set(calls)) == len(calls)
+    assert "light" not in receipt
+    for name in (SLIM_NAME, FULL_NAME):
+        assert "light" not in _manifest(unit, name)
 
     for name, keys in ((SLIM_NAME, 1), (FULL_NAME, full_keys)):
         calls.clear()
@@ -512,12 +521,11 @@ def _counting(monkeypatch, unit):
     return counts
 
 
-@pytest.mark.parametrize("mode", ["heavy", "light"])
-def test_a_slim_decision_gets_and_opens_one_blob(make_unit, make_session, monkeypatch, mode):
-    unit = make_unit(allow_light=True)
+def test_a_slim_decision_gets_and_opens_one_blob(make_unit, make_session, monkeypatch):
+    unit = make_unit()
     session = make_session(unit)
     records = _records(8)
-    _provision(unit, session, records, light=(mode == "light"))
+    _provision(unit, session, records)
     counts = _counting(monkeypatch, unit)
     for _ in range(2):
         counts.update(get=0, open=0)
@@ -544,16 +552,15 @@ def test_reordered_entries_give_the_same_results_by_record_id(
     assert counts == {"get": 1 + len(records), "open": 1 + len(records)}
 
 
-@pytest.mark.parametrize("mode", ["heavy", "light"])
 @pytest.mark.parametrize("form", ["slim", "full"])
 def test_a_manifest_republished_under_another_name_is_refused_before_any_blob_get(
-    make_unit, make_session, monkeypatch, form, mode
+    make_unit, make_session, monkeypatch, form
 ):
-    unit = make_unit(allow_light=True)
+    unit = make_unit()
     session = make_session(unit)
     records, others = _records(), generate_vax(VaxSpec("Patient", 4, 8))
-    _provision(unit, session, records, light=(mode == "light"))
-    _provision(unit, session, others, light=(mode == "light"), name=OTHER_SLIM)
+    _provision(unit, session, records)
+    _provision(unit, session, others, name=OTHER_SLIM)
     name, theirs = (SLIM_NAME, OTHER_SLIM) if form == "slim" else (FULL_NAME, OTHER_FULL)
     # the operator binds the name to the other dataset's manifest bytes,
     # which the notarization chain records as an ordinary publication
@@ -592,12 +599,11 @@ def _redeploy_another_layout(unit, make_session):
 @pytest.mark.parametrize("change", [
     _reseed, _redeploy_other_code_then_reseed, _redeploy_another_layout,
 ], ids=["new-seed", "other-code-new-seed", "other-layout"])
-@pytest.mark.parametrize("mode", ["heavy", "light"])
-def test_records_never_outlive_their_seed_or_layout(make_unit, make_session, change, mode):
-    unit = make_unit(allow_light=True)
+def test_records_never_outlive_their_seed_or_layout(make_unit, make_session, change):
+    unit = make_unit()
     session = make_session(unit)
     records = _records()
-    _provision(unit, session, records, light=(mode == "light"))
+    _provision(unit, session, records)
     assert _decide(unit, session, SLIM_NAME) == _oracle(records)
 
     session = change(unit, make_session)
@@ -671,7 +677,7 @@ def _ciphertext(blob):
     return Ciphertext(nonce=blob[:NONCE_LEN], tag=blob[NONCE_LEN:HEADER_LEN], body=blob[HEADER_LEN:])
 
 
-def _store_full_the_old_way(unit, records, light):
+def _store_full_the_old_way(unit, records):
     """The full form stored as a `Ciphertext` per record and one for the
     field union, with `ae_encrypt`, `_wire` and `length_prefixed` building
     each blob and AAD."""
@@ -683,24 +689,21 @@ def _store_full_the_old_way(unit, records, light):
     ))
     entries = []
     for record in records:
-        t = manifest_t if light else secrets.token_bytes(16)
+        t = secrets.token_bytes(16)
         blob = _wire(ae_encrypt(
             derive_record_key(unit._seed, t),
             _full_plaintext(record, union),
             aad=prefix + length_prefixed(record.id.encode()),
         ))
-        entry = {"id": record.id, "address": unit._storage.blobs.put(blob)}
-        if not light:
-            entry["t"] = b64(t)
-        entries.append(entry)
+        entries.append({"id": record.id, "address": unit._storage.blobs.put(blob), "t": b64(t)})
     manifest = {
-        "dataset": FULL_NAME, "structure": "Patient", "form": "full", "light": light,
+        "dataset": FULL_NAME, "structure": "Patient", "form": "full",
         "t": b64(manifest_t), "fields": b64(sealed_union), "records": entries,
     }
     unit._storage.publish(FULL_NAME, canonical_json(manifest))
 
 
-def _store_slim_the_old_way(unit, records, light):
+def _store_slim_the_old_way(unit, records):
     """The slim form stored as one `Ciphertext` built with `ae_encrypt`."""
     layout = unit._layouts["Patient"]
     t = secrets.token_bytes(16)
@@ -710,29 +713,27 @@ def _store_slim_the_old_way(unit, records, light):
         aad=_aad_prefix(SLIM_NAME, "slim", layout),
     ))
     manifest = {
-        "dataset": SLIM_NAME, "structure": "Patient", "form": "slim", "light": light,
+        "dataset": SLIM_NAME, "structure": "Patient", "form": "slim",
         "address": unit._storage.blobs.put(blob), "t": b64(t),
     }
     unit._storage.publish(SLIM_NAME, canonical_json(manifest))
 
 
-@pytest.mark.parametrize("light", [False, True], ids=["heavy", "light"])
-def test_records_sealed_as_ciphertexts_still_decide(make_unit, make_session, light):
+def test_records_sealed_as_ciphertexts_still_decide(make_unit, make_session):
     unit = make_unit()
     session = make_session(unit)
     records = _records(10)
-    _store_full_the_old_way(unit, records, light)
-    _store_slim_the_old_way(unit, records, light)
+    _store_full_the_old_way(unit, records)
+    _store_slim_the_old_way(unit, records)
     assert _decide(unit, session, SLIM_NAME) == _oracle(records)
     assert _decide(unit, session, FULL_NAME) == _oracle(records)
 
 
-@pytest.mark.parametrize("light", [False, True], ids=["heavy", "light"])
-def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session, light):
-    unit = make_unit(allow_light=True)
+def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session):
+    unit = make_unit()
     session = make_session(unit)
     records = _records(5)
-    _provision(unit, session, records, light=light)
+    _provision(unit, session, records)
     blobs = unit._storage.blobs
     layout = unit._layouts["Patient"]
 
@@ -753,27 +754,23 @@ def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session, light):
     assert union == _array(_field_union(records))
     prefix = _aad_prefix(FULL_NAME, "full", _field_union(records))
     for record, entry in zip(records, full["records"]):
-        t = unb64(full["t"] if light else entry["t"])
         plaintext = ae_decrypt(
-            derive_record_key(unit._seed, t),
+            derive_record_key(unit._seed, unb64(entry["t"])),
             _ciphertext(blobs.get(entry["address"])),
             aad=prefix + length_prefixed(record.id.encode()),
         )
         assert plaintext == _full_plaintext(record, _field_union(records))
 
 
-@pytest.mark.parametrize("light", [False, True], ids=["heavy", "light"])
 def test_provision_writes_the_receipt_manifests_and_chain_entries_it_always_has(
-    make_unit, make_session, light
+    make_unit, make_session
 ):
-    unit = make_unit(allow_light=True)
+    unit = make_unit()
     chain = unit._storage.chain
     notarized = len(chain)
-    receipt = _provision(unit, make_session(unit), _records(5), light=light)
-    assert set(receipt) == {"dataName", "structure", "light", "slim", "full"}
-    assert (receipt["dataName"], receipt["structure"], receipt["light"]) == (
-        SLIM_NAME, "Patient", light
-    )
+    receipt = _provision(unit, make_session(unit), _records(5))
+    assert set(receipt) == {"dataName", "structure", "slim", "full"}
+    assert (receipt["dataName"], receipt["structure"]) == (SLIM_NAME, "Patient")
     blobs = unit._storage.blobs
     for form, name in (("full", FULL_NAME), ("slim", SLIM_NAME)):
         stored = receipt[form]
@@ -782,18 +779,17 @@ def test_provision_writes_the_receipt_manifests_and_chain_entries_it_always_has(
         manifest_bytes = blobs.get(stored["address"])
         assert manifest_bytes == unit._storage.fetch(name)
         manifest = json.loads(manifest_bytes)
-        assert (manifest["dataset"], manifest["form"], manifest["light"]) == (name, form, light)
-        keys = {"dataset", "structure", "form", "light"}
+        assert (manifest["dataset"], manifest["form"]) == (name, form)
+        keys = {"dataset", "structure", "form"}
         if form == "slim":
-            # one blob and its own randomizer in either mode
+            # one blob and its own randomizer
             assert set(manifest) == keys | {"address", "t"}
             addresses = [manifest["address"]]
         else:
-            # the sealed field union and the randomizer of its key (in light
-            # mode, every record's), then one entry per record
+            # the sealed field union and the randomizer of its key, then one
+            # entry per record with the record's own randomizer
             assert set(manifest) == keys | {"t", "fields", "records"}
-            assert all(set(entry) == ({"id", "address"} if light else {"id", "address", "t"})
-                       for entry in manifest["records"])
+            assert all(set(entry) == {"id", "address", "t"} for entry in manifest["records"])
             addresses = [entry["address"] for entry in manifest["records"]]
         assert stored["storedBytes"] == len(manifest_bytes) + sum(
             len(blobs.get(address)) for address in addresses

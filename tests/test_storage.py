@@ -109,6 +109,43 @@ def test_empty_name_rejected():
         NameRegistry().publish("", "a" * 64)
 
 
+LINE_DAMAGE = {
+    "missing-key": lambda obj, key: json.dumps({k: v for k, v in obj.items() if k != key}),
+    "wrong-type": lambda obj, key: json.dumps(dict(obj, **{key: [obj[key]]})),
+    "bad-hex": lambda obj, key: json.dumps(dict(obj, **{key: "zz"})),
+    "not-an-object": lambda obj, key: json.dumps(list(obj.values())),
+    "truncated": lambda obj, key: json.dumps(obj)[:20],
+}
+
+
+def _line_damage(keys, hex_keys=()):
+    """(damage, key) cases: each key dropped or retyped, each hex key not hex,
+    and two that spoil the whole line."""
+    return (
+        [(damage, key) for damage in ("missing-key", "wrong-type") for key in keys]
+        + [("bad-hex", key) for key in hex_keys]
+        + [("not-an-object", None), ("truncated", None)]
+    )
+
+
+def _damage_second_line(path, damage, key):
+    lines = path.read_text().splitlines()
+    lines[1] = LINE_DAMAGE[damage](json.loads(lines[1]), key)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("damage, key", _line_damage(["name", "address", "version"]))
+def test_a_malformed_name_registry_line_is_a_storage_error(tmp_path, damage, key):
+    path = tmp_path / "names.jsonl"
+    registry = NameRegistry(path)
+    registry.publish("secret-name", "a" * 64)
+    registry.publish("secret-name", "b" * 64)
+    _damage_second_line(path, damage, key)
+    with pytest.raises(StorageError) as refused:
+        NameRegistry(path)
+    assert str(refused.value) == "name registry line 2 is malformed"
+
+
 def test_name_registry_file_round_trip(tmp_path):
     path = tmp_path / "names.jsonl"
     first = NameRegistry(path)
@@ -175,6 +212,21 @@ def test_chain_file_round_trip_and_reverification(tmp_path):
     lines[0]["address"] = "9" * 64
     path.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
     assert log.verify_chain() == 0
+
+
+@pytest.mark.parametrize("damage, key", _line_damage(
+    ["seq", "name", "address", "prevHash", "entryHash"], hex_keys=["prevHash", "entryHash"]
+))
+def test_a_malformed_notarization_log_line_is_a_storage_error(tmp_path, damage, key):
+    path = tmp_path / "chain.jsonl"
+    log = NotarizationLog(path)
+    log.notarize("secret-name", "1" * 64)
+    log.notarize("secret-name", "2" * 64)
+    _damage_second_line(path, damage, key)
+    for load in (lambda: NotarizationLog(path), log.verify_chain):
+        with pytest.raises(StorageError) as refused:
+            load()
+        assert str(refused.value) == "notarization log line 2 is malformed"
 
 
 def test_node_publish_binds_and_notarizes():
