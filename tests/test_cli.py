@@ -194,6 +194,57 @@ def test_verify_chain_reports_the_broken_entry(runner, home, tmp_path, damage):
         assert result.stderr == f"error: {message}\n"
 
 
+NAMES_MALFORMED = "error: name registry line 1 is malformed\n"
+
+# per kind of damage: the edit to the registry's first line
+NAMES_DAMAGE = {
+    "missing-key": lambda obj: json.dumps({k: v for k, v in obj.items() if k != "address"}),
+    "wrong-type": lambda obj: json.dumps(dict(obj, version=str(obj["version"]))),
+    "not-an-object": lambda obj: json.dumps(list(obj.values())),
+    "truncated": lambda obj: json.dumps(obj)[:30],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(NAMES_DAMAGE))
+def test_a_malformed_name_registry_line_stops_every_command(runner, home, tmp_path, damage):
+    _bootstrap(runner, home, tmp_path)
+    records = _records_file(tmp_path, 4)
+    _run(runner, home, "provide", "vax/patients", "Patient", str(records),
+         "--unit", "unit1", "--client", "hub1")
+    names_path = home / "units" / "unit1" / "store" / "names.jsonl"
+    lines = names_path.read_text().splitlines()
+    lines[0] = NAMES_DAMAGE[damage](json.loads(lines[0]))
+    names_path.write_text("\n".join(lines) + "\n")
+
+    # the error names the position, never the dataset name the line holds
+    for args in (
+        ("verify-chain", "--unit", "unit1"),
+        ("provide", "vax/patients", "Patient", str(records), "--unit", "unit1",
+         "--client", "hub1"),
+        ("decide", "Restock", "vax/patients", "--unit", "unit1", "--client", "hub1"),
+    ):
+        result = _run(runner, home, *args, expect=15)
+        assert result.stderr == NAMES_MALFORMED
+
+
+def test_a_leftover_unit_json_is_not_read(runner, home, tmp_path):
+    """`units/<name>/unit.json` once opted a unit into light mode; a home
+    that still holds one provisions with per-record keys all the same."""
+    _bootstrap(runner, home, tmp_path)
+    unit_dir = home / "units" / "unit1"
+    (unit_dir / "unit.json").write_text(json.dumps({"name": "unit1", "allowLight": True}))
+    records = _records_file(tmp_path, 6)
+    result = _run(runner, home, "provide", "vax/patients", "Patient", str(records),
+                  "--unit", "unit1", "--client", "hub1")
+    receipt = json.loads(result.output)
+    assert "light" not in receipt and receipt["full"]["records"] == 6
+    manifest = json.loads((unit_dir / "store" / "blobs" / receipt["full"]["address"]).read_bytes())
+    assert len({entry["t"] for entry in manifest["records"]}) == 6
+    result = _run(runner, home, "decide", "PatientPrioritizationWithAggr", "vax/patients",
+                  "--unit", "unit1", "--client", "hub1")
+    assert len(json.loads(result.output)["results"]) == 6
+
+
 def test_seed_exchange_between_units(runner, home, tmp_path):
     _bootstrap(runner, home, tmp_path, unit="unit1")
     _run(runner, home, "ccu", "init", "unit2")

@@ -466,12 +466,20 @@ def test_provision_refuses_a_malformed_record_with_the_text_parse_record_gives(
 # --- keys ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("extra", [{}, {"lightEncryption": True}], ids=["plain", "light-key"])
+@pytest.mark.parametrize("extra", [
+    {},
+    {"lightEncryption": True},
+    {"lightEncryption": False},
+    {"lightEncryption": "false"},
+    {"lightEncryption": 1},
+    {"lightEncryption": None},
+], ids=["plain", "light-key", "light-key-false", "light-key-string", "light-key-one", "light-key-null"])
 def test_every_full_record_and_slim_blob_derives_its_own_key(
     make_unit, make_session, monkeypatch, extra
 ):
     """A payload still naming the retired `lightEncryption` gets no special
-    handling: the key goes unread, and the data gets per-record keys."""
+    handling: the key goes unread whatever its value, and the data gets
+    per-record keys."""
     unit = make_unit()
     session = make_session(unit)
     records = _records(9)
@@ -717,6 +725,51 @@ def _store_slim_the_old_way(unit, records):
         "address": unit._storage.blobs.put(blob), "t": b64(t),
     }
     unit._storage.publish(SLIM_NAME, canonical_json(manifest))
+
+
+def _store_full_in_light_mode(unit, records):
+    """The full form as the retired light mode stored it: the union and every
+    record under the manifest's one key, entries without a `t`."""
+    union = _field_union(records)
+    prefix = _aad_prefix(FULL_NAME, "full", union)
+    t = secrets.token_bytes(16)
+    key = derive_record_key(unit._seed, t)
+    entries = []
+    for record in records:
+        blob = _wire(ae_encrypt(
+            key, _full_plaintext(record, union), aad=prefix + length_prefixed(record.id.encode())
+        ))
+        entries.append({"id": record.id, "address": unit._storage.blobs.put(blob)})
+    manifest = {
+        "dataset": FULL_NAME, "structure": "Patient", "form": "full", "light": True,
+        "t": b64(t), "fields": b64(_wire(ae_encrypt(key, _array(union), aad=_union_aad(FULL_NAME)))),
+        "records": entries,
+    }
+    unit._storage.publish(FULL_NAME, canonical_json(manifest))
+
+
+def test_a_full_dataset_stored_in_light_mode_is_malformed_until_provisioned_again(
+    make_unit, make_session
+):
+    unit = make_unit()
+    session = make_session(unit)
+    records = _records(6)
+    _store_full_in_light_mode(unit, records)
+    assert _decide(unit, session, FULL_NAME) == "stored dataset is malformed"
+
+    _provision(unit, session, records)
+    assert _decide(unit, session, FULL_NAME) == _oracle(records)
+
+
+def test_a_slim_dataset_stored_in_light_mode_still_decides(make_unit, make_session):
+    """Light mode stored the slim form as one blob under its own randomizer,
+    as now; only its manifest's `light` flag differs, and it goes unread."""
+    unit = make_unit()
+    session = make_session(unit)
+    records = _records(6)
+    _store_slim_the_old_way(unit, records)
+    _republish(unit, SLIM_NAME, dict(_manifest(unit, SLIM_NAME), light=True))
+    assert _decide(unit, session, SLIM_NAME) == _oracle(records)
 
 
 def test_records_sealed_as_ciphertexts_still_decide(make_unit, make_session):

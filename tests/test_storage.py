@@ -15,7 +15,12 @@ from confidec.storage.chain import (
 )
 from confidec.storage.names import NameRegistry
 from confidec.storage.node import StorageNode
-from confidec.storage.store import DirectoryBlobStore, MemoryBlobStore, blob_address
+from confidec.storage.store import (
+    DirectoryBlobStore,
+    MemoryBlobStore,
+    blob_address,
+    load_jsonl,
+)
 
 
 def test_blob_address_is_sha256_hex():
@@ -107,6 +112,44 @@ def test_unpublished_name_raises():
 def test_empty_name_rejected():
     with pytest.raises(StorageError):
         NameRegistry().publish("", "a" * 64)
+
+
+def test_load_jsonl_parses_each_line_in_order_and_skips_blank_ones(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"n": 1}\n\n  \n{"n": 2}\r\n{"n": 3}')
+    assert load_jsonl(path, "log", lambda obj: obj["n"]) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("line", [
+    b'{"secret": 1',
+    b"secret",
+    b'"\xff\xfe secret"',
+    b"[" * 100_000,
+], ids=["truncated", "bare-word", "not-utf8", "too-deep"])
+def test_load_jsonl_refuses_a_line_that_is_not_json(tmp_path, line):
+    """Blank lines count toward the position; the error holds nothing of
+    the line."""
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"n": 1}\n\n' + line + b'\n{"n": 2}\n')
+    with pytest.raises(StorageError) as refused:
+        load_jsonl(path, "log", lambda obj: obj)
+    assert str(refused.value) == "log line 3 is malformed"
+    assert refused.value.__cause__ is None and refused.value.__suppress_context__
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError, ValueError])
+def test_load_jsonl_turns_what_parse_refuses_into_a_storage_error(tmp_path, error):
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"n": 1}\n{"n": 2}\n')
+
+    def parse(obj):
+        if obj["n"] == 2:
+            raise error("secret")
+        return obj["n"]
+
+    with pytest.raises(StorageError) as refused:
+        load_jsonl(path, "log", parse)
+    assert str(refused.value) == "log line 2 is malformed"
 
 
 LINE_DAMAGE = {
