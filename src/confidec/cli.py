@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import astuple
 from datetime import timedelta
 from pathlib import Path
 
@@ -120,11 +121,27 @@ def _unit_dir(home: Path, name: str) -> Path:
     return d
 
 
-def _load_unit(home: Path, name: str) -> Ccu:
-    """Rebuild a unit from disk: identity, bundle and sealed seed if present."""
+# the fields of units/<name>/bundle.json, in `CodeBundle` field order
+_BUNDLE_KEYS = ("policyText", "tablesJson", "aggregationsJson", "engineTag")
+
+
+def _read_bundle(path: Path) -> CodeBundle:
+    """The deployed bundle a unit's bundle.json holds; a damaged file is
+    named, never echoed."""
+    try:
+        doc = _read_json(path)
+    except ValueError:
+        doc = None
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(k), str) for k in _BUNDLE_KEYS):
+        raise ConfidecError(f"deployed bundle {path} is malformed; run 'confidec ccu deploy'")
+    return CodeBundle(*(doc[k] for k in _BUNDLE_KEYS))
+
+
+def _load_identity(home: Path, name: str) -> Ccu:
+    """A unit with its identity and store; nothing deployed, no seed."""
 
     d = _unit_dir(home, name)
-    unit = Ccu(
+    return Ccu(
         name=name,
         authority_verify_key=_authority_verify_key(home),
         identity_cert=certificate_from_obj(_read_json(d / "cert.json")),
@@ -132,15 +149,16 @@ def _load_unit(home: Path, name: str) -> Ccu:
         platform_secret=load_or_create_platform_secret(home / "platform_secret.bin"),
         storage=StorageNode.at_directory(d / "store"),
     )
+
+
+def _load_unit(home: Path, name: str) -> Ccu:
+    """Rebuild a unit from disk: identity, bundle and sealed seed if present."""
+
+    unit = _load_identity(home, name)
+    d = home / "units" / name
     bundle_path = d / "bundle.json"
     if bundle_path.exists():
-        doc = _read_json(bundle_path)
-        unit.deploy(CodeBundle(
-            policy_text=doc["policyText"],
-            tables_json=doc["tablesJson"],
-            aggregations_json=doc["aggregationsJson"],
-            engine_tag=doc["engineTag"],
-        ))
+        unit.deploy(_read_bundle(bundle_path))
     sealed_path = d / "sealed_seed.bin"
     if sealed_path.exists():
         unit.load_sealed_seed(sealed_path.read_bytes())
@@ -309,19 +327,19 @@ def ccu_deploy(name: str, policies_path: str, table_paths: tuple[str, ...],
         [_read_json(Path(p)) for p in table_paths],
         _read_json(Path(agg_path)) if agg_path else (),
     )
-    unit = _load_unit(root, name)
-    old_sealed = d / "sealed_seed.bin"
+    # the old bundle.json goes unread, so a damaged one is replaced here
+    unit = _load_identity(root, name)
     measurement = unit.deploy(bundle)
-    _write_json(d / "bundle.json", {
-        "policyText": bundle.policy_text,
-        "tablesJson": bundle.tables_json,
-        "aggregationsJson": bundle.aggregations_json,
-        "engineTag": bundle.engine_tag,
-    })
+    _write_json(d / "bundle.json", dict(zip(_BUNDLE_KEYS, astuple(bundle))))
     (d / "measurement.hex").write_text(measurement.hex() + "\n")
-    if old_sealed.exists() and not unit.has_seed:
-        # A seed sealed under another measurement cannot follow the new code.
-        click.echo("warning: existing sealed seed no longer matches; issuing a fresh seed", err=True)
+    old_sealed = d / "sealed_seed.bin"
+    if old_sealed.exists():
+        try:
+            # a seed opens only under the measurement it was sealed to
+            unit.load_sealed_seed(old_sealed.read_bytes())
+        except SealingError:
+            click.echo("warning: existing sealed seed no longer matches; issuing a fresh seed",
+                       err=True)
     if not unit.has_seed:
         unit.install_seed(generate_seed())
     _save_seed(root, unit)

@@ -84,16 +84,16 @@ def generate_seed() -> bytes:
     return secrets.token_bytes(SEED_LEN)
 
 
-SLIM = "slim"  # one blob per dataset: [ids, rows], each row in the structure's layout
-FULL = "full"  # one blob per record: its values over the dataset's sorted field union
+# Both forms are one blob per dataset: [ids, rows], sealed under one key.
+SLIM = "slim"  # rows in the structure's layout
+FULL = "full"  # rows over the dataset's sorted field union, sealed in the manifest
 
 # JSON arrays of validated values: no keys to sort, no cycles to look for
 _ARRAYS = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
 
 
 def _record_aad_prefix(dataset: str, form: str, layout: Sequence[str]) -> bytes:
-    """The AAD of a slim dataset's blob, and of a full dataset's records up to
-    the record id that ends it.
+    """The AAD of a dataset's blob.
 
     It binds the record form and the layout (a full dataset's field union),
     so that a manifest lying about the form, a unit deployed with another
@@ -110,12 +110,6 @@ def _record_aad_prefix(dataset: str, form: str, layout: Sequence[str]) -> bytes:
 def _union_aad(dataset: str) -> bytes:
     """The AAD of a full dataset's sealed field union."""
     return b"confidec/fields/v1:" + length_prefixed(dataset.encode("utf-8"))
-
-
-def _id_part(record_id: str) -> bytes:
-    """What ends a record's AAD: `length_prefixed(record_id)`, written out."""
-    encoded = record_id.encode("utf-8")
-    return len(encoded).to_bytes(4, "big") + encoded
 
 
 class Ccu:
@@ -300,6 +294,7 @@ class Ccu:
             raise RuntimeError("unit asked to handle two requests at once")
         started = time.monotonic_ns()
         self._current_envelope = envelope
+        self.last_trace = []
         try:
             try:
                 key = self._channel_key(envelope.ephemeral_pub)
@@ -351,83 +346,47 @@ class Ccu:
         union = _checked_field_union(raw_records)
         receipt = {"dataName": data_name, "structure": structure}
         # the full form first: the chain notarizes `<name>.full`, then `<name>`
-        receipt["full"] = self._store_full(data_name + FULL_SUFFIX, structure, union, raw_records)
-        receipt["slim"] = self._store_slim(data_name, structure, layout, raw_records)
+        receipt["full"] = self._store(data_name + FULL_SUFFIX, structure, FULL, union, raw_records)
+        receipt["slim"] = self._store(data_name, structure, SLIM, layout, raw_records)
         return receipt
 
-    def _store_full(
+    def _store(
         self,
         name: str,
         structure: str,
-        union: Tuple[str, ...],
-        records: Sequence[dict],
-    ) -> dict:
-        """Seal the field union into the manifest under the manifest's
-        randomizer, then each record's values over the union under its own
-        randomizer, kept in its manifest entry; returns the form's part of the
-        receipt."""
-        seed = self._seed
-        put = self._storage.blobs.put
-        encode = _ARRAYS.encode
-        prefix = _record_aad_prefix(name, FULL, union)
-        t = secrets.token_bytes(RANDOMIZER_LEN)
-        key = derive_record_key(seed, t)
-        manifest = {
-            "dataset": name,
-            "structure": structure,
-            "form": FULL,
-            "t": b64(t),
-            "fields": b64(seal_wire(key, encode(union).encode("utf-8"), _union_aad(name))),
-        }
-        entries = []
-        blob_bytes = 0
-        for record in records:
-            record_id = record["id"]
-            t = secrets.token_bytes(RANDOMIZER_LEN)
-            # None for an absent field: never a valid value, so unambiguous
-            plaintext = encode(list(map(record["fields"].get, union))).encode("utf-8")
-            blob = seal_wire(derive_record_key(seed, t), plaintext, prefix + _id_part(record_id))
-            entries.append({"id": record_id, "address": put(blob), "t": b64(t)})
-            blob_bytes += len(blob)
-        manifest["records"] = entries
-        return self._publish(name, manifest, blob_bytes, len(records))
-
-    def _store_slim(
-        self,
-        name: str,
-        structure: str,
+        form: str,
         layout: Tuple[str, ...],
         records: Sequence[dict],
     ) -> dict:
-        """Seal the ids and the layout rows of all records as one blob under
-        one fresh randomizer, kept in the manifest; returns the form's part of
-        the receipt."""
+        """Seal the ids and each record's values over layout (None for an
+        absent field) as one blob under one fresh randomizer, and publish the
+        manifest naming it; a full dataset's layout, its field union, is
+        sealed into the manifest under the same key. Returns the form's part
+        of the receipt."""
+        encode = _ARRAYS.encode
         t = secrets.token_bytes(RANDOMIZER_LEN)
-        plaintext = canonical_json([
+        key = derive_record_key(self._seed, t)
+        plaintext = encode([
             [record["id"] for record in records],
             [list(map(record["fields"].get, layout)) for record in records],
-        ])
-        blob = seal_wire(
-            derive_record_key(self._seed, t), plaintext, _record_aad_prefix(name, SLIM, layout)
-        )
+        ]).encode("utf-8")
+        blob = seal_wire(key, plaintext, _record_aad_prefix(name, form, layout))
         manifest = {
             "dataset": name,
             "structure": structure,
-            "form": SLIM,
+            "form": form,
             "address": self._storage.blobs.put(blob),
             "t": b64(t),
         }
-        return self._publish(name, manifest, len(blob), len(records))
-
-    def _publish(self, name: str, manifest: dict, blob_bytes: int, count: int) -> dict:
-        """Publish a form's manifest under name; returns the form's part of the
-        receipt."""
+        if form == FULL:
+            union = encode(layout).encode("utf-8")
+            manifest["fields"] = b64(seal_wire(key, union, _union_aad(name)))
         manifest_bytes = canonical_json(manifest)
         return {
             "name": name,
             "address": self._storage.publish(name, manifest_bytes),
-            "records": count,
-            "storedBytes": blob_bytes + len(manifest_bytes),
+            "records": len(records),
+            "storedBytes": len(blob) + len(manifest_bytes),
         }
 
     # --- decisions ---------------------------------------------------------------
@@ -445,7 +404,6 @@ class Ccu:
         service = self.service(func_name)
         if not isinstance(data_name, str):
             raise MalformedRequestError("bad dataset name")
-        self.last_trace = []
         return run_decision_handler(service, envelope.client_cert, data_name, self)
 
     # HandlerEnv implementation ----------------------------------------------
@@ -472,10 +430,10 @@ class Ccu:
         """The ids of the records published under data_name and, per record,
         its values in the structure's layout (None for an absent field).
 
-        Slim records are stored in that form; full ones are projected onto it.
-        A manifest that names another dataset is refused before any blob is
-        read. Every blob is hash-checked on get and authenticated against its
-        dataset, form and layout, and a full record also against its id; a
+        Slim rows are stored in that layout; full ones, over the dataset's
+        field union, are projected onto it. A manifest that names another
+        dataset is refused before any blob is read. The blob is hash-checked
+        on get and authenticated against its dataset, form and layout; a
         manifest the storage operator malformed raises StorageError like any
         other tampering.
         """
@@ -495,46 +453,25 @@ class Ccu:
             if manifest["dataset"] != data_name:
                 raise StorageError("stored manifest names another dataset")
             form = manifest.get("form")
-            if form == SLIM:
-                return self._open_slim(seed, data_name, manifest, layout)
+            if form != SLIM and form != FULL:
+                raise StorageError("dataset names no known record form")
+            key = derive_record_key(seed, unb64(manifest["t"]))
+            stored = layout
             if form == FULL:
-                return self._open_full(seed, data_name, manifest, layout)
+                sealed = unb64(manifest["fields"])
+                stored = json.loads(open_wire(key, sealed, _union_aad(data_name)))
+            blob = self._storage.blobs.get(manifest["address"])
+            # one authenticated [ids, rows] document the unit wrote
+            aad = _record_aad_prefix(data_name, form, stored)
+            ids, rows = json.loads(open_wire(key, blob, aad))
         except (AttributeError, KeyError, RecursionError, TypeError, ValueError):
             # a field of the wrong shape or type, bad base64, a short blob
             raise StorageError("stored dataset is malformed") from None
-        raise StorageError("dataset names no known record form")
-
-    def _open_slim(
-        self, seed: bytes, name: str, manifest: dict, layout: Tuple[str, ...]
-    ) -> Tuple[List[str], List[list]]:
-        blob = self._storage.blobs.get(manifest["address"])
-        key = derive_record_key(seed, unb64(manifest["t"]))
-        aad = _record_aad_prefix(name, SLIM, layout)
-        # one authenticated [ids, rows] document the unit wrote
-        ids, rows = json.loads(open_wire(key, blob, aad))
+        if form == FULL:
+            position = {field: i for i, field in enumerate(stored)}
+            picks = [position.get(field) for field in layout]
+            rows = [[None if i is None else row[i] for i in picks] for row in rows]
         return ids, rows
-
-    def _open_full(
-        self, seed: bytes, name: str, manifest: dict, layout: Tuple[str, ...]
-    ) -> Tuple[List[str], List[list]]:
-        get = self._storage.blobs.get
-        key = derive_record_key(seed, unb64(manifest["t"]))
-        union = json.loads(open_wire(key, unb64(manifest["fields"]), _union_aad(name)))
-        prefix = _record_aad_prefix(name, FULL, union)
-        ids = []
-        plaintexts = []
-        for entry in manifest["records"]:
-            record_id = entry["id"]
-            blob = get(entry["address"])
-            key = derive_record_key(seed, unb64(entry["t"]))
-            plaintexts.append(open_wire(key, blob, prefix + _id_part(record_id)))
-            ids.append(record_id)
-        # each plaintext is one authenticated JSON array the unit wrote over
-        # this union, so the batch parses as one array and indexes safely
-        rows = json.loads(b"[" + b",".join(plaintexts) + b"]")
-        position = {field: i for i, field in enumerate(union)}
-        picks = [position.get(field) for field in layout]
-        return ids, [[None if i is None else row[i] for i in picks] for row in rows]
 
     def trace(self, step: str) -> None:
         self.last_trace.append(step)

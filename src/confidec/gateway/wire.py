@@ -52,28 +52,24 @@ class ResponseEnvelope:
             raise ValueError("error response needs an error message")
 
 
+def _ciphertext_to_obj(ct: Ciphertext) -> dict:
+    return {"nonce": b64(ct.nonce), "body": b64(ct.body), "tag": b64(ct.tag)}
+
+
 def request_to_obj(env: RequestEnvelope) -> dict:
     return {
         "requestType": env.request_type,
         "clientCert": certificate_to_obj(env.client_cert),
         "ephemeralPub": b64(env.ephemeral_pub),
         "ephemeralSig": b64(env.ephemeral_sig),
-        "payload": {
-            "nonce": b64(env.payload.nonce),
-            "body": b64(env.payload.body),
-            "tag": b64(env.payload.tag),
-        },
+        "payload": _ciphertext_to_obj(env.payload),
     }
 
 
 def response_to_obj(env: ResponseEnvelope) -> dict:
     obj: dict = {"correlationId": env.correlation_id, "status": env.status}
     if env.body is not None:
-        obj["body"] = {
-            "nonce": b64(env.body.nonce),
-            "body": b64(env.body.body),
-            "tag": b64(env.body.tag),
-        }
+        obj["body"] = _ciphertext_to_obj(env.body)
     if env.error is not None:
         obj["error"] = env.error
     return obj

@@ -17,6 +17,7 @@ from confidec.fixtures import (
 )
 from confidec.policy.alfa import parse_policy_descriptor
 from confidec.service.builder import emit_audit_script
+from confidec.storage.node import StorageNode
 
 TABLES = ("PatientPrioritizationWithAggr", "Restock", "ChooseCarrier")
 
@@ -157,6 +158,62 @@ def test_a_damaged_sealed_seed_exits_with_the_sealing_code(runner, home, tmp_pat
     assert result.stderr == "error: sealed blob does not open under this identity\n"
 
 
+# per kind of damage: what units/<name>/bundle.json holds instead
+BUNDLE_DAMAGE = {
+    "missing-key": lambda doc: json.dumps({k: doc[k] for k in doc if k != "aggregationsJson"}),
+    "not-an-object": lambda doc: "[1, 2]",
+    "value-not-a-string": lambda doc: json.dumps(dict(doc, engineTag=["SECRET-tag"])),
+    "truncated": lambda doc: json.dumps(doc)[:30],
+}
+
+AUDIT = ("emit-audit", "PatientPrioritizationWithAggr", "--unit", "unit1")
+
+
+def _damage_bundle(home, damage):
+    path = home / "units" / "unit1" / "bundle.json"
+    path.write_text(BUNDLE_DAMAGE[damage](json.loads(path.read_text())))
+    return path
+
+
+@pytest.mark.parametrize("command", ["provide", "emit-audit"])
+@pytest.mark.parametrize("damage", sorted(BUNDLE_DAMAGE))
+def test_a_damaged_bundle_file_exits_with_a_typed_error(runner, home, tmp_path, damage, command):
+    _bootstrap(runner, home, tmp_path)
+    path = _damage_bundle(home, damage)
+    if command == "provide":
+        args = ("provide", "vax/patients", "Patient", str(_records_file(tmp_path, 4)),
+                "--unit", "unit1", "--client", "hub1")
+    else:
+        args = AUDIT
+    result = _run(runner, home, *args, expect=11)
+    # the error names the file and the way out, never what the file holds
+    assert result.stderr == (
+        f"error: deployed bundle {path} is malformed; run 'confidec ccu deploy'\n"
+    )
+
+
+def test_deploying_again_replaces_a_damaged_bundle_file_and_keeps_the_seed(
+    runner, home, tmp_path
+):
+    _bootstrap(runner, home, tmp_path)
+    records = _records_file(tmp_path, 4)
+    _run(runner, home, "provide", "vax/patients", "Patient", str(records),
+         "--unit", "unit1", "--client", "hub1")
+    _damage_bundle(home, "missing-key")
+    _run(runner, home, *AUDIT, expect=11)
+
+    policies, tables, aggs = _bundle_files(tmp_path)
+    deploy = ["ccu", "deploy", "unit1", "--policies", str(policies), "--aggregations", str(aggs)]
+    for path in tables:
+        deploy += ["--table", str(path)]
+    result = _run(runner, home, *deploy)
+    assert result.stderr == ""  # the same code: the sealed seed follows it
+    _run(runner, home, *AUDIT)
+    result = _run(runner, home, "decide", "PatientPrioritizationWithAggr", "vax/patients",
+                  "--unit", "unit1", "--client", "hub1")
+    assert len(json.loads(result.output)["results"]) == 4
+
+
 CHAIN_MALFORMED = "notarization log line 1 is malformed"
 
 # per kind of damage: the chain line it edits, the edit, and the error
@@ -229,7 +286,7 @@ def test_a_malformed_name_registry_line_stops_every_command(runner, home, tmp_pa
 
 def test_a_leftover_unit_json_is_not_read(runner, home, tmp_path):
     """`units/<name>/unit.json` once opted a unit into light mode; a home
-    that still holds one provisions with per-record keys all the same."""
+    that still holds one provisions as any other, with no `light` flag."""
     _bootstrap(runner, home, tmp_path)
     unit_dir = home / "units" / "unit1"
     (unit_dir / "unit.json").write_text(json.dumps({"name": "unit1", "allowLight": True}))
@@ -239,10 +296,26 @@ def test_a_leftover_unit_json_is_not_read(runner, home, tmp_path):
     receipt = json.loads(result.output)
     assert "light" not in receipt and receipt["full"]["records"] == 6
     manifest = json.loads((unit_dir / "store" / "blobs" / receipt["full"]["address"]).read_bytes())
-    assert len({entry["t"] for entry in manifest["records"]}) == 6
+    assert set(manifest) == {"dataset", "structure", "form", "address", "t", "fields"}
     result = _run(runner, home, "decide", "PatientPrioritizationWithAggr", "vax/patients",
                   "--unit", "unit1", "--client", "hub1")
     assert len(json.loads(result.output)["results"]) == 6
+
+
+def test_a_full_dataset_in_the_retired_per_record_shape_is_malformed(runner, home, tmp_path):
+    """A `.full` manifest as units wrote it before the full form was one
+    blob: one entry per record, no `address`. The unit answers the error, so
+    the command exits with the gateway's code like any refused decision."""
+    _bootstrap(runner, home, tmp_path)
+    _run(runner, home, "provide", "vax/patients", "Patient", str(_records_file(tmp_path, 4)),
+         "--unit", "unit1", "--client", "hub1")
+    store = StorageNode.at_directory(home / "units" / "unit1" / "store")
+    manifest = json.loads(store.fetch("vax/patients.full"))
+    manifest["records"] = [{"id": "p-0", "address": manifest.pop("address"), "t": manifest["t"]}]
+    store.publish("vax/patients.full", json.dumps(manifest).encode())
+    result = _run(runner, home, "decide", "PatientPrioritizationWithAggr", "vax/patients.full",
+                  "--unit", "unit1", "--client", "hub1", expect=16)
+    assert result.stderr == "error: stored dataset is malformed\n"
 
 
 def test_seed_exchange_between_units(runner, home, tmp_path):

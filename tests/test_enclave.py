@@ -557,6 +557,28 @@ def test_error_responses_carry_no_body(make_unit, make_session):
         ClientSession.open_response(response, key)
 
 
+@pytest.mark.parametrize("then", ["provision", "unknown-function"])
+def test_last_trace_describes_the_request_just_handled(make_unit, make_session, then):
+    unit = make_unit()
+    session = make_session(unit)
+    _provision(unit, session)
+    envelope, _ = session.build_request(
+        "decision", {"funcName": "PatientPrioritizationWithAggr", "dataName": "vax/patients"}
+    )
+    assert unit.handle("t-dec", envelope).status == "ok"
+    assert "DecryptData" in unit.last_trace
+
+    if then == "provision":
+        response, _ = _provision(unit, session)
+        assert response.status == "ok", response.error
+    else:
+        envelope, _ = session.build_request(
+            "decision", {"funcName": "NoSuchFunction", "dataName": "vax/patients"}
+        )
+        assert unit.handle("t-unknown", envelope).error == "no deployed function by that name"
+    assert unit.last_trace == []
+
+
 # --- runtime dependencies ------------------------------------------------------
 
 _ONE_DECISION = """
@@ -686,17 +708,16 @@ def test_records_stored_under_another_layout_never_decode(make_unit, make_sessio
 
 
 def _as_full(unit, manifest):
-    """A slim manifest rewritten as a full one listing its blob as a record,
-    with the field union, and its randomizer, of the dataset's full form."""
+    """A slim manifest rewritten as a full one naming its blob, with the
+    field union, and its randomizer, of the dataset's full form."""
     full = json.loads(unit._storage.fetch("vax/patients.full"))
-    entry = {"id": "p-0", "address": manifest.pop("address"), "t": manifest.pop("t")}
-    manifest.update(form="full", records=[entry], t=full["t"], fields=full["fields"])
+    manifest.update(form="full", t=full["t"], fields=full["fields"])
 
 
 def _as_slim(unit, manifest):
-    """A full manifest rewritten as a slim one naming its first record's blob."""
-    first = manifest.pop("records")[0]
-    manifest.update(form="slim", address=first["address"], t=first["t"])
+    """A full manifest rewritten as a slim one naming its blob."""
+    del manifest["fields"]
+    manifest["form"] = "slim"
 
 
 @pytest.mark.parametrize("data_name, lie", [("vax/patients", _as_full),

@@ -1,14 +1,13 @@
 """The record store: how provision seals records and a decision opens them.
 
 Every check `Ccu.decrypt_data` makes on what the storage operator hands back
-is pinned here: the blob content check, the AAD binding dataset, form, layout
-and (for a full record) id, the per-blob key, and the manifest's shape. Each
-tampering yields a typed error envelope, never results and never
-`unit failure`.
+is pinned here: the blob content check, the AAD binding dataset, form and
+layout, the per-blob key, and the manifest's shape. Each tampering yields a
+typed error envelope, never results and never `unit failure`.
 
-A slim dataset is one blob of all its ids and layout rows; a full dataset is
-one blob per record, each holding the record's values over the dataset's
-field union, which its manifest keeps sealed.
+Each form of a dataset is one blob of all its ids and rows: a slim row holds
+the record's values in the structure's layout, a full row its values over the
+dataset's field union, which the full manifest keeps sealed.
 """
 
 import dataclasses
@@ -115,70 +114,51 @@ def _overwrite(storage, address, data):
 # --- tampering with what a decision reads ----------------------------------
 
 
-def _slot(manifest, index=0):
-    """Where a manifest names a blob: a slim manifest itself, or the entry of
-    a full manifest's record at index."""
-    return manifest if manifest["form"] == "slim" else manifest["records"][index]
-
-
 def _swap_addresses(unit, name, other_form, other_dataset):
-    manifest = _manifest(unit, name)
-    if manifest["form"] == "full":
-        first, second = manifest["records"][:2]
-        first["address"], second["address"] = second["address"], first["address"]
-    else:
-        # the slim blob traded with a record of the full form
-        theirs = _manifest(unit, other_form)
-        entry = theirs["records"][0]
-        manifest["address"], entry["address"] = entry["address"], manifest["address"]
-        _republish(unit, other_form, theirs)
+    """The blob traded with another dataset's in the same form, each manifest
+    keeping its own randomizer."""
+    manifest, theirs = _manifest(unit, name), _manifest(unit, other_dataset)
+    manifest["address"], theirs["address"] = theirs["address"], manifest["address"]
+    _republish(unit, other_dataset, theirs)
     _republish(unit, name, manifest)
 
 
 def _swap_randomizers(unit, name, other_form, other_dataset):
-    manifest = _manifest(unit, name)
-    if manifest["form"] == "slim":
-        # one randomizer per dataset: trade it with another dataset's
-        theirs = _manifest(unit, other_dataset)
-        manifest["t"], theirs["t"] = theirs["t"], manifest["t"]
-        _republish(unit, other_dataset, theirs)
-    else:
-        first, second = manifest["records"][:2]
-        first["t"], second["t"] = second["t"], first["t"]
+    """One randomizer per blob: trade it with another dataset's."""
+    manifest, theirs = _manifest(unit, name), _manifest(unit, other_dataset)
+    manifest["t"], theirs["t"] = theirs["t"], manifest["t"]
+    _republish(unit, other_dataset, theirs)
     _republish(unit, name, manifest)
 
 
 def _flip_a_stored_byte(unit, name, other_form, other_dataset):
-    address = _slot(_manifest(unit, name), 1)["address"]
+    address = _manifest(unit, name)["address"]
     blob = bytearray(unit._storage.blobs.get(address))
     blob[-1] ^= 0x01
     _overwrite(unit._storage, address, bytes(blob))
 
 
 def _drop_a_blob(unit, name, other_form, other_dataset):
-    _overwrite(unit._storage, _slot(_manifest(unit, name), 2)["address"], None)
+    _overwrite(unit._storage, _manifest(unit, name)["address"], None)
 
 
 def _drop_a_randomizer(unit, name, other_form, other_dataset):
-    """The slim blob's randomizer, or one full record's: a full manifest that
-    light mode wrote had no entry randomizers."""
     manifest = _manifest(unit, name)
-    del _slot(manifest, 1)["t"]
+    del manifest["t"]
     _republish(unit, name, manifest)
 
 
 def _point_at_the_other_form(unit, name, other_form, other_dataset):
     manifest = _manifest(unit, name)
-    _slot(manifest)["address"] = _slot(_manifest(unit, other_form))["address"]
+    manifest["address"] = _manifest(unit, other_form)["address"]
     _republish(unit, name, manifest)
 
 
 def _point_at_another_dataset(unit, name, other_form, other_dataset):
-    """The blob, and its randomizer where it has its own, of another dataset
-    in the same form, structure and layout."""
-    manifest = _manifest(unit, name)
-    slot, theirs = _slot(manifest), _slot(_manifest(unit, other_dataset))
-    slot.update({key: theirs[key] for key in ("address", "t") if key in theirs})
+    """The blob, its randomizer and, for a full dataset, the sealed field
+    union of another dataset in the same form, structure and layout."""
+    manifest, theirs = _manifest(unit, name), _manifest(unit, other_dataset)
+    manifest.update({key: theirs[key] for key in ("address", "t", "fields") if key in theirs})
     _republish(unit, name, manifest)
 
 
@@ -222,32 +202,20 @@ def test_tampered_storage_yields_a_typed_error_never_results(
 # --- manifests of the wrong shape ----------------------------------------------
 
 
-def _entry_id_not_a_string(unit, manifest):
-    manifest["records"][0]["id"] = ["INJECTED-id"]
-
-
-def _no_records(unit, manifest):
-    manifest["INJECTED-records"] = manifest.pop("records")
-
-
-def _records_not_a_list(unit, manifest):
-    manifest["records"] = 987654321
+def _no_address(unit, manifest):
+    manifest["INJECTED-address"] = manifest.pop("address")
 
 
 def _undecodable_randomizer(unit, manifest):
-    _slot(manifest)["t"] = "INJECTED!"
+    manifest["t"] = "INJECTED!"
 
 
 def _short_blob(unit, manifest):
-    _slot(manifest)["address"] = unit._storage.blobs.put(b"INJECTED-blob")
+    manifest["address"] = unit._storage.blobs.put(b"INJECTED-blob")
 
 
 def _randomizer_not_a_string(unit, manifest):
-    manifest["records"][0]["t"] = {"INJECTED": 1}
-
-
-def _entry_not_an_object(unit, manifest):
-    manifest["records"][0] = "INJECTED-entry"
+    manifest["t"] = {"INJECTED": 1}
 
 
 def _dataset_not_a_string(unit, manifest):
@@ -271,20 +239,19 @@ def _undecodable_union(unit, manifest):
 
 
 def _per_record_entries(unit, manifest):
-    """A slim manifest in the per-record shape of the full form: there is no
-    second way to read the slim form."""
+    """A manifest in the retired per-record shape of the full form, one entry
+    per record naming its blob and randomizer: neither form reads it."""
     manifest["records"] = [{"id": "INJECTED-id", "address": manifest.pop("address"),
-                            "t": manifest.pop("t")}]
+                            "t": manifest["t"]}]
 
 
 MALFORMED = {
-    "entry-id-not-a-string": (FULL_NAME, _entry_id_not_a_string),
-    "no-records": (FULL_NAME, _no_records),
-    "records-not-a-list": (FULL_NAME, _records_not_a_list),
+    "no-address": (FULL_NAME, _no_address),
+    "address-not-a-string": (FULL_NAME, _address_not_a_string),
     "undecodable-randomizer": (FULL_NAME, _undecodable_randomizer),
     "short-blob": (FULL_NAME, _short_blob),
     "randomizer-not-a-string": (FULL_NAME, _randomizer_not_a_string),
-    "entry-not-an-object": (FULL_NAME, _entry_not_an_object),
+    "per-record-entries": (FULL_NAME, _per_record_entries),
     "no-union": (FULL_NAME, _no_union),
     "union-not-a-string": (FULL_NAME, _union_not_a_string),
     "undecodable-union": (FULL_NAME, _undecodable_union),
@@ -313,7 +280,7 @@ def test_a_malformed_manifest_is_a_typed_storage_error(make_unit, make_session, 
     manifest = _manifest(unit, name)
     malform(unit, manifest)
     _republish(unit, name, manifest)
-    markers = ("INJECTED", "987654321")
+    markers = ("INJECTED",)
 
     envelope, _ = _decision(session, name)
     _assert_refused(unit.handle("t-direct", envelope), markers)
@@ -396,20 +363,23 @@ def test_no_field_name_or_value_the_client_sent_is_stored_in_clear(
     make_unit, make_session, tmp_path
 ):
     """Every byte a directory store keeps: manifests, blobs, the names and
-    the chain. Record ids stay out of the check: a full manifest still lists
-    them in clear, so these ids carry no marker."""
+    the chain; record ids included."""
     unit = make_unit(storage=StorageNode.at_directory(tmp_path))
     records = [
-        dataclasses.replace(record, fields=dict(
+        dataclasses.replace(record, id=f"SECRET-id-{i}", fields=dict(
             record.fields, **{f"SECRET-name-{i}": f"SECRET-value-{i}", "Notes": f"SECRET-note-{i}"}
         ))
         for i, record in enumerate(_records())
     ]
-    _provision(unit, make_session(unit), records)
-    stored = [path for path in tmp_path.rglob("*") if path.is_file()]
-    assert len(stored) > len(records)
-    for path in stored:
-        assert b"SECRET-" not in path.read_bytes(), path.relative_to(tmp_path)
+    receipt = _provision(unit, make_session(unit), records)
+    stored = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    names = {path.name for path in stored}
+    for form in ("slim", "full"):
+        # both manifests and the blobs they name are among the files checked
+        assert receipt[form]["address"] in names
+        assert _manifest(unit, receipt[form]["name"])["address"] in names
+    for path, data in stored.items():
+        assert b"SECRET-" not in data, path.relative_to(tmp_path)
 
 
 # --- record checks on provision ------------------------------------------------
@@ -474,12 +444,9 @@ def test_provision_refuses_a_malformed_record_with_the_text_parse_record_gives(
     {"lightEncryption": 1},
     {"lightEncryption": None},
 ], ids=["plain", "light-key", "light-key-false", "light-key-string", "light-key-one", "light-key-null"])
-def test_every_full_record_and_slim_blob_derives_its_own_key(
-    make_unit, make_session, monkeypatch, extra
-):
+def test_each_stored_form_derives_its_own_key(make_unit, make_session, monkeypatch, extra):
     """A payload still naming the retired `lightEncryption` gets no special
-    handling: the key goes unread whatever its value, and the data gets
-    per-record keys."""
+    handling: the key goes unread whatever its value."""
     unit = make_unit()
     session = make_session(unit)
     records = _records(9)
@@ -491,19 +458,14 @@ def test_every_full_record_and_slim_blob_derives_its_own_key(
 
     monkeypatch.setattr(ccu, "derive_record_key", counting)
     receipt = _provision(unit, session, records, **extra)
-    # one key for the slim blob; the full form has one for its union and
-    # one per record; every randomizer fresh
-    full_keys = 1 + len(records)
-    assert len(calls) == 1 + full_keys
-    assert len(set(calls)) == len(calls)
+    # one fresh randomizer per form; the full form's key also seals its union
+    assert len(set(calls)) == len(calls) == 2
     assert "light" not in receipt
     for name in (SLIM_NAME, FULL_NAME):
         assert "light" not in _manifest(unit, name)
-
-    for name, keys in ((SLIM_NAME, 1), (FULL_NAME, full_keys)):
         calls.clear()
         assert _decide(unit, session, name) == _oracle(records)
-        assert len(calls) == keys
+        assert len(calls) == 1
 
 
 # --- what a read depends on -------------------------------------------------------
@@ -529,35 +491,23 @@ def _counting(monkeypatch, unit):
     return counts
 
 
-def test_a_slim_decision_gets_and_opens_one_blob(make_unit, make_session, monkeypatch):
-    unit = make_unit()
-    session = make_session(unit)
-    records = _records(8)
-    _provision(unit, session, records)
-    counts = _counting(monkeypatch, unit)
-    for _ in range(2):
-        counts.update(get=0, open=0)
-        assert _decide(unit, session, SLIM_NAME) == _oracle(records)
-        assert counts == {"get": 2, "open": 1}
-
-
-def test_reordered_entries_give_the_same_results_by_record_id(
-    make_unit, make_session, monkeypatch
+@pytest.mark.parametrize("form", ["slim", "full"])
+def test_a_decision_gets_and_opens_one_blob_whatever_the_record_count(
+    make_unit, make_session, monkeypatch, form
 ):
+    """The manifest's get and the blob's; a full dataset opens its sealed
+    field union too."""
     unit = make_unit()
     session = make_session(unit)
-    records = _records(8)
-    _provision(unit, session, records)
-    assert _decide(unit, session, FULL_NAME) == _oracle(records)
-    manifest = _manifest(unit, FULL_NAME)
-    manifest["records"].reverse()
-    _republish(unit, FULL_NAME, manifest)
+    small, large = _records(1), _records(40)
+    _provision(unit, session, small)
+    _provision(unit, session, large, name=OTHER_SLIM)
+    suffix, opens = ("", 1) if form == "slim" else (".full", 2)
     counts = _counting(monkeypatch, unit)
-    answer = _decide(unit, session, FULL_NAME)
-    assert [r["recordId"] for r in answer] == [r.id for r in reversed(records)]
-    assert answer == list(reversed(_oracle(records)))
-    # the field union is sealed in the manifest: one more open, no more gets
-    assert counts == {"get": 1 + len(records), "open": 1 + len(records)}
+    for name, records in ((SLIM_NAME, small), (OTHER_SLIM, large), (SLIM_NAME, small)):
+        counts.update(get=0, open=0)
+        assert _decide(unit, session, name + suffix) == _oracle(records)
+        assert counts == {"get": 2, "open": opens}
 
 
 @pytest.mark.parametrize("form", ["slim", "full"])
@@ -641,15 +591,17 @@ def test_a_unit_seeded_by_exchange_reads_the_other_units_dataset(make_unit, make
 
 
 def _aad_prefix(dataset, form, layout):
-    """The slim blob's AAD, or a full record's up to the id, written from the
-    stored format itself."""
+    """A blob's AAD, written from the stored format itself; a retired
+    per-record blob's AAD went on with the record's id."""
     return b"confidec/record/v2:" + length_prefixed(
         dataset.encode(), form.encode(), length_prefixed(*(f.encode() for f in layout))
     )
 
 
-def _slim_plaintext(records, layout):
-    """A slim blob's plaintext: the ids, then each record's layout values."""
+def _plaintext(records, layout):
+    """A blob's plaintext: the ids, then each record's values over layout
+    (the structure's, or a full dataset's field union), null where the record
+    lacks the field."""
     return canonical_json([
         [record.id for record in records],
         [[record_to_obj(record)["fields"].get(field) for field in layout] for record in records],
@@ -670,8 +622,8 @@ def _array(values):
 
 
 def _full_plaintext(record, union):
-    """A full blob's plaintext: the record's values over the dataset's field
-    union, null where the record lacks the field."""
+    """A retired per-record blob's plaintext: the record's values over the
+    dataset's field union, null where the record lacks the field."""
     return _array([record_to_obj(record)["fields"].get(field) for field in union])
 
 
@@ -686,9 +638,27 @@ def _ciphertext(blob):
 
 
 def _store_full_the_old_way(unit, records):
-    """The full form stored as a `Ciphertext` per record and one for the
-    field union, with `ae_encrypt`, `_wire` and `length_prefixed` building
-    each blob and AAD."""
+    """The full form stored as one `Ciphertext` of the rows and one of the
+    field union, both under the manifest's key, with `ae_encrypt` and `_wire`
+    building each blob."""
+    union = _field_union(records)
+    t = secrets.token_bytes(16)
+    key = derive_record_key(unit._seed, t)
+    blob = _wire(ae_encrypt(
+        key, _plaintext(records, union), aad=_aad_prefix(FULL_NAME, "full", union)
+    ))
+    manifest = {
+        "dataset": FULL_NAME, "structure": "Patient", "form": "full",
+        "address": unit._storage.blobs.put(blob), "t": b64(t),
+        "fields": b64(_wire(ae_encrypt(key, _array(union), aad=_union_aad(FULL_NAME)))),
+    }
+    unit._storage.publish(FULL_NAME, canonical_json(manifest))
+
+
+def _store_full_per_record(unit, records):
+    """The full form in the retired per-record shape: the union under the
+    manifest's randomizer, and each record as its own blob under its own
+    randomizer, listed with its id in the manifest."""
     union = _field_union(records)
     prefix = _aad_prefix(FULL_NAME, "full", union)
     manifest_t = secrets.token_bytes(16)
@@ -717,7 +687,7 @@ def _store_slim_the_old_way(unit, records):
     t = secrets.token_bytes(16)
     blob = _wire(ae_encrypt(
         derive_record_key(unit._seed, t),
-        _slim_plaintext(records, layout),
+        _plaintext(records, layout),
         aad=_aad_prefix(SLIM_NAME, "slim", layout),
     ))
     manifest = {
@@ -761,6 +731,19 @@ def test_a_full_dataset_stored_in_light_mode_is_malformed_until_provisioned_agai
     assert _decide(unit, session, FULL_NAME) == _oracle(records)
 
 
+def test_a_full_dataset_stored_per_record_is_malformed_until_provisioned_again(
+    make_unit, make_session
+):
+    unit = make_unit()
+    session = make_session(unit)
+    records = _records(6)
+    _store_full_per_record(unit, records)
+    assert _decide(unit, session, FULL_NAME) == "stored dataset is malformed"
+
+    _provision(unit, session, records)
+    assert _decide(unit, session, FULL_NAME) == _oracle(records)
+
+
 def test_a_slim_dataset_stored_in_light_mode_still_decides(make_unit, make_session):
     """Light mode stored the slim form as one blob under its own randomizer,
     as now; only its manifest's `light` flag differs, and it goes unread."""
@@ -796,23 +779,17 @@ def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session):
         _ciphertext(blobs.get(slim["address"])),
         aad=_aad_prefix(SLIM_NAME, "slim", layout),
     )
-    assert plaintext == _slim_plaintext(records, layout)
+    assert plaintext == _plaintext(records, layout)
 
     full = _manifest(unit, FULL_NAME)
-    union = ae_decrypt(
-        derive_record_key(unit._seed, unb64(full["t"])),
-        _ciphertext(unb64(full["fields"])),
-        aad=_union_aad(FULL_NAME),
+    key = derive_record_key(unit._seed, unb64(full["t"]))
+    union = _field_union(records)
+    sealed_union = ae_decrypt(key, _ciphertext(unb64(full["fields"])), aad=_union_aad(FULL_NAME))
+    assert sealed_union == _array(union)
+    plaintext = ae_decrypt(
+        key, _ciphertext(blobs.get(full["address"])), aad=_aad_prefix(FULL_NAME, "full", union)
     )
-    assert union == _array(_field_union(records))
-    prefix = _aad_prefix(FULL_NAME, "full", _field_union(records))
-    for record, entry in zip(records, full["records"]):
-        plaintext = ae_decrypt(
-            derive_record_key(unit._seed, unb64(entry["t"])),
-            _ciphertext(blobs.get(entry["address"])),
-            aad=prefix + length_prefixed(record.id.encode()),
-        )
-        assert plaintext == _full_plaintext(record, _field_union(records))
+    assert plaintext == _plaintext(records, union)
 
 
 def test_provision_writes_the_receipt_manifests_and_chain_entries_it_always_has(
@@ -833,20 +810,11 @@ def test_provision_writes_the_receipt_manifests_and_chain_entries_it_always_has(
         assert manifest_bytes == unit._storage.fetch(name)
         manifest = json.loads(manifest_bytes)
         assert (manifest["dataset"], manifest["form"]) == (name, form)
-        keys = {"dataset", "structure", "form"}
-        if form == "slim":
-            # one blob and its own randomizer
-            assert set(manifest) == keys | {"address", "t"}
-            addresses = [manifest["address"]]
-        else:
-            # the sealed field union and the randomizer of its key, then one
-            # entry per record with the record's own randomizer
-            assert set(manifest) == keys | {"t", "fields", "records"}
-            assert all(set(entry) == {"id", "address", "t"} for entry in manifest["records"])
-            addresses = [entry["address"] for entry in manifest["records"]]
-        assert stored["storedBytes"] == len(manifest_bytes) + sum(
-            len(blobs.get(address)) for address in addresses
-        )
+        # one blob and its own randomizer; the full form also seals its
+        # field union under that randomizer's key
+        keys = {"dataset", "structure", "form", "address", "t"}
+        assert set(manifest) == (keys if form == "slim" else keys | {"fields"})
+        assert stored["storedBytes"] == len(manifest_bytes) + len(blobs.get(manifest["address"]))
     assert [(entry.name, entry.address) for entry in chain.entries()[notarized:]] == [
         (FULL_NAME, receipt["full"]["address"]),
         (SLIM_NAME, receipt["slim"]["address"]),
