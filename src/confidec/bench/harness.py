@@ -308,16 +308,21 @@ def _bench_scale_rules(config: BenchConfig) -> list[BenchRow]:
 def _bench_aggregation_overhead(config: BenchConfig) -> list[BenchRow]:
     records = synth_records(config.columns, config.records, seed=config.seed)
     backend = kernel_backend()
-    rows = []
-    for extra in _AGG_LADDER:
-        table = synth_table(config.columns, config.rules, seed=config.seed, agg_columns=extra)
-        specs = synth_aggregations(extra, config.columns)
-        median_ms, peak = _measure(_decide_on(table, records, specs), config.repetitions)
-        rows.append(BenchRow(
+    runs = [
+        _decide_on(
+            synth_table(config.columns, config.rules, seed=config.seed, agg_columns=extra),
+            records,
+            synth_aggregations(extra, config.columns),
+        )
+        for extra in _AGG_LADDER
+    ]
+    return [
+        BenchRow(
             config.experiment, config.records, config.columns + extra, config.rules,
             backend, config.repetitions, median_ms, peak,
-        ))
-    return rows
+        )
+        for extra, (median_ms, peak) in zip(_AGG_LADDER, _measure_ladder(runs, config.repetitions))
+    ]
 
 
 # -- pipeline experiments ------------------------------------------------------

@@ -31,7 +31,7 @@ from confidec.crypto.certs import (
 )
 from confidec.crypto.keys import SigningKeyPair
 from confidec.dmn.engine import kernel_backend
-from confidec.enclave.ccu import Ccu, exchange_seed, generate_seed
+from confidec.enclave.ccu import Ccu, exchange_seed, generate_seed, issue_unit_certificate
 from confidec.enclave.measurement import CodeBundle
 from confidec.enclave.sealing import load_or_create_platform_secret
 from confidec.errors import (
@@ -285,15 +285,7 @@ def ccu_init(name: str, home: str) -> None:
     authority = _load_authority_key(root)
     load_or_create_platform_secret(root / "platform_secret.bin")
     signing_key = SigningKeyPair.generate()
-    now = utcnow()
-    cert = issue_certificate(
-        authority,
-        subject=name,
-        attributes={"Role": "CCU", "Unit": name},
-        subject_verify_key=signing_key.verify_key,
-        not_before=now,
-        not_after=now + timedelta(days=365),
-    )
+    cert = issue_unit_certificate(authority, name, signing_key.verify_key, utcnow())
     d.mkdir(parents=True)
     pem = d / "key.pem"
     pem.touch(mode=0o600)

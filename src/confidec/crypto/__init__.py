@@ -13,7 +13,6 @@ from confidec.crypto.keys import (
     SigningKeyPair,
     derive_channel_key,
     derive_record_key,
-    sign,
     verify,
 )
 
@@ -32,6 +31,5 @@ __all__ = [
     "SigningKeyPair",
     "derive_channel_key",
     "derive_record_key",
-    "sign",
     "verify",
 ]

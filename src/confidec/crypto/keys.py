@@ -62,10 +62,6 @@ class SigningKeyPair:
         return self._private.sign(message, _SIG_ALG)
 
 
-def sign(key: SigningKeyPair, message: bytes) -> bytes:
-    return key.sign(message)
-
-
 def verify(verify_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff signature is valid; never raises on a bad signature."""
     try:

@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple
 from confidec.crypto.aead import ae_decrypt, ae_encrypt, open_wire, seal_wire
 from confidec.crypto.certs import Certificate, issue_certificate, verify_certificate
 from confidec.crypto.keys import (
+    RANDOMIZER_LEN,
     SEED_LEN,
     KeyAgreementKeyPair,
     SigningKeyPair,
@@ -73,7 +74,6 @@ from confidec.service.builder import (
 from confidec.storage.node import StorageNode
 from confidec.util import b64, canonical_json, length_prefixed, unb64, utcnow
 
-RANDOMIZER_LEN = 16
 FULL_SUFFIX = ".full"
 
 Clock = Callable[[], datetime]
@@ -82,6 +82,20 @@ Clock = Callable[[], datetime]
 def generate_seed() -> bytes:
     """Fresh 32-byte data seed."""
     return secrets.token_bytes(SEED_LEN)
+
+
+def issue_unit_certificate(
+    authority: SigningKeyPair, name: str, verify_key: bytes, now: datetime
+) -> Certificate:
+    """The authority's certificate for a unit's identity key."""
+    return issue_certificate(
+        authority,
+        subject=name,
+        attributes={"Role": "CCU", "Unit": name},
+        subject_verify_key=verify_key,
+        not_before=now,
+        not_after=now + timedelta(days=365),
+    )
 
 
 # Both forms are one blob per dataset: [ids, rows], sealed under one key.
@@ -155,23 +169,15 @@ class Ccu:
         platform_secret: bytes,
         storage: StorageNode,
         clock: Clock | None = None,
-        validity: timedelta = timedelta(days=365),
     ) -> "Ccu":
         """Create a unit with a fresh identity certified by the authority."""
         signing_key = SigningKeyPair.generate()
-        now = (clock or utcnow)()
-        cert = issue_certificate(
-            authority,
-            subject=name,
-            attributes={"Role": "CCU", "Unit": name},
-            subject_verify_key=signing_key.verify_key,
-            not_before=now,
-            not_after=now + validity,
-        )
         return cls(
             name=name,
             authority_verify_key=authority.verify_key,
-            identity_cert=cert,
+            identity_cert=issue_unit_certificate(
+                authority, name, signing_key.verify_key, (clock or utcnow)()
+            ),
             signing_key=signing_key,
             platform_secret=platform_secret,
             storage=storage,

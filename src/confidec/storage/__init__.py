@@ -1,7 +1,7 @@
 """Content-addressed blobs, mutable names, and a notarization chain."""
 
 from confidec.storage.store import BlobStore, DirectoryBlobStore, MemoryBlobStore, blob_address
-from confidec.storage.names import NameRecord, NameRegistry
+from confidec.storage.names import NameRegistry
 from confidec.storage.chain import NotarizationEntry, NotarizationLog, verify_entries
 from confidec.storage.node import StorageNode
 
@@ -10,7 +10,6 @@ __all__ = [
     "DirectoryBlobStore",
     "MemoryBlobStore",
     "blob_address",
-    "NameRecord",
     "NameRegistry",
     "NotarizationEntry",
     "NotarizationLog",

@@ -45,6 +45,9 @@ def _entry_from_obj(obj) -> NotarizationEntry:
     )
     if (type(entry.seq), type(entry.name), type(entry.address)) != (int, str, str):
         raise TypeError("entry field of the wrong type")
+    if not entry.name:
+        # a node indexes names from its chain, and publishes none empty
+        raise ValueError("entry with an empty name")
     return entry
 
 

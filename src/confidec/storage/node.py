@@ -1,7 +1,8 @@
-"""A storage node bundles blobs, names and the notarization chain.
+"""A storage node bundles blobs, the notarization chain and its name index.
 
 This is the untrusted persistence layer: everything it holds is either
-ciphertext, a public name binding, or a chain entry.
+ciphertext or a chain entry. The chain is the only record of which address
+a name is bound to; the name index is rebuilt from it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ class StorageNode:
         self.blobs = blobs
         self.names = names
         self.chain = chain
+        for entry in chain.entries():
+            names.publish(entry.name, entry.address)
 
     @classmethod
     def in_memory(cls) -> "StorageNode":
@@ -29,7 +32,7 @@ class StorageNode:
         root.mkdir(parents=True, exist_ok=True)
         return cls(
             DirectoryBlobStore(root / "blobs"),
-            NameRegistry(root / "names.jsonl"),
+            NameRegistry(),
             NotarizationLog(root / "chain.jsonl"),
         )
 

@@ -1,4 +1,4 @@
-"""Content-addressed blob stores, and the reader of the JSONL files a node
+"""Content-addressed blob stores, and the reader of the JSONL chain a node
 keeps beside them.
 
 An address is the lowercase hex SHA-256 of the content, so equal payloads
@@ -48,17 +48,8 @@ class BlobStore:
     def get(self, address: str) -> bytes:
         raise NotImplementedError
 
-    def has(self, address: str) -> bool:
-        raise NotImplementedError
-
-    def size(self, address: str) -> int:
-        return len(self.get(address))
-
     def addresses(self) -> Iterator[str]:
         raise NotImplementedError
-
-    def total_bytes(self) -> int:
-        return sum(self.size(a) for a in self.addresses())
 
     def _check(self, address: str, data: bytes) -> bytes:
         if blob_address(data) != address:
@@ -84,9 +75,6 @@ class MemoryBlobStore(BlobStore):
         if hashlib.sha256(data).hexdigest() != address:
             raise StorageError("blob failed its content check")
         return data
-
-    def has(self, address: str) -> bool:
-        return address in self._blobs
 
     def addresses(self) -> Iterator[str]:
         return iter(list(self._blobs))
@@ -118,15 +106,6 @@ class DirectoryBlobStore(BlobStore):
         if not path.exists():
             raise BlobNotFoundError("no blob at the address")
         return self._check(address, path.read_bytes())
-
-    def has(self, address: str) -> bool:
-        return self._path(address).exists()
-
-    def size(self, address: str) -> int:
-        path = self._path(address)
-        if not path.exists():
-            raise BlobNotFoundError("no blob at the address")
-        return path.stat().st_size
 
     def addresses(self) -> Iterator[str]:
         return (p.name for p in sorted(self.root.iterdir()) if len(p.name) == 64)

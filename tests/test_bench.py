@@ -150,6 +150,26 @@ def test_aggregation_overhead_widens_the_table():
     assert all(r.rules == 10 for r in rows)
 
 
+def test_aggregation_overhead_times_its_rungs_interleaved(monkeypatch):
+    calls = []
+    real_decide_on = harness._decide_on
+
+    def decide_on(table, records, specs=()):
+        decide = real_decide_on(table, records, specs)
+
+        def rung():
+            calls.append((len(specs), gc.isenabled()))
+            return decide()
+
+        return rung
+
+    monkeypatch.setattr(harness, "_decide_on", decide_on)
+    _tiny("aggregationOverhead", columns=2)
+    # one untimed call per rung, three interleaved timed rounds, one traced run per rung
+    assert [extra for extra, _ in calls] == [0, 7, 14, 21] * 5
+    assert [enabled for _, enabled in calls[4:16]] == [False] * 12
+
+
 def test_plain_vs_enclave_compares_the_same_workload():
     rows = _tiny("plainVsEnclave", records=30)
     assert [r.mode for r in rows] == ["plain", "enclave"]
@@ -212,3 +232,19 @@ def test_the_benchmark_runs_one_short_workload_correctly(workload):
     assert out.returncode == 0, out.stderr[-2000:]
     last = json.loads(out.stdout.splitlines()[-1])
     assert (last["correct"], last["failed"]) == (True, 0)
+
+
+def test_a_traced_run_reports_every_per_layer_metric():
+    """The tracer wraps names under src/ by attribute; a run with it installed
+    must still answer correctly and report the metrics BENCHMARK.json lists."""
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", "refresh",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    last = json.loads(out.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0)
+    declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    assert list(last["metrics"]) == [metric["name"] for metric in declared]

@@ -2,13 +2,17 @@
 
 import csv
 import json
+from datetime import timedelta
 
 import pytest
 from click.testing import CliRunner
 
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.cli import cli
+from confidec.crypto.certs import certificate_from_obj
+from confidec.crypto.keys import SigningKeyPair
 from confidec.dmn.tables import record_to_obj
+from confidec.enclave.ccu import Ccu
 from confidec.enclave.sealing import unseal
 from confidec.fixtures import (
     load_patient_aggregation_docs,
@@ -251,10 +255,39 @@ def test_verify_chain_reports_the_broken_entry(runner, home, tmp_path, damage):
         assert result.stderr == f"error: {message}\n"
 
 
-NAMES_MALFORMED = "error: name registry line 1 is malformed\n"
+def _provide(runner, home, tmp_path, count):
+    records = _records_file(tmp_path, count)
+    result = _run(runner, home, "provide", "vax/patients", "Patient", str(records),
+                  "--unit", "unit1", "--client", "hub1")
+    return json.loads(result.output)
 
-# per kind of damage: the edit to the registry's first line
-NAMES_DAMAGE = {
+
+def _decided_count(runner, home):
+    result = _run(runner, home, "decide", "PatientPrioritizationWithAggr", "vax/patients",
+                  "--unit", "unit1", "--client", "hub1")
+    return len(json.loads(result.output)["results"])
+
+
+def test_a_name_registry_line_cannot_roll_a_dataset_back(runner, home, tmp_path):
+    """The chain alone binds names: a `names.jsonl` line that points a dataset
+    back at its older manifest is not read, and the chain still verifies."""
+    _bootstrap(runner, home, tmp_path)
+    first = _provide(runner, home, tmp_path, 50)
+    _provide(runner, home, tmp_path, 40)
+    names_path = home / "units" / "unit1" / "store" / "names.jsonl"
+    with names_path.open("a") as fh:
+        fh.write(json.dumps(
+            {"name": "vax/patients", "address": first["slim"]["address"], "version": 3}
+        ) + "\n")
+
+    assert _decided_count(runner, home) == 40
+    result = _run(runner, home, "verify-chain", "--unit", "unit1")
+    assert "chain ok (4 entries)" in result.output
+
+
+# a line of the retired name registry, as written or damaged
+NAMES_LEFTOVER = {
+    "well-formed": json.dumps,
     "missing-key": lambda obj: json.dumps({k: v for k, v in obj.items() if k != "address"}),
     "wrong-type": lambda obj: json.dumps(dict(obj, version=str(obj["version"]))),
     "not-an-object": lambda obj: json.dumps(list(obj.values())),
@@ -262,26 +295,25 @@ NAMES_DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("damage", sorted(NAMES_DAMAGE))
-def test_a_malformed_name_registry_line_stops_every_command(runner, home, tmp_path, damage):
+@pytest.mark.parametrize("leftover", sorted(NAMES_LEFTOVER))
+def test_a_leftover_name_registry_file_stops_no_command(runner, home, tmp_path, leftover):
+    """Homes once kept name bindings in `store/names.jsonl` too; such a file is
+    neither read nor written, whatever it holds."""
     _bootstrap(runner, home, tmp_path)
-    records = _records_file(tmp_path, 4)
-    _run(runner, home, "provide", "vax/patients", "Patient", str(records),
-         "--unit", "unit1", "--client", "hub1")
+    receipt = _provide(runner, home, tmp_path, 6)
+    line = NAMES_LEFTOVER[leftover](
+        {"name": "vax/patients", "address": receipt["slim"]["address"], "version": 1}
+    )
     names_path = home / "units" / "unit1" / "store" / "names.jsonl"
-    lines = names_path.read_text().splitlines()
-    lines[0] = NAMES_DAMAGE[damage](json.loads(lines[0]))
-    names_path.write_text("\n".join(lines) + "\n")
+    names_path.write_text(line + "\n")
 
-    # the error names the position, never the dataset name the line holds
-    for args in (
-        ("verify-chain", "--unit", "unit1"),
-        ("provide", "vax/patients", "Patient", str(records), "--unit", "unit1",
-         "--client", "hub1"),
-        ("decide", "Restock", "vax/patients", "--unit", "unit1", "--client", "hub1"),
-    ):
-        result = _run(runner, home, *args, expect=15)
-        assert result.stderr == NAMES_MALFORMED
+    result = _run(runner, home, "verify-chain", "--unit", "unit1")
+    assert "chain ok (2 entries)" in result.output
+    _provide(runner, home, tmp_path, 4)
+    assert _decided_count(runner, home) == 4
+    result = _run(runner, home, "verify-chain", "--unit", "unit1")
+    assert "chain ok (4 entries)" in result.output
+    assert names_path.read_text() == line + "\n"
 
 
 def test_a_leftover_unit_json_is_not_read(runner, home, tmp_path):
@@ -369,6 +401,24 @@ def test_redeploying_changed_code_rotates_the_seed(runner, home, tmp_path):
     result = _run(runner, home, *changed)
     assert "sealed seed no longer matches" in result.stderr
     assert current_seed() != seed_before
+
+
+def test_a_unit_initialized_by_the_cli_is_certified_as_a_booted_one(runner, home):
+    _run(runner, home, "ca", "init")
+    _run(runner, home, "ccu", "init", "unit1")
+    initialized = certificate_from_obj(
+        json.loads((home / "units" / "unit1" / "cert.json").read_text())
+    )
+    booted = Ccu.boot(
+        "unit1", SigningKeyPair.generate(), b"\x00" * 32, StorageNode.in_memory()
+    ).identity_cert
+    assert (initialized.subject, initialized.attributes) == (booted.subject, booted.attributes)
+    assert initialized.attributes == {"Role": "CCU", "Unit": "unit1"}
+    assert (
+        initialized.not_after - initialized.not_before
+        == booted.not_after - booted.not_before
+        == timedelta(days=365)
+    )
 
 
 def test_commands_refuse_to_run_without_their_prerequisites(runner, home, tmp_path):

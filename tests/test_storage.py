@@ -33,9 +33,6 @@ def test_store_put_get_round_trip(make_store, tmp_path):
     store = make_store() or DirectoryBlobStore(tmp_path)
     address = store.put(b"alpha")
     assert store.get(address) == b"alpha"
-    assert store.has(address)
-    assert store.size(address) == 5
-    assert not store.has(blob_address(b"beta"))
 
 
 @pytest.mark.parametrize("make_store", [MemoryBlobStore, lambda: None], ids=["memory", "directory"])
@@ -46,7 +43,6 @@ def test_equal_payloads_share_one_blob(make_store, tmp_path):
     third = store.put(b"other")
     assert first == second != third
     assert sorted(store.addresses()) == sorted({first, third})
-    assert store.total_bytes() == len(b"dup") + len(b"other")
 
 
 @pytest.mark.parametrize("make_store", [MemoryBlobStore, lambda: None], ids=["memory", "directory"])
@@ -88,30 +84,27 @@ def test_directory_store_persists_across_instances(tmp_path):
     assert list(reopened.addresses()) == [address]
 
 
-def test_name_versions_increase_from_one():
+def test_the_latest_binding_of_a_name_wins():
     names = NameRegistry()
-    assert names.publish("vax/patients", "a" * 64).version == 1
-    assert names.publish("vax/patients", "b" * 64).version == 2
-    assert names.publish("vax/centers", "c" * 64).version == 1
+    names.publish("vax/patients", "a" * 64)
+    names.publish("vax/patients", "b" * 64)
+    names.publish("vax/centers", "c" * 64)
     assert names.resolve("vax/patients") == "b" * 64
-    assert names.latest("vax/patients").version == 2
-    assert names.known_names() == ["vax/centers", "vax/patients"]
-    assert [(r.name, r.version) for r in names.history()] == [
-        ("vax/patients", 1), ("vax/patients", 2), ("vax/centers", 1),
-    ]
+    assert names.resolve("vax/centers") == "c" * 64
 
 
 def test_unpublished_name_raises():
-    names = NameRegistry()
     with pytest.raises(NameNotFoundError):
-        names.resolve("ghost")
-    with pytest.raises(NameNotFoundError):
-        names.latest("ghost")
+        NameRegistry().resolve("ghost")
 
 
 def test_empty_name_rejected():
     with pytest.raises(StorageError):
         NameRegistry().publish("", "a" * 64)
+    node = StorageNode.in_memory()
+    with pytest.raises(StorageError):
+        node.publish("", b"data")
+    assert len(node.chain) == 0
 
 
 def test_load_jsonl_parses_each_line_in_order_and_skips_blank_ones(tmp_path):
@@ -156,6 +149,7 @@ LINE_DAMAGE = {
     "missing-key": lambda obj, key: json.dumps({k: v for k, v in obj.items() if k != key}),
     "wrong-type": lambda obj, key: json.dumps(dict(obj, **{key: [obj[key]]})),
     "bad-hex": lambda obj, key: json.dumps(dict(obj, **{key: "zz"})),
+    "empty": lambda obj, key: json.dumps(dict(obj, **{key: ""})),
     "not-an-object": lambda obj, key: json.dumps(list(obj.values())),
     "truncated": lambda obj, key: json.dumps(obj)[:20],
 }
@@ -175,28 +169,6 @@ def _damage_second_line(path, damage, key):
     lines = path.read_text().splitlines()
     lines[1] = LINE_DAMAGE[damage](json.loads(lines[1]), key)
     path.write_text("\n".join(lines) + "\n")
-
-
-@pytest.mark.parametrize("damage, key", _line_damage(["name", "address", "version"]))
-def test_a_malformed_name_registry_line_is_a_storage_error(tmp_path, damage, key):
-    path = tmp_path / "names.jsonl"
-    registry = NameRegistry(path)
-    registry.publish("secret-name", "a" * 64)
-    registry.publish("secret-name", "b" * 64)
-    _damage_second_line(path, damage, key)
-    with pytest.raises(StorageError) as refused:
-        NameRegistry(path)
-    assert str(refused.value) == "name registry line 2 is malformed"
-
-
-def test_name_registry_file_round_trip(tmp_path):
-    path = tmp_path / "names.jsonl"
-    first = NameRegistry(path)
-    first.publish("data", "a" * 64)
-    first.publish("data", "b" * 64)
-    reopened = NameRegistry(path)
-    assert reopened.resolve("data") == "b" * 64
-    assert reopened.publish("data", "c" * 64).version == 3
 
 
 def test_chain_links_from_genesis():
@@ -259,7 +231,7 @@ def test_chain_file_round_trip_and_reverification(tmp_path):
 
 @pytest.mark.parametrize("damage, key", _line_damage(
     ["seq", "name", "address", "prevHash", "entryHash"], hex_keys=["prevHash", "entryHash"]
-))
+) + [("empty", "name")])
 def test_a_malformed_notarization_log_line_is_a_storage_error(tmp_path, damage, key):
     path = tmp_path / "chain.jsonl"
     log = NotarizationLog(path)
@@ -293,3 +265,37 @@ def test_node_directory_layout_round_trip(tmp_path):
     assert again.fetch("dataset") == b"payload"
     assert again.chain.verify_chain() is None
     assert len(again.chain) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs", "chain.jsonl"]
+
+
+def test_a_reopened_node_resolves_each_name_to_its_latest_chain_entry(tmp_path):
+    node = StorageNode.at_directory(tmp_path)
+    names = ("vax/patients", "vax/centers", "vax/patients.full")
+    for version in range(3):
+        for name in names:
+            node.publish(name, f"{name} v{version}".encode())
+    again = StorageNode.at_directory(tmp_path)
+    latest = {entry.name: entry.address for entry in again.chain.entries()}
+    assert len(again.chain) == 9 and sorted(latest) == sorted(names)
+    for name, address in latest.items():
+        assert again.names.resolve(name) == address
+        assert again.fetch(name) == f"{name} v2".encode()
+
+
+@pytest.mark.parametrize("leftover", ["stale", "malformed"])
+def test_a_leftover_name_registry_file_is_neither_read_nor_written(tmp_path, leftover):
+    """Names were once also kept in `names.jsonl`; the chain alone binds them."""
+    node = StorageNode.at_directory(tmp_path)
+    first = node.publish("dataset", b"v1")
+    node.publish("dataset", b"v2")
+    line = {
+        "stale": json.dumps({"name": "dataset", "address": first, "version": 3}),
+        "malformed": '{"name": "dataset", "addr',
+    }[leftover]
+    leftover_path = tmp_path / "names.jsonl"
+    leftover_path.write_text(line + "\n")
+    again = StorageNode.at_directory(tmp_path)
+    assert again.fetch("dataset") == b"v2"
+    again.publish("dataset", b"v3")
+    assert StorageNode.at_directory(tmp_path).fetch("dataset") == b"v3"
+    assert leftover_path.read_text() == line + "\n"
