@@ -1,47 +1,1 @@
 """Benchmark data generators and the measurement harness."""
-
-from confidec.bench.vax import (
-    CARRIER_FIELD_COUNT,
-    CENTER_FIELD_COUNT,
-    PATIENT_FIELD_COUNT,
-    VAX_ROLES,
-    VaxSpec,
-    cohort_of_id,
-    decision_batches,
-    expected_outcome,
-    generate_vax,
-)
-from confidec.bench.tablegen import synth_aggregations, synth_records, synth_table
-from confidec.bench.harness import (
-    CSV_HEADER,
-    EXPERIMENTS,
-    BenchConfig,
-    BenchRow,
-    LinearFit,
-    linear_fit,
-    run_benchmark,
-    write_csv,
-)
-
-__all__ = [
-    "CARRIER_FIELD_COUNT",
-    "CENTER_FIELD_COUNT",
-    "PATIENT_FIELD_COUNT",
-    "VAX_ROLES",
-    "VaxSpec",
-    "cohort_of_id",
-    "decision_batches",
-    "expected_outcome",
-    "generate_vax",
-    "synth_aggregations",
-    "synth_records",
-    "synth_table",
-    "CSV_HEADER",
-    "EXPERIMENTS",
-    "BenchConfig",
-    "BenchRow",
-    "LinearFit",
-    "linear_fit",
-    "run_benchmark",
-    "write_csv",
-]

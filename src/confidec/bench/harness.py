@@ -6,10 +6,11 @@ aggregation count), two exercise the full confidential pipeline
 footprint).  Every experiment emits rows in one
 fixed CSV schema; timing rows report the median over the configured
 repetitions, and peak memory is sampled in one extra instrumented run so
-tracing never skews the timings. The ladder experiments time their rungs
-interleaved, with the garbage collector off, so a change in machine speed
-or a collection pause lands on every rung alike instead of bending the
-shape of the ladder.
+tracing never skews the timings. Every timing experiment times its rungs
+(plainVsEnclave's two modes count as two rungs) interleaved, with the
+garbage collector off, so a change in machine speed or a collection pause
+lands on every rung alike instead of bending the shape of the ladder or
+favouring one mode.
 """
 
 from __future__ import annotations
@@ -165,18 +166,6 @@ def run_benchmark(config: BenchConfig) -> list[BenchRow]:
 
 # -- measurement core ---------------------------------------------------------
 
-def _measure(fn: Callable[[], object], repetitions: int) -> tuple[float, int]:
-    """Median wall time in ms over `repetitions` runs, plus the peak traced
-    memory of one extra run."""
-
-    times = []
-    for _ in range(repetitions):
-        start = time.perf_counter_ns()
-        fn()
-        times.append((time.perf_counter_ns() - start) / 1e6)
-    return statistics.median(times), _peak_memory(fn)
-
-
 def _measure_ladder(
     fns: Sequence[Callable[[], object]], repetitions: int
 ) -> list[tuple[float, int]]:
@@ -186,7 +175,7 @@ def _measure_ladder(
     runs before repetition k+1 of any, with the garbage collector off, so
     a speed change or a collection pause part-way through cannot fall on
     the large rungs only. Peak memory comes from one separate traced run
-    per rung, as in `_measure`.
+    per rung.
     """
 
     for fn in fns:
@@ -392,22 +381,18 @@ def _bench_plain_vs_enclave(config: BenchConfig) -> list[BenchRow]:
     patients = generate_vax(VaxSpec("Patient", config.records, config.seed))
     table = load_table("PatientPrioritizationWithAggr")
     specs = load_patient_aggregations()
-    rows = []
-
-    median_ms, peak = _measure(_decide_on(table, patients, specs), config.repetitions)
-    rows.append(BenchRow(
-        config.experiment, config.records, len(table.condition_columns),
-        len(table.rules), "plain", config.repetitions, median_ms, peak,
-    ))
-
     unit, session = _make_stack()
     _provision(unit, session, "Patient", patients)
-    median_ms, peak = _measure(_patient_decision(unit, session), config.repetitions)
-    rows.append(BenchRow(
-        config.experiment, config.records, len(table.condition_columns),
-        len(table.rules), "enclave", config.repetitions, median_ms, peak,
-    ))
-    return rows
+    runs = [_decide_on(table, patients, specs), _patient_decision(unit, session)]
+    return [
+        BenchRow(
+            config.experiment, config.records, len(table.condition_columns),
+            len(table.rules), mode, config.repetitions, median_ms, peak,
+        )
+        for mode, (median_ms, peak) in zip(
+            ("plain", "enclave"), _measure_ladder(runs, config.repetitions)
+        )
+    ]
 
 
 def _bench_memory_saving(config: BenchConfig) -> list[BenchRow]:

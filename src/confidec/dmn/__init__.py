@@ -1,66 +1,1 @@
 """Decision tables: parsing, condition evaluation, batch decisions."""
-
-from confidec.dmn.model import (
-    AggregationSpec,
-    BooleanIs,
-    ColumnRelation,
-    ColumnSpec,
-    Condition,
-    DecisionResult,
-    DecisionTable,
-    FilterAtom,
-    Interval,
-    NumericEquals,
-    Record,
-    Relational,
-    Rule,
-    TextSet,
-    Wildcard,
-)
-from confidec.dmn.cells import format_condition, parse_condition
-from confidec.dmn.tables import (
-    parse_aggregation_spec,
-    parse_decision_table,
-    parse_record,
-    record_to_obj,
-    table_to_obj,
-)
-from confidec.dmn.aggregate import evaluate_aggregate
-from confidec.dmn.engine import (
-    decide_all,
-    decide_record,
-    decide_records,
-    eval_condition,
-    kernel_backend,
-)
-
-__all__ = [
-    "AggregationSpec",
-    "BooleanIs",
-    "ColumnRelation",
-    "ColumnSpec",
-    "Condition",
-    "DecisionResult",
-    "DecisionTable",
-    "FilterAtom",
-    "Interval",
-    "NumericEquals",
-    "Record",
-    "Relational",
-    "Rule",
-    "TextSet",
-    "Wildcard",
-    "format_condition",
-    "parse_condition",
-    "parse_aggregation_spec",
-    "parse_decision_table",
-    "parse_record",
-    "record_to_obj",
-    "table_to_obj",
-    "evaluate_aggregate",
-    "decide_all",
-    "decide_record",
-    "decide_records",
-    "eval_condition",
-    "kernel_backend",
-]

@@ -159,7 +159,6 @@ class Ccu:
         self._busy = threading.Lock()
         self.handled: List[dict] = []
         self.last_trace: List[str] = []
-        self._current_envelope: RequestEnvelope | None = None
 
     @classmethod
     def boot(
@@ -299,15 +298,15 @@ class Ccu:
         if not self._busy.acquire(blocking=False):
             raise RuntimeError("unit asked to handle two requests at once")
         started = time.monotonic_ns()
-        self._current_envelope = envelope
         self.last_trace = []
         try:
             try:
                 key = self._channel_key(envelope.ephemeral_pub)
+                attributes = self._caller(envelope)
                 if envelope.request_type == "provision":
-                    obj = self.handle_provision(envelope, key)
+                    obj = self.handle_provision(envelope, key, attributes)
                 else:
-                    obj = self.handle_decision(envelope, key)
+                    obj = self.handle_decision(envelope, key, attributes)
                 body = ae_encrypt(key, canonical_json(obj), aad=response_aad(correlation_id))
                 return ResponseEnvelope(correlation_id=correlation_id, status="ok", body=body)
             except ConfidecError as exc:
@@ -315,18 +314,35 @@ class Ccu:
                     correlation_id=correlation_id, status="error", error=str(exc)
                 )
         finally:
-            self._current_envelope = None
             self.handled.append(
                 {"ticket": correlation_id, "start": started, "end": time.monotonic_ns()}
             )
             self._busy.release()
 
+    def _caller(self, envelope: RequestEnvelope) -> Mapping[str, str] | None:
+        """Attributes of the envelope's certificate if the authority issued it
+        and its key signed the envelope's ephemeral key; None otherwise."""
+        certificate = envelope.client_cert
+        if not verify(
+            certificate.subject_verify_key,
+            envelope_signing_bytes(envelope.request_type, envelope.ephemeral_pub),
+            envelope.ephemeral_sig,
+        ):
+            return None
+        try:
+            return verify_certificate(self.authority_verify_key, certificate, now=self._clock())
+        except CertificateError:
+            return None
+
     # --- provisioning -----------------------------------------------------------
 
-    def handle_provision(self, envelope: RequestEnvelope, key: bytes) -> dict:
+    def handle_provision(
+        self, envelope: RequestEnvelope, key: bytes, attributes: Mapping[str, str] | None
+    ) -> dict:
         """Store a dataset twice, full and slimmed to decision fields, and
-        return the receipt; key is the request's channel key."""
-        if self.check_certificate(envelope.client_cert) is None:
+        return the receipt; key is the request's channel key and attributes
+        the caller's, None if its certificate failed."""
+        if attributes is None:
             raise DecisionRejected(REJECT_CERTIFICATE)
         payload = _open_payload(envelope, key)
 
@@ -397,9 +413,12 @@ class Ccu:
 
     # --- decisions ---------------------------------------------------------------
 
-    def handle_decision(self, envelope: RequestEnvelope, key: bytes) -> dict:
+    def handle_decision(
+        self, envelope: RequestEnvelope, key: bytes, attributes: Mapping[str, str] | None
+    ) -> dict:
         """Run the guarded handler named in the envelope payload; key is the
-        request's channel key."""
+        request's channel key and attributes the caller's, None if its
+        certificate failed."""
         payload = _open_payload(envelope, key)
         try:
             func_name = payload["funcName"]
@@ -410,25 +429,9 @@ class Ccu:
         service = self.service(func_name)
         if not isinstance(data_name, str):
             raise MalformedRequestError("bad dataset name")
-        return run_decision_handler(service, envelope.client_cert, data_name, self)
+        return run_decision_handler(service, attributes, data_name, self)
 
     # HandlerEnv implementation ----------------------------------------------
-
-    def check_certificate(self, certificate: Certificate) -> Mapping[str, str] | None:
-        """Attributes of a certificate the authority issued and whose key signed
-        the in-flight envelope's ephemeral key; None otherwise, and always None
-        outside a request."""
-        envelope = self._current_envelope
-        if envelope is None or not verify(
-            certificate.subject_verify_key,
-            envelope_signing_bytes(envelope.request_type, envelope.ephemeral_pub),
-            envelope.ephemeral_sig,
-        ):
-            return None
-        try:
-            return verify_certificate(self.authority_verify_key, certificate, now=self._clock())
-        except CertificateError:
-            return None
 
     def decrypt_data(
         self, data_name: str, structure: str

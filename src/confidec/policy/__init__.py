@@ -1,25 +1,1 @@
 """Attribute-based access policies: parsing, printing, evaluation."""
-
-from confidec.policy.model import (
-    AndExpr,
-    AttrEquals,
-    NotExpr,
-    OrExpr,
-    PolicyExpr,
-    PolicySpec,
-    check_access,
-)
-from confidec.policy.alfa import format_expr, format_policy, parse_policy_descriptor
-
-__all__ = [
-    "format_expr",
-    "AndExpr",
-    "AttrEquals",
-    "NotExpr",
-    "OrExpr",
-    "PolicyExpr",
-    "PolicySpec",
-    "check_access",
-    "format_policy",
-    "parse_policy_descriptor",
-]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Protocol, Sequence, Tuple
 
-from confidec.crypto.certs import Certificate
 from confidec.dmn.aggregate import evaluate_aggregate
 from confidec.dmn.engine import decide_records, encode_batch
 from confidec.dmn.model import AggregationSpec, DecisionTable
@@ -51,9 +50,6 @@ class DecisionService:
 
 class HandlerEnv(Protocol):
     """Capabilities the enclosing unit grants to a decision handler."""
-
-    def check_certificate(self, certificate: Certificate) -> Mapping[str, str] | None:
-        """Attributes of a valid certificate, or None."""
 
     def decrypt_data(
         self, data_name: str, structure: str
@@ -115,10 +111,14 @@ def build_desobj(
 
 
 def handle_decision(
-    service: DecisionService, certificate: Certificate, data_name: str, env: HandlerEnv
+    service: DecisionService,
+    attributes: Mapping[str, str] | None,
+    data_name: str,
+    env: HandlerEnv,
 ) -> dict:
-    """Run a service's guarded handler for a caller holding certificate,
-    over the records published under data_name.
+    """Run a service's guarded handler for a caller with the given
+    certificate attributes (None if its certificate failed), over the records
+    published under data_name.
 
     Steps run in a fixed order; certificate and policy failures raise
     DecisionRejected with the canonical message before any data is read.
@@ -126,7 +126,6 @@ def handle_decision(
     env.trace("ParseDecisionReq")
 
     env.trace("CheckCertificate")
-    attributes = env.check_certificate(certificate)
     if attributes is None:
         raise DecisionRejected(REJECT_CERTIFICATE)
 

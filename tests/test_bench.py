@@ -170,6 +170,25 @@ def test_aggregation_overhead_times_its_rungs_interleaved(monkeypatch):
     assert [enabled for _, enabled in calls[4:16]] == [False] * 12
 
 
+def test_plain_vs_enclave_times_its_modes_interleaved(monkeypatch):
+    calls = []
+
+    def recorded(mode, run):
+        def rung():
+            calls.append((mode, gc.isenabled()))
+            return run()
+
+        return rung
+
+    plain, enclave = harness._decide_on, harness._patient_decision
+    monkeypatch.setattr(harness, "_decide_on", lambda *a: recorded("plain", plain(*a)))
+    monkeypatch.setattr(harness, "_patient_decision", lambda *a: recorded("enclave", enclave(*a)))
+    _tiny("plainVsEnclave", records=30)
+    # one untimed call per mode, three interleaved timed rounds, one traced run per mode
+    assert [mode for mode, _ in calls] == ["plain", "enclave"] * 5
+    assert [enabled for _, enabled in calls[2:8]] == [False] * 6
+
+
 def test_plain_vs_enclave_compares_the_same_workload():
     rows = _tiny("plainVsEnclave", records=30)
     assert [r.mode for r in rows] == ["plain", "enclave"]
@@ -200,8 +219,9 @@ def test_each_timed_enclave_decision_opens_every_record(monkeypatch, experiment,
     monkeypatch.setattr(ccu, "open_wire", counting_open_wire)
     monkeypatch.setattr(harness, "_roundtrip", roundtrip)
     _tiny(experiment, records=30)
-    # per mode, three timed decisions and the one its peak memory comes from
-    assert per_decision == [1] * (4 * modes)
+    # per mode, an untimed warm-up, three timed decisions and the one its
+    # peak memory comes from
+    assert per_decision == [1] * (5 * modes)
 
 
 def test_memory_saving_reports_stored_bytes_per_role():

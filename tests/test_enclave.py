@@ -518,10 +518,23 @@ def test_ephemeral_key_signed_by_another_key_cannot_provision(make_unit, make_ce
     assert response.error == "Invalid certificate"
 
 
-def test_a_valid_certificate_is_refused_outside_a_request(make_unit, make_cert):
+@pytest.mark.parametrize("fault", ["rogue-issuer", "wrong-envelope-key"])
+def test_an_unknown_function_is_named_before_a_bad_certificate(
+    make_unit, make_cert, authority, fault
+):
     unit = make_unit()
-    cert, _ = make_cert()
-    assert unit.check_certificate(cert) is None
+    if fault == "rogue-issuer":
+        cert, key = make_cert(issuer=SigningKeyPair.generate())
+    else:
+        cert, _ = make_cert()
+        key = SigningKeyPair.generate()
+    session = ClientSession(cert, key, authority.verify_key)
+    session.attest(unit.evidence(), unit.measurement)
+    envelope, _ = session.build_request(
+        "decision", {"funcName": "NoSuchFunction", "dataName": "vax/patients"}
+    )
+    assert unit.handle("t-unknown", envelope).error == "no deployed function by that name"
+    assert unit.last_trace == []
 
 
 def test_a_decision_runs_the_program_lowered_at_deploy(make_unit, make_session, monkeypatch):

@@ -49,14 +49,10 @@ def _patient_batch():
 class RecordingEnv:
     """Scripted handler environment that records the step sequence."""
 
-    def __init__(self, attributes, records):
-        self.attributes = attributes
+    def __init__(self, records):
         self.records = records
         self.steps = []
         self.decrypted = None
-
-    def check_certificate(self, certificate):
-        return self.attributes
 
     def decrypt_data(self, data_name, structure):
         self.decrypted = (data_name, structure)
@@ -68,11 +64,6 @@ class RecordingEnv:
 
     def trace(self, step):
         self.steps.append(step)
-
-
-class NoCertificateEnv(RecordingEnv):
-    def check_certificate(self, certificate):
-        return None
 
 
 def test_build_binds_aggregations_in_policy_order():
@@ -158,8 +149,8 @@ def test_build_refuses_a_layout_without_the_fields_it_reads():
 
 def test_handler_runs_steps_in_order():
     service = _patient_service()
-    env = RecordingEnv(HUB_ATTRS, _patient_batch())
-    handle_decision(service, None, "vax/patients", env)
+    env = RecordingEnv(_patient_batch())
+    handle_decision(service, HUB_ATTRS, "vax/patients", env)
     assert env.steps == [
         "ParseDecisionReq",
         "CheckCertificate",
@@ -176,7 +167,7 @@ def test_handler_runs_steps_in_order():
 def test_handler_payload_shape():
     service = _patient_service()
     batch = _patient_batch()
-    payload = handle_decision(service, None, "vax/patients", RecordingEnv(HUB_ATTRS, batch))
+    payload = handle_decision(service, HUB_ATTRS, "vax/patients", RecordingEnv(batch))
     assert payload["funcName"] == "PatientPrioritizationWithAggr"
     assert set(payload) == {"funcName", "outputs", "results"}
     assert [rid for rid, _ in payload["results"]] == [r.id for r in batch]
@@ -208,15 +199,13 @@ def test_compact_results_keep_outputs_that_only_equal_in_python_apart():
 
 def test_handler_reports_aggregates_only_when_asked():
     batch = _patient_batch()
-    quiet = handle_decision(
-        _patient_service(), None, "vax/patients", RecordingEnv(HUB_ATTRS, batch)
-    )
+    quiet = handle_decision(_patient_service(), HUB_ATTRS, "vax/patients", RecordingEnv(batch))
     assert "aggregates" not in quiet
 
 
 def test_invalid_certificate_message_is_exact():
     service = _patient_service()
-    env = NoCertificateEnv(HUB_ATTRS, _patient_batch())
+    env = RecordingEnv(_patient_batch())
     with pytest.raises(DecisionRejected) as exc:
         handle_decision(service, None, "vax/patients", env)
     assert str(exc.value) == "Invalid certificate"
@@ -226,9 +215,9 @@ def test_invalid_certificate_message_is_exact():
 
 def test_policy_denial_message_is_exact():
     service = _patient_service()
-    env = RecordingEnv({"Role": "Patient", "Country": "Italy"}, _patient_batch())
+    env = RecordingEnv(_patient_batch())
     with pytest.raises(DecisionRejected) as exc:
-        handle_decision(service, None, "vax/patients", env)
+        handle_decision(service, {"Role": "Patient", "Country": "Italy"}, "vax/patients", env)
     assert str(exc.value) == "Access policy not satisfied"
     assert env.steps == ["ParseDecisionReq", "CheckCertificate", "CheckCallability"]
     assert env.decrypted is None
