@@ -241,6 +241,16 @@ def _clipped(ladder: Sequence[int], limit: int) -> list[int]:
     return kept or [limit]
 
 
+def _ladder_rows(config: BenchConfig, rungs: Sequence[tuple]) -> list[BenchRow]:
+    """One row per rung `(records, columns, rules, mode, decision)`, with the
+    rungs' decisions timed together by `_measure_ladder`."""
+    measured = _measure_ladder([decision for *_, decision in rungs], config.repetitions)
+    return [
+        BenchRow(config.experiment, *shape, config.repetitions, median_ms, peak)
+        for (*shape, _), (median_ms, peak) in zip(rungs, measured)
+    ]
+
+
 # -- evaluator-only experiments ----------------------------------------------
 
 def _bench_scale_records(config: BenchConfig) -> list[BenchRow]:
@@ -248,70 +258,52 @@ def _bench_scale_records(config: BenchConfig) -> list[BenchRow]:
     ladder = _records_ladder(config.records)
     records = synth_records(config.columns, ladder[-1], seed=config.seed)
     backend = kernel_backend()
-    runs = [_decide_on(table, records[:n]) for n in ladder]
-    return [
-        BenchRow(
-            config.experiment, n, config.columns, config.rules,
-            backend, config.repetitions, median_ms, peak,
-        )
-        for n, (median_ms, peak) in zip(ladder, _measure_ladder(runs, config.repetitions))
-    ]
+    return _ladder_rows(config, [
+        (n, config.columns, config.rules, backend, _decide_on(table, records[:n]))
+        for n in ladder
+    ])
 
 
 def _bench_scale_columns(config: BenchConfig) -> list[BenchRow]:
-    ladder = _clipped(_COLUMN_LADDER, config.columns)
     backend = kernel_backend()
-    runs = [
-        _decide_on(
-            synth_table(width, config.rules, seed=config.seed),
-            synth_records(width, config.records, seed=config.seed),
+    return _ladder_rows(config, [
+        (
+            config.records, width, config.rules, backend,
+            _decide_on(
+                synth_table(width, config.rules, seed=config.seed),
+                synth_records(width, config.records, seed=config.seed),
+            ),
         )
-        for width in ladder
-    ]
-    return [
-        BenchRow(
-            config.experiment, config.records, width, config.rules,
-            backend, config.repetitions, median_ms, peak,
-        )
-        for width, (median_ms, peak) in zip(ladder, _measure_ladder(runs, config.repetitions))
-    ]
+        for width in _clipped(_COLUMN_LADDER, config.columns)
+    ])
 
 
 def _bench_scale_rules(config: BenchConfig) -> list[BenchRow]:
-    ladder = _clipped(_RULE_LADDER, config.rules)
     records = synth_records(config.columns, config.records, seed=config.seed)
     backend = kernel_backend()
-    runs = [
-        _decide_on(synth_table(config.columns, depth, seed=config.seed), records)
-        for depth in ladder
-    ]
-    return [
-        BenchRow(
-            config.experiment, config.records, config.columns, depth,
-            backend, config.repetitions, median_ms, peak,
+    return _ladder_rows(config, [
+        (
+            config.records, config.columns, depth, backend,
+            _decide_on(synth_table(config.columns, depth, seed=config.seed), records),
         )
-        for depth, (median_ms, peak) in zip(ladder, _measure_ladder(runs, config.repetitions))
-    ]
+        for depth in _clipped(_RULE_LADDER, config.rules)
+    ])
 
 
 def _bench_aggregation_overhead(config: BenchConfig) -> list[BenchRow]:
     records = synth_records(config.columns, config.records, seed=config.seed)
     backend = kernel_backend()
-    runs = [
-        _decide_on(
-            synth_table(config.columns, config.rules, seed=config.seed, agg_columns=extra),
-            records,
-            synth_aggregations(extra, config.columns),
+    return _ladder_rows(config, [
+        (
+            config.records, config.columns + extra, config.rules, backend,
+            _decide_on(
+                synth_table(config.columns, config.rules, seed=config.seed, agg_columns=extra),
+                records,
+                synth_aggregations(extra, config.columns),
+            ),
         )
         for extra in _AGG_LADDER
-    ]
-    return [
-        BenchRow(
-            config.experiment, config.records, config.columns + extra, config.rules,
-            backend, config.repetitions, median_ms, peak,
-        )
-        for extra, (median_ms, peak) in zip(_AGG_LADDER, _measure_ladder(runs, config.repetitions))
-    ]
+    ])
 
 
 # -- pipeline experiments ------------------------------------------------------
@@ -383,16 +375,11 @@ def _bench_plain_vs_enclave(config: BenchConfig) -> list[BenchRow]:
     specs = load_patient_aggregations()
     unit, session = _make_stack()
     _provision(unit, session, "Patient", patients)
-    runs = [_decide_on(table, patients, specs), _patient_decision(unit, session)]
-    return [
-        BenchRow(
-            config.experiment, config.records, len(table.condition_columns),
-            len(table.rules), mode, config.repetitions, median_ms, peak,
-        )
-        for mode, (median_ms, peak) in zip(
-            ("plain", "enclave"), _measure_ladder(runs, config.repetitions)
-        )
-    ]
+    shape = (config.records, len(table.condition_columns), len(table.rules))
+    return _ladder_rows(config, [
+        (*shape, "plain", _decide_on(table, patients, specs)),
+        (*shape, "enclave", _patient_decision(unit, session)),
+    ])
 
 
 def _bench_memory_saving(config: BenchConfig) -> list[BenchRow]:

@@ -8,7 +8,7 @@ field except the signature itself.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Mapping
 
@@ -32,34 +32,9 @@ class Certificate:
     issuer_signature: bytes
 
     def signed_bytes(self) -> bytes:
-        return _signed_bytes(
-            self.serial,
-            self.subject,
-            self.not_before,
-            self.not_after,
-            self.attributes,
-            self.subject_verify_key,
-        )
-
-
-def _signed_bytes(
-    serial: str,
-    subject: str,
-    not_before: datetime,
-    not_after: datetime,
-    attributes: Mapping[str, str],
-    subject_verify_key: bytes,
-) -> bytes:
-    return canonical_json(
-        {
-            "serial": serial,
-            "subject": subject,
-            "notBefore": format_rfc3339(not_before),
-            "notAfter": format_rfc3339(not_after),
-            "attributes": dict(attributes),
-            "subjectVerifyKey": b64(subject_verify_key),
-        }
-    )
+        document = certificate_to_obj(self)
+        del document["issuerSignature"]
+        return canonical_json(document)
 
 
 def issue_certificate(
@@ -77,17 +52,16 @@ def issue_certificate(
     for key, value in attributes.items():
         if not isinstance(key, str) or not isinstance(value, str):
             raise ValueError("certificate attributes must map strings to strings")
-    serial = serial or secrets.token_hex(16)
-    payload = _signed_bytes(serial, subject, not_before, not_after, attributes, subject_verify_key)
-    return Certificate(
-        serial=serial,
+    unsigned = Certificate(
+        serial=serial or secrets.token_hex(16),
         subject=subject,
         not_before=not_before,
         not_after=not_after,
         attributes=dict(attributes),
         subject_verify_key=subject_verify_key,
-        issuer_signature=issuer.sign(payload),
+        issuer_signature=b"",
     )
+    return replace(unsigned, issuer_signature=issuer.sign(unsigned.signed_bytes()))
 
 
 def verify_certificate(

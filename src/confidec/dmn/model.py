@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import date, datetime
 from typing import Mapping, Tuple, Union
 
-FieldValue = Union[int, float, str, bool, date, datetime]
+FieldValue = Union[int, float, str, bool]
 
 COLUMN_KINDS = ("input", "aggregateInput", "output")
 VALUE_TYPES = ("number", "string", "boolean", "datetime")
@@ -40,8 +39,6 @@ def validate_field_value(value: object) -> None:
     if isinstance(value, (int, float)):
         if not is_finite(value):
             raise ValueError("field holds a non-finite number")
-        return
-    if isinstance(value, (date, datetime)):
         return
     raise ValueError(f"field holds an unsupported value type {type(value).__name__}")
 
@@ -188,10 +185,6 @@ class DecisionTable:
     @property
     def aggregate_columns(self) -> Tuple[ColumnSpec, ...]:
         return tuple(c for c in self.columns if c.kind == "aggregateInput")
-
-    @property
-    def output_columns(self) -> Tuple[ColumnSpec, ...]:
-        return tuple(c for c in self.columns if c.kind == "output")
 
 
 # --- aggregations ---------------------------------------------------------

@@ -177,18 +177,6 @@ def parse_aggregation_spec(doc: Mapping[str, Any]) -> AggregationSpec:
         raise TableValidationError(str(exc)) from exc
 
 
-def aggregation_to_obj(spec: AggregationSpec) -> dict:
-    return {
-        "name": spec.name,
-        "filter": [
-            {"field": atom.field, "cell": format_condition(atom.condition)}
-            for atom in spec.filter
-        ],
-        "targetField": spec.target_field,
-        "reducer": spec.reducer,
-    }
-
-
 def parse_record(doc: Mapping[str, Any]) -> Record:
     """Build a Record from {"id": ..., "fields": {...}}."""
     try:
@@ -207,10 +195,4 @@ def parse_record(doc: Mapping[str, Any]) -> Record:
 
 
 def record_to_obj(record: Record) -> dict:
-    fields = {}
-    for name, value in record.fields.items():
-        if hasattr(value, "isoformat"):
-            fields[name] = value.isoformat()
-        else:
-            fields[name] = value
-    return {"id": record.id, "fields": fields}
+    return {"id": record.id, "fields": dict(record.fields)}

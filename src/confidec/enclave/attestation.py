@@ -10,7 +10,7 @@ verifies and binds the expected measurement to that exact channel.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Mapping
 
@@ -45,10 +45,8 @@ def issue_channel_certificate(
 ) -> ChannelCertificate:
     if len(ka_public) != 32:
         raise ValueError("key-agreement public key must be 32 bytes")
-    cert = ChannelCertificate(subject=subject, ka_public=ka_public, signature=b"")
-    return ChannelCertificate(
-        subject=subject, ka_public=ka_public, signature=unit_key.sign(cert.signed_bytes())
-    )
+    unsigned = ChannelCertificate(subject=subject, ka_public=ka_public, signature=b"")
+    return replace(unsigned, signature=unit_key.sign(unsigned.signed_bytes()))
 
 
 @dataclass(frozen=True)
@@ -73,14 +71,10 @@ def generate_report(
 ) -> AttestationReport:
     if len(measurement) != 32:
         raise ValueError("measurement must be 32 bytes")
-    report = AttestationReport(
+    unsigned = AttestationReport(
         measurement=measurement, channel_cert_hash=channel_cert_hash, signature=b""
     )
-    return AttestationReport(
-        measurement=measurement,
-        channel_cert_hash=channel_cert_hash,
-        signature=unit_key.sign(report.signed_bytes()),
-    )
+    return replace(unsigned, signature=unit_key.sign(unsigned.signed_bytes()))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from confidec.dmn.tables import (
     parse_record,  # noqa: F401 - perfbench/tracer.py times `ccu.parse_record`
 )
 from confidec.enclave.attestation import (
-    AttestationReport,
     ChannelCertificate,
     Evidence,
     generate_report,
@@ -150,7 +149,6 @@ class Ccu:
         self._channel_cert = issue_channel_certificate(
             self._signing_key, self.name, self._ka.public_bytes
         )
-        self._bundle: CodeBundle | None = None
         self._measurement: bytes | None = None
         self._services: Dict[str, DecisionService] = {}
         # per structure, the fields of its slim records, in stored order
@@ -220,7 +218,6 @@ class Ccu:
             self._channel_cert = issue_channel_certificate(
                 self._signing_key, self.name, self._ka.public_bytes
             )
-        self._bundle = bundle
         self._measurement = measurement
         self._services = services
         self._layouts = layouts
@@ -237,9 +234,6 @@ class Ccu:
             return self._services[func_name]
         except KeyError:
             raise UnknownFunctionError("no deployed function by that name") from None
-
-    def service_names(self) -> List[str]:
-        return sorted(self._services)
 
     # --- seed and channel ---------------------------------------------------
 

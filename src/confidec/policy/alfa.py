@@ -210,18 +210,3 @@ def _format_operand(expr: PolicyExpr, in_and: bool = False, in_not: bool = False
     )
     text = format_expr(expr)
     return f"({text})" if needs_parens else text
-
-
-def format_policy(spec: PolicySpec) -> str:
-    """Print a policy in the canonical layout accepted by the parser."""
-    heading = ", ".join((spec.data_name,) + spec.agg_names)
-    lines = [
-        f"policy {spec.func_name}({heading}) {{",
-        f'    target clause Action == "{spec.action}"',
-        "    rule accessDecision {",
-        "        permit",
-        f"        condition {format_expr(spec.condition)}",
-        "    }",
-        "}",
-    ]
-    return "\n".join(lines) + "\n"

@@ -36,10 +36,6 @@ class DecisionService:
         return self.program.table
 
     @property
-    def layout(self) -> Tuple[str, ...]:
-        return self.program.layout
-
-    @property
     def func_name(self) -> str:
         return self.spec.func_name
 

@@ -71,10 +71,7 @@ class MemoryBlobStore(BlobStore):
             data = self._blobs[address]
         except KeyError:
             raise BlobNotFoundError("no blob at the address") from None
-        # _check inlined: this runs once per record on every decision
-        if hashlib.sha256(data).hexdigest() != address:
-            raise StorageError("blob failed its content check")
-        return data
+        return self._check(address, data)
 
     def addresses(self) -> Iterator[str]:
         return iter(list(self._blobs))

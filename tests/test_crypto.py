@@ -19,6 +19,7 @@ from confidec.crypto.aead import (
     seal_wire,
 )
 from confidec.crypto.certs import (
+    Certificate,
     certificate_from_obj,
     certificate_to_obj,
     issue_certificate,
@@ -297,6 +298,25 @@ def test_certificate_obj_round_trip():
     again = certificate_from_obj(certificate_to_obj(cert))
     assert again == cert
     assert certificate_to_obj(again) == certificate_to_obj(cert)
+
+
+def test_certificate_signed_form_is_pinned():
+    # certificates already stored in CLI homes are signed over exactly these bytes
+    cert = Certificate(
+        serial="00ff",
+        subject="Clínica São José",
+        not_before=datetime(2026, 1, 2, 5, 4, 5, tzinfo=timezone(timedelta(hours=2))),
+        not_after=datetime(2027, 1, 2, 3, 4, 5, 678000, tzinfo=timezone.utc),
+        attributes={"Role": "Patient", "Città": "Torino €"},
+        subject_verify_key=bytes(range(32)),
+        issuer_signature=b"\x01" * 64,
+    )
+    assert cert.signed_bytes() == (
+        b'{"attributes":{"Citt\xc3\xa0":"Torino \xe2\x82\xac","Role":"Patient"},'
+        b'"notAfter":"2027-01-02T03:04:05.678000Z","notBefore":"2026-01-02T03:04:05Z",'
+        b'"serial":"00ff","subject":"Cl\xc3\xadnica S\xc3\xa3o Jos\xc3\xa9",'
+        b'"subjectVerifyKey":"AAECAwQFBgcICQoLDA0ODxAREhMUFRYXGBkaGxwdHh8="}'
+    )
 
 
 def test_malformed_certificate_document_rejected():

@@ -101,7 +101,8 @@ def test_measurement_tracks_every_bundle_part():
 def test_deploy_returns_the_measurement(make_unit):
     unit = make_unit()
     assert unit.measurement == compute_measurement(standard_bundle())
-    assert unit.service_names() == sorted(BUNDLED_FUNCS)
+    for name in BUNDLED_FUNCS:
+        assert unit.service(name).func_name == name
 
 
 def test_deploy_rejects_policy_without_table():

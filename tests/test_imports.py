@@ -1,10 +1,12 @@
-"""Every confidec module imports on its own, whatever was imported before it.
+"""Every confidec module imports on its own, whatever was imported before it,
+and reads every name it imports.
 
 A package's `__init__` imports nothing, so no import order is fixed for a
 caller; a cycle between two modules shows up here as the module whose import
 fails.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +37,29 @@ def test_each_module_imports_alone():
     assert out.returncode == 0, out.stderr[-2000:]
     # every source file but the top package's own `__init__` was imported
     assert len(out.stdout.split()) == len(list(Path(confidec.__file__).parent.rglob("*.py"))) - 1
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads; an import on a `# noqa` line is exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if "# noqa" not in lines[alias.lineno - 1]
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    root = Path(confidec.__file__).parent
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(root.rglob("*.py"))
+        for name in _unused_imports(path)
+    ]
+    assert unused == []

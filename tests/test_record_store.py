@@ -13,6 +13,7 @@ dataset's field union, which the full manifest keeps sealed.
 import dataclasses
 import json
 import secrets
+from datetime import date, datetime
 
 import pytest
 
@@ -22,6 +23,7 @@ from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.aead import HEADER_LEN, NONCE_LEN, Ciphertext, ae_decrypt, ae_encrypt
 from confidec.crypto.keys import derive_record_key
 from confidec.dmn.engine import decide_all
+from confidec.dmn.model import Record
 from confidec.dmn.tables import parse_record, record_to_obj
 from confidec.enclave import ccu
 from confidec.enclave.ccu import exchange_seed, generate_seed
@@ -431,6 +433,29 @@ def test_provision_refuses_a_malformed_record_with_the_text_parse_record_gives(
     response = unit.handle("t-prov", envelope)
     assert (response.status, response.error) == ("error", want)
     assert len(unit._storage.chain) == 0
+
+
+@pytest.mark.parametrize("value, accepted", [
+    ("text", True), (True, True), (7, True), (1.5, True), (2**53 + 1, True),
+    (10**400, False), (float("nan"), False), (float("inf"), False), (float("-inf"), False),
+    (None, False), ([1], False), ({"years": 1}, False),
+    (date(2026, 1, 15), False), (datetime(2026, 1, 15, 10, 30), False),
+], ids=repr)
+def test_a_record_and_the_units_provision_check_hold_the_same_values(value, accepted):
+    """What a `Record` may hold is what the unit stores, so the local
+    `decide_all` and the unit see the same records."""
+    try:
+        Record(id="r1", fields={"Age": value})
+        local = None
+    except ValueError as exc:
+        local = f"record {exc}"
+    try:
+        ccu._checked_field_union([{"id": "r1", "fields": {"Age": value}}])
+        unit = None
+    except TableValidationError as exc:
+        unit = str(exc)
+    assert local == unit
+    assert (unit is None) == accepted
 
 
 # --- keys ---------------------------------------------------------------------

@@ -56,7 +56,7 @@ class RecordingEnv:
 
     def decrypt_data(self, data_name, structure):
         self.decrypted = (data_name, structure)
-        layout = _patient_service().layout
+        layout = _patient_service().program.layout
         return (
             [r.id for r in self.records],
             [[r.fields.get(f) for f in layout] for r in self.records],
