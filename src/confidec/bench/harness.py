@@ -154,10 +154,10 @@ def write_csv(rows: Iterable[BenchRow], path: str) -> None:
 
 def run_benchmark(config: BenchConfig) -> list[BenchRow]:
     runner = {
-        "scaleRecords": _bench_scale_records,
-        "scaleColumns": _bench_scale_columns,
-        "scaleRules": _bench_scale_rules,
-        "aggregationOverhead": _bench_aggregation_overhead,
+        "scaleRecords": _bench_evaluator,
+        "scaleColumns": _bench_evaluator,
+        "scaleRules": _bench_evaluator,
+        "aggregationOverhead": _bench_evaluator,
         "plainVsEnclave": _bench_plain_vs_enclave,
         "memorySaving": _bench_memory_saving,
     }[config.experiment]
@@ -253,56 +253,28 @@ def _ladder_rows(config: BenchConfig, rungs: Sequence[tuple]) -> list[BenchRow]:
 
 # -- evaluator-only experiments ----------------------------------------------
 
-def _bench_scale_records(config: BenchConfig) -> list[BenchRow]:
-    table = synth_table(config.columns, config.rules, seed=config.seed)
-    ladder = _records_ladder(config.records)
-    records = synth_records(config.columns, ladder[-1], seed=config.seed)
-    backend = kernel_backend()
-    return _ladder_rows(config, [
-        (n, config.columns, config.rules, backend, _decide_on(table, records[:n]))
-        for n in ladder
-    ])
-
-
-def _bench_scale_columns(config: BenchConfig) -> list[BenchRow]:
+def _bench_evaluator(config: BenchConfig) -> list[BenchRow]:
+    """The ladder of an evaluator experiment: each rung `(records, columns,
+    rules, aggregate columns)` decides a synthetic table of that shape over
+    that many synthetic records."""
+    k, w, d, seed = config.records, config.columns, config.rules, config.seed
+    rungs = {
+        "scaleRecords": [(n, w, d, 0) for n in _records_ladder(k)],
+        "scaleColumns": [(k, x, d, 0) for x in _clipped(_COLUMN_LADDER, w)],
+        "scaleRules": [(k, w, x, 0) for x in _clipped(_RULE_LADDER, d)],
+        "aggregationOverhead": [(k, w, d, a) for a in _AGG_LADDER],
+    }[config.experiment]
     backend = kernel_backend()
     return _ladder_rows(config, [
         (
-            config.records, width, config.rules, backend,
+            n, x + a, r, backend,
             _decide_on(
-                synth_table(width, config.rules, seed=config.seed),
-                synth_records(width, config.records, seed=config.seed),
+                synth_table(x, r, seed=seed, agg_columns=a),
+                synth_records(x, n, seed=seed),
+                synth_aggregations(a, x),
             ),
         )
-        for width in _clipped(_COLUMN_LADDER, config.columns)
-    ])
-
-
-def _bench_scale_rules(config: BenchConfig) -> list[BenchRow]:
-    records = synth_records(config.columns, config.records, seed=config.seed)
-    backend = kernel_backend()
-    return _ladder_rows(config, [
-        (
-            config.records, config.columns, depth, backend,
-            _decide_on(synth_table(config.columns, depth, seed=config.seed), records),
-        )
-        for depth in _clipped(_RULE_LADDER, config.rules)
-    ])
-
-
-def _bench_aggregation_overhead(config: BenchConfig) -> list[BenchRow]:
-    records = synth_records(config.columns, config.records, seed=config.seed)
-    backend = kernel_backend()
-    return _ladder_rows(config, [
-        (
-            config.records, config.columns + extra, config.rules, backend,
-            _decide_on(
-                synth_table(config.columns, config.rules, seed=config.seed, agg_columns=extra),
-                records,
-                synth_aggregations(extra, config.columns),
-            ),
-        )
-        for extra in _AGG_LADDER
+        for n, x, r, a in rungs
     ])
 
 

@@ -65,8 +65,9 @@ def _narrow_cell(col_type: str, rng: random.Random) -> str:
     return rng.choice(["true", "false"])
 
 
-def synth_records(columns: int, count: int, seed: int = 0, agg_columns: int = 0) -> list[Record]:
-    """Records whose fields span the value ranges the table conditions draw from."""
+def synth_records(columns: int, count: int, seed: int = 0) -> list[Record]:
+    """Records whose fields span the value ranges the table conditions draw
+    from; for one width and seed, fewer records are a prefix of more."""
 
     rng = random.Random(f"synthrecords/{columns}/{seed}")
     out = []
@@ -81,7 +82,6 @@ def synth_records(columns: int, count: int, seed: int = 0, agg_columns: int = 0)
             else:
                 fields[f"c{c}"] = rng.random() < 0.5
         out.append(Record(id=f"syn-{i:07d}", fields=fields))
-    del agg_columns  # aggregate values come from the batch, not the record
     return out
 
 

@@ -14,7 +14,6 @@ envelopes, exactly like a remote caller would.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from dataclasses import astuple
@@ -61,19 +60,6 @@ _EXIT_BY_ERROR = (
     (ConfidecError, 11),
     (ValueError, 10),
 )
-
-
-def _fail_cleanly(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except tuple(err for err, _ in _EXIT_BY_ERROR) as exc:
-            code = next(c for err, c in _EXIT_BY_ERROR if isinstance(exc, err))
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(code)
-
-    return wrapper
 
 
 def _home_option(fn):
@@ -198,7 +184,20 @@ def _submit(unit: Ccu, envelope: RequestEnvelope):
         gateway.close()
 
 
-@click.group()
+class _Cli(click.Group):
+    """The top-level group: whatever a command raises, the exit code comes
+    from `_EXIT_BY_ERROR`, so no command can miss the mapping."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except tuple(err for err, _ in _EXIT_BY_ERROR) as exc:
+            code = next(c for err, c in _EXIT_BY_ERROR if isinstance(exc, err))
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(code)
+
+
+@click.group(cls=_Cli)
 def cli() -> None:
     """Confidential decision support over encrypted records."""
 
@@ -212,7 +211,6 @@ def ca() -> None:
 
 @ca.command("init")
 @_home_option
-@_fail_cleanly
 def ca_init(home: str) -> None:
     """Create the authority signing key."""
 
@@ -234,7 +232,6 @@ def ca_init(home: str) -> None:
               help="Certificate attribute, repeatable.")
 @click.option("--days", default=365, show_default=True, help="Validity in days.")
 @_home_option
-@_fail_cleanly
 def ca_issue(subject: str, attrs: tuple[str, ...], days: int, home: str) -> None:
     """Issue a client certificate and signing key."""
 
@@ -274,7 +271,6 @@ def ccu() -> None:
 @ccu.command("init")
 @click.argument("name")
 @_home_option
-@_fail_cleanly
 def ccu_init(name: str, home: str) -> None:
     """Create a unit identity certified by the authority."""
 
@@ -307,7 +303,6 @@ def ccu_init(name: str, home: str) -> None:
               type=click.Path(exists=True, dir_okay=False),
               help="Aggregation specs JSON (a list).")
 @_home_option
-@_fail_cleanly
 def ccu_deploy(name: str, policies_path: str, table_paths: tuple[str, ...],
                agg_path: str | None, home: str) -> None:
     """Deploy a code bundle to a unit and print its measurement."""
@@ -342,7 +337,6 @@ def ccu_deploy(name: str, policies_path: str, table_paths: tuple[str, ...],
 @click.argument("source")
 @click.argument("target")
 @_home_option
-@_fail_cleanly
 def ccu_exchange_seed(source: str, target: str, home: str) -> None:
     """Move the data seed between two attested units in this home."""
 
@@ -364,7 +358,6 @@ def ccu_exchange_seed(source: str, target: str, home: str) -> None:
 @click.option("--unit", required=True, help="Receiving unit name.")
 @click.option("--client", required=True, help="Client credentials to use.")
 @_home_option
-@_fail_cleanly
 def provide(data_name: str, structure: str, records_file: str, unit: str,
             client: str, home: str) -> None:
     """Provision a dataset; prints the storage receipt."""
@@ -390,7 +383,6 @@ def provide(data_name: str, structure: str, records_file: str, unit: str,
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
               help="Write the response JSON here instead of stdout.")
 @_home_option
-@_fail_cleanly
 def decide(func_name: str, data_name: str, unit: str, client: str,
            out_path: str | None, home: str) -> None:
     """Run a guarded decision over a provisioned dataset."""
@@ -414,7 +406,6 @@ def decide(func_name: str, data_name: str, unit: str, client: str,
 @click.argument("func_name")
 @click.option("--unit", required=True, help="Unit whose bundle to inspect.")
 @_home_option
-@_fail_cleanly
 def emit_audit(func_name: str, unit: str, home: str) -> None:
     """Print the audit script of a deployed decision function."""
 
@@ -425,7 +416,6 @@ def emit_audit(func_name: str, unit: str, home: str) -> None:
 @cli.command("verify-chain")
 @click.option("--unit", required=True, help="Unit whose log to verify.")
 @_home_option
-@_fail_cleanly
 def verify_chain(unit: str, home: str) -> None:
     """Check the notarization log; fails on the first broken entry."""
 
@@ -447,7 +437,6 @@ def verify_chain(unit: str, home: str) -> None:
 @click.option("--repetitions", default=5, show_default=True)
 @click.option("--out", "out_path", default="bench.csv", show_default=True,
               type=click.Path(dir_okay=False))
-@_fail_cleanly
 def bench(experiment: str, records: int, columns: int, rules: int, seed: int,
           repetitions: int, out_path: str) -> None:
     """Run one experiment and write its rows as CSV."""

@@ -3,9 +3,11 @@
 `decide_record` decides one record by evaluating its conditions one at a
 time with `eval_condition`; that is the reference semantics. `decide_records`
 runs a batch through a table's program from `compile_table` with
-`_kernel_py.run_program`; the tests hold it to the same answers. A batch is
-either `Record`s, which it first projects onto the program's layout, or the
-value lists a unit decrypts, already in that layout (`encode_batch`).
+`_kernel_py.run_program`, which returns the rule each record hit and stops
+at the first record that reads a missing or mistyped field; the tests hold
+it to the same answers. A batch is either `Record`s, which it first
+projects onto the program's layout, or the value lists a unit decrypts,
+already in that layout (`encode_batch`).
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from confidec.dmn.model import (
     is_number,
 )
 from confidec.dmn.program import (
-    STATUS_ERROR,
     STATUS_NO_MATCH,
+    AbortRecord,
     Batch,
     CompiledTable,
     build_matrix,
@@ -206,29 +208,25 @@ def decide_records(program, records, aggregates=None):
         for row in rows:
             row[j] = value
 
-    n = len(rows)
-    status = [0] * n
-    errcol = [0] * n
-    _kernel_py.run_program(rows, program, status, errcol)
-
-    if STATUS_ERROR in status:
-        i = status.index(STATUS_ERROR)
-        j = errcol[i]
+    try:
+        hits = _kernel_py.run_program(rows, program)
+    except AbortRecord as abort:
+        j, i = abort.args
         name = program.slots[j].name
         if batch.values[i][program.positions[j]] is None:
             raise MissingFieldError(
                 f"field {name!r} required by a condition is missing from a record"
-            )
-        raise TypeMismatchError(f"field {name!r} of a record has the wrong type")
+            ) from None
+        raise TypeMismatchError(f"field {name!r} of a record has the wrong type") from None
     if records is batch:
-        return status
+        return hits
     rules = table.rules
     return [
-        DecisionResult(record_id=record.id, outcome="noMatch") if st == STATUS_NO_MATCH
+        DecisionResult(record_id=record.id, outcome="noMatch") if hit == STATUS_NO_MATCH
         else DecisionResult(
-            record_id=record.id, outcome="decided", values=rules[st].outputs, rule_index=st
+            record_id=record.id, outcome="decided", values=rules[hit].outputs, rule_index=hit
         )
-        for record, st in zip(records, status)
+        for record, hit in zip(records, hits)
     ]
 
 

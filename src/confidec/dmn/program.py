@@ -46,8 +46,8 @@ cell's finite numbers:
     ColumnRelation  vJ < vR * f   (or <=, >, >=), R the referenced slot
 
 In a table, a missing or mistyped cell J is a trapping NaN, so the first
-test that reads it raises `AbortRecord(J)`, which stops the record with J as
-its error slot; a test carries no abort clause of its own. A column
+test that reads it raises `AbortRecord(J)`, which stops the batch at that
+record, with J as its error slot; a test carries no abort clause of its own. A column
 relation adds one for the referenced slot, `or (vR != vR and _abort(R))`:
 `vR * f` is a plain NaN that only makes the comparison false. Its own slot
 traps in the comparison, so J still aborts before R. A rule is one `if` of
@@ -119,7 +119,6 @@ from confidec.errors import MissingAggregateError, TypeMismatchError
 MAX_OPS_PER_FUNCTION = 128
 
 STATUS_NO_MATCH = -1
-STATUS_ERROR = -2
 
 NAN = float("nan")
 
@@ -129,7 +128,7 @@ EXACT_INT_LIMIT = 2 ** 53
 
 class AbortRecord(Exception):
     """Raised when a table test reads a missing or mistyped cell; args[0]
-    is the slot of that cell."""
+    is the slot of that cell, and `run_program` adds the row as args[1]."""
 
 
 def _abort(slot: int) -> NoReturn:

@@ -16,7 +16,7 @@ import secrets
 import threading
 import time
 from datetime import datetime, timedelta
-from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from confidec.crypto.aead import ae_decrypt, ae_encrypt, open_wire, seal_wire
 from confidec.crypto.certs import Certificate, issue_certificate, verify_certificate
@@ -29,9 +29,9 @@ from confidec.crypto.keys import (
     derive_record_key,
     verify,
 )
-from confidec.dmn.model import is_finite
 from confidec.dmn.program import fields_read
 from confidec.dmn.tables import (
+    check_record_docs,
     parse_aggregation_spec,
     parse_decision_table,
     parse_record,  # noqa: F401 - perfbench/tracer.py times `ccu.parse_record`
@@ -53,7 +53,6 @@ from confidec.errors import (
     MalformedRequestError,
     ServiceBuildError,
     StorageError,
-    TableValidationError,
     UnitCertificateError,
     UnknownFunctionError,
 )
@@ -74,8 +73,6 @@ from confidec.storage.node import StorageNode
 from confidec.util import b64, canonical_json, length_prefixed, unb64, utcnow
 
 FULL_SUFFIX = ".full"
-
-Clock = Callable[[], datetime]
 
 
 def generate_seed() -> bytes:
@@ -134,7 +131,6 @@ class Ccu:
         signing_key: SigningKeyPair,
         platform_secret: bytes,
         storage: StorageNode,
-        clock: Clock | None = None,
     ):
         self.name = name
         self.authority_verify_key = authority_verify_key
@@ -142,13 +138,9 @@ class Ccu:
         self._signing_key = signing_key
         self._platform_secret = platform_secret
         self._storage = storage
-        self._clock = clock or utcnow
 
         self._seed: bytes | None = None
-        self._ka = KeyAgreementKeyPair.generate()
-        self._channel_cert = issue_channel_certificate(
-            self._signing_key, self.name, self._ka.public_bytes
-        )
+        self._set_channel_keys(KeyAgreementKeyPair.generate())
         self._measurement: bytes | None = None
         self._services: Dict[str, DecisionService] = {}
         # per structure, the fields of its slim records, in stored order
@@ -165,7 +157,6 @@ class Ccu:
         authority: SigningKeyPair,
         platform_secret: bytes,
         storage: StorageNode,
-        clock: Clock | None = None,
     ) -> "Ccu":
         """Create a unit with a fresh identity certified by the authority."""
         signing_key = SigningKeyPair.generate()
@@ -173,12 +164,11 @@ class Ccu:
             name=name,
             authority_verify_key=authority.verify_key,
             identity_cert=issue_unit_certificate(
-                authority, name, signing_key.verify_key, (clock or utcnow)()
+                authority, name, signing_key.verify_key, utcnow()
             ),
             signing_key=signing_key,
             platform_secret=platform_secret,
             storage=storage,
-            clock=clock,
         )
 
     # --- deployment -------------------------------------------------------
@@ -214,10 +204,7 @@ class Ccu:
         if self._measurement is not None and measurement != self._measurement and self._seed is not None:
             # a different code identity must not inherit the seed
             self._seed = None
-            self._ka = KeyAgreementKeyPair.generate()
-            self._channel_cert = issue_channel_certificate(
-                self._signing_key, self.name, self._ka.public_bytes
-            )
+            self._set_channel_keys(KeyAgreementKeyPair.generate())
         self._measurement = measurement
         self._services = services
         self._layouts = layouts
@@ -246,9 +233,13 @@ class Ccu:
         if len(seed) != SEED_LEN:
             raise ConfidecError(f"seed must be {SEED_LEN} bytes")
         self._seed = seed
-        self._ka = KeyAgreementKeyPair.from_seed(seed)
+        self._set_channel_keys(KeyAgreementKeyPair.from_seed(seed))
+
+    def _set_channel_keys(self, ka: KeyAgreementKeyPair) -> None:
+        """Adopt a channel key pair and certify its public key."""
+        self._ka = ka
         self._channel_cert = issue_channel_certificate(
-            self._signing_key, self.name, self._ka.public_bytes
+            self._signing_key, self.name, ka.public_bytes
         )
 
     def seal_seed(self) -> bytes:
@@ -324,7 +315,7 @@ class Ccu:
         ):
             return None
         try:
-            return verify_certificate(self.authority_verify_key, certificate, now=self._clock())
+            return verify_certificate(self.authority_verify_key, certificate, now=utcnow())
         except CertificateError:
             return None
 
@@ -359,7 +350,7 @@ class Ccu:
         if layout is None:
             raise UnknownFunctionError("no deployed function reads structure of that name")
 
-        union = _checked_field_union(raw_records)
+        union = check_record_docs(raw_records)
         receipt = {"dataName": data_name, "structure": structure}
         # the full form first: the chain notarizes `<name>.full`, then `<name>`
         receipt["full"] = self._store(data_name + FULL_SUFFIX, structure, FULL, union, raw_records)
@@ -478,47 +469,6 @@ class Ccu:
 
     def trace(self, step: str) -> None:
         self.last_trace.append(step)
-
-
-def _checked_field_union(records: list) -> Tuple[str, ...]:
-    """Check a provision's record documents in one pass, with the texts of
-    `parse_record` and none of the caller's names or values, and refuse a
-    repeated id; returns the sorted union of the records' field names.
-
-    The documents come from `json.loads`, so exact type checks suffice: a
-    value is a str, a bool, or an int or float that is finite as a float.
-    """
-    seen: Set[str] = set()
-    union: Set[str] = set()
-    for doc in records:
-        try:
-            record_id = doc["id"]
-            fields = doc["fields"]
-        except (KeyError, TypeError) as exc:
-            raise TableValidationError(f"record document missing key: {exc}") from exc
-        if type(record_id) is not str:
-            raise TableValidationError("record id must be a string")
-        if type(fields) is not dict:
-            raise TableValidationError("record fields must be an object")
-        if not record_id:
-            raise TableValidationError("record id must be non-empty")
-        for name, value in fields.items():
-            if not name:
-                raise TableValidationError("record field names must be non-empty")
-            kind = type(value)
-            if kind is str or kind is bool:
-                continue
-            if kind is not int and kind is not float:
-                raise TableValidationError(
-                    f"record field holds an unsupported value type {kind.__name__}"
-                )
-            if not is_finite(value):
-                raise TableValidationError("record field holds a non-finite number")
-        if record_id in seen:
-            raise TableValidationError("duplicate record id in the dataset")
-        seen.add(record_id)
-        union.update(fields)
-    return tuple(sorted(union))
 
 
 def _open_payload(envelope: RequestEnvelope, key: bytes) -> dict:

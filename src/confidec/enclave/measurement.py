@@ -30,14 +30,12 @@ class CodeBundle:
         policy_text: str,
         table_docs: Sequence[Mapping],
         aggregation_docs: Sequence[Mapping] = (),
-        engine_tag: str = ENGINE_TAG,
     ) -> "CodeBundle":
         """Pack documents into canonical JSON so equal content measures equal."""
         return cls(
             policy_text=policy_text,
             tables_json=canonical_json(list(table_docs)).decode("utf-8"),
             aggregations_json=canonical_json(list(aggregation_docs)).decode("utf-8"),
-            engine_tag=engine_tag,
         )
 
     def table_docs(self) -> list:

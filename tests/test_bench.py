@@ -256,7 +256,8 @@ def test_the_benchmark_runs_one_short_workload_correctly(workload):
 
 def test_a_traced_run_reports_every_per_layer_metric():
     """The tracer wraps names under src/ by attribute; a run with it installed
-    must still answer correctly and report the metrics BENCHMARK.json lists."""
+    must still answer correctly, report the metrics BENCHMARK.json lists, and
+    see the decision path's layers at work."""
     root = Path(__file__).resolve().parent.parent
     out = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", "refresh",
@@ -268,3 +269,7 @@ def test_a_traced_run_reports_every_per_layer_metric():
     assert (last["correct"], last["failed"]) == (True, 0)
     declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
     assert list(last["metrics"]) == [metric["name"] for metric in declared]
+    # a refactor that calls around a wrapped name would leave its layer at 0
+    for layer in ("dmn.kernel_ms", "dmn.build_matrix_ms", "dmn.aggregate_ms",
+                  "dmn.decide_self_ms", "policy.check_ms"):
+        assert last["metrics"][layer]["value"] > 0, layer

@@ -4,6 +4,7 @@ import csv
 import json
 from datetime import timedelta
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -14,6 +15,7 @@ from confidec.crypto.keys import SigningKeyPair
 from confidec.dmn.tables import record_to_obj
 from confidec.enclave.ccu import Ccu
 from confidec.enclave.sealing import unseal
+from confidec.errors import ConfidecError, StorageError
 from confidec.fixtures import (
     load_patient_aggregation_docs,
     load_policy_text,
@@ -448,6 +450,22 @@ def test_commands_refuse_to_run_without_their_prerequisites(runner, home, tmp_pa
     result = _run(runner, home, "decide", "Restock", "vax/patients",
                   "--unit", "unit1", "--client", "hub1", expect=11)
     assert result.stderr == undeployed
+
+
+@pytest.mark.parametrize("error, code", [
+    (StorageError("no blob there"), 15),
+    (ConfidecError("unit is not ready"), 11),
+])
+def test_a_command_added_to_the_group_exits_by_its_error_class(
+    runner, monkeypatch, error, code
+):
+    @click.command("fail")
+    def fail() -> None:
+        raise error
+
+    monkeypatch.setitem(cli.commands, "fail", fail)
+    result = runner.invoke(cli, ["fail"])
+    assert (result.exit_code, result.stderr) == (code, f"error: {error}\n")
 
 
 def test_missing_client_is_reported(runner, home, tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from confidec.dmn._kernel_py import run_program
 from confidec.dmn.cells import parse_condition
 from confidec.dmn.engine import (
     decide_all,
@@ -11,7 +12,7 @@ from confidec.dmn.engine import (
     kernel_backend,
 )
 from confidec.dmn.model import Record
-from confidec.dmn.program import compile_table
+from confidec.dmn.program import STATUS_NO_MATCH, AbortRecord, compile_table
 from confidec.dmn.tables import parse_decision_table
 from confidec.errors import (
     MissingAggregateError,
@@ -181,6 +182,30 @@ def test_missing_field_raises_when_read():
         decide_records(compile_table(table), [_rec(0, other=1)])
     with pytest.raises(TypeMismatchError):
         decide_records(compile_table(table), [_rec(0, a="ten")])
+
+
+def test_the_kernel_returns_one_hit_per_row_and_stops_at_the_first_bad_one():
+    table = parse_decision_table({
+        "name": "K",
+        "columns": [
+            {"name": "a", "kind": "input", "type": "number"},
+            {"name": "b", "kind": "input", "type": "number"},
+            {"name": "o", "kind": "output", "type": "string"},
+        ],
+        "rules": [
+            {"conditions": ["<10", "-"], "outputs": ["low"]},
+            {"conditions": ["-", ">0"], "outputs": ["b"]},
+        ],
+    })
+    program = compile_table(table)
+    good = [[5, None], [50, 1], [50, 0]]
+    assert run_program(program.encode(good), program) == [0, 1, STATUS_NO_MATCH]
+    # row 3 reaches rule 2, which reads its missing `b`; row 4 is never run
+    rows = program.encode(good + [[50, None], [None, None]])
+    with pytest.raises(AbortRecord) as aborted:
+        run_program(rows, program)
+    slot, row = aborted.value.args
+    assert (program.slots[slot].name, row) == ("b", 3)
 
 
 def test_batch_and_single_record_agree_on_bundled_data():

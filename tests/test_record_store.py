@@ -24,7 +24,7 @@ from confidec.crypto.aead import HEADER_LEN, NONCE_LEN, Ciphertext, ae_decrypt, 
 from confidec.crypto.keys import derive_record_key
 from confidec.dmn.engine import decide_all
 from confidec.dmn.model import Record
-from confidec.dmn.tables import parse_record, record_to_obj
+from confidec.dmn.tables import check_record_docs, parse_record, record_to_obj
 from confidec.enclave import ccu
 from confidec.enclave.ccu import exchange_seed, generate_seed
 from confidec.errors import TableValidationError
@@ -443,19 +443,24 @@ def test_provision_refuses_a_malformed_record_with_the_text_parse_record_gives(
 ], ids=repr)
 def test_a_record_and_the_units_provision_check_hold_the_same_values(value, accepted):
     """What a `Record` may hold is what the unit stores, so the local
-    `decide_all` and the unit see the same records."""
+    `decide_all` and the unit see the same records; `parse_record` says
+    what the unit's check says."""
+    doc = {"id": "r1", "fields": {"Age": value}}
     try:
         Record(id="r1", fields={"Age": value})
         local = None
     except ValueError as exc:
         local = f"record {exc}"
-    try:
-        ccu._checked_field_union([{"id": "r1", "fields": {"Age": value}}])
-        unit = None
-    except TableValidationError as exc:
-        unit = str(exc)
-    assert local == unit
-    assert (unit is None) == accepted
+
+    def refusal(check, arg):
+        try:
+            check(arg)
+        except TableValidationError as exc:
+            return str(exc)
+        return None
+
+    assert refusal(check_record_docs, [doc]) == refusal(parse_record, doc) == local
+    assert (local is None) == accepted
 
 
 # --- keys ---------------------------------------------------------------------
