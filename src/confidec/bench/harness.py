@@ -30,7 +30,7 @@ from confidec.bench.vax import VAX_ROLES, VaxSpec, generate_vax
 from confidec.crypto.certs import issue_certificate
 from confidec.crypto.keys import SigningKeyPair
 from confidec.dmn.aggregate import evaluate_aggregate
-from confidec.dmn.engine import decide_records, kernel_backend
+from confidec.dmn.engine import decide_records, encode_records, kernel_backend
 from confidec.dmn.program import compile_table
 from confidec.dmn.tables import record_to_obj
 from confidec.enclave.ccu import Ccu, generate_seed
@@ -221,17 +221,19 @@ def _records_ladder(limit: int) -> list[int]:
 
 
 def _decide_on(table, records, specs=()) -> Callable[[], object]:
-    """A decision over the records, with the table lowered before timing.
+    """The unit's decision steps over the records, without storage or crypto.
 
-    The timed call aggregates and decides, as `decide_all` does, but does
-    not look the table up in `compile_table`'s cache, whose hash of the
-    whole table would be timed with it.
+    The table and the aggregations are lowered before timing, as a unit
+    does at deploy. The timed call encodes the records into the program's
+    rows, runs each lowered aggregation over them and decides the batch,
+    the steps `handle_decision` runs after it decrypts.
     """
-    program = compile_table(table)
+    program = compile_table(table, tuple(specs))
 
     def decide():
-        aggregates = {spec.name: evaluate_aggregate(spec, records) for spec in specs}
-        return decide_records(program, records, aggregates)
+        batch = encode_records(program, records)
+        aggregates = {agg.name: evaluate_aggregate(agg, batch) for agg in program.aggregations}
+        return decide_records(program, batch, aggregates)
 
     return decide
 

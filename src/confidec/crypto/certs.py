@@ -44,16 +44,15 @@ def issue_certificate(
     subject_verify_key: bytes,
     not_before: datetime,
     not_after: datetime,
-    serial: str | None = None,
 ) -> Certificate:
-    """Sign a new certificate; serial defaults to a random 16-byte hex id."""
+    """Sign a new certificate with a random 16-byte hex serial."""
     if not_after <= not_before:
         raise ValueError("certificate validity window is empty")
     for key, value in attributes.items():
         if not isinstance(key, str) or not isinstance(value, str):
             raise ValueError("certificate attributes must map strings to strings")
     unsigned = Certificate(
-        serial=serial or secrets.token_hex(16),
+        serial=secrets.token_hex(16),
         subject=subject,
         not_before=not_before,
         not_after=not_after,

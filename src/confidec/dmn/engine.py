@@ -1,18 +1,19 @@
 """Condition evaluation and first-hit decisions over record batches.
 
 `decide_record` decides one record by evaluating its conditions one at a
-time with `eval_condition`; that is the reference semantics. `decide_records`
-runs a batch through a table's program from `compile_table` with
+time with `eval_condition`, and `decide_all` decides a batch of `Record`s
+that way after computing its aggregates over them: that is the reference
+semantics, and the oracle the tests and the benchmark check answers
+against. `decide_records` decides an encoded `Batch` (`encode_batch`,
+`encode_records`) with a table's program from `compile_table`, through
 `_kernel_py.run_program`, which returns the rule each record hit and stops
-at the first record that reads a missing or mistyped field; the tests hold
-it to the same answers. A batch is either `Record`s, which it first
-projects onto the program's layout, or the value lists a unit decrypts,
-already in that layout (`encode_batch`).
+at the first record that reads a missing or mistyped field. Both raise
+that field's error with the same text (`_field_error`).
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence, overload
+from typing import List, Mapping, Sequence
 
 from confidec.dmn import _kernel_py
 from confidec.dmn.aggregate import evaluate_aggregate
@@ -33,13 +34,12 @@ from confidec.dmn.model import (
     is_number,
 )
 from confidec.dmn.program import (
-    STATUS_NO_MATCH,
     AbortRecord,
     Batch,
     CompiledTable,
     build_matrix,
     check_aggregates,
-    compile_table,
+    compile_table,  # noqa: F401 - perfbench/tracer.py times `engine.compile_table`
 )
 from confidec.errors import MissingFieldError, TypeMismatchError
 
@@ -120,6 +120,16 @@ def _compare(op: str, left: float, right: float) -> bool:
     return left >= right
 
 
+def _field_error(name: str, value: object) -> MissingFieldError | TypeMismatchError:
+    """The error of a decision that read the field `name` of a record and
+    found `value`, None where the field is absent."""
+    if value is None:
+        return MissingFieldError(
+            f"field {name!r} required by a condition is missing from a record"
+        )
+    return TypeMismatchError(f"field {name!r} of a record has the wrong type")
+
+
 def decide_record(
     table: DecisionTable,
     record: Record,
@@ -127,8 +137,10 @@ def decide_record(
 ) -> DecisionResult:
     """Decide one record: first rule whose conditions all hold wins.
 
-    Conditions are checked left to right; a missing field only raises if a
-    non-wildcard condition actually reads it.
+    Conditions are checked left to right; a missing or mistyped field only
+    raises if a non-wildcard condition actually reads it, and the error
+    names the field read first: the column's own, or the column a
+    ColumnRelation references when the column's own value is a number.
     """
     aggregates = aggregates or {}
     check_aggregates(table, aggregates)
@@ -136,22 +148,21 @@ def decide_record(
     overlay = dict(record.fields)
     overlay.update(aggregates)
     for r, rule in enumerate(table.rules):
-        matched = True
         for cond, col in zip(rule.conditions, cond_cols):
             if isinstance(cond, Wildcard):
                 continue
             if col.kind == "aggregateInput":
                 value = aggregates[col.name]
-            elif col.name in record.fields:
-                value = record.fields[col.name]
             else:
-                raise MissingFieldError(
-                    f"field {col.name!r} required by rule {r + 1} is missing from a record"
-                )
-            if not eval_condition(cond, value, overlay):
-                matched = False
-                break
-        if matched:
+                value = record.fields.get(col.name)
+            try:
+                if not eval_condition(cond, value, overlay):
+                    break
+            except (MissingFieldError, TypeMismatchError):
+                if isinstance(cond, ColumnRelation) and is_number(value):
+                    raise _field_error(cond.column, overlay.get(cond.column)) from None
+                raise _field_error(col.name, value) from None
+        else:
             return DecisionResult(
                 record_id=record.id, outcome="decided", values=rule.outputs, rule_index=r
             )
@@ -175,59 +186,29 @@ def encode_records(program: CompiledTable, records: Sequence[Record]) -> Batch:
     )
 
 
-@overload
 def decide_records(
-    program: CompiledTable, records: Batch, aggregates: Mapping[str, float] | None = None
-) -> List[int]: ...
+    program: CompiledTable, batch: Batch, aggregates: Mapping[str, float]
+) -> List[int]:
+    """Decide an encoded batch with a lowered table and precomputed
+    aggregate values.
 
-
-@overload
-def decide_records(
-    program: CompiledTable,
-    records: Sequence[Record],
-    aggregates: Mapping[str, float] | None = None,
-) -> List[DecisionResult]: ...
-
-
-def decide_records(program, records, aggregates=None):
-    """Decide a batch with a lowered table and precomputed aggregate values.
-
-    `Record`s are projected onto the program's layout and encoded, and the
-    result is one `DecisionResult` per record. An encoded `Batch`, as on the
-    decision path, gives per record only what a response carries: the index
-    of the rule that fired, or STATUS_NO_MATCH. Either way the first record
-    whose decision reads a missing or mistyped field raises.
+    Returns per record what a response carries: the index of the rule that
+    fired, or `STATUS_NO_MATCH`. The first record whose decision reads a
+    missing or mistyped field raises.
     """
-    table = program.table
-    aggregates = aggregates or {}
-    check_aggregates(table, aggregates)
-    batch = records if isinstance(records, Batch) else encode_records(program, records)
+    check_aggregates(program.table, aggregates)
     rows = batch.rows
     for j, name in program.aggregate_slots:
         value = float(aggregates[name])
         for row in rows:
             row[j] = value
-
     try:
-        hits = _kernel_py.run_program(rows, program)
+        return _kernel_py.run_program(rows, program)
     except AbortRecord as abort:
         j, i = abort.args
-        name = program.slots[j].name
-        if batch.values[i][program.positions[j]] is None:
-            raise MissingFieldError(
-                f"field {name!r} required by a condition is missing from a record"
-            ) from None
-        raise TypeMismatchError(f"field {name!r} of a record has the wrong type") from None
-    if records is batch:
-        return hits
-    rules = table.rules
-    return [
-        DecisionResult(record_id=record.id, outcome="noMatch") if hit == STATUS_NO_MATCH
-        else DecisionResult(
-            record_id=record.id, outcome="decided", values=rules[hit].outputs, rule_index=hit
-        )
-        for record, hit in zip(records, hits)
-    ]
+        raise _field_error(
+            program.slots[j].name, batch.values[i][program.positions[j]]
+        ) from None
 
 
 def decide_all(
@@ -235,6 +216,7 @@ def decide_all(
     records: Sequence[Record],
     agg_specs: Sequence[AggregationSpec] = (),
 ) -> List[DecisionResult]:
-    """Evaluate aggregations over the batch, then decide every record."""
+    """Evaluate aggregations over the batch, then decide every record, both
+    by the reference semantics."""
     aggregates = {spec.name: evaluate_aggregate(spec, records) for spec in agg_specs}
-    return decide_records(compile_table(table), records, aggregates)
+    return [decide_record(table, record, aggregates) for record in records]

@@ -483,7 +483,7 @@ def _open_payload(envelope: RequestEnvelope, key: bytes) -> dict:
     return payload
 
 
-def exchange_seed(source: Ccu, target: Ccu, now: datetime | None = None) -> None:
+def exchange_seed(source: Ccu, target: Ccu) -> None:
     """Move the data seed from one unit to another after mutual attestation.
 
     Both units must run the same deployed bundle. Either attestation
@@ -493,14 +493,10 @@ def exchange_seed(source: Ccu, target: Ccu, now: datetime | None = None) -> None
     if source.measurement is None or target.measurement is None:
         raise AttestationError("both units need a deployed bundle before a seed exchange")
 
-    target_attrs = verify_ccu(
-        target.evidence(), source.authority_verify_key, source.measurement, now=now
-    )
+    target_attrs = verify_ccu(target.evidence(), source.authority_verify_key, source.measurement)
     if target_attrs.get("Role") != "CCU":
         raise UnitCertificateError("seed receiver is not certified as a unit")
-    source_attrs = verify_ccu(
-        source.evidence(), target.authority_verify_key, target.measurement, now=now
-    )
+    source_attrs = verify_ccu(source.evidence(), target.authority_verify_key, target.measurement)
     if source_attrs.get("Role") != "CCU":
         raise UnitCertificateError("seed sender is not certified as a unit")
 

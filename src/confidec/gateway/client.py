@@ -36,11 +36,9 @@ class ClientSession:
         self._authority_verify_key = authority_verify_key
         self._unit_ka_public: bytes | None = None
 
-    def attest(self, evidence: Evidence, expected_measurement: bytes, now=None) -> Mapping[str, str]:
+    def attest(self, evidence: Evidence, expected_measurement: bytes) -> Mapping[str, str]:
         """Verify the unit before talking to it; pins its channel key."""
-        attributes = verify_ccu(
-            evidence, self._authority_verify_key, expected_measurement, now=now
-        )
+        attributes = verify_ccu(evidence, self._authority_verify_key, expected_measurement)
         self._unit_ka_public = evidence.channel_cert.ka_public
         return attributes
 

@@ -25,9 +25,7 @@ from confidec.bench.vax import (
 from confidec.crypto.aead import ae_decrypt, ae_encrypt, open_wire, seal_wire
 from confidec.crypto.certs import issue_certificate
 from confidec.crypto.keys import SigningKeyPair, derive_record_key
-from confidec.dmn.aggregate import evaluate_aggregate
-from confidec.dmn.engine import decide_records
-from confidec.dmn.program import compile_table
+from confidec.dmn.engine import decide_all
 from confidec.dmn.tables import record_to_obj
 from confidec.enclave.attestation import issue_channel_certificate, verify_ccu
 from confidec.enclave.ccu import exchange_seed
@@ -106,8 +104,7 @@ def test_criterion_01_golden_decisions():
     specs = load_patient_aggregations()
     decided = {}
     for batch in decision_batches("Patient", generate_vax(VaxSpec("Patient", 20, seed=11))).values():
-        aggregates = {spec.name: evaluate_aggregate(spec, batch) for spec in specs}
-        for record, result in zip(batch, decide_records(compile_table(table), batch, aggregates)):
+        for record, result in zip(batch, decide_all(table, batch, specs)):
             decided.setdefault(cohort_of_id(record.id), result)
     for tag, want in GOLDEN_OUTPUTS["Patient"].items():
         got = decided.get(tag)
@@ -118,7 +115,7 @@ def test_criterion_01_golden_decisions():
         table = load_table(FUNC_FOR_ROLE[role])
         records = generate_vax(VaxSpec(role, count, seed=11))
         decided = {}
-        for record, result in zip(records, decide_records(compile_table(table), records)):
+        for record, result in zip(records, decide_all(table, records)):
             decided.setdefault(cohort_of_id(record.id), result)
         for tag, want in GOLDEN_OUTPUTS[role].items():
             got = decided.get(tag)
@@ -164,11 +161,9 @@ def test_criterion_02_oracle_equivalence(make_unit, make_session):
             continue
         answer = ClientSession.open_response(response, key)
 
-        table = load_table(FUNC_FOR_ROLE[role])
-        aggregates = None
-        if role == "Patient":
-            aggregates = {spec.name: evaluate_aggregate(spec, records) for spec in specs}
-        oracle = decide_records(compile_table(table), records, aggregates)
+        oracle = decide_all(
+            load_table(FUNC_FOR_ROLE[role]), records, specs if role == "Patient" else ()
+        )
 
         got = answer["results"]
         if len(got) != len(records):

@@ -21,6 +21,7 @@ from confidec.bench.harness import (
     run_benchmark,
     write_csv,
 )
+from confidec.dmn import aggregate
 from confidec.dmn.engine import kernel_backend
 from confidec.enclave import ccu
 
@@ -187,6 +188,15 @@ def test_plain_vs_enclave_times_its_modes_interleaved(monkeypatch):
     # one untimed call per mode, three interleaved timed rounds, one traced run per mode
     assert [mode for mode, _ in calls] == ["plain", "enclave"] * 5
     assert [enabled for _, enabled in calls[2:8]] == [False] * 6
+
+
+@pytest.mark.parametrize("experiment", ["aggregationOverhead", "plainVsEnclave"])
+def test_timed_decisions_run_the_units_lowered_aggregations(monkeypatch, experiment):
+    def refuse(spec, records):
+        raise AssertionError("a reference aggregation filter ran")
+
+    monkeypatch.setattr(aggregate, "_select_records", refuse)
+    assert _tiny(experiment, records=30)
 
 
 def test_plain_vs_enclave_compares_the_same_workload():

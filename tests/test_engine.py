@@ -2,12 +2,14 @@
 
 import pytest
 
+from confidec.dmn import _kernel_py
 from confidec.dmn._kernel_py import run_program
 from confidec.dmn.cells import parse_condition
 from confidec.dmn.engine import (
     decide_all,
     decide_record,
     decide_records,
+    encode_records,
     eval_condition,
     kernel_backend,
 )
@@ -24,6 +26,12 @@ from confidec.fixtures import load_patient_aggregations, load_table
 
 def _rec(i, **fields):
     return Record(id=f"t-{i}", fields=fields)
+
+
+def _kernel(table, records, aggregates=None):
+    """The rule each record hits in the lowered table, or STATUS_NO_MATCH."""
+    program = compile_table(table)
+    return decide_records(program, encode_records(program, records), aggregates or {})
 
 
 # -- condition evaluation -----------------------------------------------------
@@ -164,7 +172,8 @@ def test_missing_field_is_fine_under_wildcards():
     })
     # b is never conditioned on, so records may omit it entirely
     assert decide_record(table, _rec(0, a=5)).values == ("first",)
-    assert decide_records(compile_table(table), [_rec(0, a=50)])[0].values == ("rest",)
+    assert decide_all(table, [_rec(0, a=50)])[0].values == ("rest",)
+    assert _kernel(table, [_rec(0, a=50)]) == [1]
 
 
 def test_missing_field_raises_when_read():
@@ -179,9 +188,9 @@ def test_missing_field_raises_when_read():
     with pytest.raises(MissingFieldError):
         decide_record(table, _rec(0, other=1))
     with pytest.raises(MissingFieldError):
-        decide_records(compile_table(table), [_rec(0, other=1)])
+        _kernel(table, [_rec(0, other=1)])
     with pytest.raises(TypeMismatchError):
-        decide_records(compile_table(table), [_rec(0, a="ten")])
+        _kernel(table, [_rec(0, a="ten")])
 
 
 def test_the_kernel_returns_one_hit_per_row_and_stops_at_the_first_bad_one():
@@ -217,9 +226,23 @@ def test_batch_and_single_record_agree_on_bundled_data():
         from confidec.dmn.aggregate import evaluate_aggregate
 
         aggs = {s.name: evaluate_aggregate(s, batch) for s in specs}
-        whole = decide_records(compile_table(PATIENT), batch, aggs)
+        whole = _kernel(PATIENT, batch, aggs)
         single = [decide_record(PATIENT, r, aggs) for r in batch]
-        assert whole == single
+        assert whole == [STATUS_NO_MATCH if r.rule_index is None else r.rule_index for r in single]
+
+
+def test_decide_all_never_runs_the_kernel(monkeypatch):
+    from confidec.bench.vax import VaxSpec, decision_batches, expected_outcome, generate_vax
+
+    monkeypatch.setattr(
+        _kernel_py, "run_program", lambda rows, program: [STATUS_NO_MATCH] * len(rows)
+    )
+    specs = load_patient_aggregations()
+    for batch in decision_batches("Patient", generate_vax(VaxSpec("Patient", 120))).values():
+        for record, result in zip(batch, decide_all(PATIENT, batch, specs)):
+            expected = expected_outcome("Patient", record.id)
+            want = ("noMatch", ()) if expected == "noMatch" else ("decided", (expected,))
+            assert (result.outcome, result.values) == want, record.id
 
 
 def test_backend_is_reported():

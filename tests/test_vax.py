@@ -13,9 +13,7 @@ from confidec.bench.vax import (
     expected_outcome,
     generate_vax,
 )
-from confidec.dmn.aggregate import evaluate_aggregate
-from confidec.dmn.engine import decide_records
-from confidec.dmn.program import compile_table
+from confidec.dmn.engine import decide_all
 from confidec.fixtures import load_patient_aggregations, load_table
 
 FIELD_COUNTS = {
@@ -92,7 +90,7 @@ def test_non_patient_roles_form_one_batch():
 def test_cohorts_land_on_their_designed_rules(role):
     table = load_table(TABLE_FOR_ROLE[role])
     records = generate_vax(VaxSpec(role, 10 * COHORT_COUNTS[role]))
-    for record, result in zip(records, decide_records(compile_table(table), records)):
+    for record, result in zip(records, decide_all(table, records)):
         expected = expected_outcome(role, record.id)
         if expected == "noMatch":
             assert result.outcome == "noMatch", record.id
@@ -105,8 +103,7 @@ def test_patient_cohorts_land_on_their_designed_rules_per_batch():
     agg_specs = load_patient_aggregations()
     records = generate_vax(VaxSpec("Patient", 120))
     for batch in decision_batches("Patient", records).values():
-        aggregates = {spec.name: evaluate_aggregate(spec, batch) for spec in agg_specs}
-        for record, result in zip(batch, decide_records(compile_table(table), batch, aggregates)):
+        for record, result in zip(batch, decide_all(table, batch, agg_specs)):
             expected = expected_outcome("Patient", record.id)
             if expected == "noMatch":
                 assert result.outcome == "noMatch", record.id
