@@ -94,9 +94,10 @@ def issue_unit_certificate(
     )
 
 
-# Both forms are one blob per dataset: [ids, rows], sealed under one key.
+# Each form is one blob per dataset: [ids, rows], sealed under one key, and
+# one part of the dataset's one manifest.
 SLIM = "slim"  # rows in the structure's layout
-FULL = "full"  # rows over the dataset's sorted field union, sealed in the manifest
+FULL = "full"  # rows over the dataset's sorted field union, sealed in its part
 
 # JSON arrays of validated values: no keys to sort, no cycles to look for
 _ARRAYS = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
@@ -106,7 +107,7 @@ def _record_aad_prefix(dataset: str, form: str, layout: Sequence[str]) -> bytes:
     """The AAD of a dataset's blob.
 
     It binds the record form and the layout (a full dataset's field union),
-    so that a manifest lying about the form, a unit deployed with another
+    so that a manifest with its parts swapped, a unit deployed with another
     layout, or another union fails authentication instead of decoding values
     into the wrong fields.
     """
@@ -324,9 +325,10 @@ class Ccu:
     def handle_provision(
         self, envelope: RequestEnvelope, key: bytes, attributes: Mapping[str, str] | None
     ) -> dict:
-        """Store a dataset twice, full and slimmed to decision fields, and
-        return the receipt; key is the request's channel key and attributes
-        the caller's, None if its certificate failed."""
+        """Seal a dataset in two forms, full and slimmed to decision fields,
+        publish one manifest naming both, and return the receipt; key is the
+        request's channel key and attributes the caller's, None if its
+        certificate failed."""
         if attributes is None:
             raise DecisionRejected(REJECT_CERTIFICATE)
         payload = _open_payload(envelope, key)
@@ -351,25 +353,28 @@ class Ccu:
             raise UnknownFunctionError("no deployed function reads structure of that name")
 
         union = check_record_docs(raw_records)
-        receipt = {"dataName": data_name, "structure": structure}
-        # the full form first: the chain notarizes `<name>.full`, then `<name>`
-        receipt["full"] = self._store(data_name + FULL_SUFFIX, structure, FULL, union, raw_records)
-        receipt["slim"] = self._store(data_name, structure, SLIM, layout, raw_records)
-        return receipt
+        full, full_bytes = self._seal(data_name, FULL, union, raw_records)
+        slim, slim_bytes = self._seal(data_name, SLIM, layout, raw_records)
+        # one manifest for both forms, published once both blobs are stored
+        manifest = canonical_json(
+            {"dataset": data_name, "structure": structure, SLIM: slim, FULL: full}
+        )
+        count = len(raw_records)
+        return {
+            "dataName": data_name,
+            "structure": structure,
+            "address": self._storage.publish(data_name, manifest),
+            SLIM: {"records": count, "storedBytes": slim_bytes + len(manifest)},
+            FULL: {"records": count, "storedBytes": full_bytes + len(manifest)},
+        }
 
-    def _store(
-        self,
-        name: str,
-        structure: str,
-        form: str,
-        layout: Tuple[str, ...],
-        records: Sequence[dict],
-    ) -> dict:
+    def _seal(
+        self, data_name: str, form: str, layout: Tuple[str, ...], records: Sequence[dict]
+    ) -> Tuple[dict, int]:
         """Seal the ids and each record's values over layout (None for an
-        absent field) as one blob under one fresh randomizer, and publish the
-        manifest naming it; a full dataset's layout, its field union, is
-        sealed into the manifest under the same key. Returns the form's part
-        of the receipt."""
+        absent field) as one blob under one fresh randomizer, and store it; a
+        full dataset's layout, its field union, is sealed under the same key.
+        Returns the form's part of the manifest and the blob's size."""
         encode = _ARRAYS.encode
         t = secrets.token_bytes(RANDOMIZER_LEN)
         key = derive_record_key(self._seed, t)
@@ -377,24 +382,12 @@ class Ccu:
             [record["id"] for record in records],
             [list(map(record["fields"].get, layout)) for record in records],
         ]).encode("utf-8")
-        blob = seal_wire(key, plaintext, _record_aad_prefix(name, form, layout))
-        manifest = {
-            "dataset": name,
-            "structure": structure,
-            "form": form,
-            "address": self._storage.blobs.put(blob),
-            "t": b64(t),
-        }
+        blob = seal_wire(key, plaintext, _record_aad_prefix(data_name, form, layout))
+        part = {"address": self._storage.blobs.put(blob), "t": b64(t)}
         if form == FULL:
             union = encode(layout).encode("utf-8")
-            manifest["fields"] = b64(seal_wire(key, union, _union_aad(name)))
-        manifest_bytes = canonical_json(manifest)
-        return {
-            "name": name,
-            "address": self._storage.publish(name, manifest_bytes),
-            "records": len(records),
-            "storedBytes": len(blob) + len(manifest_bytes),
-        }
+            part["fields"] = b64(seal_wire(key, union, _union_aad(data_name)))
+        return part, len(blob)
 
     # --- decisions ---------------------------------------------------------------
 
@@ -424,19 +417,22 @@ class Ccu:
         """The ids of the records published under data_name and, per record,
         its values in the structure's layout (None for an absent field).
 
-        Slim rows are stored in that layout; full ones, over the dataset's
-        field union, are projected onto it. A manifest that names another
-        dataset is refused before any blob is read. The blob is hash-checked
-        on get and authenticated against its dataset, form and layout; a
-        manifest the storage operator malformed raises StorageError like any
-        other tampering.
+        `<name>` reads the slim part of `<name>`'s manifest and `<name>.full`
+        its full part. Slim rows are stored in that layout; full ones, over
+        the dataset's field union, are projected onto it. A manifest that
+        names another dataset is refused before any blob is read. The blob is
+        hash-checked on get and authenticated against its dataset, form and
+        layout; a manifest the storage operator malformed raises StorageError
+        like any other tampering.
         """
         seed = self._seed
         if seed is None:
             raise ConfidecError("unit has no data seed installed")
         layout = self._layouts[structure]
+        dataset = data_name.removesuffix(FULL_SUFFIX)
+        form = SLIM if dataset == data_name else FULL
         try:
-            manifest = json.loads(self._storage.fetch(data_name))
+            manifest = json.loads(self._storage.fetch(dataset))
             if manifest.get("structure") != structure:
                 raise StorageError(
                     "dataset holds another structure's records, "
@@ -444,19 +440,17 @@ class Ccu:
                 )
             if not isinstance(manifest["dataset"], str):
                 raise TypeError  # malformed, as below
-            if manifest["dataset"] != data_name:
+            if manifest["dataset"] != dataset:
                 raise StorageError("stored manifest names another dataset")
-            form = manifest.get("form")
-            if form != SLIM and form != FULL:
-                raise StorageError("dataset names no known record form")
-            key = derive_record_key(seed, unb64(manifest["t"]))
+            part = manifest[form]
+            key = derive_record_key(seed, unb64(part["t"]))
             stored = layout
             if form == FULL:
-                sealed = unb64(manifest["fields"])
-                stored = json.loads(open_wire(key, sealed, _union_aad(data_name)))
-            blob = self._storage.blobs.get(manifest["address"])
+                sealed = unb64(part["fields"])
+                stored = json.loads(open_wire(key, sealed, _union_aad(dataset)))
+            blob = self._storage.blobs.get(part["address"])
             # one authenticated [ids, rows] document the unit wrote
-            aad = _record_aad_prefix(data_name, form, stored)
+            aad = _record_aad_prefix(dataset, form, stored)
             ids, rows = json.loads(open_wire(key, blob, aad))
         except (AttributeError, KeyError, RecursionError, TypeError, ValueError):
             # a field of the wrong shape or type, bad base64, a short blob

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence
 
+from confidec.errors import StorageError
 from confidec.storage.store import load_jsonl
 from confidec.util import length_prefixed
 
@@ -75,6 +76,8 @@ class NotarizationLog:
             self._entries = load_jsonl(self._path, "notarization log", _entry_from_obj)
 
     def notarize(self, name: str, address: str) -> NotarizationEntry:
+        if not name:
+            raise StorageError("name must be non-empty")
         seq = len(self._entries)
         prev = self._entries[-1].entry_hash if self._entries else GENESIS_PREV
         entry = NotarizationEntry(
@@ -84,17 +87,21 @@ class NotarizationLog:
             prev_hash=prev,
             entry_hash=entry_digest(seq, name, address, prev),
         )
-        self._entries.append(entry)
         if self._path is not None:
-            with self._path.open("a") as fh:
-                fh.write(json.dumps({
-                    "seq": entry.seq,
-                    "name": entry.name,
-                    "address": entry.address,
-                    "prevHash": entry.prev_hash.hex(),
-                    "entryHash": entry.entry_hash.hex(),
-                }) + "\n")
-                fh.flush()
+            # the line first: an entry the file lacks is never in memory
+            line = json.dumps({
+                "seq": entry.seq,
+                "name": entry.name,
+                "address": entry.address,
+                "prevHash": entry.prev_hash.hex(),
+                "entryHash": entry.entry_hash.hex(),
+            }) + "\n"
+            try:
+                with self._path.open("a") as fh:
+                    fh.write(line)
+            except OSError:
+                raise StorageError("storage write failed") from None
+        self._entries.append(entry)
         return entry
 
     def entries(self) -> List[NotarizationEntry]:

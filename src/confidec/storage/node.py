@@ -37,10 +37,11 @@ class StorageNode:
         )
 
     def publish(self, name: str, data: bytes) -> str:
-        """Store a blob, bind the name to it, and notarize the binding."""
+        """Store a blob, notarize the name's binding to it, then bind the
+        name: a failed write leaves the name where the chain has it."""
         address = self.blobs.put(data)
-        self.names.publish(name, address)
         self.chain.notarize(name, address)
+        self.names.publish(name, address)
         return address
 
     def fetch(self, name: str) -> bytes:

@@ -29,8 +29,12 @@ def load_jsonl(path: Path, what: str, parse: Callable[[object], T]) -> List[T]:
     or ValueError, raises StorageError naming the line's position in what,
     and nothing the line holds.
     """
+    try:
+        lines = path.read_bytes().splitlines()
+    except OSError:
+        raise StorageError("storage read failed") from None
     parsed = []
-    for number, line in enumerate(path.read_bytes().splitlines(), start=1):
+    for number, line in enumerate(lines, start=1):
         if line.strip():
             try:
                 parsed.append(parse(json.loads(line)))
@@ -94,15 +98,21 @@ class DirectoryBlobStore(BlobStore):
         path = self._path(address)
         if not path.exists():
             tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            try:
+                tmp.write_bytes(data)
+                os.replace(tmp, path)
+            except OSError:
+                raise StorageError("storage write failed") from None
         return address
 
     def get(self, address: str) -> bytes:
-        path = self._path(address)
-        if not path.exists():
-            raise BlobNotFoundError("no blob at the address")
-        return self._check(address, path.read_bytes())
+        try:
+            data = self._path(address).read_bytes()
+        except FileNotFoundError:
+            raise BlobNotFoundError("no blob at the address") from None
+        except OSError:
+            raise StorageError("storage read failed") from None
+        return self._check(address, data)
 
     def addresses(self) -> Iterator[str]:
         return (p.name for p in sorted(self.root.iterdir()) if len(p.name) == 64)

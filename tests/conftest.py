@@ -1,8 +1,12 @@
 """Shared fixtures: an authority, certificate/unit/session factories."""
 
+import contextlib
+import errno
 import os
 import secrets
 from datetime import timedelta
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -32,6 +36,26 @@ def child_env(**overrides) -> dict:
     inherited = os.environ.get("PYTHONPATH")
     path = root + os.pathsep + inherited if inherited else root
     return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
+@contextlib.contextmanager
+def disk_full(after=0, where=lambda path: True):
+    """Within the block, file writes to the paths `where` accepts fail as on
+    a full disk once `after` of them have gone through. The OSError names
+    the path, as a real one does."""
+    real_open = Path.open
+    left = after
+
+    def open_(path, mode="r", *args, **kwargs):
+        nonlocal left
+        if ("w" in mode or "a" in mode) and where(path):
+            if left == 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            left -= 1
+        return real_open(path, mode, *args, **kwargs)
+
+    with mock.patch.object(Path, "open", open_):
+        yield
 
 
 def standard_bundle() -> CodeBundle:

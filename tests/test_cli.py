@@ -102,7 +102,7 @@ def test_full_walkthrough(runner, home, tmp_path):
     assert len(answer["results"]) == 24
 
     result = _run(runner, home, "verify-chain", "--unit", "unit1")
-    assert "chain ok (2 entries)" in result.output
+    assert "chain ok (1 entries)" in result.output
 
 
 def test_policy_denial_maps_to_its_exit_code(runner, home, tmp_path):
@@ -225,8 +225,8 @@ CHAIN_MALFORMED = "notarization log line 1 is malformed"
 # per kind of damage: the chain line it edits, the edit, and the error
 CHAIN_DAMAGE = {
     # a well-formed line that breaks the chain
-    "edited-address": (1, lambda obj: json.dumps(dict(obj, address="e" * 64)),
-                       "chain breaks at sequence 1"),
+    "edited-address": (0, lambda obj: json.dumps(dict(obj, address="e" * 64)),
+                       "chain breaks at sequence 0"),
     # lines that do not load; the error names the position, not the content
     "missing-key": (0, lambda obj: json.dumps({k: v for k, v in obj.items() if k != "prevHash"}),
                     CHAIN_MALFORMED),
@@ -279,12 +279,12 @@ def test_a_name_registry_line_cannot_roll_a_dataset_back(runner, home, tmp_path)
     names_path = home / "units" / "unit1" / "store" / "names.jsonl"
     with names_path.open("a") as fh:
         fh.write(json.dumps(
-            {"name": "vax/patients", "address": first["slim"]["address"], "version": 3}
+            {"name": "vax/patients", "address": first["address"], "version": 3}
         ) + "\n")
 
     assert _decided_count(runner, home) == 40
     result = _run(runner, home, "verify-chain", "--unit", "unit1")
-    assert "chain ok (4 entries)" in result.output
+    assert "chain ok (2 entries)" in result.output
 
 
 # a line of the retired name registry, as written or damaged
@@ -304,17 +304,17 @@ def test_a_leftover_name_registry_file_stops_no_command(runner, home, tmp_path, 
     _bootstrap(runner, home, tmp_path)
     receipt = _provide(runner, home, tmp_path, 6)
     line = NAMES_LEFTOVER[leftover](
-        {"name": "vax/patients", "address": receipt["slim"]["address"], "version": 1}
+        {"name": "vax/patients", "address": receipt["address"], "version": 1}
     )
     names_path = home / "units" / "unit1" / "store" / "names.jsonl"
     names_path.write_text(line + "\n")
 
     result = _run(runner, home, "verify-chain", "--unit", "unit1")
-    assert "chain ok (2 entries)" in result.output
+    assert "chain ok (1 entries)" in result.output
     _provide(runner, home, tmp_path, 4)
     assert _decided_count(runner, home) == 4
     result = _run(runner, home, "verify-chain", "--unit", "unit1")
-    assert "chain ok (4 entries)" in result.output
+    assert "chain ok (2 entries)" in result.output
     assert names_path.read_text() == line + "\n"
 
 
@@ -329,24 +329,26 @@ def test_a_leftover_unit_json_is_not_read(runner, home, tmp_path):
                   "--unit", "unit1", "--client", "hub1")
     receipt = json.loads(result.output)
     assert "light" not in receipt and receipt["full"]["records"] == 6
-    manifest = json.loads((unit_dir / "store" / "blobs" / receipt["full"]["address"]).read_bytes())
-    assert set(manifest) == {"dataset", "structure", "form", "address", "t", "fields"}
+    manifest = json.loads((unit_dir / "store" / "blobs" / receipt["address"]).read_bytes())
+    assert set(manifest) == {"dataset", "structure", "slim", "full"}
+    assert set(manifest["full"]) == {"address", "t", "fields"}
     result = _run(runner, home, "decide", "PatientPrioritizationWithAggr", "vax/patients",
                   "--unit", "unit1", "--client", "hub1")
     assert len(json.loads(result.output)["results"]) == 6
 
 
 def test_a_full_dataset_in_the_retired_per_record_shape_is_malformed(runner, home, tmp_path):
-    """A `.full` manifest as units wrote it before the full form was one
-    blob: one entry per record, no `address`. The unit answers the error, so
-    the command exits with the gateway's code like any refused decision."""
+    """A full part as units wrote it before the full form was one blob: one
+    entry per record, no `address`. The unit answers the error, so the
+    command exits with the gateway's code like any refused decision."""
     _bootstrap(runner, home, tmp_path)
     _run(runner, home, "provide", "vax/patients", "Patient", str(_records_file(tmp_path, 4)),
          "--unit", "unit1", "--client", "hub1")
     store = StorageNode.at_directory(home / "units" / "unit1" / "store")
-    manifest = json.loads(store.fetch("vax/patients.full"))
-    manifest["records"] = [{"id": "p-0", "address": manifest.pop("address"), "t": manifest["t"]}]
-    store.publish("vax/patients.full", json.dumps(manifest).encode())
+    manifest = json.loads(store.fetch("vax/patients"))
+    full = manifest["full"]
+    full["records"] = [{"id": "p-0", "address": full.pop("address"), "t": full["t"]}]
+    store.publish("vax/patients", json.dumps(manifest).encode())
     result = _run(runner, home, "decide", "PatientPrioritizationWithAggr", "vax/patients.full",
                   "--unit", "unit1", "--client", "hub1", expect=16)
     assert result.stderr == "error: stored dataset is malformed\n"

@@ -380,17 +380,16 @@ def test_provision_stores_slim_and_full_datasets(make_unit, make_session):
     assert response.status == "ok"
     assert receipt["dataName"] == "vax/patients"
     assert receipt["structure"] == "Patient"
-    assert set(receipt) == {"dataName", "structure", "slim", "full"}
-    assert receipt["slim"]["name"] == "vax/patients"
-    assert receipt["full"]["name"] == "vax/patients.full"
+    assert set(receipt) == {"dataName", "structure", "address", "slim", "full"}
     assert receipt["slim"]["records"] == receipt["full"]["records"] == 12
     assert receipt["slim"]["storedBytes"] < receipt["full"]["storedBytes"]
 
-    names = unit._storage.names
-    assert names.resolve("vax/patients") == receipt["slim"]["address"]
-    assert names.resolve("vax/patients.full") == receipt["full"]["address"]
+    # one manifest names both forms: one chain entry, under the dataset's name
+    assert unit._storage.names.resolve("vax/patients") == receipt["address"]
     assert unit._storage.chain.verify_chain() is None
-    assert len(unit._storage.chain) == 2
+    assert [(e.name, e.address) for e in unit._storage.chain.entries()] == [
+        ("vax/patients", receipt["address"])
+    ]
 
 
 @pytest.mark.parametrize("request_type", ["provision", "decision"])
@@ -721,43 +720,20 @@ def test_records_stored_under_another_layout_never_decode(make_unit, make_sessio
     assert _decide(unit, session, "vax/patients.full") == _oracle(records)
 
 
-def _as_full(unit, manifest):
-    """A slim manifest rewritten as a full one naming its blob, with the
-    field union, and its randomizer, of the dataset's full form."""
-    full = json.loads(unit._storage.fetch("vax/patients.full"))
-    manifest.update(form="full", t=full["t"], fields=full["fields"])
-
-
-def _as_slim(unit, manifest):
-    """A full manifest rewritten as a slim one naming its blob."""
-    del manifest["fields"]
-    manifest["form"] = "slim"
-
-
-@pytest.mark.parametrize("data_name, lie", [("vax/patients", _as_full),
-                                            ("vax/patients.full", _as_slim)],
-                         ids=["slim-as-full", "full-as-slim"])
-def test_a_manifest_lying_about_the_record_form_fails_authentication(
-    make_unit, make_session, data_name, lie
-):
-    unit = make_unit()
-    session = make_session(unit)
-    _provision(unit, session)
-    manifest = json.loads(unit._storage.fetch(data_name))
-    lie(unit, manifest)
-    unit._storage.publish(data_name, json.dumps(manifest).encode())
-    answer = _decide(unit, session, data_name)
-    assert isinstance(answer, str) and "authentication" in answer
-
-
-def test_a_manifest_without_a_known_record_form_is_refused(make_unit, make_session):
+def test_a_manifest_with_its_parts_swapped_fails_authentication(make_unit, make_session):
+    """The parts trade their blobs and randomizers, the full part keeping
+    its sealed union: each blob binds its form, so neither name opens."""
     unit = make_unit()
     session = make_session(unit)
     _provision(unit, session)
     manifest = json.loads(unit._storage.fetch("vax/patients"))
-    del manifest["form"]
+    slim, full = manifest["slim"], manifest["full"]
+    for key in ("address", "t"):
+        slim[key], full[key] = full[key], slim[key]
     unit._storage.publish("vax/patients", json.dumps(manifest).encode())
-    assert "names no known record form" in _decide(unit, session, "vax/patients")
+    for data_name in ("vax/patients", "vax/patients.full"):
+        answer = _decide(unit, session, data_name)
+        assert isinstance(answer, str) and "authentication" in answer
 
 
 def test_slim_records_are_value_arrays_without_ids(make_unit, make_session):
@@ -766,9 +742,7 @@ def test_slim_records_are_value_arrays_without_ids(make_unit, make_session):
     objs = _patient_objs(4)
     response, key = _provision(unit, session, records=objs)
     receipt = ClientSession.open_response(response, key)
-    manifest = json.loads(unit._storage.fetch("vax/patients"))
-    assert manifest["form"] == "slim"
-    assert json.loads(unit._storage.fetch("vax/patients.full"))["form"] == "full"
+    manifest = json.loads(unit._storage.fetch("vax/patients"))["slim"]
     # one blob: the ids, then each record's layout values as a JSON array,
     # plus a fixed AEAD overhead; no field names
     layout = unit._layouts["Patient"]

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import BUNDLED_FUNCS
+from conftest import BUNDLED_FUNCS, disk_full
 from confidec.bench.vax import VaxSpec, expected_outcome, generate_vax
 from confidec.crypto.aead import ae_encrypt
 from confidec.dmn.tables import record_to_obj
@@ -438,23 +438,23 @@ _SECRET_NAME = "SECRET-patients"
 
 
 def _set_address(manifest):
-    manifest["address"] = "OPERATOR-MARKER"
+    manifest["slim"]["address"] = "OPERATOR-MARKER"
 
 
 def _set_structure(manifest):
     manifest["structure"] = "OPERATOR-STRUCT"
 
 
-def _set_form(manifest):
-    manifest["form"] = "OPERATOR-FORM"
+def _set_part(manifest):
+    manifest["slim"] = "OPERATOR-PART"
 
 
 @pytest.mark.parametrize("rewrite, check", [
     (_set_address, "no blob at"),
     (_set_structure, "the function reads 'Patient'"),
-    (_set_form, "names no known record form"),
+    (_set_part, "stored dataset is malformed"),
     (None, "never published"),
-], ids=["address", "structure", "form", "unpublished"])
+], ids=["address", "structure", "part", "unpublished"])
 def test_read_path_errors_echo_no_stored_or_caller_value(
     make_unit, make_session, make_gateway, rewrite, check
 ):
@@ -514,6 +514,29 @@ def test_a_blob_failing_its_content_check_is_refused_without_echoing_its_address
         _assert_typed_error(
             unit, session, make_gateway, "decision", payload, marker, "failed its content check"
         )
+
+
+@pytest.mark.parametrize("failing", ["blob", "chain"])
+def test_a_storage_fault_on_provision_is_a_typed_error_echoing_no_path_or_name(
+    make_unit, make_session, make_gateway, tmp_path, failing
+):
+    """A full disk under the blob put or under the chain line: the unit
+    answers a typed error, directly and behind a gateway, and neither the
+    text nor the gateway's state holds the store's path or the dataset's
+    name; nothing is notarized."""
+    unit = make_unit(storage=StorageNode.at_directory(tmp_path / "OPERATOR-store"))
+    where = {
+        "blob": lambda path: path.parent.name == "blobs",
+        "chain": lambda path: path.name == "chain.jsonl",
+    }[failing]
+    payload = {"dataName": _SECRET_NAME, "structure": "Patient", "records": _PATIENTS}
+    with disk_full(where=where):
+        for marker in ("SECRET", "OPERATOR"):
+            _assert_typed_error(
+                unit, make_session(unit), make_gateway, "provision", payload, marker,
+                "storage write failed",
+            )
+    assert len(unit._storage.chain) == 0
 
 
 # --- errors about the records a caller provisioned ------------------------------

@@ -7,7 +7,9 @@ typed error envelope, never results and never `unit failure`.
 
 Each form of a dataset is one blob of all its ids and rows: a slim row holds
 the record's values in the structure's layout, a full row its values over the
-dataset's field union, which the full manifest keeps sealed.
+dataset's field union, which the manifest's full part keeps sealed. One
+manifest under `<name>` names both blobs; a decision over `<name>.full` reads
+its full part.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ from datetime import date, datetime
 
 import pytest
 
-from conftest import bundle_reading_another_patient_field, standard_bundle
+from conftest import bundle_reading_another_patient_field, disk_full, standard_bundle
 
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.aead import HEADER_LEN, NONCE_LEN, Ciphertext, ae_decrypt, ae_encrypt
@@ -35,10 +37,10 @@ from confidec.storage.store import MemoryBlobStore
 from confidec.util import b64, canonical_json, length_prefixed, unb64
 
 SLIM_NAME = "vax/patients"
+# the name a decision gives to read the full part of SLIM_NAME's manifest
 FULL_NAME = "vax/patients.full"
 # another dataset of the same structure, so of the same layout
-OTHER_SLIM = "vax/others"
-OTHER_FULL = "vax/others.full"
+OTHER_NAME = "vax/others"
 
 
 def _unit(make_unit, store, tmp_path):
@@ -89,7 +91,7 @@ def _oracle(records):
     ]
 
 
-def _manifest(unit, name):
+def _manifest(unit, name=SLIM_NAME):
     return json.loads(unit._storage.fetch(name))
 
 
@@ -115,53 +117,58 @@ def _overwrite(storage, address, data):
 
 # --- tampering with what a decision reads ----------------------------------
 
+OTHER_FORM = {"slim": "full", "full": "slim"}
 
-def _swap_addresses(unit, name, other_form, other_dataset):
-    """The blob traded with another dataset's in the same form, each manifest
+
+def _swap_addresses(unit, form):
+    """The blob traded with another dataset's in the same form, each part
     keeping its own randomizer."""
-    manifest, theirs = _manifest(unit, name), _manifest(unit, other_dataset)
-    manifest["address"], theirs["address"] = theirs["address"], manifest["address"]
-    _republish(unit, other_dataset, theirs)
-    _republish(unit, name, manifest)
+    manifest, theirs = _manifest(unit), _manifest(unit, OTHER_NAME)
+    manifest[form]["address"], theirs[form]["address"] = (
+        theirs[form]["address"], manifest[form]["address"]
+    )
+    _republish(unit, OTHER_NAME, theirs)
+    _republish(unit, SLIM_NAME, manifest)
 
 
-def _swap_randomizers(unit, name, other_form, other_dataset):
+def _swap_randomizers(unit, form):
     """One randomizer per blob: trade it with another dataset's."""
-    manifest, theirs = _manifest(unit, name), _manifest(unit, other_dataset)
-    manifest["t"], theirs["t"] = theirs["t"], manifest["t"]
-    _republish(unit, other_dataset, theirs)
-    _republish(unit, name, manifest)
+    manifest, theirs = _manifest(unit), _manifest(unit, OTHER_NAME)
+    manifest[form]["t"], theirs[form]["t"] = theirs[form]["t"], manifest[form]["t"]
+    _republish(unit, OTHER_NAME, theirs)
+    _republish(unit, SLIM_NAME, manifest)
 
 
-def _flip_a_stored_byte(unit, name, other_form, other_dataset):
-    address = _manifest(unit, name)["address"]
+def _flip_a_stored_byte(unit, form):
+    address = _manifest(unit)[form]["address"]
     blob = bytearray(unit._storage.blobs.get(address))
     blob[-1] ^= 0x01
     _overwrite(unit._storage, address, bytes(blob))
 
 
-def _drop_a_blob(unit, name, other_form, other_dataset):
-    _overwrite(unit._storage, _manifest(unit, name)["address"], None)
+def _drop_a_blob(unit, form):
+    _overwrite(unit._storage, _manifest(unit)[form]["address"], None)
 
 
-def _drop_a_randomizer(unit, name, other_form, other_dataset):
-    manifest = _manifest(unit, name)
-    del manifest["t"]
-    _republish(unit, name, manifest)
+def _drop_a_randomizer(unit, form):
+    manifest = _manifest(unit)
+    del manifest[form]["t"]
+    _republish(unit, SLIM_NAME, manifest)
 
 
-def _point_at_the_other_form(unit, name, other_form, other_dataset):
-    manifest = _manifest(unit, name)
-    manifest["address"] = _manifest(unit, other_form)["address"]
-    _republish(unit, name, manifest)
+def _point_at_the_other_form(unit, form):
+    """One part names the other part's blob, keeping its own randomizer."""
+    manifest = _manifest(unit)
+    manifest[form]["address"] = manifest[OTHER_FORM[form]]["address"]
+    _republish(unit, SLIM_NAME, manifest)
 
 
-def _point_at_another_dataset(unit, name, other_form, other_dataset):
-    """The blob, its randomizer and, for a full dataset, the sealed field
-    union of another dataset in the same form, structure and layout."""
-    manifest, theirs = _manifest(unit, name), _manifest(unit, other_dataset)
-    manifest.update({key: theirs[key] for key in ("address", "t", "fields") if key in theirs})
-    _republish(unit, name, manifest)
+def _point_at_another_dataset(unit, form):
+    """The part of another dataset in the same form, structure and layout:
+    its blob, its randomizer and, for the full form, its sealed field union."""
+    manifest = _manifest(unit)
+    manifest[form] = _manifest(unit, OTHER_NAME)[form]
+    _republish(unit, SLIM_NAME, manifest)
 
 
 TAMPERING = {
@@ -186,17 +193,14 @@ def test_tampered_storage_yields_a_typed_error_never_results(
     records = _records()
     _provision(unit, session, records)
     others = generate_vax(VaxSpec("Patient", 4, 8))
-    _provision(unit, session, others, name=OTHER_SLIM)
-    if form == "slim":
-        name, other_form, other_dataset = SLIM_NAME, FULL_NAME, OTHER_SLIM
-    else:
-        name, other_form, other_dataset = FULL_NAME, SLIM_NAME, OTHER_FULL
-    assert _decide(unit, session, name) == _oracle(records)
-    assert _decide(unit, session, other_dataset) == _oracle(others)
+    _provision(unit, session, others, name=OTHER_NAME)
+    suffix = "" if form == "slim" else ".full"
+    assert _decide(unit, session, SLIM_NAME + suffix) == _oracle(records)
+    assert _decide(unit, session, OTHER_NAME + suffix) == _oracle(others)
 
     tamper, phrase = TAMPERING[tampering]
-    tamper(unit, name, other_form, other_dataset)
-    answer = _decide(unit, session, name)
+    tamper(unit, form)
+    answer = _decide(unit, session, SLIM_NAME + suffix)
     assert isinstance(answer, str), "a tampered dataset gave results"
     assert phrase in answer
 
@@ -204,64 +208,86 @@ def test_tampered_storage_yields_a_typed_error_never_results(
 # --- manifests of the wrong shape ----------------------------------------------
 
 
-def _no_address(unit, manifest):
-    manifest["INJECTED-address"] = manifest.pop("address")
+def _no_address(unit, manifest, form):
+    manifest[form]["INJECTED-address"] = manifest[form].pop("address")
 
 
-def _undecodable_randomizer(unit, manifest):
-    manifest["t"] = "INJECTED!"
+def _undecodable_randomizer(unit, manifest, form):
+    manifest[form]["t"] = "INJECTED!"
 
 
-def _short_blob(unit, manifest):
-    manifest["address"] = unit._storage.blobs.put(b"INJECTED-blob")
+def _short_blob(unit, manifest, form):
+    manifest[form]["address"] = unit._storage.blobs.put(b"INJECTED-blob")
 
 
-def _randomizer_not_a_string(unit, manifest):
-    manifest["t"] = {"INJECTED": 1}
+def _randomizer_not_a_string(unit, manifest, form):
+    manifest[form]["t"] = {"INJECTED": 1}
 
 
-def _dataset_not_a_string(unit, manifest):
+def _dataset_not_a_string(unit, manifest, form):
     manifest["dataset"] = ["INJECTED-dataset"]
 
 
-def _address_not_a_string(unit, manifest):
-    manifest["address"] = ["INJECTED-address"]
+def _address_not_a_string(unit, manifest, form):
+    manifest[form]["address"] = ["INJECTED-address"]
 
 
-def _no_union(unit, manifest):
-    manifest["INJECTED-fields"] = manifest.pop("fields")
+def _no_union(unit, manifest, form):
+    manifest[form]["INJECTED-fields"] = manifest[form].pop("fields")
 
 
-def _union_not_a_string(unit, manifest):
-    manifest["fields"] = ["INJECTED-field"]
+def _union_not_a_string(unit, manifest, form):
+    manifest[form]["fields"] = ["INJECTED-field"]
 
 
-def _undecodable_union(unit, manifest):
-    manifest["fields"] = "INJECTED!"
+def _undecodable_union(unit, manifest, form):
+    manifest[form]["fields"] = "INJECTED!"
 
 
-def _per_record_entries(unit, manifest):
-    """A manifest in the retired per-record shape of the full form, one entry
+def _per_record_entries(unit, manifest, form):
+    """A part in the retired per-record shape of the full form, one entry
     per record naming its blob and randomizer: neither form reads it."""
-    manifest["records"] = [{"id": "INJECTED-id", "address": manifest.pop("address"),
-                            "t": manifest["t"]}]
+    part = manifest[form]
+    part["records"] = [{"id": "INJECTED-id", "address": part.pop("address"), "t": part["t"]}]
+
+
+def _no_part(unit, manifest, form):
+    manifest["INJECTED-part"] = manifest.pop(form)
+
+
+def _part_not_an_object(unit, manifest, form):
+    manifest[form] = ["INJECTED-part"]
+
+
+def _two_manifest_shape(unit, manifest, form):
+    """The one form's manifest as units wrote it when each form was published
+    under its own name, `<name>` and `<name>.full`: no parts, a `form` key."""
+    part = manifest.pop(form)
+    del manifest[OTHER_FORM[form]]
+    manifest.update(part, form=form)
 
 
 MALFORMED = {
-    "no-address": (FULL_NAME, _no_address),
-    "address-not-a-string": (FULL_NAME, _address_not_a_string),
-    "undecodable-randomizer": (FULL_NAME, _undecodable_randomizer),
-    "short-blob": (FULL_NAME, _short_blob),
-    "randomizer-not-a-string": (FULL_NAME, _randomizer_not_a_string),
-    "per-record-entries": (FULL_NAME, _per_record_entries),
-    "no-union": (FULL_NAME, _no_union),
-    "union-not-a-string": (FULL_NAME, _union_not_a_string),
-    "undecodable-union": (FULL_NAME, _undecodable_union),
-    "dataset-not-a-string": (SLIM_NAME, _dataset_not_a_string),
-    "slim-address-not-a-string": (SLIM_NAME, _address_not_a_string),
-    "slim-undecodable-randomizer": (SLIM_NAME, _undecodable_randomizer),
-    "slim-short-blob": (SLIM_NAME, _short_blob),
-    "slim-per-record-entries": (SLIM_NAME, _per_record_entries),
+    "no-address": ("full", _no_address),
+    "address-not-a-string": ("full", _address_not_a_string),
+    "undecodable-randomizer": ("full", _undecodable_randomizer),
+    "short-blob": ("full", _short_blob),
+    "randomizer-not-a-string": ("full", _randomizer_not_a_string),
+    "per-record-entries": ("full", _per_record_entries),
+    "no-union": ("full", _no_union),
+    "union-not-a-string": ("full", _union_not_a_string),
+    "undecodable-union": ("full", _undecodable_union),
+    "no-part": ("full", _no_part),
+    "part-not-an-object": ("full", _part_not_an_object),
+    "two-manifest-shape": ("full", _two_manifest_shape),
+    "dataset-not-a-string": ("slim", _dataset_not_a_string),
+    "slim-address-not-a-string": ("slim", _address_not_a_string),
+    "slim-undecodable-randomizer": ("slim", _undecodable_randomizer),
+    "slim-short-blob": ("slim", _short_blob),
+    "slim-per-record-entries": ("slim", _per_record_entries),
+    "slim-no-part": ("slim", _no_part),
+    "slim-part-not-an-object": ("slim", _part_not_an_object),
+    "slim-two-manifest-shape": ("slim", _two_manifest_shape),
 }
 
 
@@ -278,10 +304,11 @@ def test_a_malformed_manifest_is_a_typed_storage_error(make_unit, make_session, 
     unit = make_unit()
     session = make_session(unit)
     _provision(unit, session, _records())
-    name, malform = MALFORMED[shape]
-    manifest = _manifest(unit, name)
-    malform(unit, manifest)
-    _republish(unit, name, manifest)
+    form, malform = MALFORMED[shape]
+    manifest = _manifest(unit)
+    malform(unit, manifest, form)
+    _republish(unit, SLIM_NAME, manifest)
+    name = SLIM_NAME if form == "slim" else FULL_NAME
     markers = ("INJECTED",)
 
     envelope, _ = _decision(session, name)
@@ -305,27 +332,27 @@ def test_a_manifest_that_is_not_an_object_is_a_typed_storage_error(make_unit, ma
 # --- the sealed field union of a full dataset ------------------------------------
 
 
-def _union_from_another_dataset(unit, manifest):
-    theirs = _manifest(unit, OTHER_FULL)
-    manifest.update(fields=theirs["fields"], t=theirs["t"])
+def _union_from_another_dataset(unit, part):
+    theirs = _manifest(unit, OTHER_NAME)["full"]
+    part.update(fields=theirs["fields"], t=theirs["t"])
 
 
-def _union_of_an_earlier_version(unit, manifest):
+def _union_of_an_earlier_version(unit, part):
     """The union, and its randomizer, the dataset had before it was
     provisioned again with one more field: it opens, being the same
     dataset's, but the records bind the new union."""
-    earlier = _manifest(unit, FULL_NAME + ".earlier")
-    manifest.update(fields=earlier["fields"], t=earlier["t"])
+    earlier = _manifest(unit, SLIM_NAME + ".earlier")["full"]
+    part.update(fields=earlier["fields"], t=earlier["t"])
 
 
-def _union_byte_flipped(unit, manifest):
-    sealed = bytearray(unb64(manifest["fields"]))
+def _union_byte_flipped(unit, part):
+    sealed = bytearray(unb64(part["fields"]))
     sealed[-1] ^= 0x01
-    manifest["fields"] = b64(bytes(sealed))
+    part["fields"] = b64(bytes(sealed))
 
 
-def _union_dropped(unit, manifest):
-    del manifest["fields"]
+def _union_dropped(unit, part):
+    del part["fields"]
 
 
 UNION_TAMPERING = {
@@ -345,17 +372,17 @@ def test_a_tampered_field_union_yields_a_typed_error_never_results(
     records = _records()
     _provision(unit, session, records)
     # keep this version's manifest, then provision again with one more field
-    unit._storage.publish(FULL_NAME + ".earlier", unit._storage.fetch(FULL_NAME))
+    unit._storage.publish(SLIM_NAME + ".earlier", unit._storage.fetch(SLIM_NAME))
     _provision(unit, session, [
         dataclasses.replace(r, fields=dict(r.fields, Extra=1)) for r in records
     ])
-    _provision(unit, session, generate_vax(VaxSpec("Patient", 4, 8)), name=OTHER_SLIM)
+    _provision(unit, session, generate_vax(VaxSpec("Patient", 4, 8)), name=OTHER_NAME)
     assert _decide(unit, session, FULL_NAME) == _oracle(records)
 
     tamper, phrase = UNION_TAMPERING[tampering]
-    manifest = _manifest(unit, FULL_NAME)
-    tamper(unit, manifest)
-    _republish(unit, FULL_NAME, manifest)
+    manifest = _manifest(unit)
+    tamper(unit, manifest["full"])
+    _republish(unit, SLIM_NAME, manifest)
     answer = _decide(unit, session, FULL_NAME)
     assert isinstance(answer, str), "a tampered field union gave results"
     assert phrase in answer
@@ -364,8 +391,8 @@ def test_a_tampered_field_union_yields_a_typed_error_never_results(
 def test_no_field_name_or_value_the_client_sent_is_stored_in_clear(
     make_unit, make_session, tmp_path
 ):
-    """Every byte a directory store keeps: manifests, blobs, the names and
-    the chain; record ids included."""
+    """Every byte a directory store keeps: the manifest, the blobs and the
+    chain; record ids included."""
     unit = make_unit(storage=StorageNode.at_directory(tmp_path))
     records = [
         dataclasses.replace(record, id=f"SECRET-id-{i}", fields=dict(
@@ -376,10 +403,10 @@ def test_no_field_name_or_value_the_client_sent_is_stored_in_clear(
     receipt = _provision(unit, make_session(unit), records)
     stored = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
     names = {path.name for path in stored}
+    # the manifest and both blobs it names are among the files checked
+    assert receipt["address"] in names
     for form in ("slim", "full"):
-        # both manifests and the blobs they name are among the files checked
-        assert receipt[form]["address"] in names
-        assert _manifest(unit, receipt[form]["name"])["address"] in names
+        assert _manifest(unit)[form]["address"] in names
     for path, data in stored.items():
         assert b"SECRET-" not in data, path.relative_to(tmp_path)
 
@@ -490,9 +517,8 @@ def test_each_stored_form_derives_its_own_key(make_unit, make_session, monkeypat
     receipt = _provision(unit, session, records, **extra)
     # one fresh randomizer per form; the full form's key also seals its union
     assert len(set(calls)) == len(calls) == 2
-    assert "light" not in receipt
+    assert "light" not in receipt and "light" not in _manifest(unit)
     for name in (SLIM_NAME, FULL_NAME):
-        assert "light" not in _manifest(unit, name)
         calls.clear()
         assert _decide(unit, session, name) == _oracle(records)
         assert len(calls) == 1
@@ -531,10 +557,10 @@ def test_a_decision_gets_and_opens_one_blob_whatever_the_record_count(
     session = make_session(unit)
     small, large = _records(1), _records(40)
     _provision(unit, session, small)
-    _provision(unit, session, large, name=OTHER_SLIM)
+    _provision(unit, session, large, name=OTHER_NAME)
     suffix, opens = ("", 1) if form == "slim" else (".full", 2)
     counts = _counting(monkeypatch, unit)
-    for name, records in ((SLIM_NAME, small), (OTHER_SLIM, large), (SLIM_NAME, small)):
+    for name, records in ((SLIM_NAME, small), (OTHER_NAME, large), (SLIM_NAME, small)):
         counts.update(get=0, open=0)
         assert _decide(unit, session, name + suffix) == _oracle(records)
         assert counts == {"get": 2, "open": opens}
@@ -548,15 +574,14 @@ def test_a_manifest_republished_under_another_name_is_refused_before_any_blob_ge
     session = make_session(unit)
     records, others = _records(), generate_vax(VaxSpec("Patient", 4, 8))
     _provision(unit, session, records)
-    _provision(unit, session, others, name=OTHER_SLIM)
-    name, theirs = (SLIM_NAME, OTHER_SLIM) if form == "slim" else (FULL_NAME, OTHER_FULL)
+    _provision(unit, session, others, name=OTHER_NAME)
     # the operator binds the name to the other dataset's manifest bytes,
     # which the notarization chain records as an ordinary publication
-    unit._storage.publish(name, unit._storage.fetch(theirs))
+    unit._storage.publish(SLIM_NAME, unit._storage.fetch(OTHER_NAME))
     assert unit._storage.chain.verify_chain() is None
 
     counts = _counting(monkeypatch, unit)
-    answer = _decide(unit, session, name)
+    answer = _decide(unit, session, SLIM_NAME if form == "slim" else FULL_NAME)
     assert isinstance(answer, str), "a decision answered from another dataset"
     assert "names another dataset" in answer
     assert counts == {"get": 1, "open": 0}  # the manifest's own get only
@@ -667,28 +692,51 @@ def _ciphertext(blob):
     return Ciphertext(nonce=blob[:NONCE_LEN], tag=blob[NONCE_LEN:HEADER_LEN], body=blob[HEADER_LEN:])
 
 
-def _store_full_the_old_way(unit, records):
-    """The full form stored as one `Ciphertext` of the rows and one of the
-    field union, both under the manifest's key, with `ae_encrypt` and `_wire`
-    building each blob."""
-    union = _field_union(records)
-    t = secrets.token_bytes(16)
-    key = derive_record_key(unit._seed, t)
-    blob = _wire(ae_encrypt(
-        key, _plaintext(records, union), aad=_aad_prefix(FULL_NAME, "full", union)
+def _store_the_old_way(unit, records):
+    """Both forms stored as one `Ciphertext` each, built with `ae_encrypt`
+    and laid out by `_wire`, under one manifest; the full form's key also
+    seals its field union."""
+    layout, union = unit._layouts["Patient"], _field_union(records)
+    slim_t, full_t = secrets.token_bytes(16), secrets.token_bytes(16)
+    slim_key, full_key = derive_record_key(unit._seed, slim_t), derive_record_key(unit._seed, full_t)
+    slim = _wire(ae_encrypt(
+        slim_key, _plaintext(records, layout), aad=_aad_prefix(SLIM_NAME, "slim", layout)
+    ))
+    full = _wire(ae_encrypt(
+        full_key, _plaintext(records, union), aad=_aad_prefix(SLIM_NAME, "full", union)
     ))
     manifest = {
-        "dataset": FULL_NAME, "structure": "Patient", "form": "full",
-        "address": unit._storage.blobs.put(blob), "t": b64(t),
-        "fields": b64(_wire(ae_encrypt(key, _array(union), aad=_union_aad(FULL_NAME)))),
+        "dataset": SLIM_NAME, "structure": "Patient",
+        "slim": {"address": unit._storage.blobs.put(slim), "t": b64(slim_t)},
+        "full": {
+            "address": unit._storage.blobs.put(full), "t": b64(full_t),
+            "fields": b64(_wire(ae_encrypt(full_key, _array(union), aad=_union_aad(SLIM_NAME)))),
+        },
     }
-    unit._storage.publish(FULL_NAME, canonical_json(manifest))
+    unit._storage.publish(SLIM_NAME, canonical_json(manifest))
+
+
+def _store_slim_in_its_own_manifest(unit, records, **extra):
+    """The slim form as units stored it when each form had its own manifest:
+    one blob, published under `<name>` with a `form` key and no parts."""
+    layout = unit._layouts["Patient"]
+    t = secrets.token_bytes(16)
+    blob = _wire(ae_encrypt(
+        derive_record_key(unit._seed, t),
+        _plaintext(records, layout),
+        aad=_aad_prefix(SLIM_NAME, "slim", layout),
+    ))
+    manifest = {
+        "dataset": SLIM_NAME, "structure": "Patient", "form": "slim",
+        "address": unit._storage.blobs.put(blob), "t": b64(t), **extra,
+    }
+    unit._storage.publish(SLIM_NAME, canonical_json(manifest))
 
 
 def _store_full_per_record(unit, records):
-    """The full form in the retired per-record shape: the union under the
-    manifest's randomizer, and each record as its own blob under its own
-    randomizer, listed with its id in the manifest."""
+    """The full form in the retired per-record shape, under `<name>.full`:
+    the union under the manifest's randomizer, and each record as its own
+    blob under its own randomizer, listed with its id in the manifest."""
     union = _field_union(records)
     prefix = _aad_prefix(FULL_NAME, "full", union)
     manifest_t = secrets.token_bytes(16)
@@ -711,25 +759,10 @@ def _store_full_per_record(unit, records):
     unit._storage.publish(FULL_NAME, canonical_json(manifest))
 
 
-def _store_slim_the_old_way(unit, records):
-    """The slim form stored as one `Ciphertext` built with `ae_encrypt`."""
-    layout = unit._layouts["Patient"]
-    t = secrets.token_bytes(16)
-    blob = _wire(ae_encrypt(
-        derive_record_key(unit._seed, t),
-        _plaintext(records, layout),
-        aad=_aad_prefix(SLIM_NAME, "slim", layout),
-    ))
-    manifest = {
-        "dataset": SLIM_NAME, "structure": "Patient", "form": "slim",
-        "address": unit._storage.blobs.put(blob), "t": b64(t),
-    }
-    unit._storage.publish(SLIM_NAME, canonical_json(manifest))
-
-
 def _store_full_in_light_mode(unit, records):
-    """The full form as the retired light mode stored it: the union and every
-    record under the manifest's one key, entries without a `t`."""
+    """The full form as the retired light mode stored it, under
+    `<name>.full`: the union and every record under the manifest's one key,
+    entries without a `t`."""
     union = _field_union(records)
     prefix = _aad_prefix(FULL_NAME, "full", union)
     t = secrets.token_bytes(16)
@@ -754,6 +787,7 @@ def test_a_full_dataset_stored_in_light_mode_is_malformed_until_provisioned_agai
     unit = make_unit()
     session = make_session(unit)
     records = _records(6)
+    _store_slim_in_its_own_manifest(unit, records, light=True)
     _store_full_in_light_mode(unit, records)
     assert _decide(unit, session, FULL_NAME) == "stored dataset is malformed"
 
@@ -767,6 +801,7 @@ def test_a_full_dataset_stored_per_record_is_malformed_until_provisioned_again(
     unit = make_unit()
     session = make_session(unit)
     records = _records(6)
+    _store_slim_in_its_own_manifest(unit, records)
     _store_full_per_record(unit, records)
     assert _decide(unit, session, FULL_NAME) == "stored dataset is malformed"
 
@@ -774,14 +809,19 @@ def test_a_full_dataset_stored_per_record_is_malformed_until_provisioned_again(
     assert _decide(unit, session, FULL_NAME) == _oracle(records)
 
 
-def test_a_slim_dataset_stored_in_light_mode_still_decides(make_unit, make_session):
-    """Light mode stored the slim form as one blob under its own randomizer,
-    as now; only its manifest's `light` flag differs, and it goes unread."""
+@pytest.mark.parametrize("extra", [{}, {"light": True}], ids=["plain", "light"])
+def test_a_slim_dataset_in_its_own_manifest_is_malformed_until_provisioned_again(
+    make_unit, make_session, extra
+):
+    """Its blob opens as before, but a manifest without parts is read as no
+    form at all, with or without light mode's flag."""
     unit = make_unit()
     session = make_session(unit)
     records = _records(6)
-    _store_slim_the_old_way(unit, records)
-    _republish(unit, SLIM_NAME, dict(_manifest(unit, SLIM_NAME), light=True))
+    _store_slim_in_its_own_manifest(unit, records, **extra)
+    assert _decide(unit, session, SLIM_NAME) == "stored dataset is malformed"
+
+    _provision(unit, session, records)
     assert _decide(unit, session, SLIM_NAME) == _oracle(records)
 
 
@@ -789,8 +829,7 @@ def test_records_sealed_as_ciphertexts_still_decide(make_unit, make_session):
     unit = make_unit()
     session = make_session(unit)
     records = _records(10)
-    _store_full_the_old_way(unit, records)
-    _store_slim_the_old_way(unit, records)
+    _store_the_old_way(unit, records)
     assert _decide(unit, session, SLIM_NAME) == _oracle(records)
     assert _decide(unit, session, FULL_NAME) == _oracle(records)
 
@@ -802,8 +841,9 @@ def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session):
     _provision(unit, session, records)
     blobs = unit._storage.blobs
     layout = unit._layouts["Patient"]
+    manifest = _manifest(unit)
 
-    slim = _manifest(unit, SLIM_NAME)
+    slim = manifest["slim"]
     plaintext = ae_decrypt(
         derive_record_key(unit._seed, unb64(slim["t"])),
         _ciphertext(blobs.get(slim["address"])),
@@ -811,13 +851,13 @@ def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session):
     )
     assert plaintext == _plaintext(records, layout)
 
-    full = _manifest(unit, FULL_NAME)
+    full = manifest["full"]
     key = derive_record_key(unit._seed, unb64(full["t"]))
     union = _field_union(records)
-    sealed_union = ae_decrypt(key, _ciphertext(unb64(full["fields"])), aad=_union_aad(FULL_NAME))
+    sealed_union = ae_decrypt(key, _ciphertext(unb64(full["fields"])), aad=_union_aad(SLIM_NAME))
     assert sealed_union == _array(union)
     plaintext = ae_decrypt(
-        key, _ciphertext(blobs.get(full["address"])), aad=_aad_prefix(FULL_NAME, "full", union)
+        key, _ciphertext(blobs.get(full["address"])), aad=_aad_prefix(SLIM_NAME, "full", union)
     )
     assert plaintext == _plaintext(records, union)
 
@@ -825,27 +865,78 @@ def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session):
 def test_provision_writes_the_receipt_manifests_and_chain_entries_it_always_has(
     make_unit, make_session
 ):
+    """One manifest with a part per form, published once: one chain entry."""
     unit = make_unit()
     chain = unit._storage.chain
     notarized = len(chain)
     receipt = _provision(unit, make_session(unit), _records(5))
-    assert set(receipt) == {"dataName", "structure", "slim", "full"}
+    assert set(receipt) == {"dataName", "structure", "address", "slim", "full"}
     assert (receipt["dataName"], receipt["structure"]) == (SLIM_NAME, "Patient")
     blobs = unit._storage.blobs
-    for form, name in (("full", FULL_NAME), ("slim", SLIM_NAME)):
-        stored = receipt[form]
-        assert set(stored) == {"name", "address", "records", "storedBytes"}
-        assert (stored["name"], stored["records"]) == (name, 5)
-        manifest_bytes = blobs.get(stored["address"])
-        assert manifest_bytes == unit._storage.fetch(name)
-        manifest = json.loads(manifest_bytes)
-        assert (manifest["dataset"], manifest["form"]) == (name, form)
-        # one blob and its own randomizer; the full form also seals its
+    manifest_bytes = blobs.get(receipt["address"])
+    assert manifest_bytes == unit._storage.fetch(SLIM_NAME)
+    manifest = json.loads(manifest_bytes)
+    assert set(manifest) == {"dataset", "structure", "slim", "full"}
+    assert (manifest["dataset"], manifest["structure"]) == (SLIM_NAME, "Patient")
+    for form in ("slim", "full"):
+        stored, part = receipt[form], manifest[form]
+        assert set(stored) == {"records", "storedBytes"} and stored["records"] == 5
+        # one blob and its own randomizer; the full part also seals its
         # field union under that randomizer's key
-        keys = {"dataset", "structure", "form", "address", "t"}
-        assert set(manifest) == (keys if form == "slim" else keys | {"fields"})
-        assert stored["storedBytes"] == len(manifest_bytes) + len(blobs.get(manifest["address"]))
+        keys = {"address", "t"}
+        assert set(part) == (keys if form == "slim" else keys | {"fields"})
+        assert stored["storedBytes"] == len(manifest_bytes) + len(blobs.get(part["address"]))
     assert [(entry.name, entry.address) for entry in chain.entries()[notarized:]] == [
-        (FULL_NAME, receipt["full"]["address"]),
-        (SLIM_NAME, receipt["slim"]["address"]),
+        (SLIM_NAME, receipt["address"]),
     ]
+
+
+# --- what a failed write leaves ---------------------------------------------------
+
+
+def _decided_counts(unit, session):
+    return [len(_decide(unit, session, name)) for name in (SLIM_NAME, FULL_NAME)]
+
+
+@pytest.mark.parametrize("writes", range(4), ids=["full-blob", "slim-blob", "manifest", "chain"])
+def test_a_provision_whose_write_fails_leaves_both_forms_at_the_last_version(
+    make_unit, make_session, make_gateway, tmp_path, writes
+):
+    """The second provision's writes are the full blob, the slim blob, the
+    manifest and the chain line; whichever fails, nothing is published and
+    the unit, the directory and the chain stay at the first version."""
+    unit = make_unit(storage=StorageNode.at_directory(tmp_path))
+    session = make_session(unit)
+    first = _records(50)
+    _provision(unit, session, first)
+
+    gateway = make_gateway(unit.handle)
+    envelope, _ = session.build_request("provision", {
+        "dataName": SLIM_NAME, "structure": "Patient",
+        "records": [record_to_obj(r) for r in _records(40)],
+    })
+    with disk_full(after=writes):
+        response = gateway.await_response(gateway.submit(envelope), 30)
+    assert response.status == "error"
+    assert _decided_counts(unit, session) == [50, 50]
+    assert unit._storage.chain.verify_chain() is None and len(unit._storage.chain) == 1
+
+    again = make_unit(storage=StorageNode.at_directory(tmp_path), seed=False)
+    again.install_seed(unit._seed)
+    assert _decided_counts(again, make_session(again)) == [50, 50]
+    assert again._storage.chain.verify_chain() is None
+
+    _provision(unit, session, _records(40))
+    assert _decided_counts(unit, session) == [40, 40]
+
+
+def test_each_provision_adds_one_chain_entry_and_no_full_name(make_unit, make_session, tmp_path):
+    unit = make_unit(storage=StorageNode.at_directory(tmp_path))
+    session = make_session(unit)
+    for count, name in ((3, SLIM_NAME), (5, OTHER_NAME), (4, SLIM_NAME)):
+        _provision(unit, session, _records(count), name=name)
+    entries = StorageNode.at_directory(tmp_path).chain.entries()
+    assert [entry.name for entry in entries] == [SLIM_NAME, OTHER_NAME, SLIM_NAME]
+    for entry in entries:
+        assert "form" not in json.loads(unit._storage.blobs.get(entry.address))
+    assert unit._storage.chain.verify_chain() is None

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from conftest import disk_full
 from confidec.errors import BlobNotFoundError, NameNotFoundError, StorageError
 from confidec.storage.chain import (
     GENESIS_PREV,
@@ -299,3 +300,48 @@ def test_a_leftover_name_registry_file_is_neither_read_nor_written(tmp_path, lef
     again.publish("dataset", b"v3")
     assert StorageNode.at_directory(tmp_path).fetch("dataset") == b"v3"
     assert leftover_path.read_text() == line + "\n"
+
+
+# --- storage faults -------------------------------------------------------------
+
+
+def test_a_failed_chain_write_leaves_the_node_and_its_file_in_step(tmp_path):
+    """The line is written first, then the entry kept, then the name bound:
+    after one failed write the live node still answers the notarized v1, and
+    the next publication takes the sequence number the file expects."""
+    node = StorageNode.at_directory(tmp_path)
+    node.publish("dataset", b"v1")
+    with disk_full(where=lambda path: path.name == "chain.jsonl"):
+        with pytest.raises(StorageError, match="^storage write failed$"):
+            node.publish("dataset", b"v2")
+    assert node.fetch("dataset") == b"v1" and len(node.chain) == 1
+    node.publish("other", b"w1")
+
+    again = StorageNode.at_directory(tmp_path)
+    assert again.chain.verify_chain() is None
+    assert again.fetch("dataset") == b"v1"
+    assert [entry.name for entry in again.chain.entries()] == ["dataset", "other"]
+
+
+def test_a_failed_blob_write_is_a_storage_error_naming_no_path(tmp_path):
+    store = DirectoryBlobStore(tmp_path / "SECRET-store")
+    with disk_full():
+        with pytest.raises(StorageError) as failed:
+            store.put(b"data")
+    assert str(failed.value) == "storage write failed"
+    assert list(store.addresses()) == []
+
+
+def test_unreadable_storage_files_are_storage_errors_naming_no_path(tmp_path):
+    """A directory where a blob or the chain file should be cannot be read."""
+    store = DirectoryBlobStore(tmp_path / "SECRET-blobs")
+    address = blob_address(b"data")
+    (store.root / address).mkdir()
+    with pytest.raises(StorageError) as failed:
+        store.get(address)
+    assert str(failed.value) == "storage read failed"
+
+    (tmp_path / "SECRET-chain").mkdir()
+    with pytest.raises(StorageError) as failed:
+        NotarizationLog(tmp_path / "SECRET-chain")
+    assert str(failed.value) == "storage read failed"
