@@ -60,14 +60,13 @@ def _select_records(spec: AggregationSpec, records: Sequence[Record]) -> List[fl
 
 
 def _select_rows(agg: LoweredAggregation, batch: Batch) -> List[float]:
-    rows = batch.rows
-    target = agg.target
-    selected = agg.select(rows)
-    values = [rows[i][target] for i in selected]
+    target = batch.columns[agg.target]
+    selected = agg.select(batch.rows(agg.reads))
+    values = [target[i] for i in selected]
     total = math.fsum(values)
     if total != total:  # a NaN target: the field is missing or not a number
-        i = next(i for i in selected if rows[i][target] != rows[i][target])
-        if batch.values[i][agg.position] is None:
+        i = next(i for i in selected if target[i] != target[i])
+        if batch.values[agg.position][i] is None:
             raise _lacks(agg.spec)
         raise _not_numeric(agg.spec)
     return values

@@ -172,17 +172,18 @@ def decide_record(
 def encode_batch(
     program: CompiledTable, ids: Sequence[str], values: Sequence[Sequence[object]]
 ) -> Batch:
-    """Records given as value lists in the program's layout, with their rows."""
+    """Records given as one raw column per field of the program's layout,
+    with their encoded columns."""
     return Batch(ids, values, build_matrix(program, values))
 
 
 def encode_records(program: CompiledTable, records: Sequence[Record]) -> Batch:
     """Project records onto the program's layout and encode them."""
-    layout = program.layout
+    fields = [record.fields for record in records]
     return encode_batch(
         program,
         [record.id for record in records],
-        [[record.fields.get(name) for name in layout] for record in records],
+        [[f.get(name) for f in fields] for name in program.layout],
     )
 
 
@@ -197,17 +198,15 @@ def decide_records(
     missing or mistyped field raises.
     """
     check_aggregates(program.table, aggregates)
-    rows = batch.rows
+    columns = batch.columns
     for j, name in program.aggregate_slots:
-        value = float(aggregates[name])
-        for row in rows:
-            row[j] = value
+        columns[j] = [float(aggregates[name])] * len(batch.ids)
     try:
-        return _kernel_py.run_program(rows, program)
+        return _kernel_py.run_program(batch, program)
     except AbortRecord as abort:
         j, i = abort.args
         raise _field_error(
-            program.slots[j].name, batch.values[i][program.positions[j]]
+            program.slots[j].name, batch.values[program.positions[j]][i]
         ) from None
 
 

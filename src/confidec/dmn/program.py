@@ -6,14 +6,15 @@ this once, when it is deployed, and equal inputs share one program through
 the cache.
 
 Records reach a program in its *layout*: the sorted names of the fields the
-table and the aggregations read (`fields_read`). A record is its id plus one
-raw value per layout field, `None` where the field is absent (`None` is never
-a field value). A unit stores slim records in exactly this form, a JSON
-array per record, and binds the layout into each record's AAD, so a record
-written under one layout never decodes under another. `build_matrix` runs
-the program's generated encoder over such value lists and yields one row of
-floats per record, one slot per non-output table column and then one per
-field the aggregations read with another value type:
+table and the aggregations read (`fields_read`), a column at a time. A batch
+is its ids plus one raw column per layout field, `None` where a record lacks
+the field (`None` is never a field value). A unit stores slim datasets in
+exactly this form, `[ids, columns]`, and binds the layout into the blob's
+AAD, so a dataset written under one layout never decodes under another.
+`build_matrix` runs the program's generated encoder over the raw columns:
+one comprehension per encoded slot, over its field's column, making one
+column of floats per non-output table column and then one per field the
+aggregations read with another value type:
 
     number  -> a float: a float as it is (records never contain NaN/inf),
                an int with |x| <= 2**53 as the float of equal value; a
@@ -30,12 +31,17 @@ float-float fast path, which an int or a float subclass misses. A trapping
 NaN is a `float` subclass, one instance per slot, whose `<`, `<=`, `>`, `>=`,
 `==` and hash raise `AbortRecord(J)`; its `!=` and its arithmetic are
 float's, so `vJ != vJ` is true for it without raising, and `vR * f` is a
-plain NaN. Aggregate-input slots stay NaN until the aggregates are known;
-`decide_records` fills them in before the table runs.
+plain NaN. A slot no op or filter reads is not encoded at all, and an
+aggregate-input slot is not encoded either: once the aggregates are known,
+`decide_records` makes it one list of its value, `[value] * n`.
 
-Every non-wildcard condition is one op, a test on the local `vJ` that holds
-slot J of the row. The tests, with `a`, `b` and `f` the `repr` of the
-cell's finite numbers:
+The generated code reads rows: `Batch.rows` zips the columns of just the
+slots the table, or a filter, reads, in slot order, so a row is one tuple of
+those cells. A generated row loop unpacks each row into locals, `vJ` for
+slot J, and passes each table function the slots it reads; a filter unpacks
+its rows the same way. Every non-wildcard condition is one op, a test on
+`vJ`. The tests, with `a`, `b` and `f` the `repr` of the cell's finite
+numbers:
 
     Relational      vJ < a   (or <=, >, >=)
     NumericEquals   vJ == a; for |a| >= 2**53, vJ == a or vJ + 0.0 == a,
@@ -55,31 +61,35 @@ its `and`-ed tests that returns the rule index, so the tests run in the
 order of `decide_record`, and a NaN cell aborts only when a test reads it.
 An all-wildcard rule is a bare `return`, after which nothing is emitted.
 
-An aggregation filter is one function over all rows that returns the
-indices of the rows whose filter tests all hold. It reads the table's slots
-where a field has the same value type, and those cells may trap, so each
-atom on a table slot runs as `(not vJ != vJ and <test>)`: `!=` does not
-trap, and a NaN cell fails the atom instead. An atom on a later slot reads
-a plain NaN, which fails every test. So a filter never raises;
-`evaluate_aggregate` then reads the target slot of the selected rows, and a
-NaN there, found through `math.fsum` and `!=`, which do not trap, is the
-first selected record lacking a numeric target. Sums use `math.fsum`, so the
-result matches the reference over `Record`s bit for bit.
+An aggregation filter is one function over the rows of the slots it reads
+that returns the indices of the rows whose filter tests all hold. It reads
+the table's slots where a field has the same value type, and those cells
+may trap, so each atom on a table slot runs as `(not vJ != vJ and <test>)`:
+`!=` does not trap, and a NaN cell fails the atom instead. An atom on a
+later slot reads a plain NaN, which fails every test. So a filter never
+raises; `evaluate_aggregate` then reads the target column at the selected
+records, and a NaN there, found through `math.fsum` and `!=`, which do not
+trap, is the first selected record lacking a numeric target. Sums use
+`math.fsum`, so the result matches the reference over `Record`s bit for bit.
 
 Only numbers and slot indices enter the source of the table and filter
 functions: no table or record string does, and they see no builtins, only
-`_abort`. The encoder reads the vocabularies as dictionaries bound in its
-globals, so their strings stay out of its source too. The rules are split,
-whole, into functions of at most MAX_OPS_PER_FUNCTION ops (a rule with more
-ops than that gets a function of its own); each function returns the index
-of its first rule that holds, or None. The cap bounds what one `compile()`
-holds at once: lowering `synth_table(7, 300)` into one function raises the
-peak RSS by 21.6 MB, into functions of 128 ops by 1.3 MB.
+`_abort`; the row loop sees only the table's functions. The encoder reads
+the vocabularies as dictionaries bound in its globals, so their strings stay
+out of its source too. The rules are split, whole, into functions of at
+most MAX_OPS_PER_FUNCTION ops (a rule with more ops than that gets a
+function of its own); each function returns the index of its first rule
+that holds, or None, and the row loop calls the next one only on None; a
+table without rules gets no function, and its row loop appends
+STATUS_NO_MATCH for each row. The cap bounds what one `compile()` holds at
+once: lowering `synth_table(7, 300)` into one function raises the peak RSS
+by 21.6 MB, into functions of 128 ops by 1.3 MB.
 
 A decision response carries each distinct output tuple that fired once,
-and per record only `[recordId, k]`, k indexing those outputs in first-hit
-order or -1 for no match (`confidec.service.builder`);
-`ClientSession.open_response` expands the pairs back into result objects.
+the record ids as one list, and `k` as another, one index per record into
+those outputs in first-hit order or -1 for no match
+(`confidec.service.builder`); `ClientSession.open_response` expands the two
+lists back into one result object per record.
 """
 
 from __future__ import annotations
@@ -87,9 +97,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     NamedTuple,
@@ -161,29 +173,40 @@ class _TrappingNaN(float):
 # The generated table and filter functions see these globals and no builtins.
 _GLOBALS = {"__builtins__": {}, "_abort": _abort}
 
-RuleFunction = Callable[[Sequence[float]], Optional[int]]
-FilterFunction = Callable[[Sequence[Sequence[float]]], List[int]]
-Encoder = Callable[[Sequence[Sequence[object]]], List[List[float]]]
+RuleFunction = Callable[..., Optional[int]]
+RowLoop = Callable[[Iterable[Sequence[float]], List[int]], None]
+FilterFunction = Callable[[Iterable[Sequence[float]]], List[int]]
+Encoder = Callable[[Sequence[Sequence[object]]], List[Optional[List[float]]]]
 
 
 class Batch(NamedTuple):
-    """Records in a program's layout.
+    """Records in a program's layout, a column at a time.
 
-    `values` holds per record one raw value per layout field, None where the
-    field is absent; `rows` are the float rows `build_matrix` made of them.
+    `values` holds one raw column per layout field, None where a record
+    lacks the field; `columns` holds per slot the float column
+    `build_matrix` made of it, or None for a slot that is not encoded.
     """
 
     ids: Sequence[str]
     values: Sequence[Sequence[object]]
-    rows: List[List[float]]
+    columns: List[Optional[List[float]]]
+
+    def rows(self, slots: Sequence[int]) -> Iterable[tuple]:
+        """Per record, the tuple of its cells in the given slots; an empty
+        tuple per record when there are none."""
+        if not slots:
+            return repeat((), len(self.ids))
+        columns = self.columns
+        return zip(*[columns[j] for j in slots])
 
 
 @dataclass
 class LoweredAggregation:
-    """An aggregation whose filter reads a program's rows."""
+    """An aggregation whose filter reads the rows of its slots."""
 
     spec: AggregationSpec
     select: FilterFunction
+    reads: Tuple[int, ...]  # the slots the filter reads, in slot order
     target: int  # the slot of the target field, encoded as a number
     position: int  # the target field's index in the layout
 
@@ -200,9 +223,11 @@ class CompiledTable:
     layout: Tuple[str, ...]
     slots: Tuple[ColumnSpec, ...]  # the table's condition columns
     positions: Tuple[int, ...]  # layout index of each input slot, -1 otherwise
+    reads: Tuple[int, ...]  # the slots the table's functions read, in slot order
     aggregate_slots: Tuple[Tuple[int, str], ...]  # read aggregate inputs
     encode: Encoder
     functions: Tuple[RuleFunction, ...]
+    run: RowLoop  # appends each row's hit, calling the functions in order
     aggregations: Tuple[LoweredAggregation, ...]
 
 
@@ -257,11 +282,14 @@ def _lower(
     raise TypeError(f"unknown condition {cond!r}")
 
 
-def _unpack(reads: Set[int], n_slots: int, name: str = "v") -> str:
-    """Assignment targets that unpack a row into the slots read."""
-    if not reads:
-        return "_"
-    return ", ".join(f"{name}{j}" if j in reads else "_" for j in range(n_slots)) + ","
+def _params(slots: Sequence[int]) -> str:
+    """The locals of these slots, as parameters or arguments."""
+    return ", ".join(f"v{j}" for j in slots)
+
+
+def _targets(slots: Sequence[int]) -> str:
+    """Assignment targets that unpack a row of these slots."""
+    return f"{_params(slots)}," if slots else "_"
 
 
 def _define(source: List[str], name: str, globals_: dict, filename: str) -> Callable:
@@ -271,19 +299,45 @@ def _define(source: List[str], name: str, globals_: dict, filename: str) -> Call
     return namespace[name]
 
 
-def _compile_function(lines: List[str], reads: Set[int], n_slots: int) -> RuleFunction:
-    source = ["def _f(row):"]
-    if reads:
-        source.append(f"    {_unpack(reads, n_slots)} = row")
-    return _define(source + lines, "_f", _GLOBALS, "<decision table>")
+def _compile_function(lines: List[str], reads: Set[int]) -> Tuple[RuleFunction, List[int]]:
+    """A function of the slots it reads, and those slots in slot order."""
+    params = sorted(reads)
+    source = [f"def _f({_params(params)}):"] + lines
+    return _define(source, "_f", _GLOBALS, "<decision table>"), params
 
 
-def _compile_filter(tests: List[str], reads: Set[int], n_slots: int) -> FilterFunction:
+def _compile_loop(
+    functions: Sequence[Tuple[RuleFunction, Sequence[int]]], reads: Sequence[int]
+) -> RowLoop:
+    """The loop that unpacks each row of the slots the table reads and
+    appends the hit of the first function, given the slots it reads, that
+    returns one, or STATUS_NO_MATCH."""
+    globals_: dict = {"__builtins__": {}}
+    source = [
+        "def _run(rows, hits):",
+        "    append = hits.append",
+        f"    for {_targets(reads)} in rows:",
+    ]
+    for k, (function, function_reads) in enumerate(functions):
+        globals_[f"_f{k}"] = function
+        call = f"hit = _f{k}({_params(function_reads)})"
+        if k == 0:
+            source.append(f"        {call}")
+        else:
+            source += ["        if hit is None:", f"            {call}"]
+    if functions:
+        source.append(f"        append({STATUS_NO_MATCH} if hit is None else hit)")
+    else:
+        source.append(f"        append({STATUS_NO_MATCH})")
+    return _define(source, "_run", globals_, "<row loop>")
+
+
+def _compile_filter(tests: List[str], reads: Sequence[int]) -> FilterFunction:
     source = [
         "def _f(rows):",
         "    out = []",
         "    i = -1",
-        f"    for {_unpack(reads, n_slots)} in rows:",
+        f"    for {_targets(reads)} in rows:",
         "        i += 1",
     ]
     if tests:
@@ -296,43 +350,40 @@ def _compile_filter(tests: List[str], reads: Set[int], n_slots: int) -> FilterFu
 
 
 def _compile_encoder(
-    layout_size: int,
     cells: Dict[int, Tuple[int, str, Dict[str, int] | None]],
     n_slots: int,
     n_trapping: int,
 ) -> Encoder:
-    """The function that maps value lists to rows; cells maps each encoded
-    slot to its layout position, value type and vocabulary. A missing or
-    mistyped cell in one of the first n_trapping slots, the table's, is
-    that slot's _TrappingNaN; in a later slot it is NaN."""
+    """The function that maps raw columns to float columns, one per slot;
+    cells maps each encoded slot to its layout position, value type and
+    vocabulary, and every other slot's column is None. A missing or mistyped
+    cell in one of the first n_trapping slots, the table's, is that slot's
+    _TrappingNaN; in a later slot it is NaN."""
     globals_: dict = {"__builtins__": {}, "_int": int, "_float": float, "_str": str, "_nan": NAN}
-    used: Set[int] = set()
     exprs = []
     for j in range(n_slots):
         if j not in cells:
-            exprs.append("_nan")
+            exprs.append("None")
             continue
         p, value_type, vocab = cells[j]
-        x = f"x{p}"
-        used.add(p)
         nan = "_nan"
         if j < n_trapping:
             nan = f"_t{j}"
             globals_[nan] = _TrappingNaN(j)
         if value_type == "number":
-            exprs.append(
-                f"({x} + 0.0 if {x}.__class__ is _int and {-EXACT_INT_LIMIT} <= {x} <= "
-                f"{EXACT_INT_LIMIT} else {x} if {x}.__class__ is _float or {x}.__class__ is _int"
-                f" else {nan})"
+            cell = (
+                f"x + 0.0 if x.__class__ is _int and {-EXACT_INT_LIMIT} <= x <= "
+                f"{EXACT_INT_LIMIT} else x if x.__class__ is _float or x.__class__ is _int"
+                f" else {nan}"
             )
         elif value_type == "string":
             globals_[f"_d{j}"] = {s: float(code) for s, code in vocab.items()}  # type: ignore[union-attr]
-            exprs.append(f"(_d{j}.get({x}, -1.0) if {x}.__class__ is _str else {nan})")
+            cell = f"_d{j}.get(x, -1.0) if x.__class__ is _str else {nan}"
         else:
-            exprs.append(f"(1.0 if {x} is True else 0.0 if {x} is False else {nan})")
-    targets = _unpack(used, layout_size, "x")
-    source = ["def _e(values):", f"    return [[{', '.join(exprs)}] for {targets} in values]"]
-    return _define(source, "_e", globals_, "<row encoder>")
+            cell = f"1.0 if x is True else 0.0 if x is False else {nan}"
+        exprs.append(f"[{cell} for x in values[{p}]]")
+    source = ["def _e(values):", f"    return [{', '.join(exprs)}]"]
+    return _define(source, "_e", globals_, "<column encoder>")
 
 
 # the value type a filter atom reads its field as; column relations, which
@@ -412,7 +463,7 @@ def _compile(
         {} if vt == "string" else None for vt in value_types
     ]
 
-    functions: List[RuleFunction] = []
+    functions: List[Tuple[RuleFunction, List[int]]] = []  # and the slots each reads
     read: Set[int] = set()  # every slot some op or filter reads
     lines: List[str] = []  # body of the function being filled
     reads: Set[int] = set()  # the slots it reads
@@ -429,7 +480,7 @@ def _compile(
             tests.append(f"({test}{aborts})")
             rule_reads.update(slots_read)
         if lines and n_ops + len(tests) > MAX_OPS_PER_FUNCTION:
-            functions.append(_compile_function(lines, reads, n_slots))
+            functions.append(_compile_function(lines, reads))
             lines, reads, n_ops = [], set(), 0
         n_ops += len(tests)
         reads |= rule_reads
@@ -440,7 +491,8 @@ def _compile(
         lines.append(f"    if {' and '.join(tests)}:")
         lines.append(f"        return {r}")
     if lines:
-        functions.append(_compile_function(lines, reads, n_slots))
+        functions.append(_compile_function(lines, reads))
+    table_reads = tuple(sorted(read))
 
     lowered = []
     for agg, atoms, target in filters:
@@ -449,11 +501,12 @@ def _compile(
             test = f"({_lower(j, cond, slot_index, vocab[j])[0]})"
             # a table slot's NaN traps and `!=` does not, so check that first
             tests.append(f"(not v{j} != v{j} and {test})" if j < len(slots) else test)
-        filter_reads = {j for j, _ in atoms}
-        read |= filter_reads | {target}
+        filter_reads = tuple(sorted({j for j, _ in atoms}))
+        read.update(filter_reads, (target,))
         lowered.append(LoweredAggregation(
             spec=agg,
-            select=_compile_filter(tests, filter_reads, n_slots),
+            select=_compile_filter(tests, filter_reads),
+            reads=filter_reads,
             target=target,
             position=slot_position[target],
         ))
@@ -468,12 +521,14 @@ def _compile(
         layout=layout,
         slots=slots,
         positions=tuple(slot_position[: len(slots)]),
+        reads=table_reads,
         aggregate_slots=tuple(
             (j, c.name) for j, c in enumerate(slots)
-            if c.kind == "aggregateInput" and j in read
+            if c.kind == "aggregateInput" and j in table_reads
         ),
-        encode=_compile_encoder(len(layout), cells, n_slots, len(slots)),
-        functions=tuple(functions),
+        encode=_compile_encoder(cells, n_slots, len(slots)),
+        functions=tuple(function for function, _ in functions),
+        run=_compile_loop(functions, table_reads),
         aggregations=tuple(lowered),
     )
 
@@ -492,12 +547,14 @@ def check_aggregates(table: DecisionTable, aggregates: Mapping[str, float]) -> N
             )
 
 
-def build_matrix(ct: CompiledTable, values: Sequence[Sequence[object]]) -> List[List[float]]:
-    """Encode value lists in the program's layout into the float rows the
-    generated functions read.
+def build_matrix(
+    ct: CompiledTable, values: Sequence[Sequence[object]]
+) -> List[Optional[List[float]]]:
+    """Encode the raw columns of the program's layout into the float columns
+    the generated functions read, one per slot.
 
     Only slots some op or filter reads are encoded; the rest, and the
-    aggregate inputs, stay NaN. A NaN or trapping NaN cell's raw value tells
+    aggregate inputs, are None. A NaN or trapping NaN cell's raw value tells
     why: None for a missing field, anything else for a value of the wrong
     type.
     """

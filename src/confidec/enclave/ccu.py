@@ -94,10 +94,10 @@ def issue_unit_certificate(
     )
 
 
-# Each form is one blob per dataset: [ids, rows], sealed under one key, and
+# Each form is one blob per dataset: [ids, columns], sealed under one key, and
 # one part of the dataset's one manifest.
-SLIM = "slim"  # rows in the structure's layout
-FULL = "full"  # rows over the dataset's sorted field union, sealed in its part
+SLIM = "slim"  # a column per field of the structure's layout
+FULL = "full"  # a column per field of the dataset's sorted union, sealed in its part
 
 # JSON arrays of validated values: no keys to sort, no cycles to look for
 _ARRAYS = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
@@ -111,11 +111,22 @@ def _record_aad_prefix(dataset: str, form: str, layout: Sequence[str]) -> bytes:
     layout, or another union fails authentication instead of decoding values
     into the wrong fields.
     """
-    return b"confidec/record/v2:" + length_prefixed(
+    return b"confidec/record/v3:" + length_prefixed(
         dataset.encode("utf-8"),
         form.encode("utf-8"),
         length_prefixed(*(name.encode("utf-8") for name in layout)),
     )
+
+
+def _project(
+    columns: Sequence[Sequence[object]], fields: Sequence[str], layout: Sequence[str], n: int
+) -> List[Sequence[object]]:
+    """The columns of layout's fields, picked from n records' columns over
+    fields; a layout field that fields lack reads as one shared column of
+    None."""
+    position = {field: i for i, field in enumerate(fields)}
+    absent = [None] * n
+    return [columns[position[field]] if field in position else absent for field in layout]
 
 
 def _union_aad(dataset: str) -> bytes:
@@ -353,8 +364,13 @@ class Ccu:
             raise UnknownFunctionError("no deployed function reads structure of that name")
 
         union = check_record_docs(raw_records)
-        full, full_bytes = self._seal(data_name, FULL, union, raw_records)
-        slim, slim_bytes = self._seal(data_name, SLIM, layout, raw_records)
+        ids = [record["id"] for record in raw_records]
+        # each record's values over the union, transposed: one pass over the
+        # records in the order they were parsed, not one per field
+        columns = list(zip(*[list(map(record["fields"].get, union)) for record in raw_records]))
+        full, full_bytes = self._seal(data_name, FULL, union, ids, columns)
+        slim_columns = _project(columns, union, layout, len(ids))
+        slim, slim_bytes = self._seal(data_name, SLIM, layout, ids, slim_columns)
         # one manifest for both forms, published once both blobs are stored
         manifest = canonical_json(
             {"dataset": data_name, "structure": structure, SLIM: slim, FULL: full}
@@ -369,19 +385,21 @@ class Ccu:
         }
 
     def _seal(
-        self, data_name: str, form: str, layout: Tuple[str, ...], records: Sequence[dict]
+        self,
+        data_name: str,
+        form: str,
+        layout: Tuple[str, ...],
+        ids: List[str],
+        columns: Sequence[Sequence[object]],
     ) -> Tuple[dict, int]:
-        """Seal the ids and each record's values over layout (None for an
-        absent field) as one blob under one fresh randomizer, and store it; a
-        full dataset's layout, its field union, is sealed under the same key.
-        Returns the form's part of the manifest and the blob's size."""
+        """Seal the ids and the records' columns, one per field of layout, as
+        one blob under one fresh randomizer, and store it; a full dataset's
+        layout, its field union, is sealed under the same key. Returns the
+        form's part of the manifest and the blob's size."""
         encode = _ARRAYS.encode
         t = secrets.token_bytes(RANDOMIZER_LEN)
         key = derive_record_key(self._seed, t)
-        plaintext = encode([
-            [record["id"] for record in records],
-            [list(map(record["fields"].get, layout)) for record in records],
-        ]).encode("utf-8")
+        plaintext = encode([ids, columns]).encode("utf-8")
         blob = seal_wire(key, plaintext, _record_aad_prefix(data_name, form, layout))
         part = {"address": self._storage.blobs.put(blob), "t": b64(t)}
         if form == FULL:
@@ -414,16 +432,18 @@ class Ccu:
     def decrypt_data(
         self, data_name: str, structure: str
     ) -> Tuple[List[str], List[list]]:
-        """The ids of the records published under data_name and, per record,
-        its values in the structure's layout (None for an absent field).
+        """The ids of the records published under data_name and, per field
+        of the structure's layout, the column of their values (None for an
+        absent field).
 
         `<name>` reads the slim part of `<name>`'s manifest and `<name>.full`
-        its full part. Slim rows are stored in that layout; full ones, over
-        the dataset's field union, are projected onto it. A manifest that
-        names another dataset is refused before any blob is read. The blob is
-        hash-checked on get and authenticated against its dataset, form and
-        layout; a manifest the storage operator malformed raises StorageError
-        like any other tampering.
+        its full part. Slim columns are stored in that layout; full ones, one
+        per field of the dataset's union, are picked by name, and a layout
+        field the union lacks reads as one shared column of None. A manifest
+        that names another dataset is refused before any blob is read. The
+        blob is hash-checked on get and authenticated against its dataset,
+        form and layout; a manifest the storage operator malformed raises
+        StorageError like any other tampering.
         """
         seed = self._seed
         if seed is None:
@@ -449,17 +469,18 @@ class Ccu:
                 sealed = unb64(part["fields"])
                 stored = json.loads(open_wire(key, sealed, _union_aad(dataset)))
             blob = self._storage.blobs.get(part["address"])
-            # one authenticated [ids, rows] document the unit wrote
+            # one authenticated [ids, columns] document the unit wrote
             aad = _record_aad_prefix(dataset, form, stored)
-            ids, rows = json.loads(open_wire(key, blob, aad))
+            ids, columns = json.loads(open_wire(key, blob, aad))
+            n = len(ids)
+            if len(columns) != len(stored) or any(len(column) != n for column in columns):
+                raise ValueError  # malformed, as below
         except (AttributeError, KeyError, RecursionError, TypeError, ValueError):
             # a field of the wrong shape or type, bad base64, a short blob
             raise StorageError("stored dataset is malformed") from None
         if form == FULL:
-            position = {field: i for i, field in enumerate(stored)}
-            picks = [position.get(field) for field in layout]
-            rows = [[None if i is None else row[i] for i in picks] for row in rows]
-        return ids, rows
+            columns = _project(columns, stored, layout, n)
+        return ids, columns
 
     def trace(self, step: str) -> None:
         self.last_trace.append(step)

@@ -80,13 +80,14 @@ class ClientSession:
 
 
 def expand_results(body: dict) -> dict:
-    """Turn a decision body's `outputs` and `[recordId, k]` pairs into one
-    result object per record; k is -1 for a record no rule matched."""
+    """Turn a decision body's `outputs`, `ids` and `k` into one result object
+    per record; k is -1 for a record no rule matched. Lists of unequal
+    length raise ValueError."""
     outputs = body.pop("outputs")
     body["results"] = [
         {"recordId": record_id, "outcome": "decided", "values": list(outputs[k])}
         if k >= 0
         else {"recordId": record_id, "outcome": "noMatch", "values": []}
-        for record_id, k in body["results"]
+        for record_id, k in zip(body.pop("ids"), body.pop("k"), strict=True)
     ]
     return body

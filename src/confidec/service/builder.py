@@ -51,7 +51,7 @@ class HandlerEnv(Protocol):
         self, data_name: str, structure: str
     ) -> Tuple[Sequence[str], Sequence[Sequence[object]]]:
         """Fetch and decrypt the records published under data_name: their ids
-        and, per record, its values in the structure's layout."""
+        and, per field of the structure's layout, the column of their values."""
 
     def trace(self, step: str) -> None:
         """Record that a handler step ran."""
@@ -151,9 +151,10 @@ def compact_results(
     """The response body of a decision.
 
     `outputs` holds each distinct output tuple that fired, once, in first-hit
-    order; `results` holds a `[recordId, k]` pair per record, k indexing
-    `outputs` or -1 for no match. Rules with equal outputs share an index, so
-    the body says nothing about the table beyond the answers.
+    order; `ids` holds the record ids and `k`, in the same order, one index
+    per record into `outputs`, or -1 for no match. Rules with equal outputs
+    share an index, so the body says nothing about the table beyond the
+    answers.
     """
     rules = program.table.rules
     outputs: List[list] = []
@@ -170,7 +171,8 @@ def compact_results(
     return {
         "funcName": func_name,
         "outputs": outputs,
-        "results": [[rid, k_of_hit[hit]] for rid, hit in zip(ids, hits)],
+        "ids": ids,
+        "k": [k_of_hit[hit] for hit in hits],
     }
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence
@@ -66,6 +67,28 @@ def verify_entries(entries: Sequence[NotarizationEntry]) -> int | None:
     return None
 
 
+def _append(path: Path, data: bytes) -> None:
+    """Append data to the file, or leave the file as it was and raise
+    StorageError.
+
+    The write is unbuffered, so a write that fails part-way has written
+    only what the file shows; it is cut back to the length noted before it,
+    and no fragment of a line stays for a reopened log to read.
+    """
+    try:
+        with path.open("ab", buffering=0) as fh:
+            end = fh.seek(0, os.SEEK_END)
+            try:
+                written = 0
+                while written < len(data):
+                    written += fh.write(data[written:])
+            except OSError:
+                fh.truncate(end)
+                raise
+    except OSError:
+        raise StorageError("storage write failed") from None
+
+
 class NotarizationLog:
     """Append-only chained log; file-backed when a path is given."""
 
@@ -96,11 +119,7 @@ class NotarizationLog:
                 "prevHash": entry.prev_hash.hex(),
                 "entryHash": entry.entry_hash.hex(),
             }) + "\n"
-            try:
-                with self._path.open("a") as fh:
-                    fh.write(line)
-            except OSError:
-                raise StorageError("storage write failed") from None
+            _append(self._path, line.encode("utf-8"))
         self._entries.append(entry)
         return entry
 

@@ -15,7 +15,8 @@ from conftest import (
     standard_bundle,
 )
 from confidec.bench.vax import VaxSpec, generate_vax
-from confidec.crypto.keys import SigningKeyPair
+from confidec.crypto.aead import open_wire
+from confidec.crypto.keys import SigningKeyPair, derive_record_key
 from confidec.crypto.certs import issue_certificate
 from confidec.dmn import engine, program
 from confidec.dmn.engine import decide_all
@@ -49,7 +50,7 @@ from confidec.fixtures import (
 from confidec.gateway.client import ClientSession
 from confidec.service import builder
 from confidec.storage.node import StorageNode
-from confidec.util import utcnow
+from confidec.util import length_prefixed, unb64, utcnow
 
 SECRET = secrets.token_bytes(32)
 IDENTITY = b"\x11" * 32
@@ -431,9 +432,10 @@ def test_stored_blobs_never_leak_field_plaintext(make_unit, make_session):
 
 
 def _in_layout(unit, records, structure="Patient"):
-    """What decrypt_data returns for these records: ids and layout values."""
+    """What decrypt_data returns for these records: ids and a column per
+    layout field."""
     layout = unit._layouts[structure]
-    return [r.id for r in records], [[r.fields.get(f) for f in layout] for r in records]
+    return [r.id for r in records], [[r.fields.get(f) for r in records] for f in layout]
 
 
 def test_decrypt_data_round_trips_the_full_dataset(make_unit, make_session):
@@ -736,19 +738,30 @@ def test_a_manifest_with_its_parts_swapped_fails_authentication(make_unit, make_
         assert isinstance(answer, str) and "authentication" in answer
 
 
-def test_slim_records_are_value_arrays_without_ids(make_unit, make_session):
+def test_the_slim_plaintext_is_the_ids_and_one_column_per_layout_field(
+    make_unit, make_session
+):
     unit = make_unit()
     session = make_session(unit)
     objs = _patient_objs(4)
+    objs[1]["fields"].pop("Age")
     response, key = _provision(unit, session, records=objs)
     receipt = ClientSession.open_response(response, key)
-    manifest = json.loads(unit._storage.fetch("vax/patients"))["slim"]
-    # one blob: the ids, then each record's layout values as a JSON array,
-    # plus a fixed AEAD overhead; no field names
+    part = json.loads(unit._storage.fetch("vax/patients"))["slim"]
+    # one blob: the ids, then per layout field the column of the records'
+    # values, null where a record lacks it, plus a fixed AEAD overhead; no
+    # field names
     layout = unit._layouts["Patient"]
     plaintext = json.dumps(
-        [[obj["id"] for obj in objs], [[obj["fields"].get(f) for f in layout] for obj in objs]],
+        [[obj["id"] for obj in objs], [[obj["fields"].get(f) for obj in objs] for f in layout]],
         separators=(",", ":"), ensure_ascii=False,
     ).encode()
-    assert 0 < len(unit._storage.blobs.get(manifest["address"])) - len(plaintext) <= 64
+    blob = unit._storage.blobs.get(part["address"])
+    key = derive_record_key(unit._seed, unb64(part["t"]))
+    aad = b"confidec/record/v3:" + length_prefixed(
+        b"vax/patients", b"slim", length_prefixed(*(f.encode() for f in layout))
+    )
+    assert open_wire(key, blob, aad) == plaintext
+    assert json.loads(plaintext)[1][layout.index("Age")][1] is None
+    assert 0 < len(blob) - len(plaintext) <= 64
     assert receipt["slim"]["storedBytes"] < receipt["full"]["storedBytes"]

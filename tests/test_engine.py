@@ -9,6 +9,7 @@ from confidec.dmn.engine import (
     decide_all,
     decide_record,
     decide_records,
+    encode_batch,
     encode_records,
     eval_condition,
     kernel_backend,
@@ -193,6 +194,12 @@ def test_missing_field_raises_when_read():
         _kernel(table, [_rec(0, a="ten")])
 
 
+def _batch(program, rows):
+    """An encoded batch of value rows in the program's layout."""
+    return encode_batch(program, [f"t-{i}" for i in range(len(rows))],
+                        [list(column) for column in zip(*rows)])
+
+
 def test_the_kernel_returns_one_hit_per_row_and_stops_at_the_first_bad_one():
     table = parse_decision_table({
         "name": "K",
@@ -208,11 +215,11 @@ def test_the_kernel_returns_one_hit_per_row_and_stops_at_the_first_bad_one():
     })
     program = compile_table(table)
     good = [[5, None], [50, 1], [50, 0]]
-    assert run_program(program.encode(good), program) == [0, 1, STATUS_NO_MATCH]
+    assert run_program(_batch(program, good), program) == [0, 1, STATUS_NO_MATCH]
     # row 3 reaches rule 2, which reads its missing `b`; row 4 is never run
-    rows = program.encode(good + [[50, None], [None, None]])
+    batch = _batch(program, good + [[50, None], [None, None]])
     with pytest.raises(AbortRecord) as aborted:
-        run_program(rows, program)
+        run_program(batch, program)
     slot, row = aborted.value.args
     assert (program.slots[slot].name, row) == ("b", 3)
 
@@ -235,7 +242,7 @@ def test_decide_all_never_runs_the_kernel(monkeypatch):
     from confidec.bench.vax import VaxSpec, decision_batches, expected_outcome, generate_vax
 
     monkeypatch.setattr(
-        _kernel_py, "run_program", lambda rows, program: [STATUS_NO_MATCH] * len(rows)
+        _kernel_py, "run_program", lambda batch, program: [STATUS_NO_MATCH] * len(batch.ids)
     )
     specs = load_patient_aggregations()
     for batch in decision_batches("Patient", generate_vax(VaxSpec("Patient", 120))).values():

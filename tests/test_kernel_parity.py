@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.dmn.aggregate import evaluate_aggregate
-from confidec.dmn.engine import decide_record, decide_records, encode_records
+from confidec.dmn.engine import decide_all, decide_record, decide_records, encode_records
 from confidec.dmn.model import ColumnRelation, DecisionResult, Record, Relational, Wildcard
 from confidec.dmn.program import (
     MAX_OPS_PER_FUNCTION,
@@ -317,6 +317,41 @@ def _records(*field_maps):
     return [Record(id=f"w-{i}", fields=fields) for i, fields in enumerate(field_maps)]
 
 
+def test_a_table_without_condition_columns_decides_every_record():
+    """Its functions and a filter without a test read no slot at all, and
+    still run once per record."""
+    table = _table([], [[]])
+    program = compile_table(table)
+    assert program.reads == () and program.encode([]) == []
+    records = _records({"c0": 1}, {}, {"c0": "x"})
+    want = _assert_agrees(table, records)
+    assert [w.rule_index for w in want] == [0, 0, 0]
+    assert _kernel(table, records, None) == [r.rule_index for r in decide_all(table, records)]
+    specs = tuple(
+        parse_aggregation_spec({"name": f"a{k}", "filter": filter_, "targetField": "c0",
+                                "reducer": "sum"})
+        for k, filter_ in enumerate(([], [{"field": "c0", "cell": "-"}]))
+    )
+    assert [agg.reads for agg in compile_table(table, specs).aggregations] == [(), ()]
+    good = _records({"c0": 1}, {"c0": 2.5}, {"c0": 3})
+    assert _assert_aggregates_agree(table, good, specs) == [6.5, 6.5]
+    assert _assert_aggregates_agree(table, records, specs) == [
+        f"AggregationError: aggregation {spec.name!r}: a selected record lacks "
+        "target field 'c0'" for spec in specs
+    ]
+
+
+@pytest.mark.parametrize("kinds", [[], ["number"]], ids=["no-columns", "one-column"])
+def test_a_table_without_rules_matches_no_record(kinds):
+    table = _table(kinds, [])
+    assert compile_table(table).functions == ()
+    records = _records({"c0": 1}, {}, {"c0": "x"})
+    want = _assert_agrees(table, records)
+    assert [w.outcome for w in want] == ["noMatch"] * 3
+    assert [r.rule_index for r in decide_all(table, records)] == [None] * 3
+    assert _kernel(table, records, None) == [STATUS_NO_MATCH] * 3
+
+
 def test_one_slot_table_hits_and_misses_in_every_function():
     table = _table(["number"], [[str(i)] for i in range(300)])
     assert len(compile_table(table).functions) == 3
@@ -568,6 +603,13 @@ def test_hostile_table_strings_never_enter_the_generated_code(case):
         assert all(_is_allowed_constant(c) for c in code.co_consts), code.co_consts
         assert code.co_filename == filename
         assert set(function.__globals__) == {"__builtins__", "_abort"}
+    # the row loop names only the table's functions
+    loop = program.run.__code__
+    assert loop.co_filename == "<row loop>"
+    assert all(_is_allowed_constant(c) for c in loop.co_consts), loop.co_consts
+    assert set(program.run.__globals__) == {"__builtins__"} | {
+        f"_f{k}" for k in range(len(program.functions))
+    }
 
 
 # -- the float rows: exact floats, trapping cells ----------------------------------
@@ -685,12 +727,18 @@ def test_a_slot_a_filter_shares_with_the_table_skips_in_the_filter_and_aborts_th
     specs = (_spec("a", cell, "c1", "sum"), _spec("b", cell, "c1", "max"))
     program = compile_table(table, specs)
     # the filter reads the table's slot
-    assert len(program.encode([[good, 1]])[0]) == 2
+    assert len(program.encode([[good], [1]])) == 2
     records = _records({"c0": good, "c1": 2}, {"c1": 5}, {"c0": wrong, "c1": 7})
     outcomes = _assert_aggregates_agree(table, records, specs)
     assert outcomes == [2.0, 2.0]
     want = _assert_agrees(table, records)
     assert want[1:] == [_missing("c0"), _mistyped("c0")]
+
+
+def _encode_rows(program, rows):
+    """The program's encoder over the columns of these value rows, read back
+    as one list of cells per row."""
+    return [list(row) for row in zip(*program.encode([list(c) for c in zip(*rows)]))]
 
 
 def test_rows_hold_exact_floats_and_trapping_cells():
@@ -700,7 +748,7 @@ def test_rows_hold_exact_floats_and_trapping_cells():
     program = compile_table(table, specs)
     layout = program.layout
     assert layout == ("c0", "c1", "c2", "x")
-    rows = program.encode([
+    rows = _encode_rows(program, [
         [7, "oak", True, "oak"], [_B, "elm", False, "x"], [-_B, None, None, None],
         [_B + 1, 3, 1, 2], [2.5, "oak", True, None], [-0.0, "oak", True, "oak"],
     ])

@@ -5,9 +5,10 @@ is pinned here: the blob content check, the AAD binding dataset, form and
 layout, the per-blob key, and the manifest's shape. Each tampering yields a
 typed error envelope, never results and never `unit failure`.
 
-Each form of a dataset is one blob of all its ids and rows: a slim row holds
-the record's values in the structure's layout, a full row its values over the
-dataset's field union, which the manifest's full part keeps sealed. One
+Each form of a dataset is one blob of all its ids and columns: a slim blob
+holds a column of the records' values per field of the structure's layout, a
+full one a column per field of the dataset's field union, which the
+manifest's full part keeps sealed. One
 manifest under `<name>` names both blobs; a decision over `<name>.full` reads
 its full part.
 """
@@ -29,7 +30,7 @@ from confidec.dmn.model import Record
 from confidec.dmn.tables import check_record_docs, parse_record, record_to_obj
 from confidec.enclave import ccu
 from confidec.enclave.ccu import exchange_seed, generate_seed
-from confidec.errors import TableValidationError
+from confidec.errors import AggregationError, TableValidationError
 from confidec.fixtures import load_patient_aggregations, load_table
 from confidec.gateway.client import ClientSession
 from confidec.storage.node import StorageNode
@@ -645,18 +646,33 @@ def test_a_unit_seeded_by_exchange_reads_the_other_units_dataset(make_unit, make
 # --- the stored format -----------------------------------------------------------
 
 
-def _aad_prefix(dataset, form, layout):
+# the AAD labels of column-major blobs, and of the row-major ones before them
+V3 = b"confidec/record/v3:"
+V2 = b"confidec/record/v2:"
+
+
+def _aad_prefix(dataset, form, layout, label=V3):
     """A blob's AAD, written from the stored format itself; a retired
     per-record blob's AAD went on with the record's id."""
-    return b"confidec/record/v2:" + length_prefixed(
+    return label + length_prefixed(
         dataset.encode(), form.encode(), length_prefixed(*(f.encode() for f in layout))
     )
 
 
 def _plaintext(records, layout):
-    """A blob's plaintext: the ids, then each record's values over layout
-    (the structure's, or a full dataset's field union), null where the record
-    lacks the field."""
+    """A blob's plaintext: the ids, then per field of layout (the
+    structure's, or a full dataset's field union) the column of the records'
+    values, null where a record lacks the field."""
+    fields = [record_to_obj(record)["fields"] for record in records]
+    return canonical_json([
+        [record.id for record in records],
+        [[f.get(field) for f in fields] for field in layout],
+    ])
+
+
+def _row_plaintext(records, layout):
+    """A retired row-major blob's plaintext: the ids, then each record's
+    values over layout, null where the record lacks the field."""
     return canonical_json([
         [record.id for record in records],
         [[record_to_obj(record)["fields"].get(field) for field in layout] for record in records],
@@ -692,18 +708,19 @@ def _ciphertext(blob):
     return Ciphertext(nonce=blob[:NONCE_LEN], tag=blob[NONCE_LEN:HEADER_LEN], body=blob[HEADER_LEN:])
 
 
-def _store_the_old_way(unit, records):
+def _store_the_old_way(unit, records, label=V3, plaintext=_plaintext):
     """Both forms stored as one `Ciphertext` each, built with `ae_encrypt`
     and laid out by `_wire`, under one manifest; the full form's key also
-    seals its field union."""
+    seals its field union. label and plaintext give the blobs' AAD label and
+    layout, column-major by default."""
     layout, union = unit._layouts["Patient"], _field_union(records)
     slim_t, full_t = secrets.token_bytes(16), secrets.token_bytes(16)
     slim_key, full_key = derive_record_key(unit._seed, slim_t), derive_record_key(unit._seed, full_t)
     slim = _wire(ae_encrypt(
-        slim_key, _plaintext(records, layout), aad=_aad_prefix(SLIM_NAME, "slim", layout)
+        slim_key, plaintext(records, layout), aad=_aad_prefix(SLIM_NAME, "slim", layout, label)
     ))
     full = _wire(ae_encrypt(
-        full_key, _plaintext(records, union), aad=_aad_prefix(SLIM_NAME, "full", union)
+        full_key, plaintext(records, union), aad=_aad_prefix(SLIM_NAME, "full", union, label)
     ))
     manifest = {
         "dataset": SLIM_NAME, "structure": "Patient",
@@ -723,8 +740,8 @@ def _store_slim_in_its_own_manifest(unit, records, **extra):
     t = secrets.token_bytes(16)
     blob = _wire(ae_encrypt(
         derive_record_key(unit._seed, t),
-        _plaintext(records, layout),
-        aad=_aad_prefix(SLIM_NAME, "slim", layout),
+        _row_plaintext(records, layout),
+        aad=_aad_prefix(SLIM_NAME, "slim", layout, V2),
     ))
     manifest = {
         "dataset": SLIM_NAME, "structure": "Patient", "form": "slim",
@@ -738,7 +755,7 @@ def _store_full_per_record(unit, records):
     the union under the manifest's randomizer, and each record as its own
     blob under its own randomizer, listed with its id in the manifest."""
     union = _field_union(records)
-    prefix = _aad_prefix(FULL_NAME, "full", union)
+    prefix = _aad_prefix(FULL_NAME, "full", union, V2)
     manifest_t = secrets.token_bytes(16)
     sealed_union = _wire(ae_encrypt(
         derive_record_key(unit._seed, manifest_t), _array(union), aad=_union_aad(FULL_NAME)
@@ -764,7 +781,7 @@ def _store_full_in_light_mode(unit, records):
     `<name>.full`: the union and every record under the manifest's one key,
     entries without a `t`."""
     union = _field_union(records)
-    prefix = _aad_prefix(FULL_NAME, "full", union)
+    prefix = _aad_prefix(FULL_NAME, "full", union, V2)
     t = secrets.token_bytes(16)
     key = derive_record_key(unit._seed, t)
     entries = []
@@ -832,6 +849,48 @@ def test_records_sealed_as_ciphertexts_still_decide(make_unit, make_session):
     _store_the_old_way(unit, records)
     assert _decide(unit, session, SLIM_NAME) == _oracle(records)
     assert _decide(unit, session, FULL_NAME) == _oracle(records)
+
+
+@pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME], ids=["slim", "full"])
+def test_a_row_major_v2_dataset_fails_authentication_until_provisioned_again(
+    make_unit, make_session, name
+):
+    """Before datasets were stored a column at a time, each form's blob was
+    `[ids, rows]` under the `v2` AAD label; it no longer opens."""
+    unit = make_unit()
+    session = make_session(unit)
+    records = _records(6)
+    _store_the_old_way(unit, records, label=V2, plaintext=_row_plaintext)
+    assert _decide(unit, session, name) == "ciphertext failed authentication"
+
+    _provision(unit, session, records)
+    assert _decide(unit, session, name) == _oracle(records)
+
+
+@pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME], ids=["slim", "full"])
+def test_an_empty_dataset_answers_what_the_reference_does(make_unit, make_session, name):
+    """No ids and empty columns: a table without aggregations decides no
+    record, and a mean over no record is the reference's error."""
+    unit = make_unit()
+    session = make_session(unit)
+    receipt = _provision(unit, session, [])
+    assert receipt["slim"]["records"] == receipt["full"]["records"] == 0
+    with pytest.raises(AggregationError) as raised:
+        _oracle([])
+    assert _decide(unit, session, name) == str(raised.value)
+
+    envelope, key = session.build_request(
+        "provision", {"dataName": "vax/centers", "structure": "VaccinationCenter", "records": []}
+    )
+    assert unit.handle("t-prov", envelope).status == "ok"
+    restock = name.replace(SLIM_NAME, "vax/centers")
+    envelope, key = session.build_request(
+        "decision", {"funcName": "Restock", "dataName": restock}
+    )
+    response = unit.handle("t-dec", envelope)
+    assert response.status == "ok", response.error
+    answer = ClientSession.open_response(response, key)
+    assert answer["results"] == decide_all(load_table("Restock"), []) == []
 
 
 def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session):

@@ -59,7 +59,7 @@ class RecordingEnv:
         layout = _patient_service().program.layout
         return (
             [r.id for r in self.records],
-            [[r.fields.get(f) for f in layout] for r in self.records],
+            [[r.fields.get(f) for r in self.records] for f in layout],
         )
 
     def trace(self, step):
@@ -169,10 +169,10 @@ def test_handler_payload_shape():
     batch = _patient_batch()
     payload = handle_decision(service, HUB_ATTRS, "vax/patients", RecordingEnv(batch))
     assert payload["funcName"] == "PatientPrioritizationWithAggr"
-    assert set(payload) == {"funcName", "outputs", "results"}
-    assert [rid for rid, _ in payload["results"]] == [r.id for r in batch]
+    assert set(payload) == {"funcName", "outputs", "ids", "k"}
+    assert payload["ids"] == [r.id for r in batch]
     # each distinct output once, in first-hit order
-    first_hits = list(dict.fromkeys(k for _, k in payload["results"]))
+    first_hits = list(dict.fromkeys(payload["k"]))
     assert first_hits == list(range(len(payload["outputs"])))
     expanded = expand_results(payload)
     assert set(expanded) == {"funcName", "results"}
@@ -193,8 +193,16 @@ def test_compact_results_keep_outputs_that_only_equal_in_python_apart():
     })
     body = compact_results("T", compile_table(table), ["x", "y", "z", "w", "v"], [1, 0, 2, -1, 1])
     assert body["outputs"] == [[1.0], [1]] and type(body["outputs"][0][0]) is float
-    assert body["results"] == [["x", 0], ["y", 1], ["z", 1], ["w", -1], ["v", 0]]
+    assert body["ids"] == ["x", "y", "z", "w", "v"] and body["k"] == [0, 1, 1, -1, 0]
     assert [r["values"] for r in expand_results(body)["results"]] == [[1.0], [1], [1], [], [1.0]]
+
+
+@pytest.mark.parametrize("ids, k", [(["x", "y"], [0]), (["x"], [0, -1])],
+                         ids=["fewer-k", "fewer-ids"])
+def test_expanding_a_body_whose_lists_differ_in_length_raises(ids, k):
+    body = {"funcName": "T", "outputs": [["a"]], "ids": ids, "k": k}
+    with pytest.raises(ValueError):
+        expand_results(body)
 
 
 def test_handler_reports_aggregates_only_when_asked():

@@ -1,8 +1,12 @@
 """Content-addressed blobs, mutable names, and the notarization chain."""
 
 import dataclasses
+import errno
 import hashlib
 import json
+import os
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -321,6 +325,52 @@ def test_a_failed_chain_write_leaves_the_node_and_its_file_in_step(tmp_path):
     assert again.chain.verify_chain() is None
     assert again.fetch("dataset") == b"v1"
     assert [entry.name for entry in again.chain.entries()] == ["dataset", "other"]
+
+
+class _HalfWriter:
+    """A file whose first write puts half its bytes on disk and then fails
+    as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._failed = False
+
+    def write(self, data):
+        if self._failed:
+            return self._fh.write(data)
+        self._failed = True
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_a_chain_write_that_fails_part_way_leaves_no_fragment(tmp_path):
+    node = StorageNode.at_directory(tmp_path)
+    node.publish("dataset", b"v1")
+    chain_file = tmp_path / "chain.jsonl"
+    before = chain_file.read_bytes()
+    real_open = Path.open
+
+    def open_(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return _HalfWriter(fh) if path == chain_file and "a" in mode else fh
+
+    with mock.patch.object(Path, "open", open_):
+        with pytest.raises(StorageError, match="^storage write failed$"):
+            node.publish("dataset", b"v2")
+    assert chain_file.read_bytes() == before
+    assert node.chain.verify_chain() is None and len(node.chain) == 1
+    again = StorageNode.at_directory(tmp_path)
+    assert again.chain.verify_chain() is None and len(again.chain) == 1
+    assert again.fetch("dataset") == node.fetch("dataset") == b"v1"
 
 
 def test_a_failed_blob_write_is_a_storage_error_naming_no_path(tmp_path):
