@@ -1,8 +1,8 @@
 """Key pairs and key derivation.
 
 Signatures are ECDSA over P-256 with SHA-256; key agreement is X25519.
-Channel keys hash the raw shared secret with SHA-256; per-record keys bind
-a private seed to a public 16-byte randomizer with SHA3-256.
+Channel keys hash the raw shared secret with SHA-256; record keys bind a
+private seed to a public 16-byte randomizer with SHA3-256.
 """
 
 from __future__ import annotations
@@ -115,10 +115,10 @@ def derive_channel_key(pair: KeyAgreementKeyPair, peer_public: bytes) -> bytes:
 
 
 def derive_record_key(seed: bytes, randomizer: bytes) -> bytes:
-    """Per-record key: SHA3-256(seed || randomizer).
+    """Record key: SHA3-256(seed || randomizer).
 
-    The randomizer is stored in clear next to the record; without the seed
-    it reveals nothing about the key.
+    The randomizer is stored in clear in the dataset's manifest; without the
+    seed it reveals nothing about the key.
     """
     if len(seed) != SEED_LEN:
         raise KeyDerivationError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")

@@ -135,6 +135,16 @@ Condition = Union[
     ColumnRelation,
 ]
 
+# the value type each condition but the wildcard reads its column or field as
+CONDITION_VALUE_TYPES = {
+    Relational: "number",
+    NumericEquals: "number",
+    Interval: "number",
+    ColumnRelation: "number",
+    TextSet: "string",
+    BooleanIs: "boolean",
+}
+
 
 # --- table structure -----------------------------------------------------
 

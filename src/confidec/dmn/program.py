@@ -9,8 +9,9 @@ Records reach a program in its *layout*: the sorted names of the fields the
 table and the aggregations read (`fields_read`), a column at a time. A batch
 is its ids plus one raw column per layout field, `None` where a record lacks
 the field (`None` is never a field value). A unit stores slim datasets in
-exactly this form, `[ids, columns]`, and binds the layout into the blob's
-AAD, so a dataset written under one layout never decodes under another.
+exactly this form, `[fields, ids, columns]` with the layout as the fields,
+and binds the layout into the blob's AAD, so a dataset written under one
+layout never decodes under another.
 `build_matrix` runs the program's generated encoder over the raw columns:
 one comprehension per encoded slot, over its field's column, making one
 column of floats per non-output table column and then one per field the
@@ -113,6 +114,7 @@ from typing import (
 )
 
 from confidec.dmn.model import (
+    CONDITION_VALUE_TYPES,
     AggregationSpec,
     BooleanIs,
     ColumnRelation,
@@ -386,22 +388,12 @@ def _compile_encoder(
     return _define(source, "_e", globals_, "<column encoder>")
 
 
-# the value type a filter atom reads its field as; column relations, which
-# the aggregation parser refuses, are not lowered
-_FILTER_VALUE_TYPES = {
-    Relational: "number",
-    NumericEquals: "number",
-    Interval: "number",
-    TextSet: "string",
-    BooleanIs: "boolean",
-}
-
-
 def _filter_value_type(cond: Condition) -> str:
-    try:
-        return _FILTER_VALUE_TYPES[type(cond)]
-    except KeyError:
-        raise ValueError(f"condition {cond!r} cannot filter an aggregation") from None
+    """The value type a filter atom reads its field as; column relations,
+    which the aggregation parser refuses, are not lowered."""
+    if isinstance(cond, ColumnRelation):
+        raise ValueError(f"condition {cond!r} cannot filter an aggregation")
+    return CONDITION_VALUE_TYPES[type(cond)]
 
 
 def compile_table(

@@ -6,54 +6,45 @@ from typing import Any, Mapping, Sequence, Set, Tuple
 
 from confidec.dmn.cells import format_condition, parse_condition
 from confidec.dmn.model import (
+    CONDITION_VALUE_TYPES,
     AggregationSpec,
-    BooleanIs,
     ColumnRelation,
     ColumnSpec,
     Condition,
     DecisionTable,
     FilterAtom,
-    Interval,
-    NumericEquals,
     Record,
-    Relational,
     Rule,
-    TextSet,
     Wildcard,
     is_finite,
     is_number,
 )
 from confidec.errors import TableValidationError
 
-_NUMERIC_CONDS = (Relational, NumericEquals, Interval, ColumnRelation)
+# the refusal of a condition that reads another value type than its column
+_MISFIT = {
+    "number": "only numeric conditions fit a number column",
+    "string": "only string sets fit a string column",
+    "boolean": "only true/false fit a boolean column",
+    "datetime": "datetime columns admit only the wildcard",
+}
 
 
 def _admissible(cond: Condition, column: ColumnSpec, by_name: Mapping[str, ColumnSpec]) -> str | None:
     """Return an error string if cond cannot apply to column, else None."""
     if isinstance(cond, Wildcard):
         return None
-    vt = column.value_type
-    if vt == "number":
-        if not isinstance(cond, _NUMERIC_CONDS):
-            return "only numeric conditions fit a number column"
-        if isinstance(cond, ColumnRelation):
-            ref = by_name.get(cond.column)
-            if ref is None:
-                return f"references unknown column {cond.column!r}"
-            if ref.kind == "output":
-                return f"references output column {cond.column!r}"
-            if ref.value_type != "number":
-                return f"references non-numeric column {cond.column!r}"
-        return None
-    if vt == "string":
-        if not isinstance(cond, TextSet):
-            return "only string sets fit a string column"
-        return None
-    if vt == "boolean":
-        if not isinstance(cond, BooleanIs):
-            return "only true/false fit a boolean column"
-        return None
-    return "datetime columns admit only the wildcard"
+    if CONDITION_VALUE_TYPES[type(cond)] != column.value_type:
+        return _MISFIT[column.value_type]
+    if isinstance(cond, ColumnRelation):
+        ref = by_name.get(cond.column)
+        if ref is None:
+            return f"references unknown column {cond.column!r}"
+        if ref.kind == "output":
+            return f"references output column {cond.column!r}"
+        if ref.value_type != "number":
+            return f"references non-numeric column {cond.column!r}"
+    return None
 
 
 def _check_output_value(value: Any, column: ColumnSpec) -> str | None:

@@ -94,27 +94,26 @@ def issue_unit_certificate(
     )
 
 
-# Each form is one blob per dataset: [ids, columns], sealed under one key, and
-# one part of the dataset's one manifest.
-SLIM = "slim"  # a column per field of the structure's layout
-FULL = "full"  # a column per field of the dataset's sorted union, sealed in its part
+# Each form is one blob per dataset, [fields, ids, columns]: the form's fields,
+# the record ids and a column per field. Both forms of a provision are sealed
+# under the one key of its manifest's randomizer.
+SLIM = "slim"  # the fields of the structure's layout
+FULL = "full"  # the sorted union of the dataset's fields
 
 # JSON arrays of validated values: no keys to sort, no cycles to look for
 _ARRAYS = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
 
 
-def _record_aad_prefix(dataset: str, form: str, layout: Sequence[str]) -> bytes:
-    """The AAD of a dataset's blob.
-
-    It binds the record form and the layout (a full dataset's field union),
-    so that a manifest with its parts swapped, a unit deployed with another
-    layout, or another union fails authentication instead of decoding values
-    into the wrong fields.
-    """
-    return b"confidec/record/v3:" + length_prefixed(
+def _record_aad(dataset: str, form: str, layout: Sequence[str]) -> bytes:
+    """The AAD of a dataset's blob in one form. It binds the dataset, the form
+    and, for a slim blob, the structure's layout, so that a blob read under
+    another name, form or layout fails authentication; a full blob names its
+    own fields."""
+    bound = layout if form == SLIM else ()
+    return b"confidec/record/v4:" + length_prefixed(
         dataset.encode("utf-8"),
         form.encode("utf-8"),
-        length_prefixed(*(name.encode("utf-8") for name in layout)),
+        length_prefixed(*(name.encode("utf-8") for name in bound)),
     )
 
 
@@ -127,11 +126,6 @@ def _project(
     position = {field: i for i, field in enumerate(fields)}
     absent = [None] * n
     return [columns[position[field]] if field in position else absent for field in layout]
-
-
-def _union_aad(dataset: str) -> bytes:
-    """The AAD of a full dataset's sealed field union."""
-    return b"confidec/fields/v1:" + length_prefixed(dataset.encode("utf-8"))
 
 
 class Ccu:
@@ -368,12 +362,14 @@ class Ccu:
         # each record's values over the union, transposed: one pass over the
         # records in the order they were parsed, not one per field
         columns = list(zip(*[list(map(record["fields"].get, union)) for record in raw_records]))
-        full, full_bytes = self._seal(data_name, FULL, union, ids, columns)
+        t = secrets.token_bytes(RANDOMIZER_LEN)
+        key = derive_record_key(self._seed, t)
+        full, full_bytes = self._seal(key, data_name, FULL, union, ids, columns)
         slim_columns = _project(columns, union, layout, len(ids))
-        slim, slim_bytes = self._seal(data_name, SLIM, layout, ids, slim_columns)
+        slim, slim_bytes = self._seal(key, data_name, SLIM, layout, ids, slim_columns)
         # one manifest for both forms, published once both blobs are stored
         manifest = canonical_json(
-            {"dataset": data_name, "structure": structure, SLIM: slim, FULL: full}
+            {"dataset": data_name, "structure": structure, "t": b64(t), SLIM: slim, FULL: full}
         )
         count = len(raw_records)
         return {
@@ -386,26 +382,18 @@ class Ccu:
 
     def _seal(
         self,
+        key: bytes,
         data_name: str,
         form: str,
-        layout: Tuple[str, ...],
+        fields: Sequence[str],
         ids: List[str],
         columns: Sequence[Sequence[object]],
-    ) -> Tuple[dict, int]:
-        """Seal the ids and the records' columns, one per field of layout, as
-        one blob under one fresh randomizer, and store it; a full dataset's
-        layout, its field union, is sealed under the same key. Returns the
-        form's part of the manifest and the blob's size."""
-        encode = _ARRAYS.encode
-        t = secrets.token_bytes(RANDOMIZER_LEN)
-        key = derive_record_key(self._seed, t)
-        plaintext = encode([ids, columns]).encode("utf-8")
-        blob = seal_wire(key, plaintext, _record_aad_prefix(data_name, form, layout))
-        part = {"address": self._storage.blobs.put(blob), "t": b64(t)}
-        if form == FULL:
-            union = encode(layout).encode("utf-8")
-            part["fields"] = b64(seal_wire(key, union, _union_aad(data_name)))
-        return part, len(blob)
+    ) -> Tuple[str, int]:
+        """Seal one form of a dataset, [fields, ids, columns], as one blob
+        under key and store it; returns the blob's address and size."""
+        plaintext = _ARRAYS.encode([fields, ids, columns]).encode("utf-8")
+        blob = seal_wire(key, plaintext, _record_aad(data_name, form, fields))
+        return self._storage.blobs.put(blob), len(blob)
 
     # --- decisions ---------------------------------------------------------------
 
@@ -436,14 +424,15 @@ class Ccu:
         of the structure's layout, the column of their values (None for an
         absent field).
 
-        `<name>` reads the slim part of `<name>`'s manifest and `<name>.full`
-        its full part. Slim columns are stored in that layout; full ones, one
-        per field of the dataset's union, are picked by name, and a layout
-        field the union lacks reads as one shared column of None. A manifest
-        that names another dataset is refused before any blob is read. The
-        blob is hash-checked on get and authenticated against its dataset,
-        form and layout; a manifest the storage operator malformed raises
-        StorageError like any other tampering.
+        `<name>` reads the slim blob of `<name>`'s manifest and `<name>.full`
+        its full blob. Either blob names its fields, and its columns are
+        picked by name: a slim blob's are the layout's, a full one's the
+        dataset's union, and a layout field the union lacks reads as one
+        shared column of None. A manifest that names another dataset is
+        refused before any blob is read. The blob is hash-checked on get and
+        authenticated against its dataset, its form and, if slim, the layout;
+        a manifest the storage operator malformed raises StorageError like
+        any other tampering.
         """
         seed = self._seed
         if seed is None:
@@ -462,24 +451,19 @@ class Ccu:
                 raise TypeError  # malformed, as below
             if manifest["dataset"] != dataset:
                 raise StorageError("stored manifest names another dataset")
-            part = manifest[form]
-            key = derive_record_key(seed, unb64(part["t"]))
-            stored = layout
-            if form == FULL:
-                sealed = unb64(part["fields"])
-                stored = json.loads(open_wire(key, sealed, _union_aad(dataset)))
-            blob = self._storage.blobs.get(part["address"])
-            # one authenticated [ids, columns] document the unit wrote
-            aad = _record_aad_prefix(dataset, form, stored)
-            ids, columns = json.loads(open_wire(key, blob, aad))
+            if not isinstance(manifest[form], str):
+                raise TypeError  # malformed, as below
+            key = derive_record_key(seed, unb64(manifest["t"]))
+            blob = self._storage.blobs.get(manifest[form])
+            # one authenticated [fields, ids, columns] document the unit wrote
+            fields, ids, columns = json.loads(open_wire(key, blob, _record_aad(dataset, form, layout)))
             n = len(ids)
-            if len(columns) != len(stored) or any(len(column) != n for column in columns):
+            if len(columns) != len(fields) or any(len(column) != n for column in columns):
                 raise ValueError  # malformed, as below
+            columns = _project(columns, fields, layout, n)
         except (AttributeError, KeyError, RecursionError, TypeError, ValueError):
             # a field of the wrong shape or type, bad base64, a short blob
             raise StorageError("stored dataset is malformed") from None
-        if form == FULL:
-            columns = _project(columns, stored, layout, n)
         return ids, columns
 
     def trace(self, step: str) -> None:

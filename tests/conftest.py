@@ -23,7 +23,7 @@ from confidec.fixtures import (
 from confidec.gateway.client import ClientSession
 from confidec.gateway.queue import Gateway
 from confidec.storage.node import StorageNode
-from confidec.util import utcnow
+from confidec.util import canonical_json, length_prefixed, utcnow
 
 BUNDLED_FUNCS = ("PatientPrioritizationWithAggr", "Restock", "ChooseCarrier")
 
@@ -56,6 +56,24 @@ def disk_full(after=0, where=lambda path: True):
 
     with mock.patch.object(Path, "open", open_):
         yield
+
+
+def sealed_form(dataset, form, fields, docs):
+    """The AAD and the plaintext of a dataset's blob in one form, written from
+    the stored format itself. The plaintext is the form's fields, the record
+    ids, then per field the column of the records' values, null where a
+    record lacks the field; the AAD binds the dataset, the form and, for the
+    slim form, its fields, which are the structure's layout."""
+    bound = fields if form == "slim" else ()
+    aad = b"confidec/record/v4:" + length_prefixed(
+        dataset.encode(), form.encode(), length_prefixed(*(f.encode() for f in bound))
+    )
+    plaintext = canonical_json([
+        list(fields),
+        [doc["id"] for doc in docs],
+        [[doc["fields"].get(field) for doc in docs] for field in fields],
+    ])
+    return aad, plaintext
 
 
 def standard_bundle() -> CodeBundle:

@@ -330,8 +330,7 @@ def test_a_leftover_unit_json_is_not_read(runner, home, tmp_path):
     receipt = json.loads(result.output)
     assert "light" not in receipt and receipt["full"]["records"] == 6
     manifest = json.loads((unit_dir / "store" / "blobs" / receipt["address"]).read_bytes())
-    assert set(manifest) == {"dataset", "structure", "slim", "full"}
-    assert set(manifest["full"]) == {"address", "t", "fields"}
+    assert set(manifest) == {"dataset", "structure", "t", "slim", "full"}
     result = _run(runner, home, "decide", "PatientPrioritizationWithAggr", "vax/patients",
                   "--unit", "unit1", "--client", "hub1")
     assert len(json.loads(result.output)["results"]) == 6
@@ -346,8 +345,8 @@ def test_a_full_dataset_in_the_retired_per_record_shape_is_malformed(runner, hom
          "--unit", "unit1", "--client", "hub1")
     store = StorageNode.at_directory(home / "units" / "unit1" / "store")
     manifest = json.loads(store.fetch("vax/patients"))
-    full = manifest["full"]
-    full["records"] = [{"id": "p-0", "address": full.pop("address"), "t": full["t"]}]
+    entry = {"id": "p-0", "address": manifest["full"], "t": manifest["t"]}
+    manifest["full"] = {"records": [entry]}
     store.publish("vax/patients", json.dumps(manifest).encode())
     result = _run(runner, home, "decide", "PatientPrioritizationWithAggr", "vax/patients.full",
                   "--unit", "unit1", "--client", "hub1", expect=16)

@@ -12,6 +12,7 @@ from conftest import (
     BUNDLED_FUNCS,
     bundle_reading_another_patient_field,
     child_env,
+    sealed_form,
     standard_bundle,
 )
 from confidec.bench.vax import VaxSpec, generate_vax
@@ -50,7 +51,7 @@ from confidec.fixtures import (
 from confidec.gateway.client import ClientSession
 from confidec.service import builder
 from confidec.storage.node import StorageNode
-from confidec.util import length_prefixed, unb64, utcnow
+from confidec.util import unb64, utcnow
 
 SECRET = secrets.token_bytes(32)
 IDENTITY = b"\x11" * 32
@@ -723,22 +724,20 @@ def test_records_stored_under_another_layout_never_decode(make_unit, make_sessio
 
 
 def test_a_manifest_with_its_parts_swapped_fails_authentication(make_unit, make_session):
-    """The parts trade their blobs and randomizers, the full part keeping
-    its sealed union: each blob binds its form, so neither name opens."""
+    """The forms trade their blobs: each blob binds its form, so neither
+    name opens."""
     unit = make_unit()
     session = make_session(unit)
     _provision(unit, session)
     manifest = json.loads(unit._storage.fetch("vax/patients"))
-    slim, full = manifest["slim"], manifest["full"]
-    for key in ("address", "t"):
-        slim[key], full[key] = full[key], slim[key]
+    manifest["slim"], manifest["full"] = manifest["full"], manifest["slim"]
     unit._storage.publish("vax/patients", json.dumps(manifest).encode())
     for data_name in ("vax/patients", "vax/patients.full"):
         answer = _decide(unit, session, data_name)
         assert isinstance(answer, str) and "authentication" in answer
 
 
-def test_the_slim_plaintext_is_the_ids_and_one_column_per_layout_field(
+def test_the_slim_plaintext_is_the_layout_the_ids_and_one_column_per_field(
     make_unit, make_session
 ):
     unit = make_unit()
@@ -747,21 +746,15 @@ def test_the_slim_plaintext_is_the_ids_and_one_column_per_layout_field(
     objs[1]["fields"].pop("Age")
     response, key = _provision(unit, session, records=objs)
     receipt = ClientSession.open_response(response, key)
-    part = json.loads(unit._storage.fetch("vax/patients"))["slim"]
-    # one blob: the ids, then per layout field the column of the records'
-    # values, null where a record lacks it, plus a fixed AEAD overhead; no
-    # field names
+    manifest = json.loads(unit._storage.fetch("vax/patients"))
+    # one blob: the layout, the ids, then per layout field the column of the
+    # records' values, null where a record lacks it, plus a fixed AEAD
+    # overhead; no field the functions do not read
     layout = unit._layouts["Patient"]
-    plaintext = json.dumps(
-        [[obj["id"] for obj in objs], [[obj["fields"].get(f) for obj in objs] for f in layout]],
-        separators=(",", ":"), ensure_ascii=False,
-    ).encode()
-    blob = unit._storage.blobs.get(part["address"])
-    key = derive_record_key(unit._seed, unb64(part["t"]))
-    aad = b"confidec/record/v3:" + length_prefixed(
-        b"vax/patients", b"slim", length_prefixed(*(f.encode() for f in layout))
-    )
+    aad, plaintext = sealed_form("vax/patients", "slim", layout, objs)
+    blob = unit._storage.blobs.get(manifest["slim"])
+    key = derive_record_key(unit._seed, unb64(manifest["t"]))
     assert open_wire(key, blob, aad) == plaintext
-    assert json.loads(plaintext)[1][layout.index("Age")][1] is None
+    assert json.loads(plaintext)[2][layout.index("Age")][1] is None
     assert 0 < len(blob) - len(plaintext) <= 64
     assert receipt["slim"]["storedBytes"] < receipt["full"]["storedBytes"]

@@ -438,7 +438,7 @@ _SECRET_NAME = "SECRET-patients"
 
 
 def _set_address(manifest):
-    manifest["slim"]["address"] = "OPERATOR-MARKER"
+    manifest["slim"] = "OPERATOR-MARKER"
 
 
 def _set_structure(manifest):
@@ -446,7 +446,7 @@ def _set_structure(manifest):
 
 
 def _set_part(manifest):
-    manifest["slim"] = "OPERATOR-PART"
+    manifest["slim"] = ["OPERATOR-PART"]
 
 
 @pytest.mark.parametrize("rewrite, check", [

@@ -1,10 +1,13 @@
 """A model-based test of a directory-backed unit's lifecycle.
 
 A hypothesis state machine provisions and re-provisions two datasets, fails
-storage writes, decides, redeploys and reopens the store, against a plaintext
-model: each dataset's last committed version. After every step both forms of
-every committed dataset decide as `decide_all` does over that version, and the
-chain verifies with one entry per successful provision.
+storage writes, decides, redeploys (the same bundle, or under the same seed one
+whose Patient layout differs, and back) and reopens the store, against a
+plaintext model: each dataset's last committed version and the bundle it was
+committed under. After every step the full form of every committed dataset
+decides as `decide_all` does over that version, and so does the slim form
+unless it was committed under the other bundle's layout, which then fails
+authentication; the chain verifies with one entry per successful provision.
 """
 
 import secrets
@@ -13,9 +16,9 @@ import tempfile
 from datetime import timedelta
 
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from conftest import disk_full, standard_bundle
+from conftest import bundle_reading_another_patient_field, disk_full, standard_bundle
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.certs import issue_certificate
 from confidec.crypto.keys import SigningKeyPair
@@ -32,6 +35,8 @@ NAMES = ("vax/patients", "vax/others")
 TABLE = load_table("PatientPrioritizationWithAggr")
 AGGREGATIONS = load_patient_aggregations()
 AUTHORITY = SigningKeyPair.generate()
+# the bundles a unit runs in turn; their Patient layouts differ
+BUNDLES = {"standard": standard_bundle(), "another-layout": bundle_reading_another_patient_field()}
 
 
 def _oracle(records):
@@ -67,7 +72,9 @@ class UnitLifecycle(RuleBasedStateMachine):
         self.directory = tempfile.mkdtemp(prefix="confidec-lifecycle-")
         self.seed = generate_seed()
         self.platform_secret = secrets.token_bytes(32)
-        self.committed = {}  # dataset name -> its records as last provisioned
+        self.bundle = "standard"  # the deployed bundle, deployed again on reopening
+        # dataset name -> its records as last provisioned, and the bundle then
+        self.committed = {}
         self.provisions = 0
         self._open_unit()
 
@@ -75,7 +82,7 @@ class UnitLifecycle(RuleBasedStateMachine):
         self.unit = Ccu.boot(
             "unit-a", AUTHORITY, self.platform_secret, StorageNode.at_directory(self.directory)
         )
-        self.unit.deploy(standard_bundle())
+        self.unit.deploy(BUNDLES[self.bundle])
         self.unit.install_seed(self.seed)
         self.session = _session(self.unit)
 
@@ -96,11 +103,17 @@ class UnitLifecycle(RuleBasedStateMachine):
             return response.error
         return ClientSession.open_response(response, key)["results"]
 
+    @initialize(size=st.integers(0, 8), seed=st.integers(0, 99))
+    def provision_the_first_dataset(self, size, seed):
+        """So that most steps read a committed dataset; the other one starts
+        unpublished."""
+        self.provision(NAMES[0], size, seed)
+
     @rule(name=st.sampled_from(NAMES), size=st.integers(0, 8), seed=st.integers(0, 99))
     def provision(self, name, size, seed):
         records, response = self._provision(name, size, seed)
         assert response.status == "ok", response.error
-        self.committed[name] = records
+        self.committed[name] = records, self.bundle
         self.provisions += 1
 
     @rule(name=st.sampled_from(NAMES), size=st.integers(0, 8), seed=st.integers(0, 99),
@@ -112,19 +125,41 @@ class UnitLifecycle(RuleBasedStateMachine):
             _, response = self._provision(name, size, seed)
         assert (response.status, response.error) == ("error", "storage write failed")
 
-    def _want(self, name):
+    def _assert_answers(self, name, full):
+        answer = self._decide(name + ".full" if full else name)
         if name not in self.committed:
-            return "name was never published"
-        return _oracle(self.committed[name])
+            assert answer == "name was never published"
+            return
+        records, bundle = self.committed[name]
+        if full or bundle == self.bundle:
+            assert answer == _oracle(records)
+        else:  # a slim blob binds the layout it was sealed under
+            assert isinstance(answer, str) and "authentication" in answer
 
     @rule(name=st.sampled_from(NAMES), full=st.booleans())
     def decide(self, name, full):
-        assert self._decide(name + ".full" if full else name) == self._want(name)
+        self._assert_answers(name, full)
 
     @rule()
     def redeploy_the_same_bundle(self):
-        self.unit.deploy(standard_bundle())
+        self.unit.deploy(BUNDLES[self.bundle])
         assert self.unit.has_seed
+
+    def _redeploy(self, bundle):
+        """Deploy a bundle under the same seed, which a bundle of another
+        measurement drops and so must be installed again."""
+        self.bundle = bundle
+        self.unit.deploy(BUNDLES[bundle])
+        self.unit.install_seed(self.seed)
+        self.session = _session(self.unit)
+
+    @rule()
+    def redeploy_another_layout(self):
+        self._redeploy("another-layout")
+
+    @rule()
+    def redeploy_the_standard_bundle(self):
+        self._redeploy("standard")
 
     @rule()
     def reopen_the_store(self):
@@ -133,9 +168,8 @@ class UnitLifecycle(RuleBasedStateMachine):
     @invariant()
     def both_forms_answer_the_committed_version(self):
         for name in NAMES:
-            want = self._want(name)
-            assert self._decide(name) == want
-            assert self._decide(name + ".full") == want
+            self._assert_answers(name, full=False)
+            self._assert_answers(name, full=True)
 
     @invariant()
     def the_chain_holds_one_entry_per_provision(self):

@@ -2,15 +2,15 @@
 
 Every check `Ccu.decrypt_data` makes on what the storage operator hands back
 is pinned here: the blob content check, the AAD binding dataset, form and
-layout, the per-blob key, and the manifest's shape. Each tampering yields a
-typed error envelope, never results and never `unit failure`.
+layout, the provision's key, and the manifest's shape. Each tampering yields
+a typed error envelope, never results and never `unit failure`.
 
-Each form of a dataset is one blob of all its ids and columns: a slim blob
-holds a column of the records' values per field of the structure's layout, a
-full one a column per field of the dataset's field union, which the
-manifest's full part keeps sealed. One
-manifest under `<name>` names both blobs; a decision over `<name>.full` reads
-its full part.
+Each form of a dataset is one blob, `[fields, ids, columns]`, that names its
+own fields: a slim blob holds a column of the records' values per field of
+the structure's layout, a full one a column per field of the dataset's field
+union. One manifest under `<name>` holds the provision's one randomizer and
+the address of each form's blob; a decision over `<name>.full` reads the full
+blob.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ from datetime import date, datetime
 
 import pytest
 
-from conftest import bundle_reading_another_patient_field, disk_full, standard_bundle
+from conftest import bundle_reading_another_patient_field, disk_full, sealed_form, standard_bundle
 
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.aead import HEADER_LEN, NONCE_LEN, Ciphertext, ae_decrypt, ae_encrypt
@@ -122,53 +122,51 @@ OTHER_FORM = {"slim": "full", "full": "slim"}
 
 
 def _swap_addresses(unit, form):
-    """The blob traded with another dataset's in the same form, each part
-    keeping its own randomizer."""
+    """The blob traded with another dataset's in the same form, each
+    manifest keeping its own randomizer."""
     manifest, theirs = _manifest(unit), _manifest(unit, OTHER_NAME)
-    manifest[form]["address"], theirs[form]["address"] = (
-        theirs[form]["address"], manifest[form]["address"]
-    )
+    manifest[form], theirs[form] = theirs[form], manifest[form]
     _republish(unit, OTHER_NAME, theirs)
     _republish(unit, SLIM_NAME, manifest)
 
 
 def _swap_randomizers(unit, form):
-    """One randomizer per blob: trade it with another dataset's."""
+    """One randomizer per provision: trade it with another dataset's."""
     manifest, theirs = _manifest(unit), _manifest(unit, OTHER_NAME)
-    manifest[form]["t"], theirs[form]["t"] = theirs[form]["t"], manifest[form]["t"]
+    manifest["t"], theirs["t"] = theirs["t"], manifest["t"]
     _republish(unit, OTHER_NAME, theirs)
     _republish(unit, SLIM_NAME, manifest)
 
 
 def _flip_a_stored_byte(unit, form):
-    address = _manifest(unit)[form]["address"]
+    address = _manifest(unit)[form]
     blob = bytearray(unit._storage.blobs.get(address))
     blob[-1] ^= 0x01
     _overwrite(unit._storage, address, bytes(blob))
 
 
 def _drop_a_blob(unit, form):
-    _overwrite(unit._storage, _manifest(unit)[form]["address"], None)
+    _overwrite(unit._storage, _manifest(unit)[form], None)
 
 
 def _drop_a_randomizer(unit, form):
     manifest = _manifest(unit)
-    del manifest[form]["t"]
+    del manifest["t"]
     _republish(unit, SLIM_NAME, manifest)
 
 
 def _point_at_the_other_form(unit, form):
-    """One part names the other part's blob, keeping its own randomizer."""
+    """One form names the other form's blob, under the same randomizer."""
     manifest = _manifest(unit)
-    manifest[form]["address"] = manifest[OTHER_FORM[form]]["address"]
+    manifest[form] = manifest[OTHER_FORM[form]]
     _republish(unit, SLIM_NAME, manifest)
 
 
 def _point_at_another_dataset(unit, form):
-    """The part of another dataset in the same form, structure and layout:
-    its blob, its randomizer and, for the full form, its sealed field union."""
-    manifest = _manifest(unit)
-    manifest[form] = _manifest(unit, OTHER_NAME)[form]
+    """The blob of another dataset in the same form, structure and layout,
+    and that dataset's randomizer."""
+    manifest, theirs = _manifest(unit), _manifest(unit, OTHER_NAME)
+    manifest.update({form: theirs[form], "t": theirs["t"]})
     _republish(unit, SLIM_NAME, manifest)
 
 
@@ -210,19 +208,19 @@ def test_tampered_storage_yields_a_typed_error_never_results(
 
 
 def _no_address(unit, manifest, form):
-    manifest[form]["INJECTED-address"] = manifest[form].pop("address")
+    manifest[form] = None
 
 
 def _undecodable_randomizer(unit, manifest, form):
-    manifest[form]["t"] = "INJECTED!"
+    manifest["t"] = "INJECTED!"
 
 
 def _short_blob(unit, manifest, form):
-    manifest[form]["address"] = unit._storage.blobs.put(b"INJECTED-blob")
+    manifest[form] = unit._storage.blobs.put(b"INJECTED-blob")
 
 
 def _randomizer_not_a_string(unit, manifest, form):
-    manifest[form]["t"] = {"INJECTED": 1}
+    manifest["t"] = {"INJECTED": 1}
 
 
 def _dataset_not_a_string(unit, manifest, form):
@@ -230,26 +228,15 @@ def _dataset_not_a_string(unit, manifest, form):
 
 
 def _address_not_a_string(unit, manifest, form):
-    manifest[form]["address"] = ["INJECTED-address"]
-
-
-def _no_union(unit, manifest, form):
-    manifest[form]["INJECTED-fields"] = manifest[form].pop("fields")
-
-
-def _union_not_a_string(unit, manifest, form):
-    manifest[form]["fields"] = ["INJECTED-field"]
-
-
-def _undecodable_union(unit, manifest, form):
-    manifest[form]["fields"] = "INJECTED!"
+    """A number, which a store would look up as a missing blob."""
+    manifest[form] = 64
 
 
 def _per_record_entries(unit, manifest, form):
     """A part in the retired per-record shape of the full form, one entry
     per record naming its blob and randomizer: neither form reads it."""
-    part = manifest[form]
-    part["records"] = [{"id": "INJECTED-id", "address": part.pop("address"), "t": part["t"]}]
+    entry = {"id": "INJECTED-id", "address": manifest[form], "t": manifest["t"]}
+    manifest[form] = {"records": [entry]}
 
 
 def _no_part(unit, manifest, form):
@@ -263,9 +250,9 @@ def _part_not_an_object(unit, manifest, form):
 def _two_manifest_shape(unit, manifest, form):
     """The one form's manifest as units wrote it when each form was published
     under its own name, `<name>` and `<name>.full`: no parts, a `form` key."""
-    part = manifest.pop(form)
+    address = manifest.pop(form)
     del manifest[OTHER_FORM[form]]
-    manifest.update(part, form=form)
+    manifest.update(address=address, form=form)
 
 
 MALFORMED = {
@@ -275,9 +262,6 @@ MALFORMED = {
     "short-blob": ("full", _short_blob),
     "randomizer-not-a-string": ("full", _randomizer_not_a_string),
     "per-record-entries": ("full", _per_record_entries),
-    "no-union": ("full", _no_union),
-    "union-not-a-string": ("full", _union_not_a_string),
-    "undecodable-union": ("full", _undecodable_union),
     "no-part": ("full", _no_part),
     "part-not-an-object": ("full", _part_not_an_object),
     "two-manifest-shape": ("full", _two_manifest_shape),
@@ -330,63 +314,32 @@ def test_a_manifest_that_is_not_an_object_is_a_typed_storage_error(make_unit, ma
     _assert_refused(unit.handle("t-direct", envelope), ["INJECTED"])
 
 
-# --- the sealed field union of a full dataset ------------------------------------
+# --- the forms of one provision ---------------------------------------------------
 
 
-def _union_from_another_dataset(unit, part):
-    theirs = _manifest(unit, OTHER_NAME)["full"]
-    part.update(fields=theirs["fields"], t=theirs["t"])
-
-
-def _union_of_an_earlier_version(unit, part):
-    """The union, and its randomizer, the dataset had before it was
-    provisioned again with one more field: it opens, being the same
-    dataset's, but the records bind the new union."""
-    earlier = _manifest(unit, SLIM_NAME + ".earlier")["full"]
-    part.update(fields=earlier["fields"], t=earlier["t"])
-
-
-def _union_byte_flipped(unit, part):
-    sealed = bytearray(unb64(part["fields"]))
-    sealed[-1] ^= 0x01
-    part["fields"] = b64(bytes(sealed))
-
-
-def _union_dropped(unit, part):
-    del part["fields"]
-
-
-UNION_TAMPERING = {
-    "from-another-dataset": (_union_from_another_dataset, "authentication"),
-    "swapped-for-an-earlier-version": (_union_of_an_earlier_version, "authentication"),
-    "flipped-byte": (_union_byte_flipped, "authentication"),
-    "dropped": (_union_dropped, "malformed"),
-}
-
-
-@pytest.mark.parametrize("tampering", sorted(UNION_TAMPERING))
-def test_a_tampered_field_union_yields_a_typed_error_never_results(
-    make_unit, make_session, tampering
+@pytest.mark.parametrize("earlier", ["slim", "full"])
+def test_a_manifest_pairing_two_provisions_forms_fails_authentication(
+    make_unit, make_session, earlier
 ):
+    """The operator keeps a provision's manifest, then after the next one
+    republishes a manifest naming the current blob in one form and the
+    earlier one's blob in the other. Both blobs are the unit's own, but the
+    forms share the provision's one key, so the earlier blob does not open;
+    the other form answers the current version."""
     unit = make_unit()
     session = make_session(unit)
-    records = _records()
-    _provision(unit, session, records)
-    # keep this version's manifest, then provision again with one more field
-    unit._storage.publish(SLIM_NAME + ".earlier", unit._storage.fetch(SLIM_NAME))
-    _provision(unit, session, [
-        dataclasses.replace(r, fields=dict(r.fields, Extra=1)) for r in records
-    ])
-    _provision(unit, session, generate_vax(VaxSpec("Patient", 4, 8)), name=OTHER_NAME)
-    assert _decide(unit, session, FULL_NAME) == _oracle(records)
-
-    tamper, phrase = UNION_TAMPERING[tampering]
+    first, second = _records(50), _records(40)
+    _provision(unit, session, first)
+    old = _manifest(unit)
+    _provision(unit, session, second)
     manifest = _manifest(unit)
-    tamper(unit, manifest["full"])
+    manifest[earlier] = old[earlier]
     _republish(unit, SLIM_NAME, manifest)
-    answer = _decide(unit, session, FULL_NAME)
-    assert isinstance(answer, str), "a tampered field union gave results"
-    assert phrase in answer
+    assert unit._storage.chain.verify_chain() is None
+
+    mixed, current = (SLIM_NAME, FULL_NAME) if earlier == "slim" else (FULL_NAME, SLIM_NAME)
+    assert _decide(unit, session, mixed) == "ciphertext failed authentication"
+    assert _decide(unit, session, current) == _oracle(second)
 
 
 def test_no_field_name_or_value_the_client_sent_is_stored_in_clear(
@@ -407,7 +360,7 @@ def test_no_field_name_or_value_the_client_sent_is_stored_in_clear(
     # the manifest and both blobs it names are among the files checked
     assert receipt["address"] in names
     for form in ("slim", "full"):
-        assert _manifest(unit)[form]["address"] in names
+        assert _manifest(unit)[form] in names
     for path, data in stored.items():
         assert b"SECRET-" not in data, path.relative_to(tmp_path)
 
@@ -502,7 +455,7 @@ def test_a_record_and_the_units_provision_check_hold_the_same_values(value, acce
     {"lightEncryption": 1},
     {"lightEncryption": None},
 ], ids=["plain", "light-key", "light-key-false", "light-key-string", "light-key-one", "light-key-null"])
-def test_each_stored_form_derives_its_own_key(make_unit, make_session, monkeypatch, extra):
+def test_each_provision_derives_one_key_for_both_forms(make_unit, make_session, monkeypatch, extra):
     """A payload still naming the retired `lightEncryption` gets no special
     handling: the key goes unread whatever its value."""
     unit = make_unit()
@@ -516,8 +469,8 @@ def test_each_stored_form_derives_its_own_key(make_unit, make_session, monkeypat
 
     monkeypatch.setattr(ccu, "derive_record_key", counting)
     receipt = _provision(unit, session, records, **extra)
-    # one fresh randomizer per form; the full form's key also seals its union
-    assert len(set(calls)) == len(calls) == 2
+    # one fresh randomizer per provision, whose key seals both forms
+    assert len(calls) == 1
     assert "light" not in receipt and "light" not in _manifest(unit)
     for name in (SLIM_NAME, FULL_NAME):
         calls.clear()
@@ -552,19 +505,18 @@ def _counting(monkeypatch, unit):
 def test_a_decision_gets_and_opens_one_blob_whatever_the_record_count(
     make_unit, make_session, monkeypatch, form
 ):
-    """The manifest's get and the blob's; a full dataset opens its sealed
-    field union too."""
+    """The manifest's get and the blob's, in either form."""
     unit = make_unit()
     session = make_session(unit)
     small, large = _records(1), _records(40)
     _provision(unit, session, small)
     _provision(unit, session, large, name=OTHER_NAME)
-    suffix, opens = ("", 1) if form == "slim" else (".full", 2)
+    suffix = "" if form == "slim" else ".full"
     counts = _counting(monkeypatch, unit)
     for name, records in ((SLIM_NAME, small), (OTHER_NAME, large), (SLIM_NAME, small)):
         counts.update(get=0, open=0)
         assert _decide(unit, session, name + suffix) == _oracle(records)
-        assert counts == {"get": 2, "open": opens}
+        assert counts == {"get": 2, "open": 1}
 
 
 @pytest.mark.parametrize("form", ["slim", "full"])
@@ -646,23 +598,24 @@ def test_a_unit_seeded_by_exchange_reads_the_other_units_dataset(make_unit, make
 # --- the stored format -----------------------------------------------------------
 
 
-# the AAD labels of column-major blobs, and of the row-major ones before them
+# the AAD labels of the retired column-major blobs over a sealed field union,
+# and of the row-major ones before them
 V3 = b"confidec/record/v3:"
 V2 = b"confidec/record/v2:"
 
 
 def _aad_prefix(dataset, form, layout, label=V3):
-    """A blob's AAD, written from the stored format itself; a retired
-    per-record blob's AAD went on with the record's id."""
+    """A retired blob's AAD; a retired per-record blob's AAD went on with the
+    record's id."""
     return label + length_prefixed(
         dataset.encode(), form.encode(), length_prefixed(*(f.encode() for f in layout))
     )
 
 
 def _plaintext(records, layout):
-    """A blob's plaintext: the ids, then per field of layout (the
-    structure's, or a full dataset's field union) the column of the records'
-    values, null where a record lacks the field."""
+    """A retired column-major blob's plaintext: the ids, then per field of
+    layout (the structure's, or a full dataset's field union) the column of
+    the records' values, null where a record lacks the field."""
     fields = [record_to_obj(record)["fields"] for record in records]
     return canonical_json([
         [record.id for record in records],
@@ -709,10 +662,10 @@ def _ciphertext(blob):
 
 
 def _store_the_old_way(unit, records, label=V3, plaintext=_plaintext):
-    """Both forms stored as one `Ciphertext` each, built with `ae_encrypt`
-    and laid out by `_wire`, under one manifest; the full form's key also
-    seals its field union. label and plaintext give the blobs' AAD label and
-    layout, column-major by default."""
+    """Both forms in the retired shape of one randomizer per form: one blob
+    each, under one manifest whose full part also seals the field union.
+    label and plaintext give the blobs' AAD label and layout, column-major
+    by default."""
     layout, union = unit._layouts["Patient"], _field_union(records)
     slim_t, full_t = secrets.token_bytes(16), secrets.token_bytes(16)
     slim_key, full_key = derive_record_key(unit._seed, slim_t), derive_record_key(unit._seed, full_t)
@@ -798,70 +751,62 @@ def _store_full_in_light_mode(unit, records):
     unit._storage.publish(FULL_NAME, canonical_json(manifest))
 
 
-def test_a_full_dataset_stored_in_light_mode_is_malformed_until_provisioned_again(
-    make_unit, make_session
-):
-    unit = make_unit()
-    session = make_session(unit)
-    records = _records(6)
-    _store_slim_in_its_own_manifest(unit, records, light=True)
-    _store_full_in_light_mode(unit, records)
-    assert _decide(unit, session, FULL_NAME) == "stored dataset is malformed"
-
-    _provision(unit, session, records)
-    assert _decide(unit, session, FULL_NAME) == _oracle(records)
-
-
-def test_a_full_dataset_stored_per_record_is_malformed_until_provisioned_again(
-    make_unit, make_session
-):
-    unit = make_unit()
-    session = make_session(unit)
-    records = _records(6)
-    _store_slim_in_its_own_manifest(unit, records)
-    _store_full_per_record(unit, records)
-    assert _decide(unit, session, FULL_NAME) == "stored dataset is malformed"
-
-    _provision(unit, session, records)
-    assert _decide(unit, session, FULL_NAME) == _oracle(records)
-
-
-@pytest.mark.parametrize("extra", [{}, {"light": True}], ids=["plain", "light"])
-def test_a_slim_dataset_in_its_own_manifest_is_malformed_until_provisioned_again(
-    make_unit, make_session, extra
-):
-    """Its blob opens as before, but a manifest without parts is read as no
-    form at all, with or without light mode's flag."""
-    unit = make_unit()
-    session = make_session(unit)
-    records = _records(6)
-    _store_slim_in_its_own_manifest(unit, records, **extra)
-    assert _decide(unit, session, SLIM_NAME) == "stored dataset is malformed"
-
-    _provision(unit, session, records)
-    assert _decide(unit, session, SLIM_NAME) == _oracle(records)
+def _store_as_ciphertexts(unit, records):
+    """Both forms sealed as one `Ciphertext` each, built with `ae_encrypt`
+    and laid out by `_wire`, under one manifest and one randomizer."""
+    docs = [record_to_obj(record) for record in records]
+    t = secrets.token_bytes(16)
+    key = derive_record_key(unit._seed, t)
+    manifest = {"dataset": SLIM_NAME, "structure": "Patient", "t": b64(t)}
+    for form, fields in (("slim", unit._layouts["Patient"]), ("full", _field_union(records))):
+        aad, plaintext = sealed_form(SLIM_NAME, form, fields, docs)
+        manifest[form] = unit._storage.blobs.put(_wire(ae_encrypt(key, plaintext, aad=aad)))
+    unit._storage.publish(SLIM_NAME, canonical_json(manifest))
 
 
 def test_records_sealed_as_ciphertexts_still_decide(make_unit, make_session):
     unit = make_unit()
     session = make_session(unit)
     records = _records(10)
-    _store_the_old_way(unit, records)
+    _store_as_ciphertexts(unit, records)
     assert _decide(unit, session, SLIM_NAME) == _oracle(records)
     assert _decide(unit, session, FULL_NAME) == _oracle(records)
 
 
+def _store_slim_and_full_per_record(unit, records):
+    _store_slim_in_its_own_manifest(unit, records)
+    _store_full_per_record(unit, records)
+
+
+def _store_both_in_light_mode(unit, records):
+    _store_slim_in_its_own_manifest(unit, records, light=True)
+    _store_full_in_light_mode(unit, records)
+
+
+RETIRED_SHAPES = {
+    "v3-one-randomizer-per-form": _store_the_old_way,
+    "v2-row-major": lambda unit, records: _store_the_old_way(
+        unit, records, label=V2, plaintext=_row_plaintext
+    ),
+    "slim-in-its-own-manifest": _store_slim_in_its_own_manifest,
+    "full-per-record": _store_slim_and_full_per_record,
+    "light-mode": _store_both_in_light_mode,
+}
+
+
 @pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME], ids=["slim", "full"])
-def test_a_row_major_v2_dataset_fails_authentication_until_provisioned_again(
-    make_unit, make_session, name
+@pytest.mark.parametrize("shape", sorted(RETIRED_SHAPES))
+def test_a_dataset_in_a_retired_shape_is_malformed_until_provisioned_again(
+    make_unit, make_session, shape, name
 ):
-    """Before datasets were stored a column at a time, each form's blob was
-    `[ids, rows]` under the `v2` AAD label; it no longer opens."""
+    """A dataset as units stored it before: in either form the unit answers
+    one typed error, whatever the blobs hold, and decides once the dataset
+    is provisioned again."""
     unit = make_unit()
     session = make_session(unit)
     records = _records(6)
-    _store_the_old_way(unit, records, label=V2, plaintext=_row_plaintext)
-    assert _decide(unit, session, name) == "ciphertext failed authentication"
+    RETIRED_SHAPES[shape](unit, records)
+    assert _decide(unit, session, name) == "stored dataset is malformed"
 
     _provision(unit, session, records)
     assert _decide(unit, session, name) == _oracle(records)
@@ -898,33 +843,19 @@ def test_provisioned_blobs_open_as_ciphertexts(make_unit, make_session):
     session = make_session(unit)
     records = _records(5)
     _provision(unit, session, records)
-    blobs = unit._storage.blobs
-    layout = unit._layouts["Patient"]
     manifest = _manifest(unit)
-
-    slim = manifest["slim"]
-    plaintext = ae_decrypt(
-        derive_record_key(unit._seed, unb64(slim["t"])),
-        _ciphertext(blobs.get(slim["address"])),
-        aad=_aad_prefix(SLIM_NAME, "slim", layout),
-    )
-    assert plaintext == _plaintext(records, layout)
-
-    full = manifest["full"]
-    key = derive_record_key(unit._seed, unb64(full["t"]))
-    union = _field_union(records)
-    sealed_union = ae_decrypt(key, _ciphertext(unb64(full["fields"])), aad=_union_aad(SLIM_NAME))
-    assert sealed_union == _array(union)
-    plaintext = ae_decrypt(
-        key, _ciphertext(blobs.get(full["address"])), aad=_aad_prefix(SLIM_NAME, "full", union)
-    )
-    assert plaintext == _plaintext(records, union)
+    key = derive_record_key(unit._seed, unb64(manifest["t"]))
+    docs = [record_to_obj(record) for record in records]
+    for form, fields in (("slim", unit._layouts["Patient"]), ("full", _field_union(records))):
+        aad, plaintext = sealed_form(SLIM_NAME, form, fields, docs)
+        blob = unit._storage.blobs.get(manifest[form])
+        assert ae_decrypt(key, _ciphertext(blob), aad=aad) == plaintext
 
 
 def test_provision_writes_the_receipt_manifests_and_chain_entries_it_always_has(
     make_unit, make_session
 ):
-    """One manifest with a part per form, published once: one chain entry."""
+    """One manifest naming a blob per form, published once: one chain entry."""
     unit = make_unit()
     chain = unit._storage.chain
     notarized = len(chain)
@@ -935,16 +866,14 @@ def test_provision_writes_the_receipt_manifests_and_chain_entries_it_always_has(
     manifest_bytes = blobs.get(receipt["address"])
     assert manifest_bytes == unit._storage.fetch(SLIM_NAME)
     manifest = json.loads(manifest_bytes)
-    assert set(manifest) == {"dataset", "structure", "slim", "full"}
+    # one randomizer for the provision, and the address of each form's blob
+    assert set(manifest) == {"dataset", "structure", "t", "slim", "full"}
     assert (manifest["dataset"], manifest["structure"]) == (SLIM_NAME, "Patient")
+    assert manifest["slim"] != manifest["full"]
     for form in ("slim", "full"):
-        stored, part = receipt[form], manifest[form]
+        stored = receipt[form]
         assert set(stored) == {"records", "storedBytes"} and stored["records"] == 5
-        # one blob and its own randomizer; the full part also seals its
-        # field union under that randomizer's key
-        keys = {"address", "t"}
-        assert set(part) == (keys if form == "slim" else keys | {"fields"})
-        assert stored["storedBytes"] == len(manifest_bytes) + len(blobs.get(part["address"]))
+        assert stored["storedBytes"] == len(manifest_bytes) + len(blobs.get(manifest[form]))
     assert [(entry.name, entry.address) for entry in chain.entries()[notarized:]] == [
         (SLIM_NAME, receipt["address"]),
     ]

@@ -6,11 +6,19 @@ import pickle
 import subprocess
 import sys
 from datetime import date
+from typing import get_args
 
 import pytest
 
 from conftest import child_env
-from confidec.dmn.model import ColumnRelation, TextSet
+from confidec.dmn.model import (
+    CONDITION_VALUE_TYPES,
+    VALUE_TYPES,
+    ColumnRelation,
+    Condition,
+    TextSet,
+    Wildcard,
+)
 from confidec.dmn.program import compile_table
 from confidec.dmn.tables import (
     parse_aggregation_spec,
@@ -92,21 +100,29 @@ def test_output_count_must_match_output_columns():
         ))
 
 
-@pytest.mark.parametrize("col,cell", [
-    (_NUM, '"word"'),      # text set on a number column
-    (_NUM, "true"),        # boolean on a number column
-    (_STR, "<10"),         # relational on a string column
-    (_STR, "true"),
-    (_BOOL, "<10"),
-    (_BOOL, '"yes"'),
-    ({"name": "d", "kind": "input", "type": "datetime"}, "<10"),  # datetime only wildcards
+@pytest.mark.parametrize("col,cell,text", [
+    (_NUM, '"word"', "only numeric conditions fit a number column"),  # text set
+    (_NUM, "true", "only numeric conditions fit a number column"),    # boolean
+    (_STR, "<10", "only string sets fit a string column"),            # relational
+    (_STR, "true", "only string sets fit a string column"),
+    (_STR, "<= n * 0.5", "only string sets fit a string column"),     # column relation
+    (_BOOL, "<10", "only true/false fit a boolean column"),
+    (_BOOL, '"yes"', "only true/false fit a boolean column"),
+    ({"name": "d", "kind": "input", "type": "datetime"}, "<10",
+     "datetime columns admit only the wildcard"),
 ])
-def test_condition_type_admissibility(col, cell):
-    with pytest.raises(TableValidationError):
+def test_condition_type_admissibility(col, cell, text):
+    with pytest.raises(TableValidationError, match=f"rule 0, column '[a-z]': {text}$"):
         parse_decision_table(_doc(
             [col, _OUT],
             [{"conditions": [cell], "outputs": ["x"]}],
         ))
+
+
+def test_every_condition_but_the_wildcard_reads_one_value_type():
+    """The one map that table validation and filter lowering both read."""
+    assert set(get_args(Condition)) - set(CONDITION_VALUE_TYPES) == {Wildcard}
+    assert set(CONDITION_VALUE_TYPES.values()) <= set(VALUE_TYPES)
 
 
 def test_column_relation_must_reference_existing_numeric_column():
