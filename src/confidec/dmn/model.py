@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Tuple, Union
+from typing import Any, Mapping, Sequence, Set, Tuple, Union
+
+from confidec.errors import TableValidationError
 
 FieldValue = Union[int, float, str, bool]
 
@@ -28,35 +30,61 @@ def is_finite(number: int | float) -> bool:
         return False
 
 
-def validate_field_value(value: object) -> None:
-    """Reject values outside the supported scalar types.
+def check_record_docs(docs: Sequence[Any]) -> Tuple[str, ...]:
+    """Check record documents in one pass, with texts that name none of the
+    caller's ids, field names or values, and refuse a repeated id; returns
+    the sorted union of the records' field names.
 
-    Numbers must be finite; NaN and infinities never enter a record. The
-    texts name neither the field nor the value: both are the provider's data.
+    A record document is what `json.loads` yields, a `str` id and a `dict`
+    of fields, so exact type checks suffice: a value is a str, a bool, or
+    an int or float that is finite as a float.
     """
-    if isinstance(value, bool) or isinstance(value, str):
-        return
-    if isinstance(value, (int, float)):
-        if not is_finite(value):
-            raise ValueError("field holds a non-finite number")
-        return
-    raise ValueError(f"field holds an unsupported value type {type(value).__name__}")
+    seen: Set[str] = set()
+    union: Set[str] = set()
+    for doc in docs:
+        try:
+            record_id = doc["id"]
+            fields = doc["fields"]
+        except (KeyError, TypeError) as exc:
+            raise TableValidationError(f"record document missing key: {exc}") from exc
+        if type(record_id) is not str:
+            raise TableValidationError("record id must be a string")
+        if type(fields) is not dict:
+            raise TableValidationError("record fields must be an object")
+        if not record_id:
+            raise TableValidationError("record id must be non-empty")
+        for name, value in fields.items():
+            if not name:
+                raise TableValidationError("record field names must be non-empty")
+            kind = type(value)
+            if kind is str or kind is bool:
+                continue
+            if kind is not int and kind is not float:
+                raise TableValidationError(
+                    f"record field holds an unsupported value type {kind.__name__}"
+                )
+            if not is_finite(value):
+                raise TableValidationError("record field holds a non-finite number")
+        if record_id in seen:
+            raise TableValidationError("duplicate record id in the dataset")
+        seen.add(record_id)
+        union.update(fields)
+    return tuple(sorted(union))
 
 
 @dataclass(frozen=True)
 class Record:
-    """One data record: an opaque id plus a flat field mapping."""
+    """One data record: an opaque id plus a flat field mapping, holding
+    exactly what a provision accepts."""
 
     id: str
     fields: Mapping[str, FieldValue]
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("id must be non-empty")
-        for name, value in self.fields.items():
-            if not name:
-                raise ValueError("field names must be non-empty")
-            validate_field_value(value)
+        try:
+            check_record_docs([{"id": self.id, "fields": self.fields}])
+        except TableValidationError as exc:
+            raise ValueError(str(exc)) from None
 
 
 # --- conditions ---------------------------------------------------------

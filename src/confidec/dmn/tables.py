@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence, Set, Tuple
+from typing import Any, Mapping, Sequence
 
 from confidec.dmn.cells import format_condition, parse_condition
 from confidec.dmn.model import (
@@ -16,7 +16,7 @@ from confidec.dmn.model import (
     Record,
     Rule,
     Wildcard,
-    is_finite,
+    check_record_docs,
     is_number,
 )
 from confidec.errors import TableValidationError
@@ -167,48 +167,6 @@ def parse_aggregation_spec(doc: Mapping[str, Any]) -> AggregationSpec:
         return AggregationSpec(name=name, filter=tuple(atoms), target_field=target, reducer=reducer)
     except ValueError as exc:
         raise TableValidationError(str(exc)) from exc
-
-
-def check_record_docs(docs: Sequence[Any]) -> Tuple[str, ...]:
-    """Check record documents in one pass, with texts that name none of the
-    caller's ids, field names or values, and refuse a repeated id; returns
-    the sorted union of the records' field names.
-
-    A record document is what `json.loads` yields, a `str` id and a `dict`
-    of fields, so exact type checks suffice: a value is a str, a bool, or
-    an int or float that is finite as a float.
-    """
-    seen: Set[str] = set()
-    union: Set[str] = set()
-    for doc in docs:
-        try:
-            record_id = doc["id"]
-            fields = doc["fields"]
-        except (KeyError, TypeError) as exc:
-            raise TableValidationError(f"record document missing key: {exc}") from exc
-        if type(record_id) is not str:
-            raise TableValidationError("record id must be a string")
-        if type(fields) is not dict:
-            raise TableValidationError("record fields must be an object")
-        if not record_id:
-            raise TableValidationError("record id must be non-empty")
-        for name, value in fields.items():
-            if not name:
-                raise TableValidationError("record field names must be non-empty")
-            kind = type(value)
-            if kind is str or kind is bool:
-                continue
-            if kind is not int and kind is not float:
-                raise TableValidationError(
-                    f"record field holds an unsupported value type {kind.__name__}"
-                )
-            if not is_finite(value):
-                raise TableValidationError("record field holds a non-finite number")
-        if record_id in seen:
-            raise TableValidationError("duplicate record id in the dataset")
-        seen.add(record_id)
-        union.update(fields)
-    return tuple(sorted(union))
 
 
 def parse_record(doc: Mapping[str, Any]) -> Record:

@@ -29,9 +29,9 @@ from confidec.crypto.keys import (
     derive_record_key,
     verify,
 )
+from confidec.dmn.model import check_record_docs
 from confidec.dmn.program import fields_read
 from confidec.dmn.tables import (
-    check_record_docs,
     parse_aggregation_spec,
     parse_decision_table,
     parse_record,  # noqa: F401 - perfbench/tracer.py times `ccu.parse_record`
@@ -221,8 +221,6 @@ class Ccu:
         return self._measurement
 
     def service(self, func_name: str) -> DecisionService:
-        if not isinstance(func_name, str):
-            raise MalformedRequestError("funcName must be a string")
         try:
             return self._services[func_name]
         except KeyError:
@@ -336,21 +334,12 @@ class Ccu:
         certificate failed."""
         if attributes is None:
             raise DecisionRejected(REJECT_CERTIFICATE)
-        payload = _open_payload(envelope, key)
-
-        try:
-            data_name = payload["dataName"]
-            structure = payload["structure"]
-            raw_records = payload["records"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedRequestError(f"provision payload missing key: {exc}") from exc
-        if not isinstance(structure, str):
-            raise MalformedRequestError("structure must be a string")
-        if not isinstance(raw_records, list):
-            raise MalformedRequestError("records must be a list")
+        data_name, structure, raw_records = _open_payload(
+            envelope, key, dataName=str, structure=str, records=list
+        )
         if self._seed is None:
             raise ConfidecError("unit has no data seed installed")
-        if not isinstance(data_name, str) or not data_name or data_name.endswith(FULL_SUFFIX):
+        if not data_name or data_name.endswith(FULL_SUFFIX):
             raise MalformedRequestError("bad dataset name")
 
         layout = self._layouts.get(structure)
@@ -403,17 +392,8 @@ class Ccu:
         """Run the guarded handler named in the envelope payload; key is the
         request's channel key and attributes the caller's, None if its
         certificate failed."""
-        payload = _open_payload(envelope, key)
-        try:
-            func_name = payload["funcName"]
-            data_name = payload["dataName"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedRequestError(f"decision payload missing key: {exc}") from exc
-
-        service = self.service(func_name)
-        if not isinstance(data_name, str):
-            raise MalformedRequestError("bad dataset name")
-        return run_decision_handler(service, attributes, data_name, self)
+        func_name, data_name = _open_payload(envelope, key, funcName=str, dataName=str)
+        return run_decision_handler(self.service(func_name), attributes, data_name, self)
 
     # HandlerEnv implementation ----------------------------------------------
 
@@ -470,8 +450,10 @@ class Ccu:
         self.last_trace.append(step)
 
 
-def _open_payload(envelope: RequestEnvelope, key: bytes) -> dict:
-    """The request's JSON object, opened with its channel key."""
+def _open_payload(envelope: RequestEnvelope, key: bytes, **shape: type) -> List[object]:
+    """The values of the request's JSON object, opened with its channel key,
+    under the keys shape names; each value must be of exactly the type shape
+    gives its key."""
     plaintext = ae_decrypt(key, envelope.payload, aad=envelope.request_type.encode())
     try:
         payload = json.loads(plaintext)
@@ -479,7 +461,13 @@ def _open_payload(envelope: RequestEnvelope, key: bytes) -> dict:
         raise MalformedRequestError("request payload is not JSON") from exc
     if not isinstance(payload, dict):
         raise MalformedRequestError("request payload must be an object")
-    return payload
+    values = []
+    for name, kind in shape.items():
+        value = payload.get(name)
+        if type(value) is not kind:
+            raise MalformedRequestError(f"payload field {name!r} must be a {kind.__name__}")
+        values.append(value)
+    return values
 
 
 def exchange_seed(source: Ccu, target: Ccu) -> None:

@@ -29,11 +29,6 @@ REJECT_POLICY = "Access policy not satisfied"
 class DecisionService:
     spec: PolicySpec
     program: CompiledTable
-    aggregations: Tuple[AggregationSpec, ...]
-
-    @property
-    def table(self) -> DecisionTable:
-        return self.program.table
 
     @property
     def func_name(self) -> str:
@@ -98,12 +93,11 @@ def build_desobj(
             f"(missing {missing}, extra {extra})"
         )
 
-    ordered_specs = tuple(ordered)
     try:
-        program = compile_table(table, ordered_specs, layout)
+        program = compile_table(table, tuple(ordered), layout)
     except ValueError as exc:
         raise ServiceBuildError(f"table {table.name!r}: {exc}") from exc
-    return DecisionService(spec=policy, program=program, aggregations=ordered_specs)
+    return DecisionService(spec=policy, program=program)
 
 
 def handle_decision(

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import List, Sequence
 
 from confidec.errors import StorageError
-from confidec.storage.store import load_jsonl
 from confidec.util import length_prefixed
 
 GENESIS_PREV = b"\x00" * 32
@@ -96,7 +95,16 @@ class NotarizationLog:
         self._path = Path(path) if path is not None else None
         self._entries: List[NotarizationEntry] = []
         if self._path is not None and self._path.exists():
-            self._entries = load_jsonl(self._path, "notarization log", _entry_from_obj)
+            try:
+                lines = self._path.read_bytes().splitlines()
+            except OSError:
+                raise StorageError("storage read failed") from None
+            for number, line in enumerate(lines, start=1):
+                if line.strip():
+                    try:
+                        self._entries.append(_entry_from_obj(json.loads(line)))
+                    except (KeyError, RecursionError, TypeError, ValueError):
+                        raise StorageError(f"notarization log line {number} is malformed") from None
 
     def notarize(self, name: str, address: str) -> NotarizationEntry:
         if not name:

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import base64
-import binascii
 import json
-import sys
 from datetime import datetime, timezone
 from typing import Any
 
@@ -23,13 +21,8 @@ def b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-if sys.version_info >= (3, 11):
-    def unb64(text: str) -> bytes:
-        # what b64decode(validate=True) runs from 3.11 on, minus its wrapping
-        return binascii.a2b_base64(text, strict_mode=True)
-else:  # pragma: no cover - strict_mode is new in 3.11
-    def unb64(text: str) -> bytes:
-        return base64.b64decode(text.encode("ascii"), validate=True)
+def unb64(text: str) -> bytes:
+    return base64.b64decode(text, validate=True)
 
 
 def utcnow() -> datetime:

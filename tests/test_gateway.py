@@ -331,20 +331,60 @@ def _assert_typed_error(unit, session, make_gateway, request_type, payload, echo
     assert echoed not in response.error
 
 
-def test_a_non_string_function_name_is_a_malformed_request(make_unit, make_session, make_gateway):
+_SHAPES = {
+    "decision": {"funcName": str, "dataName": str},
+    "provision": {"dataName": str, "structure": str, "records": list},
+}
+_VALID = {
+    "decision": {"funcName": "PatientPrioritizationWithAggr", "dataName": "vax/patients"},
+    "provision": {"dataName": "vax/patients", "structure": "Patient", "records": []},
+}
+
+
+def _misshapen_payloads():
+    """(request type, payload, refusal): a JSON array, then each key of each
+    request type absent, and holding a value of another type."""
+    cases = [
+        pytest.param(kind, ["SECRET"], "request payload must be an object", id=f"{kind}-array")
+        for kind in _SHAPES
+    ]
+    for kind, shape in _SHAPES.items():
+        for key, want in shape.items():
+            refusal = f"payload field {key!r} must be a {want.__name__}"
+            absent = {k: v for k, v in _VALID[kind].items() if k != key}
+            wrong = "SECRET" if want is list else ["SECRET"]
+            cases += [
+                pytest.param(kind, dict(absent, SECRET="SECRET"), refusal,
+                             id=f"{kind}-{key}-absent"),
+                pytest.param(kind, dict(_VALID[kind], **{key: wrong}), refusal,
+                             id=f"{kind}-{key}-retyped"),
+            ]
+    return cases
+
+
+@pytest.mark.parametrize("request_type, payload, check", _misshapen_payloads())
+def test_a_payload_of_another_shape_is_a_malformed_request(
+    make_unit, make_session, make_gateway, request_type, payload, check
+):
     unit = make_unit()
     _assert_typed_error(
-        unit, make_session(unit), make_gateway, "decision",
-        {"funcName": ["secret-name"], "dataName": "vax/patients"}, "secret-name",
+        unit, make_session(unit), make_gateway, request_type, payload, "SECRET", check
     )
 
 
-def test_records_that_are_not_a_list_are_a_malformed_request(make_unit, make_session, make_gateway):
+def test_a_unit_busy_with_a_request_refuses_another(make_unit, make_session, make_gateway):
+    """Only the gateway's worker calls `handle`, one request at a time; a
+    second call while one runs raises, and a gateway answers it as a unit
+    failure."""
     unit = make_unit()
-    _assert_typed_error(
-        unit, make_session(unit), make_gateway, "provision",
-        {"dataName": "vax/patients", "structure": "Patient", "records": 54321}, "54321",
-    )
+    envelope, _ = make_session(unit).build_request("decision", _VALID["decision"])
+    gateway = make_gateway(unit.handle)
+    with unit._busy:
+        with pytest.raises(RuntimeError, match="two requests at once"):
+            unit.handle("t-direct", envelope)
+        response = gateway.await_response(gateway.submit(envelope), 30)
+    assert (response.status, response.error) == ("error", "unit failure")
+    assert unit.handled == []
 
 
 @pytest.mark.parametrize("request_type", ["decision", "provision"])

@@ -26,8 +26,8 @@ from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.aead import HEADER_LEN, NONCE_LEN, Ciphertext, ae_decrypt, ae_encrypt
 from confidec.crypto.keys import derive_record_key
 from confidec.dmn.engine import decide_all
-from confidec.dmn.model import Record
-from confidec.dmn.tables import check_record_docs, parse_record, record_to_obj
+from confidec.dmn.model import Record, check_record_docs
+from confidec.dmn.tables import parse_record, record_to_obj
 from confidec.enclave import ccu
 from confidec.enclave.ccu import exchange_seed, generate_seed
 from confidec.errors import AggregationError, TableValidationError
@@ -431,7 +431,7 @@ def test_a_record_and_the_units_provision_check_hold_the_same_values(value, acce
         Record(id="r1", fields={"Age": value})
         local = None
     except ValueError as exc:
-        local = f"record {exc}"
+        local = str(exc)
 
     def refusal(check, arg):
         try:
@@ -751,15 +751,18 @@ def _store_full_in_light_mode(unit, records):
     unit._storage.publish(FULL_NAME, canonical_json(manifest))
 
 
-def _store_as_ciphertexts(unit, records):
+def _store_as_ciphertexts(unit, records, damage=None):
     """Both forms sealed as one `Ciphertext` each, built with `ae_encrypt`
-    and laid out by `_wire`, under one manifest and one randomizer."""
+    and laid out by `_wire`, under one manifest and one randomizer; damage,
+    if given, rewrites each form's [fields, ids, columns] before sealing."""
     docs = [record_to_obj(record) for record in records]
     t = secrets.token_bytes(16)
     key = derive_record_key(unit._seed, t)
     manifest = {"dataset": SLIM_NAME, "structure": "Patient", "t": b64(t)}
     for form, fields in (("slim", unit._layouts["Patient"]), ("full", _field_union(records))):
         aad, plaintext = sealed_form(SLIM_NAME, form, fields, docs)
+        if damage is not None:
+            plaintext = canonical_json(damage(*json.loads(plaintext)))
         manifest[form] = unit._storage.blobs.put(_wire(ae_encrypt(key, plaintext, aad=aad)))
     unit._storage.publish(SLIM_NAME, canonical_json(manifest))
 
@@ -771,6 +774,28 @@ def test_records_sealed_as_ciphertexts_still_decide(make_unit, make_session):
     _store_as_ciphertexts(unit, records)
     assert _decide(unit, session, SLIM_NAME) == _oracle(records)
     assert _decide(unit, session, FULL_NAME) == _oracle(records)
+
+
+COLUMN_DAMAGE = {
+    "one-column-too-few": lambda fields, ids, columns: [fields, ids, columns[:-1]],
+    "a-column-short-of-the-ids": lambda fields, ids, columns: [
+        fields, ids, [columns[0][:-1], *columns[1:]]
+    ],
+}
+
+
+@pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME], ids=["slim", "full"])
+@pytest.mark.parametrize("damage", sorted(COLUMN_DAMAGE))
+def test_a_blob_whose_columns_do_not_fit_its_fields_and_ids_is_malformed(
+    make_unit, make_session, damage, name
+):
+    """The blob authenticates under the unit's record key, yet a column
+    count other than its fields' or a column of another length than its ids
+    is refused as one typed error."""
+    unit = make_unit()
+    session = make_session(unit)
+    _store_as_ciphertexts(unit, _records(6), damage=COLUMN_DAMAGE[damage])
+    assert _decide(unit, session, name) == "stored dataset is malformed"
 
 
 def _store_slim_and_full_per_record(unit, records):

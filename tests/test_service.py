@@ -70,7 +70,7 @@ def test_build_binds_aggregations_in_policy_order():
     service = _patient_service()
     assert service.func_name == "PatientPrioritizationWithAggr"
     assert service.data_name == "Patient"
-    assert [a.name for a in service.aggregations] == ["meanAge", "sumAge"]
+    assert [a.name for a in service.program.aggregations] == ["meanAge", "sumAge"]
 
 
 def test_build_rejects_table_name_mismatch():

@@ -20,12 +20,7 @@ from confidec.storage.chain import (
 )
 from confidec.storage.names import NameRegistry
 from confidec.storage.node import StorageNode
-from confidec.storage.store import (
-    DirectoryBlobStore,
-    MemoryBlobStore,
-    blob_address,
-    load_jsonl,
-)
+from confidec.storage.store import DirectoryBlobStore, MemoryBlobStore, blob_address
 
 
 def test_blob_address_is_sha256_hex():
@@ -112,44 +107,6 @@ def test_empty_name_rejected():
     assert len(node.chain) == 0
 
 
-def test_load_jsonl_parses_each_line_in_order_and_skips_blank_ones(tmp_path):
-    path = tmp_path / "log.jsonl"
-    path.write_bytes(b'{"n": 1}\n\n  \n{"n": 2}\r\n{"n": 3}')
-    assert load_jsonl(path, "log", lambda obj: obj["n"]) == [1, 2, 3]
-
-
-@pytest.mark.parametrize("line", [
-    b'{"secret": 1',
-    b"secret",
-    b'"\xff\xfe secret"',
-    b"[" * 100_000,
-], ids=["truncated", "bare-word", "not-utf8", "too-deep"])
-def test_load_jsonl_refuses_a_line_that_is_not_json(tmp_path, line):
-    """Blank lines count toward the position; the error holds nothing of
-    the line."""
-    path = tmp_path / "log.jsonl"
-    path.write_bytes(b'{"n": 1}\n\n' + line + b'\n{"n": 2}\n')
-    with pytest.raises(StorageError) as refused:
-        load_jsonl(path, "log", lambda obj: obj)
-    assert str(refused.value) == "log line 3 is malformed"
-    assert refused.value.__cause__ is None and refused.value.__suppress_context__
-
-
-@pytest.mark.parametrize("error", [KeyError, TypeError, ValueError])
-def test_load_jsonl_turns_what_parse_refuses_into_a_storage_error(tmp_path, error):
-    path = tmp_path / "log.jsonl"
-    path.write_text('{"n": 1}\n{"n": 2}\n')
-
-    def parse(obj):
-        if obj["n"] == 2:
-            raise error("secret")
-        return obj["n"]
-
-    with pytest.raises(StorageError) as refused:
-        load_jsonl(path, "log", parse)
-    assert str(refused.value) == "log line 2 is malformed"
-
-
 LINE_DAMAGE = {
     "missing-key": lambda obj, key: json.dumps({k: v for k, v in obj.items() if k != key}),
     "wrong-type": lambda obj, key: json.dumps(dict(obj, **{key: [obj[key]]})),
@@ -232,6 +189,38 @@ def test_chain_file_round_trip_and_reverification(tmp_path):
     lines[0]["address"] = "9" * 64
     path.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
     assert log.verify_chain() == 0
+
+
+def test_a_notarization_log_skips_blank_lines_and_keeps_line_order(tmp_path):
+    path = tmp_path / "chain.jsonl"
+    log = NotarizationLog(path)
+    for i in range(3):
+        log.notarize(f"n{i}", blob_address(str(i).encode()))
+    first, second, third = path.read_bytes().splitlines()
+    path.write_bytes(first + b"\n\n  \n" + second + b"\r\n" + third)
+    assert NotarizationLog(path).entries() == log.entries()
+    assert log.verify_chain() is None
+
+
+@pytest.mark.parametrize("line", [
+    b'{"secret": 1',
+    b"secret",
+    b'"\xff\xfe secret"',
+    b"[" * 100_000,
+], ids=["truncated", "bare-word", "not-utf8", "too-deep"])
+def test_a_notarization_log_line_that_is_not_json_is_a_storage_error(tmp_path, line):
+    """Blank lines count toward the position; the error holds nothing of
+    the line."""
+    path = tmp_path / "chain.jsonl"
+    log = NotarizationLog(path)
+    log.notarize("n0", "1" * 64)
+    log.notarize("n1", "2" * 64)
+    first, second = path.read_bytes().splitlines()
+    path.write_bytes(first + b"\n\n" + line + b"\n" + second + b"\n")
+    with pytest.raises(StorageError) as refused:
+        NotarizationLog(path)
+    assert str(refused.value) == "notarization log line 3 is malformed"
+    assert refused.value.__cause__ is None and refused.value.__suppress_context__
 
 
 @pytest.mark.parametrize("damage, key", _line_damage(

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 from datetime import date
+from types import MappingProxyType
 from typing import get_args
 
 import pytest
@@ -16,8 +17,10 @@ from confidec.dmn.model import (
     VALUE_TYPES,
     ColumnRelation,
     Condition,
+    Record,
     TextSet,
     Wildcard,
+    check_record_docs,
 )
 from confidec.dmn.program import compile_table
 from confidec.dmn.tables import (
@@ -204,11 +207,9 @@ def test_a_date_is_refused_as_an_unsupported_value_type():
 
 
 def test_an_int_too_large_for_a_float_is_a_non_finite_number():
-    from confidec.dmn.model import Record
-
     with pytest.raises(TableValidationError, match="^record field holds a non-finite number$"):
         parse_record({"id": "r1", "fields": {"n": 10**400}})
-    with pytest.raises(ValueError, match="^field holds a non-finite number$"):
+    with pytest.raises(ValueError, match="^record field holds a non-finite number$"):
         Record(id="r1", fields={"n": -(10**400)})
     # the largest int that still rounds to a finite float is accepted
     assert parse_record({"id": "r1", "fields": {"n": int(1.7976931348623157e308)}})
@@ -219,6 +220,27 @@ def test_record_requires_id():
         parse_record({"fields": {"a": 1}})
     with pytest.raises(TableValidationError):
         parse_record({"id": "", "fields": {"a": 1}})
+
+
+class _Label(str):
+    pass
+
+
+@pytest.mark.parametrize("record_id, fields, refusal", [
+    ("", {}, "record id must be non-empty"),
+    (7, {}, "record id must be a string"),
+    (_Label("r1"), {}, "record id must be a string"),
+    ("r1", MappingProxyType({"a": 1}), "record fields must be an object"),
+    ("r1", {"": 1}, "record field names must be non-empty"),
+    ("r1", {"a": _Label("x")}, "record field holds an unsupported value type _Label"),
+], ids=["empty-id", "int-id", "str-subclass-id", "fields-not-a-dict", "empty-name", "str-subclass"])
+def test_a_record_refuses_what_a_provision_refuses(record_id, fields, refusal):
+    """A `Record` runs the provision's check on its own id and fields, so
+    it holds exactly what a unit stores."""
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        Record(id=record_id, fields=fields)
+    with pytest.raises(TableValidationError, match=f"^{refusal}$"):
+        check_record_docs([{"id": record_id, "fields": fields}])
 
 
 def test_fixture_cells_survive_reprint():
