@@ -47,7 +47,7 @@ from confidec.gateway.queue import Gateway
 from confidec.gateway.wire import RequestEnvelope
 from confidec.service.builder import emit_audit_script
 from confidec.storage.node import StorageNode
-from confidec.util import utcnow
+from confidec.util import typed_fields, utcnow
 
 # Exit codes by failure class; click keeps 1-2 for itself.
 _EXIT_BY_ERROR = (
@@ -114,13 +114,13 @@ _BUNDLE_KEYS = ("policyText", "tablesJson", "aggregationsJson", "engineTag")
 def _read_bundle(path: Path) -> CodeBundle:
     """The deployed bundle a unit's bundle.json holds; a damaged file is
     named, never echoed."""
+    shape = dict.fromkeys(_BUNDLE_KEYS, str)
     try:
-        doc = _read_json(path)
+        return CodeBundle(*typed_fields(_read_json(path), "bundle", ValueError, **shape))
     except ValueError:
-        doc = None
-    if not isinstance(doc, dict) or not all(isinstance(doc.get(k), str) for k in _BUNDLE_KEYS):
-        raise ConfidecError(f"deployed bundle {path} is malformed; run 'confidec ccu deploy'")
-    return CodeBundle(*(doc[k] for k in _BUNDLE_KEYS))
+        raise ConfidecError(
+            f"deployed bundle {path} is malformed; run 'confidec ccu deploy'"
+        ) from None
 
 
 def _load_identity(home: Path, name: str) -> Ccu:

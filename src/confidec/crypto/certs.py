@@ -18,7 +18,9 @@ from confidec.errors import (
     CertificateSignatureError,
     CertificateValidityError,
 )
-from confidec.util import b64, format_rfc3339, parse_rfc3339, unb64, utcnow, canonical_json
+from confidec.util import (
+    b64, canonical_json, format_rfc3339, parse_rfc3339, typed_fields, unb64, utcnow,
+)
 
 
 @dataclass(frozen=True)
@@ -98,15 +100,21 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 
 def certificate_from_obj(obj: Mapping) -> Certificate:
+    serial, subject, not_before, not_after, attributes, verify_key, signature = typed_fields(
+        obj, "certificate", CertificateFormatError,
+        serial=str, subject=str, notBefore=str, notAfter=str, attributes=dict,
+        subjectVerifyKey=str, issuerSignature=str,
+    )
     try:
         return Certificate(
-            serial=obj["serial"],
-            subject=obj["subject"],
-            not_before=parse_rfc3339(obj["notBefore"]),
-            not_after=parse_rfc3339(obj["notAfter"]),
-            attributes=dict(obj["attributes"]),
-            subject_verify_key=unb64(obj["subjectVerifyKey"]),
-            issuer_signature=unb64(obj["issuerSignature"]),
+            serial=serial,
+            subject=subject,
+            not_before=parse_rfc3339(not_before),
+            not_after=parse_rfc3339(not_after),
+            attributes=dict(attributes),
+            subject_verify_key=unb64(verify_key),
+            issuer_signature=unb64(signature),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateFormatError(f"malformed certificate document: {exc}") from exc
+    except ValueError:
+        # a time that is not RFC 3339, or bad base64
+        raise CertificateFormatError("malformed certificate document") from None

@@ -162,11 +162,8 @@ def _parse_interval(sc: _Scanner) -> Interval:
 
 
 def _parse_relational(sc: _Scanner) -> Condition:
-    for op in ("<=", ">=", "<", ">"):
-        if sc.take(op):
-            break
-    else:
-        sc.fail("expected comparison operator")
+    # the caller saw "<" or ">", so one operator is taken
+    op = next(op for op in ("<=", ">=", "<", ">") if sc.take(op))
     bound = sc.number()
     if bound is not None:
         return Relational(op, bound)

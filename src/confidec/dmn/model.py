@@ -248,6 +248,11 @@ class AggregationSpec:
     def __post_init__(self):
         if self.reducer not in ("mean", "sum", "max", "min"):
             raise ValueError(f"aggregation {self.name!r}: bad reducer {self.reducer!r}")
+        for i, atom in enumerate(self.filter):
+            if isinstance(atom.condition, ColumnRelation):
+                raise ValueError(
+                    f"aggregation {self.name!r}, atom {i}: column references not allowed in filters"
+                )
 
 
 # --- decision results ------------------------------------------------------

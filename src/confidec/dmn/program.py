@@ -388,14 +388,6 @@ def _compile_encoder(
     return _define(source, "_e", globals_, "<column encoder>")
 
 
-def _filter_value_type(cond: Condition) -> str:
-    """The value type a filter atom reads its field as; column relations,
-    which the aggregation parser refuses, are not lowered."""
-    if isinstance(cond, ColumnRelation):
-        raise ValueError(f"condition {cond!r} cannot filter an aggregation")
-    return CONDITION_VALUE_TYPES[type(cond)]
-
-
 def compile_table(
     table: DecisionTable,
     aggregations: Tuple[AggregationSpec, ...] = (),
@@ -445,7 +437,7 @@ def _compile(
     filters = []
     for agg in aggregations:
         atoms = [
-            (slot_of(atom.field, _filter_value_type(atom.condition)), atom.condition)
+            (slot_of(atom.field, CONDITION_VALUE_TYPES[type(atom.condition)]), atom.condition)
             for atom in agg.filter
             if not isinstance(atom.condition, Wildcard)
         ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from confidec.dmn.cells import format_condition, parse_condition
 from confidec.dmn.model import (
@@ -20,6 +20,7 @@ from confidec.dmn.model import (
     is_number,
 )
 from confidec.errors import TableValidationError
+from confidec.util import typed_fields
 
 # the refusal of a condition that reads another value type than its column
 _MISFIT = {
@@ -62,21 +63,19 @@ def _check_output_value(value: Any, column: ColumnSpec) -> str | None:
 
 def parse_decision_table(doc: Mapping[str, Any]) -> DecisionTable:
     """Build a validated DecisionTable from its JSON document."""
-    try:
-        name = doc["name"]
-        raw_columns = doc["columns"]
-        raw_rules = doc["rules"]
-    except (KeyError, TypeError) as exc:
-        raise TableValidationError(f"table document missing key: {exc}") from exc
-    if not isinstance(name, str) or not name:
+    name, raw_columns, raw_rules = typed_fields(
+        doc, "table", TableValidationError, name=str, columns=list, rules=list
+    )
+    if not name:
         raise TableValidationError("table name must be a non-empty string")
 
     columns = []
     seen = set()
     for i, rc in enumerate(raw_columns):
+        fields = typed_fields(rc, f"column {i}", TableValidationError, name=str, kind=str, type=str)
         try:
-            col = ColumnSpec(name=rc["name"], kind=rc["kind"], value_type=rc["type"])
-        except (KeyError, TypeError, ValueError) as exc:
+            col = ColumnSpec(*fields)
+        except ValueError as exc:
             raise TableValidationError(f"column {i}: {exc}") from exc
         if col.name in seen:
             raise TableValidationError(f"duplicate column name {col.name!r}")
@@ -91,11 +90,9 @@ def parse_decision_table(doc: Mapping[str, Any]) -> DecisionTable:
 
     rules = []
     for r, raw in enumerate(raw_rules):
-        try:
-            cells: Sequence[str] = raw["conditions"]
-            outputs: Sequence[Any] = raw["outputs"]
-        except (KeyError, TypeError) as exc:
-            raise TableValidationError(f"rule {r}: missing key {exc}") from exc
+        cells, outputs = typed_fields(
+            raw, f"rule {r}", TableValidationError, conditions=list, outputs=list
+        )
         if len(cells) != len(cond_cols):
             raise TableValidationError(
                 f"rule {r}: {len(cells)} conditions for {len(cond_cols)} condition columns"
@@ -106,6 +103,8 @@ def parse_decision_table(doc: Mapping[str, Any]) -> DecisionTable:
             )
         conds = []
         for cell, col in zip(cells, cond_cols):
+            if type(cell) is not str:
+                raise TableValidationError(f"rule {r}, column {col.name!r}: cell must be a str")
             cond = parse_condition(cell)
             problem = _admissible(cond, col, by_name)
             if problem:
@@ -139,30 +138,20 @@ def table_to_obj(table: DecisionTable) -> dict:
 
 def parse_aggregation_spec(doc: Mapping[str, Any]) -> AggregationSpec:
     """Build a validated AggregationSpec from its JSON document."""
-    try:
-        name = doc["name"]
-        raw_filter = doc["filter"]
-        target = doc["targetField"]
-        reducer = doc["reducer"]
-    except (KeyError, TypeError) as exc:
-        raise TableValidationError(f"aggregation document missing key: {exc}") from exc
-    if not isinstance(name, str) or not name:
+    name, raw_filter, target, reducer = typed_fields(
+        doc, "aggregation", TableValidationError,
+        name=str, filter=list, targetField=str, reducer=str,
+    )
+    if not name:
         raise TableValidationError("aggregation name must be a non-empty string")
-    if not isinstance(target, str) or not target:
+    if not target:
         raise TableValidationError(f"aggregation {name!r}: bad targetField")
     atoms = []
     for i, raw in enumerate(raw_filter):
-        try:
-            field = raw["field"]
-            cell = raw["cell"]
-        except (KeyError, TypeError) as exc:
-            raise TableValidationError(f"aggregation {name!r}, atom {i}: {exc}") from exc
-        cond = parse_condition(cell)
-        if isinstance(cond, ColumnRelation):
-            raise TableValidationError(
-                f"aggregation {name!r}, atom {i}: column references not allowed in filters"
-            )
-        atoms.append(FilterAtom(field=field, condition=cond))
+        field, cell = typed_fields(
+            raw, f"aggregation {name!r}, atom {i}", TableValidationError, field=str, cell=str
+        )
+        atoms.append(FilterAtom(field=field, condition=parse_condition(cell)))
     try:
         return AggregationSpec(name=name, filter=tuple(atoms), target_field=target, reducer=reducer)
     except ValueError as exc:

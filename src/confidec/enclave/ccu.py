@@ -50,6 +50,7 @@ from confidec.errors import (
     CertificateError,
     ConfidecError,
     DecisionRejected,
+    KeyDerivationError,
     MalformedRequestError,
     ServiceBuildError,
     StorageError,
@@ -70,7 +71,7 @@ from confidec.service.builder import (
     handle_decision as run_decision_handler,
 )
 from confidec.storage.node import StorageNode
-from confidec.util import b64, canonical_json, length_prefixed, unb64, utcnow
+from confidec.util import b64, canonical_json, length_prefixed, typed_fields, unb64, utcnow
 
 FULL_SUFFIX = ".full"
 
@@ -427,22 +428,22 @@ class Ccu:
                     "dataset holds another structure's records, "
                     f"but the function reads {structure!r}"
                 )
-            if not isinstance(manifest["dataset"], str):
-                raise TypeError  # malformed, as below
-            if manifest["dataset"] != dataset:
+            # a field absent or of another type raises ValueError: malformed, as below
+            (named,) = typed_fields(manifest, "manifest", ValueError, dataset=str)
+            if named != dataset:
                 raise StorageError("stored manifest names another dataset")
-            if not isinstance(manifest[form], str):
-                raise TypeError  # malformed, as below
-            key = derive_record_key(seed, unb64(manifest["t"]))
-            blob = self._storage.blobs.get(manifest[form])
+            address, t = typed_fields(manifest, "manifest", ValueError, **{form: str}, t=str)
+            key = derive_record_key(seed, unb64(t))
+            blob = self._storage.blobs.get(address)
             # one authenticated [fields, ids, columns] document the unit wrote
             fields, ids, columns = json.loads(open_wire(key, blob, _record_aad(dataset, form, layout)))
             n = len(ids)
             if len(columns) != len(fields) or any(len(column) != n for column in columns):
                 raise ValueError  # malformed, as below
             columns = _project(columns, fields, layout, n)
-        except (AttributeError, KeyError, RecursionError, TypeError, ValueError):
-            # a field of the wrong shape or type, bad base64, a short blob
+        except (AttributeError, KeyDerivationError, RecursionError, TypeError, ValueError):
+            # no object, a field of the wrong shape or type, bad base64, a
+            # randomizer of the wrong length, a short blob
             raise StorageError("stored dataset is malformed") from None
         return ids, columns
 
@@ -461,13 +462,7 @@ def _open_payload(envelope: RequestEnvelope, key: bytes, **shape: type) -> List[
         raise MalformedRequestError("request payload is not JSON") from exc
     if not isinstance(payload, dict):
         raise MalformedRequestError("request payload must be an object")
-    values = []
-    for name, kind in shape.items():
-        value = payload.get(name)
-        if type(value) is not kind:
-            raise MalformedRequestError(f"payload field {name!r} must be a {kind.__name__}")
-        values.append(value)
-    return values
+    return typed_fields(payload, "payload", MalformedRequestError, **shape)
 
 
 def exchange_seed(source: Ccu, target: Ccu) -> None:

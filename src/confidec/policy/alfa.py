@@ -128,7 +128,9 @@ class _Parser:
         if attr != "Action":
             raise PolicySyntaxError(self.cur.pos, "target clause must test Action")
         self.expect_punct("==")
-        action = self.expect_string()
+        pos = self.cur.pos
+        if self.expect_string() != "decide":
+            raise PolicySyntaxError(pos, "policy action must be decide")
         self.expect_keyword("rule")
         rule_name = self.expect_name()
         if rule_name != "accessDecision":
@@ -143,7 +145,6 @@ class _Parser:
             func_name=func_name,
             data_name=data_name,
             agg_names=tuple(agg_names),
-            action=action,
             condition=condition,
         )
 

@@ -50,7 +50,6 @@ class PolicySpec:
     func_name: str
     data_name: str
     agg_names: Tuple[str, ...]
-    action: str
     condition: PolicyExpr
 
 

@@ -68,8 +68,6 @@ def build_desobj(
         raise ServiceBuildError(
             f"policy guards {policy.func_name!r} but the table is {table.name!r}"
         )
-    if policy.action != "decide":
-        raise ServiceBuildError(f"policy action must be decide, not {policy.action!r}")
 
     by_name: Dict[str, AggregationSpec] = {}
     for spec in agg_specs:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import List, Sequence
 
 from confidec.errors import StorageError
-from confidec.util import length_prefixed
+from confidec.util import length_prefixed, typed_fields
 
 GENESIS_PREV = b"\x00" * 32
 
@@ -36,20 +36,14 @@ def entry_digest(seq: int, name: str, address: str, prev_hash: bytes) -> bytes:
 
 
 def _entry_from_obj(obj) -> NotarizationEntry:
-    """A log line's entry; KeyError, TypeError or ValueError when malformed."""
-    entry = NotarizationEntry(
-        seq=obj["seq"],
-        name=obj["name"],
-        address=obj["address"],
-        prev_hash=bytes.fromhex(obj["prevHash"]),
-        entry_hash=bytes.fromhex(obj["entryHash"]),
+    """A log line's entry; ValueError when malformed."""
+    seq, name, address, prev_hash, entry_hash = typed_fields(
+        obj, "entry", ValueError, seq=int, name=str, address=str, prevHash=str, entryHash=str
     )
-    if (type(entry.seq), type(entry.name), type(entry.address)) != (int, str, str):
-        raise TypeError("entry field of the wrong type")
-    if not entry.name:
+    if not name:
         # a node indexes names from its chain, and publishes none empty
         raise ValueError("entry with an empty name")
-    return entry
+    return NotarizationEntry(seq, name, address, bytes.fromhex(prev_hash), bytes.fromhex(entry_hash))
 
 
 def verify_entries(entries: Sequence[NotarizationEntry]) -> int | None:
@@ -103,7 +97,7 @@ class NotarizationLog:
                 if line.strip():
                     try:
                         self._entries.append(_entry_from_obj(json.loads(line)))
-                    except (KeyError, RecursionError, TypeError, ValueError):
+                    except (RecursionError, ValueError):
                         raise StorageError(f"notarization log line {number} is malformed") from None
 
     def notarize(self, name: str, address: str) -> NotarizationEntry:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import base64
 import json
 from datetime import datetime, timezone
-from typing import Any
+from typing import Any, Callable, List
 
 
 def canonical_json(obj: Any) -> bytes:
@@ -15,6 +15,24 @@ def canonical_json(obj: Any) -> bytes:
     always map to the same byte string.
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def typed_fields(doc: Any, prefix: str, error: Callable[[str], Exception], **shape: type) -> List[Any]:
+    """The values of the JSON object doc under the keys shape names, each of
+    exactly the type shape gives its key.
+
+    The first key absent or of another type (the first key, when doc is no
+    object) raises error("<prefix> field '<key>' must be a <type>"); no text
+    holds a value of doc.
+    """
+    get = doc.get if type(doc) is dict else {}.get
+    values = []
+    for key, kind in shape.items():
+        value = get(key)
+        if type(value) is not kind:
+            raise error(f"{prefix} field {key!r} must be a {kind.__name__}")
+        values.append(value)
+    return values
 
 
 def b64(data: bytes) -> str:

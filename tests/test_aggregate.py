@@ -1,7 +1,6 @@
 """Batch aggregation semantics: reducers, filters and empty selections."""
 
 import math
-import random
 
 import pytest
 from hypothesis import given, strategies as st

@@ -103,6 +103,9 @@ def test_column_relations(text, op, column, factor):
     "1 2",
     '"a",',
     "[18..]",
+    "@",
+    "[..60]",
+    "[18 60]",
 ])
 def test_rejects_malformed_cells(bad):
     with pytest.raises(CellSyntaxError):

@@ -131,6 +131,19 @@ def test_provide_refuses_an_int_too_large_for_a_float(runner, home, tmp_path):
     assert result.stderr.strip() == "error: record field holds a non-finite number"
 
 
+def test_deploying_a_misshapen_table_exits_with_one_error_line(runner, home, tmp_path):
+    _run(runner, home, "ca", "init")
+    _run(runner, home, "ccu", "init", "unit1")
+    policies, _, _ = _bundle_files(tmp_path)
+    doc = load_table_doc("Restock")
+    doc["rules"][0]["conditions"] = 5
+    table = tmp_path / "misshapen.json"
+    table.write_text(json.dumps(doc))
+    result = _run(runner, home, "ccu", "deploy", "unit1", "--policies", str(policies),
+                  "--table", str(table), expect=11)
+    assert result.stderr == "error: rule 0 field 'conditions' must be a list\n"
+
+
 def test_the_retired_light_mode_options_are_usage_errors(runner, home, tmp_path):
     _bootstrap(runner, home, tmp_path)
     result = _run(runner, home, "ccu", "init", "unit2", "--allow-light", expect=2)

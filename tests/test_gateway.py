@@ -15,7 +15,6 @@ from confidec.enclave.measurement import CodeBundle
 from confidec.errors import GatewayTimeoutError, QueueFullError, UnknownTicketError
 from confidec.fixtures import load_patient_aggregation_docs, load_policy_text, load_table_doc
 from confidec.gateway.client import ClientSession
-from confidec.gateway.queue import Gateway
 from confidec.gateway.wire import (
     REQUEST_TYPES,
     RequestEnvelope,

@@ -56,9 +56,11 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    root = Path(confidec.__file__).parent
+    """Over the package and its tests."""
+    roots = (Path(confidec.__file__).parent, Path(__file__).parent)
     unused = [
         f"{path.name}: {name}"
+        for root in roots
         for path in sorted(root.rglob("*.py"))
         for name in _unused_imports(path)
     ]

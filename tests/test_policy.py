@@ -44,7 +44,6 @@ def test_parses_bundled_policies():
     patient = specs[0]
     assert patient.data_name == "Patient"
     assert patient.agg_names == ("meanAge", "sumAge")
-    assert patient.action == "decide"
     assert patient.condition == AndExpr(items=(
         AttrEquals("Role", "MedicalHub"), AttrEquals("Country", "Italy"),
     ))
@@ -110,6 +109,9 @@ def test_expression_print_parse_fixpoint(cond):
     _policy('A == '),
     _policy('A == 1'),
     "policy F(Data) {",
+    "policy F Data",
+    _policy('A == "1"', args="rule"),
+    "",
 ])
 def test_malformed_policies_rejected(bad):
     with pytest.raises((PolicySyntaxError, PolicyValidationError)):

@@ -219,6 +219,14 @@ def _short_blob(unit, manifest, form):
     manifest[form] = unit._storage.blobs.put(b"INJECTED-blob")
 
 
+def _short_randomizer(unit, manifest, form):
+    manifest["t"] = b64(b"INJ5!")
+
+
+def _long_randomizer(unit, manifest, form):
+    manifest["t"] = b64(b"INJECTED" * 5)
+
+
 def _randomizer_not_a_string(unit, manifest, form):
     manifest["t"] = {"INJECTED": 1}
 
@@ -259,6 +267,8 @@ MALFORMED = {
     "no-address": ("full", _no_address),
     "address-not-a-string": ("full", _address_not_a_string),
     "undecodable-randomizer": ("full", _undecodable_randomizer),
+    "short-randomizer": ("full", _short_randomizer),
+    "long-randomizer": ("full", _long_randomizer),
     "short-blob": ("full", _short_blob),
     "randomizer-not-a-string": ("full", _randomizer_not_a_string),
     "per-record-entries": ("full", _per_record_entries),

@@ -11,7 +11,7 @@ from confidec.dmn.tables import record_to_obj
 from confidec.dmn.model import ColumnRelation, FilterAtom
 from confidec.dmn.program import compile_table
 from confidec.dmn.tables import parse_aggregation_spec, parse_decision_table
-from confidec.errors import DecisionRejected, ServiceBuildError
+from confidec.errors import DecisionRejected, PolicySyntaxError, ServiceBuildError
 from confidec.fixtures import load_patient_aggregations, load_policy_text, load_table
 from confidec.gateway.client import ClientSession, expand_results
 from confidec.policy.alfa import parse_policy_descriptor
@@ -79,9 +79,9 @@ def test_build_rejects_table_name_mismatch():
 
 
 def test_build_rejects_non_decide_action():
-    policy = dataclasses.replace(_policy_for("Restock"), action="read")
-    with pytest.raises(ServiceBuildError, match="action"):
-        build_desobj(policy, load_table("Restock"), [])
+    text = load_policy_text().replace('Action == "decide"', 'Action == "read"', 1)
+    with pytest.raises(PolicySyntaxError, match="policy action must be decide$"):
+        parse_policy_descriptor(text)
 
 
 def test_build_rejects_unknown_aggregation_name():
@@ -126,15 +126,11 @@ def test_build_rejects_policy_aggregations_the_table_never_reads():
 
 
 def test_build_refuses_filters_it_cannot_lower():
-    specs = load_patient_aggregations()
+    spec = load_patient_aggregations()[0]
     atom = FilterAtom(field="Age", condition=ColumnRelation("<", "Weight", 1.0))
-    specs[0] = dataclasses.replace(specs[0], filter=(atom,))
-    with pytest.raises(ServiceBuildError, match="cannot filter an aggregation"):
-        build_desobj(
-            _policy_for("PatientPrioritizationWithAggr"),
-            load_table("PatientPrioritizationWithAggr"),
-            specs,
-        )
+    with pytest.raises(ValueError, match=f"^aggregation {spec.name!r}, atom 0: "
+                                         "column references not allowed in filters$"):
+        dataclasses.replace(spec, filter=(atom,))
 
 
 def test_build_refuses_a_layout_without_the_fields_it_reads():

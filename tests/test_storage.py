@@ -238,6 +238,19 @@ def test_a_malformed_notarization_log_line_is_a_storage_error(tmp_path, damage, 
         assert str(refused.value) == "notarization log line 2 is malformed"
 
 
+def test_a_notarization_log_line_whose_seq_is_a_boolean_is_malformed(tmp_path):
+    """JSON `true` loads as a bool, which equals 1 and hashes as 1; a line
+    takes exact types, so it does not pass as sequence number 1."""
+    path = tmp_path / "chain.jsonl"
+    log = NotarizationLog(path)
+    log.notarize("secret-name", "1" * 64)
+    log.notarize("secret-name", "2" * 64)
+    first, second = path.read_text().splitlines()
+    path.write_text(first + "\n" + json.dumps(dict(json.loads(second), seq=True)) + "\n")
+    with pytest.raises(StorageError, match="^notarization log line 2 is malformed$"):
+        NotarizationLog(path)
+
+
 def test_node_publish_binds_and_notarizes():
     node = StorageNode.in_memory()
     address = node.publish("dataset", b"ciphertext-1")

@@ -1,8 +1,12 @@
 """Table and aggregation document parsing, validation and round-trips."""
 
+import copy
 import dataclasses
+import functools
+import operator
 import os
 import pickle
+import re
 import subprocess
 import sys
 from datetime import date
@@ -157,6 +161,19 @@ def test_output_values_checked_against_output_type():
         ))
 
 
+@pytest.mark.parametrize("value_type, value, problem", [
+    ("string", 5, "expected a string"),
+    ("boolean", "yes", "expected a boolean"),
+    ("datetime", 5, "expected a datetime string"),
+])
+def test_each_output_type_refuses_a_value_of_another_type(value_type, value, problem):
+    with pytest.raises(TableValidationError, match=f"^rule 0, output 'm': {problem}$"):
+        parse_decision_table(_doc(
+            [_NUM, {"name": "m", "kind": "output", "type": value_type}],
+            [{"conditions": ["-"], "outputs": [value]}],
+        ))
+
+
 def test_unknown_column_kind_rejected():
     with pytest.raises(TableValidationError):
         parse_decision_table(_doc(
@@ -187,6 +204,98 @@ def test_aggregation_reducer_validated():
         parse_aggregation_spec({
             "name": "a", "reducer": "median", "targetField": "Age", "filter": [],
         })
+
+
+_AGG = {"name": "a", "reducer": "mean", "targetField": "Age",
+        "filter": [{"field": "Age", "cell": ">=60"}]}
+_TABLE = _doc([_NUM, _OUT], [{"conditions": ["<10"], "outputs": ["low"]}])
+
+# per bundle document: its parser, a valid whole document, the path to the
+# document within it, the prefix its refusals carry, and each key's type
+_BUNDLE_DOCUMENTS = {
+    "table": (parse_decision_table, _TABLE, (), "table",
+              {"name": str, "columns": list, "rules": list}),
+    "column": (parse_decision_table, _TABLE, ("columns", 0), "column 0",
+               {"name": str, "kind": str, "type": str}),
+    "rule": (parse_decision_table, _TABLE, ("rules", 0), "rule 0",
+             {"conditions": list, "outputs": list}),
+    "aggregation": (parse_aggregation_spec, _AGG, (), "aggregation",
+                    {"name": str, "filter": list, "targetField": str, "reducer": str}),
+    "atom": (parse_aggregation_spec, _AGG, ("filter", 0), "aggregation 'a', atom 0",
+             {"field": str, "cell": str}),
+}
+
+
+_DROP = object()
+
+
+def _edited(doc, path, value):
+    """A deep copy of doc whose entry at path is value, or is gone and a
+    SECRET key is there instead when value is _DROP."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    parent = functools.reduce(operator.getitem, parents, doc)
+    if value is _DROP:
+        del parent[last]
+        parent["SECRET"] = "SECRET"
+    else:
+        parent[last] = value
+    return doc
+
+
+def _misshapen_documents():
+    """(parser, whole document, refusal): each key of each bundle document
+    absent, then holding a value of another type."""
+    cases = []
+    for kind, (parse, valid, path, prefix, shape) in _BUNDLE_DOCUMENTS.items():
+        for key, want in shape.items():
+            refusal = f"{prefix} field {key!r} must be a {want.__name__}"
+            wrong = "SECRET" if want is list else ["SECRET"]
+            cases += [
+                pytest.param(parse, _edited(valid, (*path, key), _DROP), refusal,
+                             id=f"{kind}-{key}-absent"),
+                pytest.param(parse, _edited(valid, (*path, key), wrong), refusal,
+                             id=f"{kind}-{key}-retyped"),
+            ]
+    return cases
+
+
+@pytest.mark.parametrize("parse, doc, refusal", _misshapen_documents())
+def test_a_bundle_document_of_another_shape_is_refused_without_its_values(parse, doc, refusal):
+    with pytest.raises(TableValidationError) as refused:
+        parse(doc)
+    assert str(refused.value) == refusal
+    assert "SECRET" not in str(refused.value)
+
+
+@pytest.mark.parametrize("parse, doc, path, value, refusal", [
+    (parse_decision_table, _TABLE, ("columns",), 5, "table field 'columns' must be a list"),
+    (parse_decision_table, _TABLE, ("rules",), None, "table field 'rules' must be a list"),
+    (parse_decision_table, _TABLE, ("columns", 0), 5, "column 0 field 'name' must be a str"),
+    (parse_decision_table, _TABLE, ("rules", 0, "conditions"), 5,
+     "rule 0 field 'conditions' must be a list"),
+    (parse_decision_table, _TABLE, ("rules", 0, "outputs"), 5,
+     "rule 0 field 'outputs' must be a list"),
+    (parse_decision_table, _TABLE, ("rules", 0, "conditions", 0), 5,
+     "rule 0, column 'n': cell must be a str"),
+    (parse_decision_table, _TABLE, ("name",), "", "table name must be a non-empty string"),
+    (parse_aggregation_spec, _AGG, ("filter",), 5, "aggregation field 'filter' must be a list"),
+    (parse_aggregation_spec, _AGG, ("filter", 0), 5,
+     "aggregation 'a', atom 0 field 'field' must be a str"),
+    (parse_aggregation_spec, _AGG, ("filter", 0, "field"), 5,
+     "aggregation 'a', atom 0 field 'field' must be a str"),
+    (parse_aggregation_spec, _AGG, ("filter", 0, "cell"), 5,
+     "aggregation 'a', atom 0 field 'cell' must be a str"),
+    (parse_aggregation_spec, _AGG, ("name",), "", "aggregation name must be a non-empty string"),
+    (parse_aggregation_spec, _AGG, ("targetField",), "", "aggregation 'a': bad targetField"),
+], ids=["int-columns", "null-rules", "int-column", "int-conditions", "int-outputs", "int-cell",
+        "empty-table-name", "int-filter", "int-atom", "int-field", "int-filter-cell",
+        "empty-aggregation-name", "empty-target"])
+def test_a_misshapen_bundle_document_is_refused_when_parsed(parse, doc, path, value, refusal):
+    """Shapes that once escaped as TypeError, or, for a filter field of 5,
+    were accepted until the table was lowered."""
+    with pytest.raises(TableValidationError, match=f"^{re.escape(refusal)}$"):
+        parse(_edited(doc, path, value))
 
 
 def test_json_native_records_round_trip_exactly():
