@@ -167,7 +167,9 @@ def run_benchmark(config: BenchConfig) -> list[BenchRow]:
 # -- measurement core ---------------------------------------------------------
 
 def _measure_ladder(
-    fns: Sequence[Callable[[], object]], repetitions: int
+    fns: Sequence[Callable[[], object]],
+    repetitions: int,
+    before: Callable[[], object] = lambda: None,
 ) -> list[tuple[float, int]]:
     """Median wall time in ms and peak traced memory for each rung of a ladder.
 
@@ -175,7 +177,8 @@ def _measure_ladder(
     runs before repetition k+1 of any, with the garbage collector off, so
     a speed change or a collection pause part-way through cannot fall on
     the large rungs only. Peak memory comes from one separate traced run
-    per rung.
+    per rung. `before` runs, untimed and untraced, before every timed and
+    traced call.
     """
 
     for fn in fns:
@@ -187,6 +190,7 @@ def _measure_ladder(
         for _ in range(repetitions):
             gc.collect()
             for fn, rung_times in zip(fns, times):
+                before()
                 start = time.perf_counter_ns()
                 fn()
                 rung_times.append((time.perf_counter_ns() - start) / 1e6)
@@ -194,12 +198,13 @@ def _measure_ladder(
         if was_enabled:
             gc.enable()
     return [
-        (statistics.median(rung_times), _peak_memory(fn))
+        (statistics.median(rung_times), _peak_memory(fn, before))
         for fn, rung_times in zip(fns, times)
     ]
 
 
-def _peak_memory(fn: Callable[[], object]) -> int:
+def _peak_memory(fn: Callable[[], object], before: Callable[[], object]) -> int:
+    before()
     tracemalloc.start()
     try:
         fn()
@@ -243,10 +248,15 @@ def _clipped(ladder: Sequence[int], limit: int) -> list[int]:
     return kept or [limit]
 
 
-def _ladder_rows(config: BenchConfig, rungs: Sequence[tuple]) -> list[BenchRow]:
+def _ladder_rows(
+    config: BenchConfig, rungs: Sequence[tuple], before: Callable[[], object] = lambda: None
+) -> list[BenchRow]:
     """One row per rung `(records, columns, rules, mode, decision)`, with the
-    rungs' decisions timed together by `_measure_ladder`."""
-    measured = _measure_ladder([decision for *_, decision in rungs], config.repetitions)
+    rungs' decisions timed together by `_measure_ladder`, `before` run
+    before each."""
+    measured = _measure_ladder(
+        [decision for *_, decision in rungs], config.repetitions, before
+    )
     return [
         BenchRow(config.experiment, *shape, config.repetitions, median_ms, peak)
         for (*shape, _), (median_ms, peak) in zip(rungs, measured)
@@ -350,10 +360,13 @@ def _bench_plain_vs_enclave(config: BenchConfig) -> list[BenchRow]:
     unit, session = _make_stack()
     _provision(unit, session, "Patient", patients)
     shape = (config.records, len(table.condition_columns), len(table.rules))
+    # reloading the seed drops the versions the unit keeps opened, so every
+    # measured enclave decision opens and decodes the dataset
+    sealed = unit.seal_seed()
     return _ladder_rows(config, [
         (*shape, "plain", _decide_on(table, patients, specs)),
         (*shape, "enclave", _patient_decision(unit, session)),
-    ])
+    ], before=lambda: unit.load_sealed_seed(sealed))
 
 
 def _bench_memory_saving(config: BenchConfig) -> list[BenchRow]:

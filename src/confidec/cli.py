@@ -41,6 +41,7 @@ from confidec.errors import (
     GatewayError,
     SealingError,
     StorageError,
+    TableValidationError,
 )
 from confidec.gateway.client import ClientSession
 from confidec.gateway.queue import Gateway
@@ -309,10 +310,14 @@ def ccu_deploy(name: str, policies_path: str, table_paths: tuple[str, ...],
 
     root = _home_path(home)
     d = _unit_dir(root, name)
+    aggregations = _read_json(Path(agg_path)) if agg_path else []
+    if not isinstance(aggregations, list):
+        # assembling would take an object's keys for its documents
+        raise TableValidationError("aggregations file must hold a list")
     bundle = CodeBundle.assemble(
         Path(policies_path).read_text(),
         [_read_json(Path(p)) for p in table_paths],
-        _read_json(Path(agg_path)) if agg_path else (),
+        aggregations,
     )
     # the old bundle.json goes unread, so a damaged one is replaced here
     unit = _load_identity(root, name)

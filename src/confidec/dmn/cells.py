@@ -123,7 +123,7 @@ def _parse_cell(sc: _Scanner) -> Condition:
             return BooleanIs(True)
         if word == "false":
             return BooleanIs(False)
-        sc.fail(f"unexpected identifier {word!r}")
+        sc.fail("unexpected identifier")
     sc.fail("unrecognized cell")
 
 

@@ -187,9 +187,9 @@ class ColumnSpec:
         if not self.name:
             raise ValueError("column name must be non-empty")
         if self.kind not in COLUMN_KINDS:
-            raise ValueError(f"column {self.name!r}: bad kind {self.kind!r}")
+            raise ValueError(f"column {self.name!r}: bad kind")
         if self.value_type not in VALUE_TYPES:
-            raise ValueError(f"column {self.name!r}: bad value type {self.value_type!r}")
+            raise ValueError(f"column {self.name!r}: bad value type")
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ class AggregationSpec:
 
     def __post_init__(self):
         if self.reducer not in ("mean", "sum", "max", "min"):
-            raise ValueError(f"aggregation {self.name!r}: bad reducer {self.reducer!r}")
+            raise ValueError(f"aggregation {self.name!r}: bad reducer")
         for i, atom in enumerate(self.filter):
             if isinstance(atom.condition, ColumnRelation):
                 raise ValueError(

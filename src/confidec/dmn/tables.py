@@ -19,7 +19,7 @@ from confidec.dmn.model import (
     check_record_docs,
     is_number,
 )
-from confidec.errors import TableValidationError
+from confidec.errors import CellSyntaxError, TableValidationError
 from confidec.util import typed_fields
 
 # the refusal of a condition that reads another value type than its column
@@ -46,6 +46,15 @@ def _admissible(cond: Condition, column: ColumnSpec, by_name: Mapping[str, Colum
         if ref.value_type != "number":
             return f"references non-numeric column {cond.column!r}"
     return None
+
+
+def _condition(cell: str, where: str) -> Condition:
+    """The condition a bundle cell holds; a syntax error is refused where it
+    stands."""
+    try:
+        return parse_condition(cell)
+    except CellSyntaxError as exc:
+        raise TableValidationError(f"{where}: {exc}") from None
 
 
 def _check_output_value(value: Any, column: ColumnSpec) -> str | None:
@@ -105,7 +114,7 @@ def parse_decision_table(doc: Mapping[str, Any]) -> DecisionTable:
         for cell, col in zip(cells, cond_cols):
             if type(cell) is not str:
                 raise TableValidationError(f"rule {r}, column {col.name!r}: cell must be a str")
-            cond = parse_condition(cell)
+            cond = _condition(cell, f"rule {r}, column {col.name!r}")
             problem = _admissible(cond, col, by_name)
             if problem:
                 raise TableValidationError(f"rule {r}, column {col.name!r}: {problem}")
@@ -148,10 +157,9 @@ def parse_aggregation_spec(doc: Mapping[str, Any]) -> AggregationSpec:
         raise TableValidationError(f"aggregation {name!r}: bad targetField")
     atoms = []
     for i, raw in enumerate(raw_filter):
-        field, cell = typed_fields(
-            raw, f"aggregation {name!r}, atom {i}", TableValidationError, field=str, cell=str
-        )
-        atoms.append(FilterAtom(field=field, condition=parse_condition(cell)))
+        where = f"aggregation {name!r}, atom {i}"
+        field, cell = typed_fields(raw, where, TableValidationError, field=str, cell=str)
+        atoms.append(FilterAtom(field=field, condition=_condition(cell, where)))
     try:
         return AggregationSpec(name=name, filter=tuple(atoms), target_field=target, reducer=reducer)
     except ValueError as exc:

@@ -15,10 +15,11 @@ class ConfidecError(Exception):
 
 
 class CellSyntaxError(ConfidecError):
-    """A condition cell does not match the cell grammar."""
+    """A condition cell does not match the cell grammar. The text names the
+    offset and the reason, never the cell."""
 
     def __init__(self, text: str, position: int, reason: str):
-        super().__init__(f"bad cell {text!r} at offset {position}: {reason}")
+        super().__init__(f"bad cell at offset {position}: {reason}")
         self.text = text
         self.position = position
         self.reason = reason

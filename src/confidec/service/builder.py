@@ -9,13 +9,13 @@ that skeleton for review.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Protocol, Sequence, Tuple
 
 from confidec.dmn.aggregate import evaluate_aggregate
 from confidec.dmn.engine import decide_records, encode_batch
 from confidec.dmn.model import AggregationSpec, DecisionTable
-from confidec.dmn.program import STATUS_NO_MATCH, CompiledTable, compile_table
+from confidec.dmn.program import STATUS_NO_MATCH, Batch, CompiledTable, compile_table
 from confidec.errors import DecisionRejected, ServiceBuildError
 from confidec.policy.alfa import format_expr
 from confidec.policy.model import PolicySpec, check_access
@@ -39,14 +39,28 @@ class DecisionService:
         return self.spec.data_name
 
 
+@dataclass
+class OpenedRecords:
+    """Records a unit opened: their ids and, per field of a structure's
+    layout, the column of their values (None for an absent field).
+
+    `prepared` holds, per function that decided over the records, its
+    encoded batch and its aggregates. A unit that keeps the records for
+    later decisions keeps these with them, one batch per function, because
+    `decide_records` writes the function's aggregates into its batch.
+    """
+
+    ids: Sequence[str]
+    columns: Sequence[Sequence[object]]
+    prepared: Dict[str, Tuple[Batch, Dict[str, float]]] = field(default_factory=dict)
+
+
 class HandlerEnv(Protocol):
     """Capabilities the enclosing unit grants to a decision handler."""
 
-    def decrypt_data(
-        self, data_name: str, structure: str
-    ) -> Tuple[Sequence[str], Sequence[Sequence[object]]]:
-        """Fetch and decrypt the records published under data_name: their ids
-        and, per field of the structure's layout, the column of their values."""
+    def decrypt_data(self, data_name: str, structure: str) -> OpenedRecords:
+        """Fetch and decrypt the records published under data_name, in the
+        structure's layout."""
 
     def trace(self, step: str) -> None:
         """Record that a handler step ran."""
@@ -123,12 +137,22 @@ def handle_decision(
 
     env.trace("DecryptData")
     program = service.program
-    batch = encode_batch(program, *env.decrypt_data(data_name, service.data_name))
+    records = env.decrypt_data(data_name, service.data_name)
 
-    aggregates: Dict[str, float] = {}
-    for agg in program.aggregations:
-        env.trace(f"Aggregate {agg.name}")
-        aggregates[agg.name] = evaluate_aggregate(agg, batch)
+    # records the unit kept may hold this function's batch and aggregates
+    # already; the steps are traced alike either way
+    prepared = records.prepared.get(service.func_name)
+    if prepared is None:
+        batch = encode_batch(program, records.ids, records.columns)
+        aggregates: Dict[str, float] = {}
+        for agg in program.aggregations:
+            env.trace(f"Aggregate {agg.name}")
+            aggregates[agg.name] = evaluate_aggregate(agg, batch)
+        records.prepared[service.func_name] = batch, aggregates
+    else:
+        batch, aggregates = prepared
+        for agg in program.aggregations:
+            env.trace(f"Aggregate {agg.name}")
 
     env.trace("Decide")
     hits = decide_records(program, batch, aggregates)

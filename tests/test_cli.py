@@ -144,6 +144,41 @@ def test_deploying_a_misshapen_table_exits_with_one_error_line(runner, home, tmp
     assert result.stderr == "error: rule 0 field 'conditions' must be a list\n"
 
 
+def test_deploying_a_table_with_a_bad_cell_exits_with_its_place_not_its_text(
+    runner, home, tmp_path
+):
+    _run(runner, home, "ca", "init")
+    _run(runner, home, "ccu", "init", "unit1")
+    policies, _, _ = _bundle_files(tmp_path)
+    doc = load_table_doc("Restock")
+    doc["rules"][0]["conditions"][0] = "SECRET"
+    table = tmp_path / "bad-cell.json"
+    table.write_text(json.dumps(doc))
+    result = _run(runner, home, "ccu", "deploy", "unit1", "--policies", str(policies),
+                  "--table", str(table), expect=11)
+    column = doc["columns"][0]["name"]
+    assert result.stderr == (
+        f"error: rule 0, column {column!r}: bad cell at offset 6: unexpected identifier\n"
+    )
+
+
+def test_an_aggregations_file_holding_one_object_is_refused_before_assembly(
+    runner, home, tmp_path
+):
+    """Assembling would read the object's keys as documents and refuse the
+    first for a field it lacks, which names the wrong fault."""
+    _run(runner, home, "ca", "init")
+    _run(runner, home, "ccu", "init", "unit1")
+    policies, tables, aggs = _bundle_files(tmp_path)
+    aggs.write_text(json.dumps(load_patient_aggregation_docs()[0]))
+    args = ["ccu", "deploy", "unit1", "--policies", str(policies), "--aggregations", str(aggs)]
+    for path in tables:
+        args += ["--table", str(path)]
+    result = _run(runner, home, *args, expect=11)
+    assert result.stderr == "error: aggregations file must hold a list\n"
+    assert not (home / "units" / "unit1" / "bundle.json").exists()
+
+
 def test_the_retired_light_mode_options_are_usage_errors(runner, home, tmp_path):
     _bootstrap(runner, home, tmp_path)
     result = _run(runner, home, "ccu", "init", "unit2", "--allow-light", expect=2)

@@ -455,7 +455,7 @@ def test_decrypt_data_round_trips_the_full_dataset(make_unit, make_session):
 
     full = unit.decrypt_data("vax/patients.full", "Patient")
     slim = unit.decrypt_data("vax/patients", "Patient")
-    assert full == slim == _in_layout(unit, originals)
+    assert (full.ids, full.columns) == (slim.ids, slim.columns) == _in_layout(unit, originals)
     assert receipt["slim"]["storedBytes"] < receipt["full"]["storedBytes"]
 
 

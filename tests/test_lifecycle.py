@@ -2,21 +2,28 @@
 
 A hypothesis state machine provisions and re-provisions two datasets, fails
 storage writes, decides, redeploys (the same bundle, or under the same seed one
-whose Patient layout differs, and back) and reopens the store, against a
-plaintext model: each dataset's last committed version and the bundle it was
-committed under. After every step the full form of every committed dataset
-decides as `decide_all` does over that version, and so does the slim form
-unless it was committed under the other bundle's layout, which then fails
-authentication; the chain verifies with one entry per successful provision.
+whose Patient layout differs, and back), installs a fresh seed, flips a byte
+of a committed blob file and reopens the store, against a plaintext model:
+each dataset's last committed version, the bundle and the seed it was
+committed under, and which of its forms' blobs were altered since. After
+every step each form of every committed dataset decides as `decide_all` does
+over that version, unless its blob was altered, which fails the content
+check, or it was committed under another seed, or (slim only) under the
+other bundle's layout, which fails authentication; the chain verifies with
+one entry per successful provision. Most of these reads find the version
+the unit keeps opened from the read before, so they hold it to the answers
+of a fresh open.
 """
 
+import json
 import secrets
 import shutil
 import tempfile
 from datetime import timedelta
+from pathlib import Path
 
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from conftest import bundle_reading_another_patient_field, disk_full, standard_bundle
 from confidec.bench.vax import VaxSpec, generate_vax
@@ -73,8 +80,10 @@ class UnitLifecycle(RuleBasedStateMachine):
         self.seed = generate_seed()
         self.platform_secret = secrets.token_bytes(32)
         self.bundle = "standard"  # the deployed bundle, deployed again on reopening
-        # dataset name -> its records as last provisioned, and the bundle then
+        # dataset name -> its records as last provisioned, the bundle and the seed then
         self.committed = {}
+        # (dataset name, full) of each committed form whose blob file was altered
+        self.tampered = set()
         self.provisions = 0
         self._open_unit()
 
@@ -113,7 +122,8 @@ class UnitLifecycle(RuleBasedStateMachine):
     def provision(self, name, size, seed):
         records, response = self._provision(name, size, seed)
         assert response.status == "ok", response.error
-        self.committed[name] = records, self.bundle
+        self.committed[name] = records, self.bundle, self.seed
+        self.tampered -= {(name, False), (name, True)}
         self.provisions += 1
 
     @rule(name=st.sampled_from(NAMES), size=st.integers(0, 8), seed=st.integers(0, 99),
@@ -130,11 +140,14 @@ class UnitLifecycle(RuleBasedStateMachine):
         if name not in self.committed:
             assert answer == "name was never published"
             return
-        records, bundle = self.committed[name]
-        if full or bundle == self.bundle:
-            assert answer == _oracle(records)
-        else:  # a slim blob binds the layout it was sealed under
+        records, bundle, seed = self.committed[name]
+        if (name, full) in self.tampered:  # the blob is checked before it is opened
+            assert answer == "blob failed its content check"
+        elif seed != self.seed or not full and bundle != self.bundle:
+            # a blob opens under its seed, and a slim one under its layout
             assert isinstance(answer, str) and "authentication" in answer
+        else:
+            assert answer == _oracle(records)
 
     @rule(name=st.sampled_from(NAMES), full=st.booleans())
     def decide(self, name, full):
@@ -164,6 +177,31 @@ class UnitLifecycle(RuleBasedStateMachine):
     @rule()
     def reopen_the_store(self):
         self._open_unit()
+
+    @rule()
+    def install_a_fresh_seed(self):
+        self.seed = generate_seed()
+        self.unit.install_seed(self.seed)
+        self.session = _session(self.unit)
+
+    def _intact_forms(self):
+        return [(name, full) for name in sorted(self.committed) for full in (False, True)
+                if (name, full) not in self.tampered]
+
+    @precondition(lambda self: self._intact_forms())
+    @rule(data=st.data())
+    def flip_a_byte_of_a_committed_blob(self, data):
+        """The operator alters a blob file the unit has just read: the next
+        read answers the content check, not the version it read before."""
+        name, full = data.draw(st.sampled_from(self._intact_forms()))
+        self._assert_answers(name, full)
+        address = json.loads(self.unit._storage.fetch(name))["full" if full else "slim"]
+        path = Path(self.directory) / "blobs" / address
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        self.tampered.add((name, full))
+        self._assert_answers(name, full)
 
     @invariant()
     def both_forms_answer_the_committed_version(self):

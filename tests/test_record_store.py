@@ -20,19 +20,39 @@ from datetime import date, datetime
 
 import pytest
 
-from conftest import bundle_reading_another_patient_field, disk_full, sealed_form, standard_bundle
+from conftest import (
+    BUNDLED_FUNCS,
+    bundle_reading_another_patient_field,
+    disk_full,
+    sealed_form,
+    standard_bundle,
+)
 
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.aead import HEADER_LEN, NONCE_LEN, Ciphertext, ae_decrypt, ae_encrypt
 from confidec.crypto.keys import derive_record_key
+from confidec.dmn import engine
 from confidec.dmn.engine import decide_all
 from confidec.dmn.model import Record, check_record_docs
-from confidec.dmn.tables import parse_record, record_to_obj
+from confidec.dmn.tables import (
+    parse_aggregation_spec,
+    parse_decision_table,
+    parse_record,
+    record_to_obj,
+)
 from confidec.enclave import ccu
 from confidec.enclave.ccu import exchange_seed, generate_seed
+from confidec.enclave.measurement import CodeBundle
 from confidec.errors import AggregationError, TableValidationError
-from confidec.fixtures import load_patient_aggregations, load_table
+from confidec.fixtures import (
+    load_patient_aggregation_docs,
+    load_patient_aggregations,
+    load_policy_text,
+    load_table,
+    load_table_doc,
+)
 from confidec.gateway.client import ClientSession
+from confidec.service import builder
 from confidec.storage.node import StorageNode
 from confidec.storage.store import MemoryBlobStore
 from confidec.util import b64, canonical_json, length_prefixed, unb64
@@ -145,6 +165,12 @@ def _flip_a_stored_byte(unit, form):
     _overwrite(unit._storage, address, bytes(blob))
 
 
+def _replace_the_blob(unit, form):
+    """The blob's bytes replaced by the other form's, under its own address."""
+    manifest = _manifest(unit)
+    _overwrite(unit._storage, manifest[form], unit._storage.blobs.get(manifest[OTHER_FORM[form]]))
+
+
 def _drop_a_blob(unit, form):
     _overwrite(unit._storage, _manifest(unit)[form], None)
 
@@ -175,6 +201,7 @@ TAMPERING = {
     "swapped-randomizers": (_swap_randomizers, "authentication"),
     "dropped-randomizer": (_drop_a_randomizer, "malformed"),
     "flipped-byte": (_flip_a_stored_byte, "content check"),
+    "replaced-bytes": (_replace_the_blob, "content check"),
     "missing-blob": (_drop_a_blob, "no blob at"),
     "other-form-blob": (_point_at_the_other_form, "authentication"),
     "other-dataset-blob": (_point_at_another_dataset, "authentication"),
@@ -187,6 +214,8 @@ TAMPERING = {
 def test_tampered_storage_yields_a_typed_error_never_results(
     make_unit, make_session, tmp_path, tampering, store, form
 ):
+    """Tampering after a decision: the unit keeps the version it opened,
+    yet the next read answers the tampering."""
     unit = _unit(make_unit, store, tmp_path)
     session = make_session(unit)
     records = _records()
@@ -515,7 +544,8 @@ def _counting(monkeypatch, unit):
 def test_a_decision_gets_and_opens_one_blob_whatever_the_record_count(
     make_unit, make_session, monkeypatch, form
 ):
-    """The manifest's get and the blob's, in either form."""
+    """The manifest's get and the blob's, in either form; a read of a
+    version the unit opened before still gets both, but opens nothing."""
     unit = make_unit()
     session = make_session(unit)
     small, large = _records(1), _records(40)
@@ -523,10 +553,11 @@ def test_a_decision_gets_and_opens_one_blob_whatever_the_record_count(
     _provision(unit, session, large, name=OTHER_NAME)
     suffix = "" if form == "slim" else ".full"
     counts = _counting(monkeypatch, unit)
-    for name, records in ((SLIM_NAME, small), (OTHER_NAME, large), (SLIM_NAME, small)):
+    reads = ((SLIM_NAME, small, 1), (OTHER_NAME, large, 1), (SLIM_NAME, small, 0))
+    for name, records, opens in reads:
         counts.update(get=0, open=0)
         assert _decide(unit, session, name + suffix) == _oracle(records)
-        assert counts == {"get": 2, "open": 1}
+        assert counts == {"get": 2, "open": opens}
 
 
 @pytest.mark.parametrize("form", ["slim", "full"])
@@ -538,16 +569,229 @@ def test_a_manifest_republished_under_another_name_is_refused_before_any_blob_ge
     records, others = _records(), generate_vax(VaxSpec("Patient", 4, 8))
     _provision(unit, session, records)
     _provision(unit, session, others, name=OTHER_NAME)
+    name = SLIM_NAME if form == "slim" else FULL_NAME
+    assert _decide(unit, session, name) == _oracle(records)  # kept from now on
     # the operator binds the name to the other dataset's manifest bytes,
     # which the notarization chain records as an ordinary publication
     unit._storage.publish(SLIM_NAME, unit._storage.fetch(OTHER_NAME))
     assert unit._storage.chain.verify_chain() is None
 
     counts = _counting(monkeypatch, unit)
-    answer = _decide(unit, session, SLIM_NAME if form == "slim" else FULL_NAME)
+    answer = _decide(unit, session, name)
     assert isinstance(answer, str), "a decision answered from another dataset"
     assert "names another dataset" in answer
     assert counts == {"get": 1, "open": 0}  # the manifest's own get only
+
+
+# --- versions the unit keeps opened ---------------------------------------------
+
+
+def _counting_steps(monkeypatch, unit):
+    """`_counting`, plus the batch encodings and the aggregations decisions
+    run from now on."""
+    counts = _counting(monkeypatch, unit)
+    counts.update(encode=0, aggregate=0)
+    build_matrix, evaluate_aggregate = engine.build_matrix, builder.evaluate_aggregate
+
+    def counting_build(*args):
+        counts["encode"] += 1
+        return build_matrix(*args)
+
+    def counting_aggregate(*args):
+        counts["aggregate"] += 1
+        return evaluate_aggregate(*args)
+
+    monkeypatch.setattr(engine, "build_matrix", counting_build)
+    monkeypatch.setattr(builder, "evaluate_aggregate", counting_aggregate)
+    return counts
+
+
+@pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME], ids=["slim", "full"])
+def test_a_warm_decision_gets_both_blobs_and_opens_encodes_and_aggregates_nothing(
+    make_unit, make_session, monkeypatch, name
+):
+    unit = make_unit()
+    session = make_session(unit)
+    records = _records(30)
+    _provision(unit, session, records)
+    counts = _counting_steps(monkeypatch, unit)
+    cold, warm = {"open": 1, "encode": 1, "aggregate": 2}, {"open": 0, "encode": 0, "aggregate": 0}
+    for steps in (cold, warm):
+        counts.update(get=0, open=0, encode=0, aggregate=0)
+        assert _decide(unit, session, name) == _oracle(records)
+        assert counts == {"get": 2, **steps}
+
+
+def test_a_warm_decision_traces_the_steps_a_cold_one_does(make_unit, make_session):
+    unit = make_unit()
+    session = make_session(unit)
+    _provision(unit, session, _records())
+    traces = []
+    for _ in range(2):
+        _decide(unit, session, SLIM_NAME)
+        traces.append(list(unit.last_trace))
+    assert traces[0] == traces[1] == [
+        "ParseDecisionReq", "CheckCertificate", "CheckCallability", "DecryptData",
+        "Aggregate meanAge", "Aggregate sumAge", "Decide", "Return",
+    ]
+
+
+def _provision_again(unit, make_session):
+    session = make_session(unit)
+    records = _records(5)
+    _provision(unit, session, records)
+    return session, _oracle(records)
+
+
+def _new_seed(unit, make_session):
+    session = _reseed(unit, make_session)
+    return session, "ciphertext failed authentication"
+
+
+def _another_layout(unit, make_session):
+    """The slim blob binds the old layout; the full one still opens."""
+    session = _redeploy_another_layout(unit, make_session)
+    return session, {SLIM_NAME: "ciphertext failed authentication", FULL_NAME: _oracle(_records())}
+
+
+@pytest.mark.parametrize("change", [_provision_again, _new_seed, _another_layout],
+                         ids=["re-provision", "new-seed", "another-layout"])
+@pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME], ids=["slim", "full"])
+def test_a_kept_version_stops_answering_after_a_change(
+    make_unit, make_session, monkeypatch, change, name
+):
+    unit = make_unit()
+    session = make_session(unit)
+    _provision(unit, session, _records())
+    for _ in range(2):
+        assert _decide(unit, session, name) == _oracle(_records())
+
+    session, want = change(unit, make_session)
+    if isinstance(want, dict):
+        want = want[name]
+    counts = _counting(monkeypatch, unit)
+    assert _decide(unit, session, name) == want
+    assert counts == {"get": 2, "open": 1}
+
+
+@pytest.mark.parametrize("change, left", [
+    (lambda unit, session: unit.deploy(standard_bundle()), set()),
+    (lambda unit, session: unit.install_seed(unit._seed), set()),
+    (lambda unit, session: _provision(unit, session, _records(2)),
+     {(OTHER_NAME, "slim"), (OTHER_NAME, "full")}),
+], ids=["deploy", "install-seed", "provision"])
+def test_deploy_a_seed_and_a_provision_each_free_what_the_unit_kept(
+    make_unit, make_session, change, left
+):
+    """A provision frees only its own name's versions."""
+    unit = make_unit()
+    session = make_session(unit)
+    for name in (SLIM_NAME, OTHER_NAME):
+        _provision(unit, session, _records(), name=name)
+        for suffix in ("", ".full"):
+            assert _decide(unit, session, name + suffix) == _oracle(_records())
+    assert len(unit._opened) == 4
+
+    change(unit, session)
+    assert set(unit._opened) == left
+
+
+# two functions over the Patient structure whose aggregate slots sit at
+# different places, so that one function's batch cannot serve the other
+TWO_FUNCTIONS_POLICIES = """
+policy Oldest(Patient, top) {
+    target clause Action == "decide"
+    rule accessDecision {
+        permit
+        condition Role == "MedicalHub" && Country == "Italy"
+    }
+}
+
+policy Youngest(Patient, bottom) {
+    target clause Action == "decide"
+    rule accessDecision {
+        permit
+        condition Role == "MedicalHub" && Country == "Italy"
+    }
+}
+"""
+TWO_FUNCTIONS_TABLES = [
+    {"name": "Oldest", "columns": [
+        {"name": "top", "kind": "aggregateInput", "type": "number"},
+        {"name": "Age", "kind": "input", "type": "number"},
+        {"name": "Oldest", "kind": "output", "type": "string"},
+    ], "rules": [{"conditions": ["-", ">= top"], "outputs": ["oldest"]}]},
+    {"name": "Youngest", "columns": [
+        {"name": "Age", "kind": "input", "type": "number"},
+        {"name": "bottom", "kind": "aggregateInput", "type": "number"},
+        {"name": "Youngest", "kind": "output", "type": "string"},
+    ], "rules": [{"conditions": ["<= bottom", "-"], "outputs": ["youngest"]}]},
+]
+TWO_FUNCTIONS_AGGREGATIONS = [
+    {"name": "top", "filter": [], "targetField": "Age", "reducer": "max"},
+    {"name": "bottom", "filter": [], "targetField": "Age", "reducer": "min"},
+]
+
+
+def _two_function_oracle(func, records):
+    table = parse_decision_table(next(t for t in TWO_FUNCTIONS_TABLES if t["name"] == func))
+    specs = [parse_aggregation_spec(doc) for doc in TWO_FUNCTIONS_AGGREGATIONS]
+    return [
+        {"recordId": r.record_id, "outcome": r.outcome, "values": list(r.values)}
+        for r in decide_all(table, records, specs)
+    ]
+
+
+@pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME], ids=["slim", "full"])
+def test_two_functions_over_one_kept_version_keep_their_own_aggregates(
+    make_unit, make_session, name
+):
+    unit = make_unit(bundle=CodeBundle.assemble(
+        load_policy_text() + TWO_FUNCTIONS_POLICIES,
+        [load_table_doc(f) for f in BUNDLED_FUNCS] + TWO_FUNCTIONS_TABLES,
+        load_patient_aggregation_docs() + TWO_FUNCTIONS_AGGREGATIONS,
+    ))
+    session = make_session(unit)
+    records = _records(20)
+    _provision(unit, session, records)
+    want = {func: _two_function_oracle(func, records) for func in ("Oldest", "Youngest")}
+    assert want["Oldest"] != want["Youngest"]
+    for first, second in (("Oldest", "Youngest"), ("Youngest", "Oldest")):
+        unit.install_seed(unit._seed)  # drops the kept versions
+        session = make_session(unit)
+        # the first opens the dataset, the second finds it kept; then both are warm
+        for func in (first, second, first, second):
+            envelope, key = session.build_request("decision", {"funcName": func, "dataName": name})
+            response = unit.handle("t-dec", envelope)
+            assert response.status == "ok", response.error
+            assert ClientSession.open_response(response, key)["results"] == want[func]
+
+
+def test_kept_versions_stay_within_the_cap_least_recently_read_first(
+    make_unit, make_session, monkeypatch
+):
+    """Patient records have six layout fields: two records are 12 cells, so
+    a cap of 30 keeps two such datasets, and six records do not fit."""
+    monkeypatch.setattr(ccu, "OPENED_CELLS", 30)
+    unit = make_unit()
+    session = make_session(unit)
+    assert len(unit._layouts["Patient"]) == 6
+    sizes = {"a": 2, "b": 2, "c": 2, "big": 6}
+    for name, size in sizes.items():
+        _provision(unit, session, _records(size), name=name)
+    counts = _counting(monkeypatch, unit)
+    # each read, and whether it opens the blob
+    reads = [
+        ("a", 1), ("b", 1), ("a", 0), ("c", 1),  # c drops b, the least recently read
+        ("a", 0), ("b", 1),  # b drops c
+        ("big", 1), ("a", 0), ("b", 0), ("big", 1),  # big is not kept and drops nothing
+        ("c", 1), ("a", 1),
+    ]
+    for name, opens in reads:
+        counts.update(get=0, open=0)
+        assert _decide(unit, session, name) == _oracle(_records(sizes[name]))
+        assert counts == {"get": 2, "open": opens}, name
+        assert sum(kept.cells for kept in unit._opened.values()) <= 30
 
 
 def _reseed(unit, make_session):

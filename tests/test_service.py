@@ -18,6 +18,7 @@ from confidec.policy.alfa import parse_policy_descriptor
 from confidec.service.builder import (
     REJECT_CERTIFICATE,
     REJECT_POLICY,
+    OpenedRecords,
     build_desobj,
     compact_results,
     emit_audit_script,
@@ -57,7 +58,7 @@ class RecordingEnv:
     def decrypt_data(self, data_name, structure):
         self.decrypted = (data_name, structure)
         layout = _patient_service().program.layout
-        return (
+        return OpenedRecords(
             [r.id for r in self.records],
             [[r.fields.get(f) for r in self.records] for f in layout],
         )

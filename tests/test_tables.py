@@ -243,9 +243,24 @@ def _edited(doc, path, value):
     return doc
 
 
+# (kind, path, a value of the right type the parser refuses, its refusal)
+_REFUSED_VALUES = [
+    ("column", ("columns", 0, "kind"), "SECRET", "column 0: column 'n': bad kind"),
+    ("column", ("columns", 0, "type"), "SECRET", "column 0: column 'n': bad value type"),
+    ("rule", ("rules", 0, "conditions", 0), "SECRET",
+     "rule 0, column 'n': bad cell at offset 6: unexpected identifier"),
+    ("rule", ("rules", 0, "conditions", 0), "<10 SECRET",
+     "rule 0, column 'n': bad cell at offset 4: trailing characters after condition"),
+    ("aggregation", ("reducer",), "SECRET", "aggregation 'a': bad reducer"),
+    ("atom", ("filter", 0, "cell"), "SECRET",
+     "aggregation 'a', atom 0: bad cell at offset 6: unexpected identifier"),
+]
+
+
 def _misshapen_documents():
     """(parser, whole document, refusal): each key of each bundle document
-    absent, then holding a value of another type."""
+    absent, then holding a value of another type; then values of the right
+    type that the parser refuses."""
     cases = []
     for kind, (parse, valid, path, prefix, shape) in _BUNDLE_DOCUMENTS.items():
         for key, want in shape.items():
@@ -257,6 +272,10 @@ def _misshapen_documents():
                 pytest.param(parse, _edited(valid, (*path, key), wrong), refusal,
                              id=f"{kind}-{key}-retyped"),
             ]
+    for kind, path, value, refusal in _REFUSED_VALUES:
+        parse, valid, *_ = _BUNDLE_DOCUMENTS[kind]
+        cases.append(pytest.param(parse, _edited(valid, path, value), refusal,
+                                  id=f"{kind}-{path[-1]}-refused-{value}"))
     return cases
 
 
