@@ -195,14 +195,13 @@ def decide_records(
 
     Returns per record what a response carries: the index of the rule that
     fired, or `STATUS_NO_MATCH`. The first record whose decision reads a
-    missing or mistyped field raises.
+    missing or mistyped field raises. The batch is left as it was: the
+    aggregates reach the row loop as arguments.
     """
     check_aggregates(program.table, aggregates)
-    columns = batch.columns
-    for j, name in program.aggregate_slots:
-        columns[j] = [float(aggregates[name])] * len(batch.ids)
+    values = [float(aggregates[name]) for _, name in program.aggregate_slots]
     try:
-        return _kernel_py.run_program(batch, program)
+        return _kernel_py.run_program(batch, program, values)
     except AbortRecord as abort:
         j, i = abort.args
         raise _field_error(

@@ -33,16 +33,18 @@ NaN is a `float` subclass, one instance per slot, whose `<`, `<=`, `>`, `>=`,
 `==` and hash raise `AbortRecord(J)`; its `!=` and its arithmetic are
 float's, so `vJ != vJ` is true for it without raising, and `vR * f` is a
 plain NaN. A slot no op or filter reads is not encoded at all, and an
-aggregate-input slot is not encoded either: once the aggregates are known,
-`decide_records` makes it one list of its value, `[value] * n`.
+aggregate-input slot is not encoded either: its value is the same for every
+record, so the row loop takes it as an argument, `vJ` as a parameter after
+`append`.
 
 The generated code reads rows: `Batch.rows` zips the columns of just the
-slots the table, or a filter, reads, in slot order, so a row is one tuple of
-those cells. A generated row loop unpacks each row into locals, `vJ` for
-slot J, and passes each table function the slots it reads; a filter unpacks
-its rows the same way. Every non-wildcard condition is one op, a test on
-`vJ`. The tests, with `a`, `b` and `f` the `repr` of the cell's finite
-numbers:
+slots the table, or a filter, reads, in slot order (the table's aggregate
+inputs aside), so a row is one tuple of those cells. A generated row loop
+unpacks each row into locals, `vJ` for slot J, tests the first rule group
+inline and passes each later group's function the slots it reads; a filter
+unpacks its rows the same way. Every non-wildcard condition is one op, a
+test on `vJ`. The tests, with `a`, `b` and `f` the `repr` of the cell's
+finite numbers:
 
     Relational      vJ < a   (or <=, >, >=)
     NumericEquals   vJ == a; for |a| >= 2**53, vJ == a or vJ + 0.0 == a,
@@ -58,9 +60,11 @@ record, with J as its error slot; a test carries no abort clause of its own. A c
 relation adds one for the referenced slot, `or (vR != vR and _abort(R))`:
 `vR * f` is a plain NaN that only makes the comparison false. Its own slot
 traps in the comparison, so J still aborts before R. A rule is one `if` of
-its `and`-ed tests that returns the rule index, so the tests run in the
-order of `decide_record`, and a NaN cell aborts only when a test reads it.
-An all-wildcard rule is a bare `return`, after which nothing is emitted.
+its `and`-ed tests whose body, in a function, returns the rule index and, in
+the row loop, appends it and goes on to the next row, so the tests run in
+the order of `decide_record`, and a NaN cell aborts only when a test reads
+it. An all-wildcard rule is that body alone, after which nothing is
+emitted.
 
 An aggregation filter is one function over the rows of the slots it reads
 that returns the indices of the rows whose filter tests all hold. It reads
@@ -73,18 +77,22 @@ records, and a NaN there, found through `math.fsum` and `!=`, which do not
 trap, is the first selected record lacking a numeric target. Sums use
 `math.fsum`, so the result matches the reference over `Record`s bit for bit.
 
-Only numbers and slot indices enter the source of the table and filter
-functions: no table or record string does, and they see no builtins, only
-`_abort`; the row loop sees only the table's functions. The encoder reads
-the vocabularies as dictionaries bound in its globals, so their strings stay
-out of its source too. The rules are split, whole, into functions of at
-most MAX_OPS_PER_FUNCTION ops (a rule with more ops than that gets a
-function of its own); each function returns the index of its first rule
-that holds, or None, and the row loop calls the next one only on None; a
-table without rules gets no function, and its row loop appends
-STATUS_NO_MATCH for each row. The cap bounds what one `compile()` holds at
-once: lowering `synth_table(7, 300)` into one function raises the peak RSS
-by 21.6 MB, into functions of 128 ops by 1.3 MB.
+Only numbers and slot indices enter the source of the row loop and of the
+table and filter functions: no table or record string does, and they see no
+builtins, only `_abort` and, in the row loop, the later groups' functions.
+The encoder reads the vocabularies as dictionaries bound in its globals, so
+their strings stay out of its source too. The rules are split, whole, into
+groups of at most MAX_OPS_PER_FUNCTION ops (a rule with more ops than that
+is a group of its own). The row loop tests the first group's rules inline,
+so a table of one group, as each bundled table is, makes no Python call per
+record; each later group is a function that returns the index of its first
+rule that holds, or None, and the loop calls it only when no group before
+it held. `CompiledTable.functions` holds every group as such a function,
+the first too, though the loop inlines it. A table without rules has no
+group, and its row loop appends STATUS_NO_MATCH for each row. The cap
+bounds what one `compile()` holds at once: lowering `synth_table(7, 300)`
+into one function raises the peak RSS by 21.6 MB, into functions of 128 ops
+by 1.3 MB.
 
 A decision response carries each distinct output tuple that fired once,
 the record ids as one list, and `k` as another, one index per record into
@@ -176,7 +184,8 @@ class _TrappingNaN(float):
 _GLOBALS = {"__builtins__": {}, "_abort": _abort}
 
 RuleFunction = Callable[..., Optional[int]]
-RowLoop = Callable[[Iterable[Sequence[float]], List[int]], None]
+RowLoop = Callable[..., None]  # (rows, append, *aggregate input values)
+Rule = Tuple[str, int]  # a rule's `and`-ed tests, "" for none, and its index
 FilterFunction = Callable[[Iterable[Sequence[float]]], List[int]]
 Encoder = Callable[[Sequence[Sequence[object]]], List[Optional[List[float]]]]
 
@@ -225,11 +234,11 @@ class CompiledTable:
     layout: Tuple[str, ...]
     slots: Tuple[ColumnSpec, ...]  # the table's condition columns
     positions: Tuple[int, ...]  # layout index of each input slot, -1 otherwise
-    reads: Tuple[int, ...]  # the slots the table's functions read, in slot order
-    aggregate_slots: Tuple[Tuple[int, str], ...]  # read aggregate inputs
+    reads: Tuple[int, ...]  # the slots of the rows the row loop reads, in slot order
+    aggregate_slots: Tuple[Tuple[int, str], ...]  # read aggregate inputs: run's arguments
     encode: Encoder
-    functions: Tuple[RuleFunction, ...]
-    run: RowLoop  # appends each row's hit, calling the functions in order
+    functions: Tuple[RuleFunction, ...]  # one per rule group, the first too
+    run: RowLoop  # appends each row's hit: the first group inline, then the functions
     aggregations: Tuple[LoweredAggregation, ...]
 
 
@@ -301,35 +310,55 @@ def _define(source: List[str], name: str, globals_: dict, filename: str) -> Call
     return namespace[name]
 
 
-def _compile_function(lines: List[str], reads: Set[int]) -> Tuple[RuleFunction, List[int]]:
-    """A function of the slots it reads, and those slots in slot order."""
+def _rule_lines(rules: Sequence[Rule], indent: str, hit: Callable[[int], List[str]]) -> List[str]:
+    """Each rule as one `if` of its tests whose body is hit(rule index); an
+    all-wildcard rule, which ends the table, as that body alone."""
+    lines: List[str] = []
+    for test, r in rules:
+        if test:
+            lines.append(f"{indent}if {test}:")
+            lines += [f"{indent}    {line}" for line in hit(r)]
+        else:
+            lines += [indent + line for line in hit(r)]
+    return lines
+
+
+def _compile_function(rules: Sequence[Rule], reads: Set[int]) -> Tuple[RuleFunction, List[int]]:
+    """A function of the slots it reads that returns the index of its first
+    rule that holds, or None, and those slots in slot order."""
     params = sorted(reads)
-    source = [f"def _f({_params(params)}):"] + lines
+    source = [f"def _f({_params(params)}):"]
+    source += _rule_lines(rules, "    ", lambda r: [f"return {r}"])
     return _define(source, "_f", _GLOBALS, "<decision table>"), params
 
 
 def _compile_loop(
-    functions: Sequence[Tuple[RuleFunction, Sequence[int]]], reads: Sequence[int]
+    first: Sequence[Rule],
+    later: Sequence[Tuple[RuleFunction, Sequence[int]]],
+    reads: Sequence[int],
+    arguments: Sequence[int],
 ) -> RowLoop:
-    """The loop that unpacks each row of the slots the table reads and
-    appends the hit of the first function, given the slots it reads, that
-    returns one, or STATUS_NO_MATCH."""
-    globals_: dict = {"__builtins__": {}}
+    """The loop that unpacks each row of the slots in reads, tests the first
+    group's rules inline and, if none holds, calls the later groups'
+    functions, given the slots each reads, until one returns a hit; it passes
+    append each row's hit, or STATUS_NO_MATCH. The slots in arguments, the
+    aggregate inputs, are its parameters after append."""
+    globals_ = dict(_GLOBALS)
     source = [
-        "def _run(rows, hits):",
-        "    append = hits.append",
+        f"def _run(rows, append{''.join(f', v{j}' for j in arguments)}):",
         f"    for {_targets(reads)} in rows:",
     ]
-    for k, (function, function_reads) in enumerate(functions):
+    source += _rule_lines(first, "        ", lambda r: [f"append({r})", "continue"])
+    for k, (function, function_reads) in enumerate(later, start=1):
         globals_[f"_f{k}"] = function
         call = f"hit = _f{k}({_params(function_reads)})"
-        if k == 0:
+        if k == 1:
             source.append(f"        {call}")
         else:
             source += ["        if hit is None:", f"            {call}"]
-    if functions:
+    if later:
         source.append(f"        append({STATUS_NO_MATCH} if hit is None else hit)")
-    else:
+    elif not first or first[-1][0]:  # unless an all-wildcard rule ended the table
         source.append(f"        append({STATUS_NO_MATCH})")
     return _define(source, "_run", globals_, "<row loop>")
 
@@ -447,9 +476,9 @@ def _compile(
         {} if vt == "string" else None for vt in value_types
     ]
 
-    functions: List[Tuple[RuleFunction, List[int]]] = []  # and the slots each reads
+    groups: List[Tuple[List[Rule], Set[int]]] = []  # and the slots each reads
     read: Set[int] = set()  # every slot some op or filter reads
-    lines: List[str] = []  # body of the function being filled
+    rules: List[Rule] = []  # the group being filled
     reads: Set[int] = set()  # the slots it reads
     n_ops = 0  # and its op count
     for r, rule in enumerate(table.rules):
@@ -463,20 +492,21 @@ def _compile(
             aborts = "".join(f" or (v{s} != v{s} and _abort({s}))" for s in slots_read[1:])
             tests.append(f"({test}{aborts})")
             rule_reads.update(slots_read)
-        if lines and n_ops + len(tests) > MAX_OPS_PER_FUNCTION:
-            functions.append(_compile_function(lines, reads))
-            lines, reads, n_ops = [], set(), 0
+        if rules and n_ops + len(tests) > MAX_OPS_PER_FUNCTION:
+            groups.append((rules, reads))
+            rules, reads, n_ops = [], set(), 0
         n_ops += len(tests)
         reads |= rule_reads
         read |= rule_reads
+        rules.append((" and ".join(tests), r))
         if not tests:
-            lines.append(f"    return {r}")
             break  # no later rule can be reached
-        lines.append(f"    if {' and '.join(tests)}:")
-        lines.append(f"        return {r}")
-    if lines:
-        functions.append(_compile_function(lines, reads))
-    table_reads = tuple(sorted(read))
+    if rules:
+        groups.append((rules, reads))
+    functions = [_compile_function(group, group_reads) for group, group_reads in groups]
+    # aggregate inputs are the row loop's arguments; the other slots, its rows
+    arguments = tuple(j for j in sorted(read) if slots[j].kind == "aggregateInput")
+    row_reads = tuple(j for j in sorted(read) if j not in arguments)
 
     lowered = []
     for agg, atoms, target in filters:
@@ -505,14 +535,11 @@ def _compile(
         layout=layout,
         slots=slots,
         positions=tuple(slot_position[: len(slots)]),
-        reads=table_reads,
-        aggregate_slots=tuple(
-            (j, c.name) for j, c in enumerate(slots)
-            if c.kind == "aggregateInput" and j in table_reads
-        ),
+        reads=row_reads,
+        aggregate_slots=tuple((j, slots[j].name) for j in arguments),
         encode=_compile_encoder(cells, n_slots, len(slots)),
         functions=tuple(function for function, _ in functions),
-        run=_compile_loop(functions, table_reads),
+        run=_compile_loop(groups[0][0] if groups else [], functions[1:], row_reads, arguments),
         aggregations=tuple(lowered),
     )
 

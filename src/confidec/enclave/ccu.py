@@ -109,8 +109,8 @@ _ARRAYS = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circ
 
 # The most cells (records times layout fields, summed over datasets and
 # forms) a unit keeps opened for later decisions. A cell held about 73 bytes
-# with the ids and one function's encoded columns (tracemalloc, 4 000
-# patients over 6 layout fields), so the cap is about 5 MB.
+# with the ids, their JSON and one function's encoded columns (tracemalloc,
+# 4 000 patients over 6 layout fields), so the cap is about 5 MB.
 OPENED_CELLS = 1 << 16
 
 
@@ -177,6 +177,9 @@ class Ccu:
         self._layouts: Dict[str, Tuple[str, ...]] = {}
         # per (dataset, form), the version last opened, least recently read first
         self._opened: OrderedDict[Tuple[str, str], _Opened] = OrderedDict()
+        # moved by every deploy and seed, which can run while a decision is
+        # in flight: a read that saw it move keeps nothing it opened
+        self._generation = 0
 
         self._busy = threading.Lock()
         self.handled: List[dict] = []
@@ -240,6 +243,7 @@ class Ccu:
         self._measurement = measurement
         self._services = services
         self._layouts = layouts
+        self._generation += 1
         self._opened.clear()
         return self._measurement
 
@@ -265,6 +269,7 @@ class Ccu:
             raise ConfidecError(f"seed must be {SEED_LEN} bytes")
         self._seed = seed
         self._set_channel_keys(KeyAgreementKeyPair.from_seed(seed))
+        self._generation += 1
         self._opened.clear()
 
     def _set_channel_keys(self, ka: KeyAgreementKeyPair) -> None:
@@ -321,10 +326,10 @@ class Ccu:
                 key = self._channel_key(envelope.ephemeral_pub)
                 attributes = self._caller(envelope)
                 if envelope.request_type == "provision":
-                    obj = self.handle_provision(envelope, key, attributes)
+                    plaintext = canonical_json(self.handle_provision(envelope, key, attributes))
                 else:
-                    obj = self.handle_decision(envelope, key, attributes)
-                body = ae_encrypt(key, canonical_json(obj), aad=response_aad(correlation_id))
+                    plaintext = self.handle_decision(envelope, key, attributes)
+                body = ae_encrypt(key, plaintext, aad=response_aad(correlation_id))
                 return ResponseEnvelope(correlation_id=correlation_id, status="ok", body=body)
             except ConfidecError as exc:
                 return ResponseEnvelope(
@@ -385,6 +390,8 @@ class Ccu:
         columns = list(zip(*[list(map(record["fields"].get, union)) for record in raw_records]))
         t = secrets.token_bytes(RANDOMIZER_LEN)
         key = derive_record_key(self._seed, t)
+        # the full form holds every text of the payload, so its seal refuses
+        # one that is not UTF-8 before any blob is stored
         full, full_bytes = self._seal(key, data_name, FULL, union, ids, columns)
         slim_columns = _project(columns, union, layout, len(ids))
         slim, slim_bytes = self._seal(key, data_name, SLIM, layout, ids, slim_columns)
@@ -412,18 +419,22 @@ class Ccu:
     ) -> Tuple[str, int]:
         """Seal one form of a dataset, [fields, ids, columns], as one blob
         under key and store it; returns the blob's address and size."""
-        plaintext = _ARRAYS.encode([fields, ids, columns]).encode("utf-8")
-        blob = seal_wire(key, plaintext, _record_aad(data_name, form, fields))
+        try:
+            plaintext = _ARRAYS.encode([fields, ids, columns]).encode("utf-8")
+            aad = _record_aad(data_name, form, fields)
+        except UnicodeEncodeError:  # a lone surrogate: valid JSON, but no UTF-8
+            raise MalformedRequestError("provision holds text that is not UTF-8") from None
+        blob = seal_wire(key, plaintext, aad)
         return self._storage.blobs.put(blob), len(blob)
 
     # --- decisions ---------------------------------------------------------------
 
     def handle_decision(
         self, envelope: RequestEnvelope, key: bytes, attributes: Mapping[str, str] | None
-    ) -> dict:
-        """Run the guarded handler named in the envelope payload; key is the
-        request's channel key and attributes the caller's, None if its
-        certificate failed."""
+    ) -> bytes:
+        """Run the guarded handler named in the envelope payload and return
+        the decision body; key is the request's channel key and attributes
+        the caller's, None if its certificate failed."""
         func_name, data_name = _open_payload(envelope, key, funcName=str, dataName=str)
         return run_decision_handler(self.service(func_name), attributes, data_name, self)
 
@@ -453,8 +464,10 @@ class Ccu:
         `install_seed` drop every kept version). So they are the records an
         open would give. Opened versions are kept within OPENED_CELLS, the
         least recently read dropped first; a version larger than that is
-        not kept.
+        not kept, and neither is one opened by a read during which a
+        `deploy` or `install_seed` ran.
         """
+        generation = self._generation  # before the seed: see `_keep`
         seed = self._seed
         if seed is None:
             raise ConfidecError("unit has no data seed installed")
@@ -491,14 +504,22 @@ class Ccu:
             # randomizer of the wrong length, a short blob
             raise StorageError("stored dataset is malformed") from None
         records = OpenedRecords(ids, columns)
-        self._keep((dataset, form), _Opened(manifest_bytes, layout, records))
+        self._keep((dataset, form), _Opened(manifest_bytes, layout, records), generation)
         return records
 
-    def _keep(self, key: Tuple[str, str], opened: _Opened) -> None:
+    def _keep(self, key: Tuple[str, str], opened: _Opened, generation: int) -> None:
         """Keep an opened version in place of the key's last one, dropping
         the least recently read versions until the cells fit OPENED_CELLS; a
-        version larger than the cap is not kept and drops nothing."""
-        if opened.cells > OPENED_CELLS:
+        version larger than the cap is not kept and drops nothing.
+
+        generation is the one its read started under. If a deploy or a seed
+        has moved it since, the version may have been opened under the old
+        seed or layout, and is not kept. Both set their seed or layout
+        before they move the generation, and a read takes the generation
+        before the seed and the layout, so a read that saw the current
+        generation opened under the current seed and layout.
+        """
+        if generation != self._generation or opened.cells > OPENED_CELLS:
             return
         self._opened.pop(key, None)
         while sum(kept.cells for kept in self._opened.values()) + opened.cells > OPENED_CELLS:

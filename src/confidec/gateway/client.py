@@ -82,12 +82,17 @@ class ClientSession:
 def expand_results(body: dict) -> dict:
     """Turn a decision body's `outputs`, `ids` and `k` into one result object
     per record; k is -1 for a record no rule matched. Lists of unequal
-    length raise ValueError."""
-    outputs = body.pop("outputs")
+    length raise ValueError.
+
+    Each result is made from one template per distinct output tuple, so the
+    results with equal outputs share one `values` list, and the no-match
+    results one empty list: a caller that changes one result's values
+    changes them all.
+    """
+    templates = [{"outcome": "decided", "values": values} for values in body.pop("outputs")]
+    templates.append({"outcome": "noMatch", "values": []})  # templates[-1], for k = -1
     body["results"] = [
-        {"recordId": record_id, "outcome": "decided", "values": list(outputs[k])}
-        if k >= 0
-        else {"recordId": record_id, "outcome": "noMatch", "values": []}
+        {"recordId": record_id, **templates[k]}
         for record_id, k in zip(body.pop("ids"), body.pop("k"), strict=True)
     ]
     return body

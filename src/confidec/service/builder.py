@@ -10,6 +10,7 @@ that skeleton for review.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Protocol, Sequence, Tuple
 
 from confidec.dmn.aggregate import evaluate_aggregate
@@ -45,14 +46,21 @@ class OpenedRecords:
     layout, the column of their values (None for an absent field).
 
     `prepared` holds, per function that decided over the records, its
-    encoded batch and its aggregates. A unit that keeps the records for
-    later decisions keeps these with them, one batch per function, because
-    `decide_records` writes the function's aggregates into its batch.
+    encoded batch and its aggregates, and `ids_json` the ids as a decision
+    body holds them, made on first use. A unit that keeps the records for
+    later decisions keeps these with them: each function's own batch, in
+    its layout's slots and vocabularies, and one ids JSON for every
+    decision over this version.
     """
 
     ids: Sequence[str]
     columns: Sequence[Sequence[object]]
     prepared: Dict[str, Tuple[Batch, Dict[str, float]]] = field(default_factory=dict)
+
+    @cached_property
+    def ids_json(self) -> bytes:
+        """`canonical_json(ids)`."""
+        return canonical_json(self.ids)
 
 
 class HandlerEnv(Protocol):
@@ -117,10 +125,10 @@ def handle_decision(
     attributes: Mapping[str, str] | None,
     data_name: str,
     env: HandlerEnv,
-) -> dict:
+) -> bytes:
     """Run a service's guarded handler for a caller with the given
     certificate attributes (None if its certificate failed), over the records
-    published under data_name.
+    published under data_name; returns the decision body (`decision_body`).
 
     Steps run in a fixed order; certificate and policy failures raise
     DecisionRejected with the canonical message before any data is read.
@@ -158,7 +166,25 @@ def handle_decision(
     hits = decide_records(program, batch, aggregates)
 
     env.trace("Return")
-    return compact_results(service.func_name, program, batch.ids, hits)
+    return decision_body(service.func_name, program, records.ids_json, hits)
+
+
+def _outputs_and_k(program: CompiledTable, hits: Sequence[int]) -> Tuple[List[list], List[int]]:
+    """Each distinct output tuple that fired, once, in first-hit order, and
+    per hit its index into them, or -1 for no match."""
+    rules = program.table.rules
+    outputs: List[list] = []
+    index_of: Dict[bytes, int] = {}
+    k_of_hit = {STATUS_NO_MATCH: -1}
+    for hit in dict.fromkeys(hits):
+        if hit not in k_of_hit:
+            values = list(rules[hit].outputs)
+            key = canonical_json(values)  # 1, 1.0 and true stay apart
+            if key not in index_of:
+                index_of[key] = len(outputs)
+                outputs.append(values)
+            k_of_hit[hit] = index_of[key]
+    return outputs, [k_of_hit[hit] for hit in hits]
 
 
 def compact_results(
@@ -172,24 +198,25 @@ def compact_results(
     share an index, so the body says nothing about the table beyond the
     answers.
     """
-    rules = program.table.rules
-    outputs: List[list] = []
-    index_of: Dict[bytes, int] = {}
-    k_of_hit = {STATUS_NO_MATCH: -1}
-    for hit in dict.fromkeys(hits):
-        if hit not in k_of_hit:
-            values = list(rules[hit].outputs)
-            key = canonical_json(values)  # 1, 1.0 and true stay apart
-            if key not in index_of:
-                index_of[key] = len(outputs)
-                outputs.append(values)
-            k_of_hit[hit] = index_of[key]
-    return {
-        "funcName": func_name,
-        "outputs": outputs,
-        "ids": ids,
-        "k": [k_of_hit[hit] for hit in hits],
-    }
+    outputs, k = _outputs_and_k(program, hits)
+    return {"funcName": func_name, "outputs": outputs, "ids": ids, "k": k}
+
+
+def decision_body(
+    func_name: str, program: CompiledTable, ids_json: bytes, hits: Sequence[int]
+) -> bytes:
+    """`canonical_json(compact_results(func_name, program, ids, hits))`, byte
+    for byte, given ids_json = `canonical_json(ids)`: the keys in sorted
+    order around each value's own canonical JSON, which is the same inside
+    the object as alone."""
+    outputs, k = _outputs_and_k(program, hits)
+    return b"".join((
+        b'{"funcName":', canonical_json(func_name),
+        b',"ids":', ids_json,
+        b',"k":', canonical_json(k),
+        b',"outputs":', canonical_json(outputs),
+        b"}",
+    ))
 
 
 def emit_audit_script(policy: PolicySpec) -> str:

@@ -8,13 +8,17 @@ from datetime import datetime, timezone
 from typing import Any, Callable, List
 
 
+# what json.dumps would build on every call with these arguments
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj: Any) -> bytes:
     """Serialize to the canonical form used for hashing and signing.
 
     Keys sorted, no whitespace, UTF-8. Two structurally equal documents
     always map to the same byte string.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return _CANONICAL.encode(obj).encode("utf-8")
 
 
 def typed_fields(doc: Any, prefix: str, error: Callable[[str], Exception], **shape: type) -> List[Any]:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import BUNDLED_FUNCS
+
 from confidec.dmn import _kernel_py
 from confidec.dmn._kernel_py import run_program
 from confidec.dmn.cells import parse_condition
@@ -222,6 +224,37 @@ def test_the_kernel_returns_one_hit_per_row_and_stops_at_the_first_bad_one():
         run_program(batch, program)
     slot, row = aborted.value.args
     assert (program.slots[slot].name, row) == ("b", 3)
+
+
+@pytest.mark.parametrize("name", BUNDLED_FUNCS)
+def test_a_one_group_table_decides_each_row_without_a_call(name):
+    """The first rule group is tested inside the row loop, and every bundled
+    table fits one group."""
+    table = load_table(name)
+    specs = tuple(load_patient_aggregations()) if table.aggregate_columns else ()
+    program = compile_table(table, specs)
+    assert len(program.functions) == 1
+    names = program.run.__code__.co_names
+    assert "_f0" not in names and set(names) <= {"_abort"}
+
+
+def test_deciding_leaves_the_batch_as_it_was():
+    """The aggregates reach the row loop as arguments, not as columns."""
+    from confidec.bench.vax import VaxSpec, decision_batches, generate_vax
+    from confidec.dmn.aggregate import evaluate_aggregate
+
+    specs = load_patient_aggregations()
+    program = compile_table(PATIENT, tuple(specs))
+    assert [name for _, name in program.aggregate_slots] == ["meanAge", "sumAge"]
+    records = decision_batches("Patient", generate_vax(VaxSpec("Patient", 40, seed=3)))["r1"]
+    batch = encode_records(program, records)
+    columns = list(batch.columns)
+    aggs = {s.name: evaluate_aggregate(s, records) for s in specs}
+    for _ in range(2):
+        assert decide_records(program, batch, aggs) == _kernel(PATIENT, records, aggs)
+        assert len(batch.columns) == len(columns)
+        assert all(now is then for now, then in zip(batch.columns, columns))
+    assert [batch.columns[j] for j, _ in program.aggregate_slots] == [None, None]
 
 
 def test_batch_and_single_record_agree_on_bundled_data():

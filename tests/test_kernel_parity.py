@@ -603,13 +603,14 @@ def test_hostile_table_strings_never_enter_the_generated_code(case):
         assert all(_is_allowed_constant(c) for c in code.co_consts), code.co_consts
         assert code.co_filename == filename
         assert set(function.__globals__) == {"__builtins__", "_abort"}
-    # the row loop names only the table's functions
+    # the row loop tests the first group inline and names only `_abort` and
+    # the later groups' functions
+    later = {f"_f{k}" for k in range(1, len(program.functions))}
     loop = program.run.__code__
     assert loop.co_filename == "<row loop>"
+    assert set(loop.co_names) <= {"_abort"} | later, loop.co_names
     assert all(_is_allowed_constant(c) for c in loop.co_consts), loop.co_consts
-    assert set(program.run.__globals__) == {"__builtins__"} | {
-        f"_f{k}" for k in range(len(program.functions))
-    }
+    assert set(program.run.__globals__) == {"__builtins__", "_abort"} | later
 
 
 # -- the float rows: exact floats, trapping cells ----------------------------------

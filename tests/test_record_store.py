@@ -455,6 +455,37 @@ def test_provision_refuses_a_malformed_record_with_the_text_parse_record_gives(
     assert len(unit._storage.chain) == 0
 
 
+@pytest.mark.parametrize("place", ["record-id", "field-name", "field-value", "data-name"])
+def test_provision_refuses_a_lone_surrogate_before_any_blob_is_stored(
+    make_unit, make_session, place
+):
+    """`"\\ud800"` is valid JSON, but no UTF-8 text holds it."""
+    text = "SECRET-\ud800"
+    doc = _valid_doc()
+    if place == "record-id":
+        doc["id"] = text
+    elif place == "field-name":
+        doc["fields"][text] = 1
+    elif place == "field-value":
+        doc["fields"]["Name"] = text
+    payload = {
+        "dataName": text if place == "data-name" else SLIM_NAME,
+        "structure": "Patient",
+        "records": [_valid_doc("r-first"), doc],
+    }
+    unit = make_unit()
+    envelope, key = make_session(unit).build_request("provision", {})
+    # a client's canonical JSON cannot hold the text; its \u escape can
+    envelope = dataclasses.replace(
+        envelope, payload=ae_encrypt(key, json.dumps(payload).encode(), aad=b"provision")
+    )
+    blobs = list(unit._storage.blobs.addresses())
+    response = unit.handle("t-prov", envelope)
+    assert (response.status, response.error) == ("error", "provision holds text that is not UTF-8")
+    assert list(unit._storage.blobs.addresses()) == blobs
+    assert len(unit._storage.chain) == 0
+
+
 @pytest.mark.parametrize("value, accepted", [
     ("text", True), (True, True), (7, True), (1.5, True), (2**53 + 1, True),
     (10**400, False), (float("nan"), False), (float("inf"), False), (float("-inf"), False),
@@ -694,6 +725,53 @@ def test_deploy_a_seed_and_a_provision_each_free_what_the_unit_kept(
 
     change(unit, session)
     assert set(unit._opened) == left
+
+
+def _during_the_next_get(monkeypatch, unit, change):
+    """Run change once, inside the next blob get: while a decision reads."""
+    get = unit._storage.blobs.get
+    pending = [change]
+
+    def get_then_change(address):
+        data = get(address)
+        while pending:
+            pending.pop()()
+        return data
+
+    monkeypatch.setattr(unit._storage.blobs, "get", get_then_change)
+
+
+@pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME], ids=["slim", "full"])
+def test_a_version_opened_while_a_seed_is_installed_is_not_kept(
+    make_unit, make_session, monkeypatch, name
+):
+    """The decision in flight answers under the seed it started with; the
+    next one reads under the new seed, as a cold read does."""
+    unit = make_unit()
+    session = make_session(unit)
+    records = _records()
+    _provision(unit, session, records)
+    _during_the_next_get(monkeypatch, unit, lambda: unit.install_seed(generate_seed()))
+    assert _decide(unit, session, name) == _oracle(records)
+    assert not unit._opened
+    assert _decide(unit, make_session(unit), name) == "ciphertext failed authentication"
+
+
+@pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME], ids=["slim", "full"])
+def test_a_version_opened_while_a_bundle_is_deployed_is_not_kept(
+    make_unit, make_session, monkeypatch, name
+):
+    unit = make_unit()
+    session = make_session(unit)
+    records = _records()
+    _provision(unit, session, records)
+    _during_the_next_get(monkeypatch, unit, lambda: unit.deploy(standard_bundle()))
+    assert _decide(unit, session, name) == _oracle(records)
+    assert not unit._opened
+    counts = _counting(monkeypatch, unit)
+    assert _decide(unit, session, name) == _oracle(records)
+    assert counts == {"get": 2, "open": 1}
+    assert set(unit._opened) == {(SLIM_NAME, "slim" if name == SLIM_NAME else "full")}
 
 
 # two functions over the Patient structure whose aggregate slots sit at

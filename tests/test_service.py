@@ -1,9 +1,11 @@
 """Decision services: binding validation, the handler skeleton, audit output."""
 
 import dataclasses
+import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confidec.bench.vax import VaxSpec, decision_batches, expected_outcome, generate_vax
 from confidec.crypto.keys import SigningKeyPair
@@ -21,9 +23,11 @@ from confidec.service.builder import (
     OpenedRecords,
     build_desobj,
     compact_results,
+    decision_body,
     emit_audit_script,
     handle_decision,
 )
+from confidec.util import canonical_json
 
 HUB_ATTRS = {"Role": "MedicalHub", "Country": "Italy"}
 
@@ -164,7 +168,7 @@ def test_handler_runs_steps_in_order():
 def test_handler_payload_shape():
     service = _patient_service()
     batch = _patient_batch()
-    payload = handle_decision(service, HUB_ATTRS, "vax/patients", RecordingEnv(batch))
+    payload = json.loads(handle_decision(service, HUB_ATTRS, "vax/patients", RecordingEnv(batch)))
     assert payload["funcName"] == "PatientPrioritizationWithAggr"
     assert set(payload) == {"funcName", "outputs", "ids", "k"}
     assert payload["ids"] == [r.id for r in batch]
@@ -194,6 +198,81 @@ def test_compact_results_keep_outputs_that_only_equal_in_python_apart():
     assert [r["values"] for r in expand_results(body)["results"]] == [[1.0], [1], [1], [], [1.0]]
 
 
+# text a JSON encoder must escape, and text it must pass through as UTF-8
+_BODY_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028'), st.characters()),
+    max_size=6,
+)
+
+
+@st.composite
+def _decisions(draw):
+    """A table of up to 14 rules over one number column, whose rules have
+    outputs of every kind, some equal, and some records' hits."""
+    n_rules = draw(st.integers(min_value=0, max_value=14))
+    outputs = [
+        [draw(_BODY_TEXT),
+         draw(st.one_of(st.integers(-(2 ** 60), 2 ** 60),
+                        st.floats(allow_nan=False, allow_infinity=False))),
+         draw(st.booleans())]
+        for _ in range(n_rules)
+    ]
+    table = parse_decision_table({
+        "name": draw(_BODY_TEXT.filter(bool)),
+        "columns": [{"name": "a", "kind": "input", "type": "number"},
+                    {"name": "s", "kind": "output", "type": "string"},
+                    {"name": "n", "kind": "output", "type": "number"},
+                    {"name": "b", "kind": "output", "type": "boolean"}],
+        "rules": [{"conditions": [f"<{r}"], "outputs": o} for r, o in enumerate(outputs)],
+    })
+    hits = draw(st.lists(st.integers(-1, n_rules - 1), max_size=40))
+    ids = draw(st.lists(_BODY_TEXT, min_size=len(hits), max_size=len(hits)))
+    return table, ids, hits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decisions())
+def test_the_assembled_body_is_the_canonical_json_of_the_compact_results(case):
+    table, ids, hits = case
+    program = compile_table(table)
+    want = canonical_json(compact_results(table.name, program, ids, hits))
+    assert decision_body(table.name, program, canonical_json(ids), hits) == want
+
+
+@pytest.mark.parametrize("hits", [[], [-1, -1, -1], list(range(12)) * 2],
+                         ids=["empty", "no-match", "twelve-outputs"])
+def test_the_assembled_body_at_its_edges(hits):
+    table = parse_decision_table({
+        "name": "T\u00e9\"\\",
+        "columns": [{"name": "a", "kind": "input", "type": "number"},
+                    {"name": "o", "kind": "output", "type": "string"}],
+        "rules": [{"conditions": [f"<{r}"], "outputs": [f"o\u00e9{r}\n"]} for r in range(12)],
+    })
+    program = compile_table(table)
+    ids = [f"id-\u2603-\"{i}\\" for i in range(len(hits))]
+    body = decision_body(table.name, program, canonical_json(ids), hits)
+    assert body == canonical_json(compact_results(table.name, program, ids, hits))
+    assert len(json.loads(body)["outputs"]) == len(set(hits) - {-1})
+
+
+def test_results_with_equal_outputs_share_one_values_list():
+    body = {"funcName": "T", "outputs": [["a"], ["b", 1]],
+            "ids": ["x", "y", "z", "w", "v"], "k": [0, 1, 0, -1, -1]}
+    results = expand_results(body)["results"]
+    assert results == [
+        {"recordId": "x", "outcome": "decided", "values": ["a"]},
+        {"recordId": "y", "outcome": "decided", "values": ["b", 1]},
+        {"recordId": "z", "outcome": "decided", "values": ["a"]},
+        {"recordId": "w", "outcome": "noMatch", "values": []},
+        {"recordId": "v", "outcome": "noMatch", "values": []},
+    ]
+    assert [list(r) for r in results] == [["recordId", "outcome", "values"]] * 5
+    assert results[0]["values"] is results[2]["values"]
+    assert results[3]["values"] is results[4]["values"]
+    assert results[0]["values"] is not results[1]["values"]
+    assert len({id(r) for r in results}) == 5
+
+
 @pytest.mark.parametrize("ids, k", [(["x", "y"], [0]), (["x"], [0, -1])],
                          ids=["fewer-k", "fewer-ids"])
 def test_expanding_a_body_whose_lists_differ_in_length_raises(ids, k):
@@ -204,7 +283,9 @@ def test_expanding_a_body_whose_lists_differ_in_length_raises(ids, k):
 
 def test_handler_reports_aggregates_only_when_asked():
     batch = _patient_batch()
-    quiet = handle_decision(_patient_service(), HUB_ATTRS, "vax/patients", RecordingEnv(batch))
+    quiet = json.loads(
+        handle_decision(_patient_service(), HUB_ATTRS, "vax/patients", RecordingEnv(batch))
+    )
     assert "aggregates" not in quiet
 
 
