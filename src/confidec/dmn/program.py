@@ -87,9 +87,9 @@ is a group of its own). The row loop tests the first group's rules inline,
 so a table of one group, as each bundled table is, makes no Python call per
 record; each later group is a function that returns the index of its first
 rule that holds, or None, and the loop calls it only when no group before
-it held. `CompiledTable.functions` holds every group as such a function,
-the first too, though the loop inlines it. A table without rules has no
-group, and its row loop appends STATUS_NO_MATCH for each row. The cap
+it held. `CompiledTable.functions` holds these later groups' functions,
+one per group after the first. A table without rules has no group, and its
+row loop appends STATUS_NO_MATCH for each row. The cap
 bounds what one `compile()` holds at once: lowering `synth_table(7, 300)`
 into one function raises the peak RSS by 21.6 MB, into functions of 128 ops
 by 1.3 MB.
@@ -237,7 +237,7 @@ class CompiledTable:
     reads: Tuple[int, ...]  # the slots of the rows the row loop reads, in slot order
     aggregate_slots: Tuple[Tuple[int, str], ...]  # read aggregate inputs: run's arguments
     encode: Encoder
-    functions: Tuple[RuleFunction, ...]  # one per rule group, the first too
+    functions: Tuple[RuleFunction, ...]  # one per rule group after the first
     run: RowLoop  # appends each row's hit: the first group inline, then the functions
     aggregations: Tuple[LoweredAggregation, ...]
 
@@ -503,7 +503,7 @@ def _compile(
             break  # no later rule can be reached
     if rules:
         groups.append((rules, reads))
-    functions = [_compile_function(group, group_reads) for group, group_reads in groups]
+    later = [_compile_function(group, group_reads) for group, group_reads in groups[1:]]
     # aggregate inputs are the row loop's arguments; the other slots, its rows
     arguments = tuple(j for j in sorted(read) if slots[j].kind == "aggregateInput")
     row_reads = tuple(j for j in sorted(read) if j not in arguments)
@@ -538,8 +538,8 @@ def _compile(
         reads=row_reads,
         aggregate_slots=tuple((j, slots[j].name) for j in arguments),
         encode=_compile_encoder(cells, n_slots, len(slots)),
-        functions=tuple(function for function, _ in functions),
-        run=_compile_loop(groups[0][0] if groups else [], functions[1:], row_reads, arguments),
+        functions=tuple(function for function, _ in later),
+        run=_compile_loop(groups[0][0] if groups else [], later, row_reads, arguments),
         aggregations=tuple(lowered),
     )
 

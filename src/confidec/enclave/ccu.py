@@ -107,10 +107,11 @@ FULL = "full"  # the sorted union of the dataset's fields
 # JSON arrays of validated values: no keys to sort, no cycles to look for
 _ARRAYS = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
 
-# The most cells (records times layout fields, summed over datasets and
-# forms) a unit keeps opened for later decisions. A cell held about 73 bytes
-# with the ids, their JSON and one function's encoded columns (tracemalloc,
-# 4 000 patients over 6 layout fields), so the cap is about 5 MB.
+# The most cells (records times layout fields plus one for the ids, summed
+# over datasets and forms) a unit keeps opened for later decisions. A cell
+# held about 62 bytes with the ids, their JSON and one function's encoded
+# columns (tracemalloc, 4 000 patients over 6 layout fields), so the cap is
+# about 4 MB.
 OPENED_CELLS = 1 << 16
 
 
@@ -141,15 +142,14 @@ def _project(
 @dataclass(frozen=True)
 class _Opened:
     """One form of a dataset as the unit opened it: the manifest bytes it
-    read, the layout it projected onto and the records."""
+    read and the records."""
 
     manifest: bytes
-    layout: Tuple[str, ...]
     records: OpenedRecords
 
     @property
     def cells(self) -> int:
-        return len(self.records.ids) * len(self.layout)
+        return len(self.records.ids) * (len(self.records.columns) + 1)
 
 
 class Ccu:
@@ -177,10 +177,8 @@ class Ccu:
         self._layouts: Dict[str, Tuple[str, ...]] = {}
         # per (dataset, form), the version last opened, least recently read first
         self._opened: OrderedDict[Tuple[str, str], _Opened] = OrderedDict()
-        # moved by every deploy and seed, which can run while a decision is
-        # in flight: a read that saw it move keeps nothing it opened
-        self._generation = 0
 
+        # held by a request, and by a deploy or seed install while it swaps
         self._busy = threading.Lock()
         self.handled: List[dict] = []
         self.last_trace: List[str] = []
@@ -209,7 +207,9 @@ class Ccu:
     # --- deployment -------------------------------------------------------
 
     def deploy(self, bundle: CodeBundle) -> bytes:
-        """Install a code bundle; returns its measurement."""
+        """Install a code bundle; returns its measurement. The bundle is
+        lowered first; the swap then waits for the request in flight, if
+        any."""
         policies = parse_policy_descriptor(bundle.policy_text)
         tables = [parse_decision_table(doc) for doc in bundle.table_docs()]
         aggregations = [parse_aggregation_spec(doc) for doc in bundle.aggregation_docs()]
@@ -236,16 +236,16 @@ class Ccu:
         }
 
         measurement = compute_measurement(bundle)
-        if self._measurement is not None and measurement != self._measurement and self._seed is not None:
-            # a different code identity must not inherit the seed
-            self._seed = None
-            self._set_channel_keys(KeyAgreementKeyPair.generate())
-        self._measurement = measurement
-        self._services = services
-        self._layouts = layouts
-        self._generation += 1
-        self._opened.clear()
-        return self._measurement
+        with self._busy:
+            if self._measurement is not None and measurement != self._measurement and self._seed is not None:
+                # a different code identity must not inherit the seed
+                self._seed = None
+                self._set_channel_keys(KeyAgreementKeyPair.generate())
+            self._measurement = measurement
+            self._services = services
+            self._layouts = layouts
+            self._opened.clear()
+        return measurement
 
     @property
     def measurement(self) -> bytes | None:
@@ -264,13 +264,14 @@ class Ccu:
         return self._seed is not None
 
     def install_seed(self, seed: bytes) -> None:
-        """Adopt a data seed; the channel key pair becomes seed-derived."""
+        """Adopt a data seed, once the request in flight, if any, is done;
+        the channel key pair becomes seed-derived."""
         if len(seed) != SEED_LEN:
             raise ConfidecError(f"seed must be {SEED_LEN} bytes")
-        self._seed = seed
-        self._set_channel_keys(KeyAgreementKeyPair.from_seed(seed))
-        self._generation += 1
-        self._opened.clear()
+        with self._busy:
+            self._seed = seed
+            self._set_channel_keys(KeyAgreementKeyPair.from_seed(seed))
+            self._opened.clear()
 
     def _set_channel_keys(self, ka: KeyAgreementKeyPair) -> None:
         """Adopt a channel key pair and certify its public key."""
@@ -316,7 +317,9 @@ class Ccu:
     # --- gateway entry point -------------------------------------------------
 
     def handle(self, correlation_id: str, envelope: RequestEnvelope) -> ResponseEnvelope:
-        """Process one envelope; called by the gateway worker only."""
+        """Process one envelope; called by the gateway worker only. A request
+        that arrives while another, a deploy or a seed install holds the unit
+        raises RuntimeError."""
         if not self._busy.acquire(blocking=False):
             raise RuntimeError("unit asked to handle two requests at once")
         started = time.monotonic_ns()
@@ -456,18 +459,16 @@ class Ccu:
         any other tampering.
 
         Every read fetches and checks the manifest and gets the blob. When
-        the manifest's bytes and the layout are those of the version last
-        opened in this form, that version's records answer, without opening
-        the blob again: the bytes fix the address and the randomizer, the
-        get has just checked the blob's content against the address, and
-        the seed and layout have not changed since (`deploy` and
-        `install_seed` drop every kept version). So they are the records an
-        open would give. Opened versions are kept within OPENED_CELLS, the
-        least recently read dropped first; a version larger than that is
-        not kept, and neither is one opened by a read during which a
-        `deploy` or `install_seed` ran.
+        the manifest's bytes are those of the version last opened in this
+        form, that version's records answer, without opening the blob again:
+        the bytes fix the address and the randomizer, the get has just
+        checked the blob's content against the address, and the seed and
+        layout have not changed since (`deploy` and `install_seed` wait for
+        the request in flight, then drop every kept version). So they are
+        the records an open would give. Opened versions are kept within
+        OPENED_CELLS, the least recently read dropped first; a version
+        larger than that is not kept.
         """
-        generation = self._generation  # before the seed: see `_keep`
         seed = self._seed
         if seed is None:
             raise ConfidecError("unit has no data seed installed")
@@ -490,7 +491,7 @@ class Ccu:
             key = derive_record_key(seed, unb64(t))
             blob = self._storage.blobs.get(address)
             kept = self._opened.get((dataset, form))
-            if kept is not None and kept.manifest == manifest_bytes and kept.layout == layout:
+            if kept is not None and kept.manifest == manifest_bytes:
                 self._opened.move_to_end((dataset, form))
                 return kept.records
             # one authenticated [fields, ids, columns] document the unit wrote
@@ -504,22 +505,14 @@ class Ccu:
             # randomizer of the wrong length, a short blob
             raise StorageError("stored dataset is malformed") from None
         records = OpenedRecords(ids, columns)
-        self._keep((dataset, form), _Opened(manifest_bytes, layout, records), generation)
+        self._keep((dataset, form), _Opened(manifest_bytes, records))
         return records
 
-    def _keep(self, key: Tuple[str, str], opened: _Opened, generation: int) -> None:
+    def _keep(self, key: Tuple[str, str], opened: _Opened) -> None:
         """Keep an opened version in place of the key's last one, dropping
         the least recently read versions until the cells fit OPENED_CELLS; a
-        version larger than the cap is not kept and drops nothing.
-
-        generation is the one its read started under. If a deploy or a seed
-        has moved it since, the version may have been opened under the old
-        seed or layout, and is not kept. Both set their seed or layout
-        before they move the generation, and a read takes the generation
-        before the seed and the layout, so a read that saw the current
-        generation opened under the current seed and layout.
-        """
-        if generation != self._generation or opened.cells > OPENED_CELLS:
+        version larger than the cap is not kept and drops nothing."""
+        if opened.cells > OPENED_CELLS:
             return
         self._opened.pop(key, None)
         while sum(kept.cells for kept in self._opened.values()) + opened.cells > OPENED_CELLS:

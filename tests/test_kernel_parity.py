@@ -354,7 +354,8 @@ def test_a_table_without_rules_matches_no_record(kinds):
 
 def test_one_slot_table_hits_and_misses_in_every_function():
     table = _table(["number"], [[str(i)] for i in range(300)])
-    assert len(compile_table(table).functions) == 3
+    # three groups: the first inline in the row loop, two functions
+    assert len(compile_table(table).functions) == 2
     records = _records(
         *({"c0": v} for v in (0, 127, 128, 200, 255, 256, 299, 300, -1)),
         {}, {"c0": "wrong type"},
@@ -373,7 +374,7 @@ def test_a_field_first_read_in_a_later_function_aborts_there():
     rows = [[str(i), "-", "-", "-"] for i in range(200)]
     rows += [["-", f"<={j}", '"oak","fir"', "true"] for j in range(60)]
     table = _table(["number", "number", "string", "boolean"], rows)
-    assert len(compile_table(table).functions) == 3
+    assert len(compile_table(table).functions) == 2
     assert _ops_before(table, 200) > MAX_OPS_PER_FUNCTION
     assert _ops_before(table, 230) > 2 * MAX_OPS_PER_FUNCTION
     full = {"c0": 999, "c1": 30, "c2": "fir", "c3": True}
@@ -427,8 +428,8 @@ def test_rules_with_more_ops_than_the_cap():
         [">=0"] * (n - 1) + ["<3"],
         ["1"] + ["-"] * (n - 1),
     ])
-    # each rule is a function of its own
-    assert len(compile_table(table).functions) == 3
+    # each rule is a group of its own; the later two are functions
+    assert len(compile_table(table).functions) == 2
 
     def fields(value, **overrides):
         out = {f"c{i}": value for i in range(n)}
@@ -454,8 +455,9 @@ def test_an_all_wildcard_rule_ends_the_table():
     rows += [[str(i), "-"] for i in range(200, 250)]
     table = _table(["number", "string"], rows)
     assert _ops_before(table, 200) > 3 * MAX_OPS_PER_FUNCTION
-    # rules 0..199 fill four functions, the last of which ends with rule 200
-    assert len(compile_table(table).functions) == 4
+    # rules 0..199 fill four groups, the last of which ends with rule 200;
+    # the row loop tests the first inline and calls the other three
+    assert len(compile_table(table).functions) == 3
     records = _records(
         {"c0": 5, "c1": "oak"}, {"c0": 5, "c1": "pine"}, {"c0": 230, "c1": "oak"},
         {"c0": 999}, {"c0": 3}, {"c1": "oak"},
@@ -605,7 +607,7 @@ def test_hostile_table_strings_never_enter_the_generated_code(case):
         assert set(function.__globals__) == {"__builtins__", "_abort"}
     # the row loop tests the first group inline and names only `_abort` and
     # the later groups' functions
-    later = {f"_f{k}" for k in range(1, len(program.functions))}
+    later = {f"_f{k}" for k in range(1, len(program.functions) + 1)}
     loop = program.run.__code__
     assert loop.co_filename == "<row loop>"
     assert set(loop.co_names) <= {"_abort"} | later, loop.co_names
@@ -774,8 +776,9 @@ def test_rows_hold_exact_floats_and_trapping_cells():
 def test_table_tests_carry_no_abort_clause_of_their_own():
     table = _table(["number", "string", "boolean", "number"],
                    [["<5", '"oak"', "true", "[1..2]"], ["3", "-", "false", "-"]])
-    for function in compile_table(table).functions:
-        assert "_abort" not in function.__code__.co_names
-    relation = _table(["number", "number"], [["<= c1 * 2", "-"]])
-    (function,) = compile_table(relation).functions
-    assert function.__code__.co_names == ("_abort",)
+    program = compile_table(table)
+    assert program.functions == ()  # one group, tested in the row loop
+    assert "_abort" not in program.run.__code__.co_names
+    relation = compile_table(_table(["number", "number"], [["<= c1 * 2", "-"]]))
+    assert relation.functions == ()
+    assert relation.run.__code__.co_names == ("_abort",)

@@ -16,6 +16,7 @@ blob.
 import dataclasses
 import json
 import secrets
+import threading
 from datetime import date, datetime
 
 import pytest
@@ -727,32 +728,61 @@ def test_deploy_a_seed_and_a_provision_each_free_what_the_unit_kept(
     assert set(unit._opened) == left
 
 
+# how long a test waits for another thread before it fails instead of hanging
+WAIT_S = 30
+
+
+def _on_another_thread(change):
+    """A thread that runs change and keeps what it raised in `.errors`."""
+    def run():
+        try:
+            change()
+        except BaseException as exc:  # noqa: BLE001 - the test thread reports it
+            errors.append(exc)
+
+    errors = []
+    thread = threading.Thread(target=run, daemon=True)
+    thread.errors = errors
+    return thread
+
+
+def _assert_done(thread):
+    thread.join(WAIT_S)
+    assert not thread.is_alive(), "the change did not finish"
+    assert not thread.errors
+
+
 def _during_the_next_get(monkeypatch, unit, change):
-    """Run change once, inside the next blob get: while a decision reads."""
+    """Start change on another thread inside the next blob get, while a
+    decision reads, and return that thread once it is seen waiting."""
     get = unit._storage.blobs.get
-    pending = [change]
+    changer = _on_another_thread(change)
 
     def get_then_change(address):
-        data = get(address)
-        while pending:
-            pending.pop()()
-        return data
+        if changer.ident is None:
+            changer.start()
+            changer.join(0.3)
+            assert changer.is_alive(), f"the change did not wait for the decision: {changer.errors}"
+        return get(address)
 
     monkeypatch.setattr(unit._storage.blobs, "get", get_then_change)
+    return changer
 
 
 @pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME], ids=["slim", "full"])
 def test_a_version_opened_while_a_seed_is_installed_is_not_kept(
     make_unit, make_session, monkeypatch, name
 ):
-    """The decision in flight answers under the seed it started with; the
-    next one reads under the new seed, as a cold read does."""
+    """The decision in flight answers under the seed it started with, and the
+    seed waits for it; the next one reads under the new seed, as a cold read
+    does."""
     unit = make_unit()
     session = make_session(unit)
     records = _records()
     _provision(unit, session, records)
-    _during_the_next_get(monkeypatch, unit, lambda: unit.install_seed(generate_seed()))
+    changer = _during_the_next_get(monkeypatch, unit, lambda: unit.install_seed(generate_seed()))
     assert _decide(unit, session, name) == _oracle(records)
+    _assert_done(changer)
     assert not unit._opened
     assert _decide(unit, make_session(unit), name) == "ciphertext failed authentication"
 
@@ -765,13 +795,92 @@ def test_a_version_opened_while_a_bundle_is_deployed_is_not_kept(
     session = make_session(unit)
     records = _records()
     _provision(unit, session, records)
-    _during_the_next_get(monkeypatch, unit, lambda: unit.deploy(standard_bundle()))
+    changer = _during_the_next_get(monkeypatch, unit, lambda: unit.deploy(standard_bundle()))
     assert _decide(unit, session, name) == _oracle(records)
+    _assert_done(changer)
     assert not unit._opened
     counts = _counting(monkeypatch, unit)
     assert _decide(unit, session, name) == _oracle(records)
     assert counts == {"get": 2, "open": 1}
     assert set(unit._opened) == {(SLIM_NAME, "slim" if name == SLIM_NAME else "full")}
+
+
+# a function over VaccinationCenter that also reads DailyCapacity, so that
+# deploying it moves the fields `Restock` reads to other places in the layout
+BUSY_POLICY = """
+policy Busy(VaccinationCenter) {
+    target clause Action == "decide"
+    rule accessDecision {
+        permit
+        condition Role == "MedicalHub" && Country == "Italy"
+    }
+}
+"""
+BUSY_TABLE = {"name": "Busy", "columns": [
+    {"name": "DailyCapacity", "kind": "input", "type": "number"},
+    {"name": "Busy", "kind": "output", "type": "string"},
+], "rules": [{"conditions": ["> 1000"], "outputs": ["busy"]}]}
+
+
+def test_a_redeploy_waits_for_the_decision_in_flight_through_the_gateway(
+    make_unit, make_session, make_gateway, monkeypatch
+):
+    """A decision has looked its service up and is parked before it reads;
+    another thread deploys a bundle that shifts the layout and installs the
+    same seed again. The deploy waits, so the decision answers with the code
+    and layout it started with, and the next one with the new code."""
+    unit = make_unit()
+    gateway = make_gateway(unit.handle)
+    centers = generate_vax(VaxSpec("VaccinationCenter", 70, seed=5))
+    _provision(unit, make_session(unit), centers, name="c", structure="VaccinationCenter")
+    want = [
+        {"recordId": r.record_id, "outcome": r.outcome, "values": list(r.values)}
+        for r in decide_all(load_table("Restock"), centers)
+    ]
+    before = unit._layouts["VaccinationCenter"]
+    bundle = CodeBundle.assemble(
+        load_policy_text() + BUSY_POLICY,
+        [load_table_doc(f) for f in BUNDLED_FUNCS] + [BUSY_TABLE],
+        load_patient_aggregation_docs(),
+    )
+
+    def submit():
+        envelope, key = make_session(unit).build_request(
+            "decision", {"funcName": "Restock", "dataName": "c.full"}
+        )
+        return gateway.submit(envelope), key
+
+    def results(ticket, key):
+        response = gateway.await_response(ticket, WAIT_S)
+        assert response.status == "ok", response.error
+        return ClientSession.open_response(response, key)["results"]
+
+    assert results(*submit()) == want  # the version is kept from here on
+    parked, release = threading.Event(), threading.Event()
+    check_access = builder.check_access
+
+    def park_then_check(*args):
+        parked.set()
+        assert release.wait(WAIT_S), "the decision was never released"
+        return check_access(*args)
+
+    monkeypatch.setattr(builder, "check_access", park_then_check)
+    racing = submit()
+    assert parked.wait(WAIT_S), "the decision never reached the policy check"
+    seed = unit._seed
+    deployer = _on_another_thread(lambda: (unit.deploy(bundle), unit.install_seed(seed)))
+    deployer.start()
+    deployer.join(0.3)
+    waited = deployer.is_alive() and unit._layouts["VaccinationCenter"] == before
+    release.set()
+    racing = results(*racing)
+    _assert_done(deployer)
+    monkeypatch.setattr(builder, "check_access", check_access)
+
+    assert unit._layouts["VaccinationCenter"] != before
+    assert racing == want, "the decision in flight answered wrong"
+    assert results(*submit()) == want, "the next decision answered wrong"
+    assert waited, "the deploy did not wait for the decision in flight"
 
 
 # two functions over the Patient structure whose aggregate slots sit at
@@ -848,8 +957,9 @@ def test_two_functions_over_one_kept_version_keep_their_own_aggregates(
 def test_kept_versions_stay_within_the_cap_least_recently_read_first(
     make_unit, make_session, monkeypatch
 ):
-    """Patient records have six layout fields: two records are 12 cells, so
-    a cap of 30 keeps two such datasets, and six records do not fit."""
+    """Patient records have six layout fields and their ids: two records are
+    14 cells, so a cap of 30 keeps two such datasets, and six records do not
+    fit."""
     monkeypatch.setattr(ccu, "OPENED_CELLS", 30)
     unit = make_unit()
     session = make_session(unit)
@@ -870,6 +980,41 @@ def test_kept_versions_stay_within_the_cap_least_recently_read_first(
         assert _decide(unit, session, name) == _oracle(_records(sizes[name]))
         assert counts == {"get": 2, "open": opens}, name
         assert sum(kept.cells for kept in unit._opened.values()) <= 30
+
+
+# a function of no field: its structure's layout is empty
+ALWAYS_POLICY = """
+policy Always(Thing) {
+    target clause Action == "decide"
+    rule accessDecision {
+        permit
+        condition Role == "MedicalHub" && Country == "Italy"
+    }
+}
+"""
+ALWAYS_TABLE = {"name": "Always", "columns": [
+    {"name": "Always", "kind": "output", "type": "string"},
+], "rules": [{"conditions": [], "outputs": ["yes"]}]}
+
+
+def test_kept_versions_of_an_empty_layout_count_their_ids(make_unit, make_session, monkeypatch):
+    """Each record is a cell for its id, so a cap of 30 keeps three versions
+    of ten records, not every one of them."""
+    monkeypatch.setattr(ccu, "OPENED_CELLS", 30)
+    unit = make_unit(bundle=CodeBundle.assemble(ALWAYS_POLICY, [ALWAYS_TABLE], []))
+    assert unit._layouts["Thing"] == ()
+    session = make_session(unit)
+    records = _records(10)
+    names = [f"things/{i}" for i in range(5)]
+    for name in names:
+        _provision(unit, session, records, name=name, structure="Thing")
+        envelope, key = session.build_request("decision", {"funcName": "Always", "dataName": name})
+        response = unit.handle("t-dec", envelope)
+        assert response.status == "ok", response.error
+        results = ClientSession.open_response(response, key)["results"]
+        assert [r["values"] for r in results] == [["yes"]] * 10
+    assert list(unit._opened) == [(name, "slim") for name in names[-3:]]
+    assert sum(kept.cells for kept in unit._opened.values()) == 30
 
 
 def _reseed(unit, make_session):

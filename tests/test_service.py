@@ -198,9 +198,10 @@ def test_compact_results_keep_outputs_that_only_equal_in_python_apart():
     assert [r["values"] for r in expand_results(body)["results"]] == [[1.0], [1], [1], [], [1.0]]
 
 
-# text a JSON encoder must escape, and text it must pass through as UTF-8
+# text a JSON encoder must escape, and text it must pass through as UTF-8 (a
+# lone surrogate is no UTF-8, and provision refuses it)
 _BODY_TEXT = st.text(
-    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028'), st.characters()),
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028'), st.characters(codec="utf-8")),
     max_size=6,
 )
 
