@@ -360,8 +360,8 @@ def _bench_plain_vs_enclave(config: BenchConfig) -> list[BenchRow]:
     unit, session = _make_stack()
     _provision(unit, session, "Patient", patients)
     shape = (config.records, len(table.condition_columns), len(table.rules))
-    # reloading the seed drops the versions the unit keeps opened, so every
-    # measured enclave decision opens and decodes the dataset
+    # reloading the seed drops the versions the unit keeps opened, and their
+    # bodies, so every measured enclave decision opens and decides the dataset
     sealed = unit.seal_seed()
     return _ladder_rows(config, [
         (*shape, "plain", _decide_on(table, patients, specs)),

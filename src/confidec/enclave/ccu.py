@@ -109,9 +109,10 @@ _ARRAYS = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circ
 
 # The most cells (records times layout fields plus one for the ids, summed
 # over datasets and forms) a unit keeps opened for later decisions. A cell
-# held about 62 bytes with the ids, their JSON and one function's encoded
-# columns (tracemalloc, 4 000 patients over 6 layout fields), so the cap is
-# about 4 MB.
+# held about 52 bytes with the ids, the columns and one function's decision
+# body (tracemalloc, 4 000 patients over 6 layout fields), so the cap is about
+# 3.4 MB. A kept version holds a body per function that decided over it: the
+# deployed functions reading its structure bound their number.
 OPENED_CELLS = 1 << 16
 
 

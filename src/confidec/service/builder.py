@@ -10,13 +10,12 @@ that skeleton for review.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Mapping, Protocol, Sequence, Tuple
 
 from confidec.dmn.aggregate import evaluate_aggregate
 from confidec.dmn.engine import decide_records, encode_batch
 from confidec.dmn.model import AggregationSpec, DecisionTable
-from confidec.dmn.program import STATUS_NO_MATCH, Batch, CompiledTable, compile_table
+from confidec.dmn.program import STATUS_NO_MATCH, CompiledTable, compile_table
 from confidec.errors import DecisionRejected, ServiceBuildError
 from confidec.policy.alfa import format_expr
 from confidec.policy.model import PolicySpec, check_access
@@ -45,22 +44,15 @@ class OpenedRecords:
     """Records a unit opened: their ids and, per field of a structure's
     layout, the column of their values (None for an absent field).
 
-    `prepared` holds, per function that decided over the records, its
-    encoded batch and its aggregates, and `ids_json` the ids as a decision
-    body holds them, made on first use. A unit that keeps the records for
-    later decisions keeps these with them: each function's own batch, in
-    its layout's slots and vocabularies, and one ids JSON for every
-    decision over this version.
+    `bodies` holds, per function that decided over the records, its
+    decision body. A unit that keeps the records for later decisions keeps
+    these with them: a body depends only on the function's program and the
+    records, so each function decides over a kept version once.
     """
 
     ids: Sequence[str]
     columns: Sequence[Sequence[object]]
-    prepared: Dict[str, Tuple[Batch, Dict[str, float]]] = field(default_factory=dict)
-
-    @cached_property
-    def ids_json(self) -> bytes:
-        """`canonical_json(ids)`."""
-        return canonical_json(self.ids)
+    bodies: Dict[str, bytes] = field(default_factory=dict)
 
 
 class HandlerEnv(Protocol):
@@ -147,26 +139,26 @@ def handle_decision(
     program = service.program
     records = env.decrypt_data(data_name, service.data_name)
 
-    # records the unit kept may hold this function's batch and aggregates
-    # already; the steps are traced alike either way
-    prepared = records.prepared.get(service.func_name)
-    if prepared is None:
+    # records the unit kept may hold this function's body already, from a
+    # decision that ran every step; the steps are traced alike either way
+    body = records.bodies.get(service.func_name)
+    if body is None:
         batch = encode_batch(program, records.ids, records.columns)
         aggregates: Dict[str, float] = {}
         for agg in program.aggregations:
             env.trace(f"Aggregate {agg.name}")
             aggregates[agg.name] = evaluate_aggregate(agg, batch)
-        records.prepared[service.func_name] = batch, aggregates
+        env.trace("Decide")
+        hits = decide_records(program, batch, aggregates)
+        env.trace("Return")
+        body = decision_body(service.func_name, program, canonical_json(records.ids), hits)
+        records.bodies[service.func_name] = body
     else:
-        batch, aggregates = prepared
         for agg in program.aggregations:
             env.trace(f"Aggregate {agg.name}")
-
-    env.trace("Decide")
-    hits = decide_records(program, batch, aggregates)
-
-    env.trace("Return")
-    return decision_body(service.func_name, program, records.ids_json, hits)
+        env.trace("Decide")
+        env.trace("Return")
+    return body
 
 
 def _outputs_and_k(program: CompiledTable, hits: Sequence[int]) -> Tuple[List[list], List[int]]:

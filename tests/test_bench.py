@@ -24,6 +24,7 @@ from confidec.bench.harness import (
 from confidec.dmn import aggregate
 from confidec.dmn.engine import kernel_backend
 from confidec.enclave import ccu
+from confidec.service import builder
 
 
 def test_experiment_catalogue_is_fixed():
@@ -232,6 +233,33 @@ def test_each_timed_enclave_decision_opens_every_record(monkeypatch, experiment,
     # per mode, an untimed warm-up, three timed decisions and the one its
     # peak memory comes from
     assert per_decision == [1] * (5 * modes)
+
+
+def test_each_timed_enclave_decision_decides_every_record(monkeypatch):
+    """Reloading the seed drops what the unit kept, decision bodies too: each
+    timed enclave decision runs the kernel over every record."""
+    decided = []
+    per_decision = []
+    real_decide_records = builder.decide_records
+    real_roundtrip = harness._roundtrip
+
+    def counting_decide_records(*args):
+        decided.append(1)
+        return real_decide_records(*args)
+
+    def roundtrip(unit, session, request_type, payload):
+        before = len(decided)
+        answer = real_roundtrip(unit, session, request_type, payload)
+        if request_type == "decision":
+            per_decision.append(len(decided) - before)
+        return answer
+
+    monkeypatch.setattr(builder, "decide_records", counting_decide_records)
+    monkeypatch.setattr(harness, "_roundtrip", roundtrip)
+    _tiny("plainVsEnclave", records=30)
+    # an untimed warm-up, three timed decisions and the one its peak memory
+    # comes from
+    assert per_decision == [1] * 5
 
 
 def test_memory_saving_reports_stored_bytes_per_role():

@@ -2,17 +2,18 @@
 
 A hypothesis state machine provisions and re-provisions two datasets, fails
 storage writes, decides, redeploys (the same bundle, or under the same seed one
-whose Patient layout differs, and back), installs a fresh seed, flips a byte
-of a committed blob file and reopens the store, against a plaintext model:
-each dataset's last committed version, the bundle and the seed it was
-committed under, and which of its forms' blobs were altered since. After
-every step each form of every committed dataset decides as `decide_all` does
-over that version, unless its blob was altered, which fails the content
-check, or it was committed under another seed, or (slim only) under the
-other bundle's layout, which fails authentication; the chain verifies with
-one entry per successful provision. Most of these reads find the version
-the unit keeps opened from the read before, so they hold it to the answers
-of a fresh open.
+whose Patient layout differs, or one whose patient table answers other outputs
+over the same layout, and back), installs a fresh seed, flips a byte of a
+committed blob file and reopens the store, against a plaintext model: each
+dataset's last committed version, the bundle and the seed it was committed
+under, and which of its forms' blobs were altered since. After every step each
+form of every committed dataset decides as `decide_all` does over that version
+with the deployed bundle's table, unless its blob was altered, which fails the
+content check, or it was committed under another seed, or (slim only) under
+another layout, which fails authentication; the chain verifies with one entry
+per successful provision. Most of these reads find the version, and the
+decision body, the unit keeps from the read before, so they hold both to the
+answers of a fresh open and decision.
 """
 
 import json
@@ -25,30 +26,63 @@ from pathlib import Path
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from conftest import bundle_reading_another_patient_field, disk_full, standard_bundle
+from conftest import (
+    BUNDLED_FUNCS,
+    bundle_reading_another_patient_field,
+    disk_full,
+    standard_bundle,
+)
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.certs import issue_certificate
 from confidec.crypto.keys import SigningKeyPair
 from confidec.dmn.engine import decide_all
-from confidec.dmn.tables import record_to_obj
+from confidec.dmn.tables import parse_decision_table, record_to_obj
+from confidec.enclave.measurement import CodeBundle
 from confidec.enclave.ccu import Ccu, generate_seed
 from confidec.errors import ConfidecError
-from confidec.fixtures import load_patient_aggregations, load_table
+from confidec.fixtures import (
+    load_patient_aggregation_docs,
+    load_patient_aggregations,
+    load_policy_text,
+    load_table_doc,
+)
 from confidec.gateway.client import ClientSession
 from confidec.storage.node import StorageNode
 from confidec.util import utcnow
 
 NAMES = ("vax/patients", "vax/others")
-TABLE = load_table("PatientPrioritizationWithAggr")
+TABLE_DOC = load_table_doc("PatientPrioritizationWithAggr")
+# the patient table with other outputs: its name, inputs and layout stay
+OTHER_OUTPUTS_DOC = dict(TABLE_DOC, rules=[
+    dict(rule, outputs=[f"{value} again" for value in rule["outputs"]])
+    for rule in TABLE_DOC["rules"]
+])
 AGGREGATIONS = load_patient_aggregations()
 AUTHORITY = SigningKeyPair.generate()
-# the bundles a unit runs in turn; their Patient layouts differ
-BUNDLES = {"standard": standard_bundle(), "another-layout": bundle_reading_another_patient_field()}
+# the bundles a unit runs in turn
+BUNDLES = {
+    "standard": standard_bundle(),
+    "another-layout": bundle_reading_another_patient_field(),
+    "other-outputs": CodeBundle.assemble(
+        load_policy_text(),
+        [OTHER_OUTPUTS_DOC if f == TABLE_DOC["name"] else load_table_doc(f)
+         for f in BUNDLED_FUNCS],
+        load_patient_aggregation_docs(),
+    ),
+}
+# per bundle, its patient table and the bundle whose Patient layout it has
+TABLES = {
+    "standard": parse_decision_table(TABLE_DOC),
+    "another-layout": parse_decision_table(TABLE_DOC),
+    "other-outputs": parse_decision_table(OTHER_OUTPUTS_DOC),
+}
+LAYOUT_OF = {"standard": "standard", "another-layout": "another-layout",
+             "other-outputs": "standard"}
 
 
-def _oracle(records):
+def _oracle(table, records):
     try:
-        results = decide_all(TABLE, records, AGGREGATIONS)
+        results = decide_all(table, records, AGGREGATIONS)
     except ConfidecError as exc:
         return str(exc)
     return [
@@ -105,7 +139,7 @@ class UnitLifecycle(RuleBasedStateMachine):
 
     def _decide(self, data_name):
         envelope, key = self.session.build_request(
-            "decision", {"funcName": TABLE.name, "dataName": data_name}
+            "decision", {"funcName": TABLE_DOC["name"], "dataName": data_name}
         )
         response = self.unit.handle("t-dec", envelope)
         if response.status != "ok":
@@ -143,11 +177,11 @@ class UnitLifecycle(RuleBasedStateMachine):
         records, bundle, seed = self.committed[name]
         if (name, full) in self.tampered:  # the blob is checked before it is opened
             assert answer == "blob failed its content check"
-        elif seed != self.seed or not full and bundle != self.bundle:
+        elif seed != self.seed or not full and LAYOUT_OF[bundle] != LAYOUT_OF[self.bundle]:
             # a blob opens under its seed, and a slim one under its layout
             assert isinstance(answer, str) and "authentication" in answer
         else:
-            assert answer == _oracle(records)
+            assert answer == _oracle(TABLES[self.bundle], records)
 
     @rule(name=st.sampled_from(NAMES), full=st.booleans())
     def decide(self, name, full):
@@ -169,6 +203,12 @@ class UnitLifecycle(RuleBasedStateMachine):
     @rule()
     def redeploy_another_layout(self):
         self._redeploy("another-layout")
+
+    @rule()
+    def redeploy_other_outputs(self):
+        """The next decision answers the new table, never a body kept from
+        the old one over the same layout."""
+        self._redeploy("other-outputs")
 
     @rule()
     def redeploy_the_standard_bundle(self):

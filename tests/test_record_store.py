@@ -32,7 +32,6 @@ from conftest import (
 from confidec.bench.vax import VaxSpec, generate_vax
 from confidec.crypto.aead import HEADER_LEN, NONCE_LEN, Ciphertext, ae_decrypt, ae_encrypt
 from confidec.crypto.keys import derive_record_key
-from confidec.dmn import engine
 from confidec.dmn.engine import decide_all
 from confidec.dmn.model import Record, check_record_docs
 from confidec.dmn.tables import (
@@ -44,7 +43,7 @@ from confidec.dmn.tables import (
 from confidec.enclave import ccu
 from confidec.enclave.ccu import exchange_seed, generate_seed
 from confidec.enclave.measurement import CodeBundle
-from confidec.errors import AggregationError, TableValidationError
+from confidec.errors import AggregationError, ConfidecError, TableValidationError
 from confidec.fixtures import (
     load_patient_aggregation_docs,
     load_patient_aggregations,
@@ -52,7 +51,8 @@ from confidec.fixtures import (
     load_table,
     load_table_doc,
 )
-from confidec.gateway.client import ClientSession
+from confidec.gateway.client import ClientSession, expand_results
+from confidec.gateway.wire import response_aad
 from confidec.service import builder
 from confidec.storage.node import StorageNode
 from confidec.storage.store import MemoryBlobStore
@@ -619,22 +619,21 @@ def test_a_manifest_republished_under_another_name_is_refused_before_any_blob_ge
 
 
 def _counting_steps(monkeypatch, unit):
-    """`_counting`, plus the batch encodings and the aggregations decisions
-    run from now on."""
+    """`_counting`, plus the batch encodings, the aggregations and the kernel
+    runs decisions make from now on: the handler's calls after the read."""
     counts = _counting(monkeypatch, unit)
-    counts.update(encode=0, aggregate=0)
-    build_matrix, evaluate_aggregate = engine.build_matrix, builder.evaluate_aggregate
 
-    def counting_build(*args):
-        counts["encode"] += 1
-        return build_matrix(*args)
+    def counting(step, fn):
+        def count_then_call(*args):
+            counts[step] += 1
+            return fn(*args)
+        return count_then_call
 
-    def counting_aggregate(*args):
-        counts["aggregate"] += 1
-        return evaluate_aggregate(*args)
-
-    monkeypatch.setattr(engine, "build_matrix", counting_build)
-    monkeypatch.setattr(builder, "evaluate_aggregate", counting_aggregate)
+    for step, name in (
+        ("encode", "encode_batch"), ("aggregate", "evaluate_aggregate"), ("decide", "decide_records")
+    ):
+        counts[step] = 0
+        monkeypatch.setattr(builder, name, counting(step, getattr(builder, name)))
     return counts
 
 
@@ -647,9 +646,10 @@ def test_a_warm_decision_gets_both_blobs_and_opens_encodes_and_aggregates_nothin
     records = _records(30)
     _provision(unit, session, records)
     counts = _counting_steps(monkeypatch, unit)
-    cold, warm = {"open": 1, "encode": 1, "aggregate": 2}, {"open": 0, "encode": 0, "aggregate": 0}
+    cold = {"open": 1, "encode": 1, "aggregate": 2, "decide": 1}
+    warm = dict.fromkeys(cold, 0)
     for steps in (cold, warm):
-        counts.update(get=0, open=0, encode=0, aggregate=0)
+        counts.update(get=0, **warm)
         assert _decide(unit, session, name) == _oracle(records)
         assert counts == {"get": 2, **steps}
 
@@ -929,15 +929,19 @@ def _two_function_oracle(func, records):
     ]
 
 
+def _two_functions_bundle():
+    return CodeBundle.assemble(
+        load_policy_text() + TWO_FUNCTIONS_POLICIES,
+        [load_table_doc(f) for f in BUNDLED_FUNCS] + TWO_FUNCTIONS_TABLES,
+        load_patient_aggregation_docs() + TWO_FUNCTIONS_AGGREGATIONS,
+    )
+
+
 @pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME], ids=["slim", "full"])
 def test_two_functions_over_one_kept_version_keep_their_own_aggregates(
     make_unit, make_session, name
 ):
-    unit = make_unit(bundle=CodeBundle.assemble(
-        load_policy_text() + TWO_FUNCTIONS_POLICIES,
-        [load_table_doc(f) for f in BUNDLED_FUNCS] + TWO_FUNCTIONS_TABLES,
-        load_patient_aggregation_docs() + TWO_FUNCTIONS_AGGREGATIONS,
-    ))
+    unit = make_unit(bundle=_two_functions_bundle())
     session = make_session(unit)
     records = _records(20)
     _provision(unit, session, records)
@@ -952,6 +956,113 @@ def test_two_functions_over_one_kept_version_keep_their_own_aggregates(
             response = unit.handle("t-dec", envelope)
             assert response.status == "ok", response.error
             assert ClientSession.open_response(response, key)["results"] == want[func]
+
+
+def _decide_body(unit, session, func, data_name):
+    """The decision body's bytes, or the error text."""
+    envelope, key = session.build_request("decision", {"funcName": func, "dataName": data_name})
+    response = unit.handle("t-dec", envelope)
+    if response.status != "ok":
+        assert response.body is None
+        return response.error
+    return ae_decrypt(key, response.body, aad=response_aad("t-dec"))
+
+
+def _centers(count=30):
+    return generate_vax(VaxSpec("VaccinationCenter", count, seed=5))
+
+
+# per function: the structure it reads, records of it and the oracle's
+# table and aggregations
+KEPT_FUNCTIONS = {
+    "PatientPrioritizationWithAggr": ("Patient", _records, load_patient_aggregations),
+    "Restock": ("VaccinationCenter", _centers, list),
+}
+
+
+@pytest.mark.parametrize("suffix", ["", ".full"], ids=["slim", "full"])
+@pytest.mark.parametrize("func", sorted(KEPT_FUNCTIONS))
+def test_a_kept_version_answers_its_first_body_without_deciding_again(
+    make_unit, make_session, monkeypatch, func, suffix
+):
+    """The first decision over a version encodes, aggregates and decides; a
+    later one over the same kept version runs none of them, and answers the
+    same bytes after the same traced steps."""
+    structure, make_records, aggregations = KEPT_FUNCTIONS[func]
+    unit = make_unit()
+    session = make_session(unit)
+    records = make_records(30)
+    _provision(unit, session, records, name="d", structure=structure)
+    want = decide_all(load_table(func), records, aggregations())
+    counts = _counting_steps(monkeypatch, unit)
+    n_aggregations = len(unit.service(func).program.aggregations)
+    cold = {"open": 1, "encode": 1, "aggregate": n_aggregations, "decide": 1}
+    warm = dict.fromkeys(cold, 0)
+    bodies, traces = [], []
+    for steps in (cold, warm):
+        counts.update(get=0, **warm)
+        bodies.append(_decide_body(unit, session, func, "d" + suffix))
+        traces.append(list(unit.last_trace))
+        assert counts == {"get": 2, **steps}
+    assert isinstance(bodies[0], bytes), bodies[0]
+    assert bodies[1] == bodies[0]
+    assert traces[1] == traces[0]
+    assert traces[0].count("Decide") == 1
+    assert expand_results(json.loads(bodies[0]))["results"] == [
+        {"recordId": r.record_id, "outcome": r.outcome, "values": list(r.values)} for r in want
+    ]
+
+
+@pytest.mark.parametrize("name", [SLIM_NAME, FULL_NAME], ids=["slim", "full"])
+def test_two_warm_functions_over_one_kept_version_answer_their_own_results_in_turn(
+    make_unit, make_session, monkeypatch, name
+):
+    unit = make_unit(bundle=_two_functions_bundle())
+    session = make_session(unit)
+    records = _records(20)
+    _provision(unit, session, records)
+    want = {func: _two_function_oracle(func, records) for func in ("Oldest", "Youngest")}
+    for func in want:
+        _decide_body(unit, session, func, name)
+    counts = _counting_steps(monkeypatch, unit)
+    for func in ("Oldest", "Youngest", "Oldest", "Youngest", "Youngest", "Oldest"):
+        body = _decide_body(unit, session, func, name)
+        assert expand_results(json.loads(body))["results"] == want[func], func
+    assert counts == {"get": 12, "open": 0, "encode": 0, "aggregate": 0, "decide": 0}
+
+
+def _without(records, index, field):
+    """The records, but the one at index lacks field."""
+    docs = [record_to_obj(r) for r in records]
+    del docs[index]["fields"][field]
+    return [parse_record(doc) for doc in docs]
+
+
+@pytest.mark.parametrize("suffix", ["", ".full"], ids=["slim", "full"])
+@pytest.mark.parametrize("func, structure, records, oracle", [
+    # a record lacks the field the first condition of Restock reads
+    ("Restock", "VaccinationCenter", _without(_centers(10), 3, "CurrentVaccineStockLevel"),
+     lambda records: decide_all(load_table("Restock"), records)),
+    # `top` selects every record, and one lacks its target, Age
+    ("Oldest", "Patient", _without(_records(10), 3, "Age"),
+     lambda records: _two_function_oracle("Oldest", records)),
+], ids=["condition-field", "aggregation-target"])
+def test_a_decision_that_fails_keeps_no_body(
+    make_unit, make_session, monkeypatch, func, structure, records, oracle, suffix
+):
+    """The version stays kept, but no body is: the next decision runs every
+    step again and fails with the same text."""
+    unit = make_unit(bundle=_two_functions_bundle())
+    session = make_session(unit)
+    _provision(unit, session, records, name="d", structure=structure)
+    with pytest.raises(ConfidecError) as raised:
+        oracle(records)
+    counts = _counting_steps(monkeypatch, unit)
+    answers = [_decide_body(unit, session, func, "d" + suffix) for _ in range(2)]
+    assert answers == [str(raised.value)] * 2
+    assert (counts["open"], counts["encode"]) == (1, 2)
+    kept = unit._opened[("d", "full" if suffix else "slim")]
+    assert kept.records.bodies == {}
 
 
 def test_kept_versions_stay_within_the_cap_least_recently_read_first(
